@@ -5,7 +5,7 @@ H = 1 - rate * |grad s| and D is an edge-based dissipation term, so the
 converged s satisfies |grad s| = 1/rate: the front arrival time for a
 surface receding at the given rate.  Node update per explicit step:
 
-    s_i += dt * ( 1 - rate_i * |Gbar_i| + eps_i * sum_e beta_e (s_j - s_i)/len_e )
+    s_i += dt_i * ( 1 - rate_i * |Gbar_i| + eps_i * sum_e beta_e (s_j - s_i)/len_e )
 
 with Gbar_i the angle-weighted mean of the incident triangle gradients
 and beta_e the tan(angle/2) fan weights of the edge at node i.  The
@@ -24,6 +24,22 @@ amplitude-independent while the smearing of curved fronts drops
 linearly.  The rate^2 factor makes the update commute exactly with rate
 scaling (s maps to s/k when rate maps to k*rate), which also keeps the
 time step CFL-correct for rates above 1.
+
+Each node marches at its own CFL limit (local pseudo-time stepping)
+
+    dt_i = 0.5 * cfl_safety * dissipation_scale * h_i / (rate_i^2 * max(L_i, floor))
+
+with h_i the smallest height of the triangles at i.  The steady state
+H + D = 0 does not depend on dt, so only the path to it changes: nodes
+far from the one that would bound a global step stop waiting for it.
+Power-of-two rate scaling still commutes exactly (dt_i scales by 1/k
+with s), and the update is the same arithmetic on every run, so arrival
+fields stay bitwise deterministic.
+
+Per step the work is five sparse products with the operators of
+GeomCache (the x and y triangle gradients, the angle-weighted node
+mean of each gradient component, and the edge dissipation) plus
+elementwise arithmetic.
 
 Boundary handling: IGNITION nodes are re-pinned to s = 0 after every
 step; SYMMETRY nodes use the mirrored-mean gradient (projection onto
@@ -66,8 +82,9 @@ class SolverConfig:
 
     gradient_floor defaults to 1/max(rate), the converged gradient
     scale, so the very first step (all gradients zero) has a finite
-    time step.  local_gradient_scale switches L_i between the max over
-    triangles incident to i (default) and the global max.
+    time step.  L_i is the max gradient over the triangles incident to
+    node i, floored there; it sets both eps_i and the node's own step
+    dt_i = 0.5 * cfl_safety * dissipation_scale * h_i / (rate_i^2 * L_i).
     dissipation_scale trades accuracy on curved fronts against step
     count (both eps and dt carry the factor); kept a power of two so
     the scaling stays exact in floating point.
@@ -78,7 +95,6 @@ class SolverConfig:
     convergence_tol: float = 1e-6
     quiet_steps: int = 10
     max_steps: int = 1_000_000
-    local_gradient_scale: bool = True
     dissipation_scale: float = 0.25
 
     def __post_init__(self):
@@ -98,7 +114,7 @@ class SolverConfig:
 class StepResult:
     s: np.ndarray
     tri_grad: np.ndarray      # gradients of the state the step acted on
-    dt: float
+    dt: float                 # smallest per-node step
     max_residual: float       # max |H + D| over non-pinned nodes
 
 
@@ -107,7 +123,7 @@ class ArrivalField:
     s: np.ndarray
     tri_grad: np.ndarray
     residual_history: np.ndarray
-    dt_history: np.ndarray
+    dt_history: np.ndarray    # smallest per-node step of each step
     converged: bool
     n_steps: int
     meta: dict = field(default_factory=dict)
@@ -133,7 +149,8 @@ def triangle_gradients(mesh: Mesh, s: np.ndarray, cache: GeomCache | None = None
     """Exact gradient of the linear interpolant on every triangle."""
     if cache is None:
         cache = geom_cache(mesh)
-    return np.einsum("tkc,tk->tc", cache.grad_coeff, np.asarray(s, dtype=np.float64)[mesh.triangles])
+    s = np.asarray(s, dtype=np.float64)
+    return np.column_stack([cache.grad_x @ s, cache.grad_y @ s])
 
 
 def hamiltonian(rate, grad) -> np.ndarray:
@@ -170,12 +187,6 @@ def apply_bc(mesh: Mesh, cache: GeomCache, grad_mean: np.ndarray):
     return g, scale
 
 
-def _gradient_scale(cache: GeomCache, grad_norm: np.ndarray, local: bool) -> np.ndarray:
-    if local:
-        return np.maximum.reduceat(grad_norm[cache.node_tri_idx], cache.node_tri_ptr[:-1])
-    return np.full(len(cache.node_angle_sum), grad_norm.max())
-
-
 def step(
     mesh: Mesh,
     cache: GeomCache,
@@ -185,8 +196,10 @@ def step(
     gradient_floor: float | None = None,
     pinned: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> StepResult:
-    """One explicit update of the relaxation; pure, returns a new field."""
-    nn = mesh.n_nodes
+    """One explicit update of the relaxation; pure, returns a new field.
+
+    Each node marches with its own step dt_i; StepResult.dt is min(dt_i).
+    """
     floor = gradient_floor
     if floor is None:
         floor = config.gradient_floor if config.gradient_floor is not None else 1.0 / rate.max()
@@ -196,39 +209,29 @@ def step(
     # power-of-two scalings the homogeneity properties rely on.
     Unorm = np.sqrt(U[:, 0] ** 2 + U[:, 1] ** 2)
 
-    w = cache.corner_angle_flat
-    Urep = np.repeat(U, 3, axis=0)
-    gsum_x = np.bincount(cache.corner_node_flat, weights=w * Urep[:, 0], minlength=nn)
-    gsum_y = np.bincount(cache.corner_node_flat, weights=w * Urep[:, 1], minlength=nn)
-    grad_mean = np.column_stack([gsum_x, gsum_y]) / cache.node_angle_sum[:, None]
+    grad_mean, bc_scale = apply_bc(mesh, cache, cache.node_mean @ U)
 
-    grad_mean, bc_scale = apply_bc(mesh, cache, grad_mean)
-
-    L_eff = np.maximum(_gradient_scale(cache, Unorm, config.local_gradient_scale), floor)
+    # L_i: the largest gradient over the triangles incident to node i
+    fan = cache.node_mean
+    L_eff = np.maximum(np.maximum.reduceat(Unorm[fan.indices], fan.indptr[:-1]), floor)
     rate_scale = rate * rate * L_eff
     eps = config.dissipation_scale * rate_scale / np.pi
 
-    ea, eb = cache.edge_nodes[:, 0], cache.edge_nodes[:, 1]
-    dsdl = (s[eb] - s[ea]) * cache.edge_inv_len
-    acc = np.bincount(ea, weights=cache.edge_beta_a * dsdl, minlength=nn) + np.bincount(
-        eb, weights=-cache.edge_beta_b * dsdl, minlength=nn
-    )
     # subtract the fan's response to a linear field so the dissipation
     # vanishes on locally linear s even where the stencil is one-sided
     # (boundary fans); the mean must already carry the mirror projection
-    acc -= grad_mean[:, 0] * cache.node_beta_bias[:, 0] + grad_mean[:, 1] * cache.node_beta_bias[:, 1]
+    bias = cache.node_beta_bias
+    acc = cache.edge_diss @ s - (grad_mean[:, 0] * bias[:, 0] + grad_mean[:, 1] * bias[:, 1])
     diffusion = eps * bc_scale * acc
 
     H = 1.0 - rate * np.sqrt(grad_mean[:, 0] ** 2 + grad_mean[:, 1] ** 2)
     Hcal = H + diffusion
 
-    # Half of h/(rate^2 L): the advection bound alone admits ~0.7 h, but
-    # the edge dissipation needs the extra margin (measured: the update
+    # Half of h_i/(rate_i^2 L_i): the advection bound alone admits ~0.7 h,
+    # but the edge dissipation needs the extra margin (measured: the update
     # limit-cycles near 0.9 h and converges cleanly at or below 0.5 h).
     # dt carries dissipation_scale with eps; dropping eps alone destabilizes.
-    dt = 0.5 * config.cfl_safety * config.dissipation_scale * float(
-        (cache.node_min_height / rate_scale).min()
-    )
+    dt = 0.5 * config.cfl_safety * config.dissipation_scale * cache.node_min_height / rate_scale
 
     s_new = s + dt * Hcal
     s_new[cache.is_ignition] = 0.0
@@ -244,7 +247,7 @@ def step(
         active = active.copy()
         active[pinned[0]] = False
     max_residual = float(np.abs(Hcal[active]).max()) if active.any() else 0.0
-    return StepResult(s=s_new, tri_grad=U, dt=dt, max_residual=max_residual)
+    return StepResult(s=s_new, tri_grad=U, dt=float(dt.min()), max_residual=max_residual)
 
 
 def solve(

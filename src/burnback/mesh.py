@@ -1,8 +1,7 @@
 """Triangular meshes for 2D burnback runs.
 
 Containers, generators, text I/O, validation, and the precomputed
-geometry (corner angles, edge weights, node heights) consumed by the
-front solver.
+sparse operators and node heights consumed by the front solver.
 
 Text format, line oriented, '#' starts a comment:
 
@@ -21,6 +20,7 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 
 import numpy as np
+from scipy.sparse import csr_array
 from scipy.spatial import cKDTree
 
 __all__ = [
@@ -609,118 +609,115 @@ def boundary_loops(mesh: Mesh) -> list:
 
 @dataclass
 class GeomCache:
-    """Per-triangle and per-node geometry reused on every solver step.
+    """Per-mesh operators and node data reused on every solver step.
 
-    corner_angle[t, k] is the interior angle at corner k; grad_coeff[t, k]
-    is the gradient of the linear hat function of corner k, so the field
-    gradient on triangle t is sum_k s[tri[t, k]] * grad_coeff[t, k].
-    Edge weights beta hold tan(angle/2) sums of the adjacent corner
-    angles, one value per edge endpoint.
+    grad_x, grad_y  (nt, nn) CSR: row t holds the x/y gradients of the
+                    three linear hat functions of triangle t, so the
+                    field gradient on t is (grad_x @ s, grad_y @ s)
+    node_mean       (nn, nt) CSR: corner angles over node_angle_sum, the
+                    angle-weighted mean of the incident triangles; its
+                    sparsity pattern is the node-to-triangle incidence
+    edge_diss       (nn, nn) CSR: off-diagonal tan(angle/2) / len fan
+                    weights of every edge at its row node, summed over
+                    the flanking triangles, with the negated row sum as
+                    the last entry of each row, so edge_diss @ 1 is
+                    exactly zero
+    node_beta_bias  (nn, 2) edge_diss applied to the coordinates: the
+                    fan's response to a unit linear field, zero for full
+                    interior fans (tan(angle/2) weights have linear
+                    precision), nonzero on one-sided boundary fans
     """
 
-    tri_area: np.ndarray
-    corner_angle: np.ndarray
-    grad_coeff: np.ndarray
+    grad_x: csr_array
+    grad_y: csr_array
+    node_mean: csr_array
+    edge_diss: csr_array
     node_angle_sum: np.ndarray
     node_min_height: np.ndarray
-    edge_nodes: np.ndarray
-    edge_len: np.ndarray
-    edge_inv_len: np.ndarray
-    edge_unit: np.ndarray
-    edge_beta_a: np.ndarray
-    edge_beta_b: np.ndarray
-    edge_tri: np.ndarray
     node_beta_bias: np.ndarray
-    node_tri_ptr: np.ndarray
-    node_tri_idx: np.ndarray
-    corner_node_flat: np.ndarray
-    corner_angle_flat: np.ndarray
     is_ignition: np.ndarray
     is_free: np.ndarray
     is_symmetry: np.ndarray
     sym_dir: np.ndarray
-    bbox_diag: float
+
+
+def _corner_angles(p: np.ndarray) -> np.ndarray:
+    """Interior angles (nt, 3) from the two edges leaving each corner."""
+    e_next = p[:, [1, 2, 0], :] - p
+    e_prev = p[:, [2, 0, 1], :] - p
+    cross = e_next[:, :, 0] * e_prev[:, :, 1] - e_next[:, :, 1] * e_prev[:, :, 0]
+    dot = np.einsum("tkc,tkc->tk", e_next, e_prev)
+    return np.arctan2(np.abs(cross), dot)
+
+
+def _edge_dissipation(tris, corner_angle, edge_len3, nn: int) -> csr_array:
+    """The edge_diss operator of GeomCache.
+
+    Corner k weighs its edges to corners k+1 and k+2 by tan(angle_k/2)
+    over their lengths (the edges opposite corners k+2 and k+1); an
+    interior edge collects one such weight per flanking triangle.
+    """
+    half = np.tan(0.5 * corner_angle)
+    inv_len = 1.0 / edge_len3
+    rows = np.concatenate([tris, tris], axis=1).ravel()
+    cols = np.concatenate([tris[:, [1, 2, 0]], tris[:, [2, 0, 1]]], axis=1).ravel()
+    w = np.concatenate([half * inv_len[:, [2, 0, 1]], half * inv_len[:, [1, 2, 0]]], axis=1)
+    keys, inv = np.unique(rows * nn + cols, return_inverse=True)
+    off = csr_array(
+        (
+            np.bincount(inv, weights=w.ravel(), minlength=len(keys)),
+            keys % nn,
+            np.concatenate([[0], np.cumsum(np.bincount(keys // nn, minlength=nn))]),
+        ),
+        shape=(nn, nn),
+    )
+    # the diagonal goes last in each row: a product then adds it to the
+    # very partial sum it was negated from, so a constant field maps to
+    # exactly zero
+    ends = off.indptr[1:]
+    return csr_array(
+        (
+            np.insert(off.data, ends, -(off @ np.ones(nn))),
+            np.insert(off.indices, ends, np.arange(nn)),
+            off.indptr + np.arange(nn + 1),
+        ),
+        shape=(nn, nn),
+    )
 
 
 def geom_cache(mesh: Mesh) -> GeomCache:
     nodes, tris = mesh.nodes, mesh.triangles
     nn, nt = mesh.n_nodes, mesh.n_triangles
+    flat = tris.ravel()
 
     p = nodes[tris]  # (nt, 3, 2)
-    area = _signed_areas(nodes, tris)
+    two_area = 2.0 * _signed_areas(nodes, tris)[:, None]
 
     # grad of the hat function at corner k: perpendicular of the opposite
     # edge over twice the area (valid for CCW triangles).
     opp = p[:, [2, 0, 1], :] - p[:, [1, 2, 0], :]  # edge opposite corner k
-    grad_coeff = np.empty((nt, 3, 2))
-    grad_coeff[:, :, 0] = -opp[:, :, 1]
-    grad_coeff[:, :, 1] = opp[:, :, 0]
-    grad_coeff /= (2.0 * area)[:, None, None]
+    tri_ptr = np.arange(0, 3 * nt + 1, 3)
+    grad_x = csr_array(((-opp[:, :, 1] / two_area).ravel(), flat, tri_ptr), shape=(nt, nn))
+    grad_y = csr_array(((opp[:, :, 0] / two_area).ravel(), flat, tri_ptr), shape=(nt, nn))
 
-    # interior angles from the two edges leaving each corner
-    e_next = p[:, [1, 2, 0], :] - p
-    e_prev = p[:, [2, 0, 1], :] - p
-    cross = e_next[:, :, 0] * e_prev[:, :, 1] - e_next[:, :, 1] * e_prev[:, :, 0]
-    dot = np.einsum("tkc,tkc->tk", e_next, e_prev)
-    corner_angle = np.arctan2(np.abs(cross), dot)
+    corner_angle = _corner_angles(p)
 
-    flat = tris.ravel()
-    angle_flat = corner_angle.ravel()
-    node_angle_sum = np.bincount(flat, weights=angle_flat, minlength=nn)
+    node_angle_sum = np.bincount(flat, weights=corner_angle.ravel(), minlength=nn)
+    order = np.argsort(flat, kind="stable")
+    node_ptr = np.concatenate([[0], np.cumsum(np.bincount(flat, minlength=nn))])
+    node_mean = csr_array(
+        (corner_angle.ravel()[order] / node_angle_sum[flat[order]], order // 3, node_ptr),
+        shape=(nn, nt),
+    )
 
     edge_len3 = np.sqrt(opp[:, :, 0] ** 2 + opp[:, :, 1] ** 2)
-    tri_min_h = 2.0 * area / edge_len3.max(axis=1)
+    tri_min_h = two_area[:, 0] / edge_len3.max(axis=1)
     node_min_height = np.full(nn, np.inf)
     np.minimum.at(node_min_height, flat, np.repeat(tri_min_h, 3))
 
-    # undirected edges with per-endpoint fan weights tan(angle/2)
-    pa = tris[:, [1, 2, 0]].ravel()  # endpoints of the edge opposite corner k
-    pb = tris[:, [2, 0, 1]].ravel()
-    ta = np.tan(0.5 * corner_angle[:, [1, 2, 0]].ravel())
-    tb = np.tan(0.5 * corner_angle[:, [2, 0, 1]].ravel())
-    swap = pa > pb
-    pa2 = np.where(swap, pb, pa)
-    pb2 = np.where(swap, pa, pb)
-    ta2 = np.where(swap, tb, ta)
-    tb2 = np.where(swap, ta, tb)
-    ekeys = pa2.astype(np.int64) * nn + pb2
-    ukeys, einv = np.unique(ekeys, return_inverse=True)
-    ne = len(ukeys)
-    edge_nodes = np.column_stack([ukeys // nn, ukeys % nn]).astype(np.int64)
-    edge_beta_a = np.bincount(einv, weights=ta2, minlength=ne)
-    edge_beta_b = np.bincount(einv, weights=tb2, minlength=ne)
-    evec = nodes[edge_nodes[:, 1]] - nodes[edge_nodes[:, 0]]
-    edge_len = np.sqrt(evec[:, 0] ** 2 + evec[:, 1] ** 2)
-    edge_inv_len = 1.0 / edge_len
-    edge_unit = evec * edge_inv_len[:, None]
-
-    # flanking triangles of each edge; boundary edges repeat the only one,
-    # so the pairwise mean degenerates to that triangle's value
-    eorder = np.argsort(einv, kind="stable")
-    ecounts = np.bincount(einv, minlength=ne)
-    eptr = np.concatenate([[0], np.cumsum(ecounts)])
-    tri_of = eorder // 3
-    edge_tri = np.column_stack([tri_of[eptr[:-1]], tri_of[eptr[1:] - 1]])
-
-    # fan response to a linear field, sum of beta * edge direction; zero
-    # for full interior fans (the tan(angle/2) weights have linear
-    # precision), nonzero on one-sided boundary fans
-    node_beta_bias = np.zeros((nn, 2))
-    node_beta_bias[:, 0] = np.bincount(
-        edge_nodes[:, 0], weights=edge_beta_a * edge_unit[:, 0], minlength=nn
-    ) - np.bincount(edge_nodes[:, 1], weights=edge_beta_b * edge_unit[:, 0], minlength=nn)
-    node_beta_bias[:, 1] = np.bincount(
-        edge_nodes[:, 0], weights=edge_beta_a * edge_unit[:, 1], minlength=nn
-    ) - np.bincount(edge_nodes[:, 1], weights=edge_beta_b * edge_unit[:, 1], minlength=nn)
-
-    order = np.argsort(flat, kind="stable")
-    node_tri_idx = order // 3
-    counts = np.bincount(flat, minlength=nn)
-    node_tri_ptr = np.concatenate([[0], np.cumsum(counts)])
+    edge_diss = _edge_dissipation(tris, corner_angle, edge_len3, nn)
 
     mk = mesh.node_markers
-    is_ignition = mk == Marker.IGNITION
-    is_free = mk == Marker.FREE
     is_symmetry = mk == Marker.SYMMETRY
     sym_dir = np.zeros((nn, 2))
     for k, line in enumerate(mesh.symmetry_lines):
@@ -728,26 +725,15 @@ def geom_cache(mesh: Mesh) -> GeomCache:
         sym_dir[pick] = line.direction
 
     return GeomCache(
-        tri_area=area,
-        corner_angle=corner_angle,
-        grad_coeff=grad_coeff,
+        grad_x=grad_x,
+        grad_y=grad_y,
+        node_mean=node_mean,
+        edge_diss=edge_diss,
         node_angle_sum=node_angle_sum,
         node_min_height=node_min_height,
-        edge_nodes=edge_nodes,
-        edge_len=edge_len,
-        edge_inv_len=edge_inv_len,
-        edge_unit=edge_unit,
-        edge_beta_a=edge_beta_a,
-        edge_beta_b=edge_beta_b,
-        edge_tri=edge_tri,
-        node_beta_bias=node_beta_bias,
-        node_tri_ptr=node_tri_ptr,
-        node_tri_idx=node_tri_idx,
-        corner_node_flat=flat,
-        corner_angle_flat=angle_flat,
-        is_ignition=is_ignition,
-        is_free=is_free,
+        node_beta_bias=edge_diss @ nodes,
+        is_ignition=mk == Marker.IGNITION,
+        is_free=mk == Marker.FREE,
         is_symmetry=is_symmetry,
         sym_dir=sym_dir,
-        bbox_diag=_bbox_diag(nodes),
     )

@@ -67,6 +67,46 @@ def test_triangle_gradients_linear_field_exact():
     np.testing.assert_allclose(triangle_gradients(mesh, np.ones(mesh.n_nodes)), 0.0, atol=1e-15)
 
 
+# --------------------------------------------------------- solver operators
+
+
+def mixed_sides_rect():
+    return gen_rect(
+        7,
+        5,
+        1.3,
+        0.9,
+        markers={"left": Marker.IGNITION, "bottom": Marker.SYMMETRY, "top": Marker.FREE},
+    )
+
+
+def test_gradient_operators_reproduce_linear_field():
+    mesh = mixed_sides_rect()
+    cache = geom_cache(mesh)
+    s = 3.0 * mesh.nodes[:, 0] - 2.0 * mesh.nodes[:, 1] + 0.5
+    np.testing.assert_allclose(cache.grad_x @ s, 3.0, atol=1e-12)
+    np.testing.assert_allclose(cache.grad_y @ s, -2.0, atol=1e-12)
+
+
+def test_node_mean_rows_sum_to_one():
+    cache = geom_cache(mixed_sides_rect())
+    np.testing.assert_allclose(cache.node_mean.sum(axis=1), 1.0, rtol=1e-14)
+
+
+def test_edge_dissipation_vanishes_on_constant_and_linear_fields():
+    mesh = mixed_sides_rect()
+    cache = geom_cache(mesh)
+    np.testing.assert_array_equal(cache.edge_diss @ np.ones(mesh.n_nodes), 0.0)
+    g = np.array([3.0, -2.0])
+    s = mesh.nodes @ g + 0.5
+    bias = cache.node_beta_bias
+    np.testing.assert_allclose(cache.edge_diss @ s, bias @ g, atol=1e-12)
+    # one-sided boundary fans respond to a linear field, full fans do not
+    boundary = cache.is_ignition | cache.is_free | cache.is_symmetry
+    assert np.abs(bias[boundary]).max() > 1.0
+    np.testing.assert_allclose(bias[~boundary], 0.0, atol=1e-12)
+
+
 # ---------------------------------------------------------- boundary handling
 
 
@@ -98,17 +138,21 @@ def test_apply_bc_gradient_along_mirror_line_unchanged():
 # --------------------------------------------------------------- single steps
 
 
-def test_step_from_zero_grows_uniformly():
-    # zero field: unit Hamiltonian everywhere, no dissipation, so every
-    # node not held at the ignition value advances by exactly dt
-    mesh = rect_left_ignition()
+def test_step_from_zero_grows_by_each_nodes_own_step():
+    # zero field: unit Hamiltonian everywhere, no dissipation, and every
+    # gradient at the floor 1/rate, so each node not held at the ignition
+    # value advances by exactly its own CFL step 0.5 cfl scale h_i / rate
+    mesh = quarter_annulus()  # radially graded triangle heights
     cache = geom_cache(mesh)
-    rate = as_rate_field(mesh, 1.0)
-    res = step(mesh, cache, rate, np.zeros(mesh.n_nodes), SolverConfig())
+    rate = as_rate_field(mesh, 2.0)
+    config = SolverConfig()
+    res = step(mesh, cache, rate, np.zeros(mesh.n_nodes), config)
     ign = cache.is_ignition
+    dt = 0.5 * config.cfl_safety * config.dissipation_scale * cache.node_min_height / rate
     np.testing.assert_array_equal(res.s[ign], 0.0)
-    np.testing.assert_array_equal(res.s[~ign], res.dt)
-    assert res.dt > 0.0
+    np.testing.assert_array_equal(res.s[~ign], dt[~ign])
+    assert res.dt == dt.min() > 0.0
+    assert dt.max() > 1.2 * dt.min()
 
 
 def test_step_exact_planar_field_is_a_fixed_point():
