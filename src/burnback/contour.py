@@ -7,11 +7,8 @@ pieces trims caustics and inserts rarefaction arcs implicitly, which is
 why the oracle here is a distance field and not an offset-curve
 constructor; offset contours for display are level sets of this field.
 
-Closed-form perimeter laws for the elementary front features live here
-too: a regular convex front gains 2*pi of perimeter per unit burn
-depth, a corner feeds an expanding arc, a cusp (propellant wedge
-pointing into the port) eats perimeter, and a frontal casing collision
-removes a finite front length at one instant.
+The closed-form perimeter law of a regular convex front lives here
+too: it gains 2*pi of perimeter per unit burn depth.
 """
 
 from __future__ import annotations
@@ -27,21 +24,13 @@ __all__ = [
     "Line",
     "Arc",
     "Contour",
-    "FeatureKind",
-    "REGULAR",
-    "corner",
-    "cusp",
     "make_circle",
     "make_slot",
     "make_star",
     "close_sector",
     "distance",
-    "feature_rate",
-    "collision_drop",
     "CylinderState",
     "cylinder_laws",
-    "save_contour",
-    "load_contour",
 ]
 
 # endpoint continuity and closure tolerance, absolute in model units
@@ -338,60 +327,7 @@ def close_sector(half: Contour, n: int) -> Contour:
 
 
 # ---------------------------------------------------------------------------
-# perimeter evolution laws
-
-
-@dataclass(frozen=True)
-class FeatureKind:
-    """Front feature: "regular", or "corner"/"cusp" with a turn angle."""
-
-    kind: str
-    turn: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "turn", float(self.turn))
-        if self.kind not in ("regular", "corner", "cusp"):
-            raise ContourError(f"unknown feature kind {self.kind!r}")
-        if self.kind == "regular":
-            if self.turn != 0.0:
-                raise ContourError("regular features carry no turn angle")
-        elif not 0.0 < self.turn < math.pi:
-            raise ContourError("corner and cusp turn angles must be in (0, pi)")
-
-
-REGULAR = FeatureKind("regular")
-
-
-def corner(turn: float) -> FeatureKind:
-    return FeatureKind("corner", turn)
-
-
-def cusp(turn: float) -> FeatureKind:
-    return FeatureKind("cusp", turn)
-
-
-def feature_rate(kind: FeatureKind) -> float:
-    """Perimeter growth per unit burn depth contributed by one feature.
-
-    A regular closed convex traversal gains 2*pi; a corner feeds an
-    expanding arc of its turn angle; a cusp consumes the two flanks it
-    joins, -2*tan(turn/2), diverging as the turn approaches pi.
-    """
-    if kind.kind == "regular":
-        return _TWO_PI
-    if kind.kind == "corner":
-        return kind.turn
-    return -2.0 * math.tan(0.5 * kind.turn)
-
-
-def collision_drop(front_length: float, semi_thickness: float, y: float) -> float:
-    """Perimeter change when a straight front hits a frontal wall.
-
-    Nothing happens before the burn depth reaches the web semi
-    thickness; at and beyond it the whole front length vanishes at
-    once.
-    """
-    return 0.0 if y < semi_thickness else -front_length
+# perimeter law of a regular convex front
 
 
 class CylinderState(NamedTuple):
@@ -408,52 +344,3 @@ def cylinder_laws(P0: float, Ap0: float, y: float) -> CylinderState:
     """
     return CylinderState(P0 + _TWO_PI * y, Ap0 + P0 * y + math.pi * y * y)
 
-
-# ---------------------------------------------------------------------------
-# text serialization: one piece per line
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def save_contour(contour: Contour) -> str:
-    """Line-oriented text form: `L x0 y0 x1 y1` or `A cx cy r a0 a1 s`."""
-    rows = []
-    for piece in contour.pieces:
-        if isinstance(piece, Line):
-            rows.append(" ".join(["L", *map(_fmt, (*piece.p0, *piece.p1))]))
-        else:
-            rows.append(
-                " ".join(
-                    ["A", *map(_fmt, (*piece.center, piece.radius, piece.a0, piece.a1)), str(piece.sweep)]
-                )
-            )
-    return "\n".join(rows) + "\n"
-
-
-def load_contour(text: str) -> Contour:
-    """Parse the text form; closure is inferred from endpoint coincidence."""
-    pieces = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        row = raw.split("#", 1)[0].strip()
-        if not row:
-            continue
-        tag, *vals = row.split()
-        try:
-            nums = [float(v) for v in vals]
-        except ValueError as exc:
-            raise ContourError(f"line {ln}: {exc}") from None
-        if tag == "L" and len(nums) == 4:
-            pieces.append(Line((nums[0], nums[1]), (nums[2], nums[3])))
-        elif tag == "A" and len(nums) == 6:
-            pieces.append(Arc((nums[0], nums[1]), nums[2], nums[3], nums[4], int(nums[5])))
-        else:
-            raise ContourError(f"line {ln}: expected `L x0 y0 x1 y1` or `A cx cy r a0 a1 s`")
-    if not pieces:
-        raise ContourError("empty contour document")
-    closed = len(pieces) > 0 and bool(
-        np.linalg.norm(pieces[-1].end() - pieces[0].start()) <= _TOL
-        and (len(pieces) > 1 or isinstance(pieces[0], Arc))
-    )
-    return Contour(tuple(pieces), closed=closed)

@@ -41,13 +41,12 @@ GeomCache (the x and y triangle gradients, the angle-weighted node
 mean of each gradient component, and the edge dissipation) plus
 elementwise arithmetic.
 
-Boundary handling: IGNITION nodes are re-pinned to s = 0 after every
-step; SYMMETRY nodes use the mirrored-mean gradient (projection onto
-the line) and doubled dissipation; FREE nodes double dissipation only.
-The projection happens before the bias subtraction: colliding mirror
-fronts put a ridge on the line, and the raw half-fan mean then carries
-a normal component whose product with the fan bias would poison the
-dissipation balance there.
+Boundary handling: SYMMETRY and FREE nodes see half a fan, so
+geom_cache doubles their edge_diss rows (and with them node_beta_bias)
+once per mesh.  step projects the mean gradient of each SYMMETRY node
+onto its mirror line (GeomCache.sym_nodes, sym_dir) before the bias
+subtraction.  solve holds IGNITION nodes at s = 0, and pinned nodes
+at their values, by leaving them out of the update.
 """
 
 from __future__ import annotations
@@ -65,8 +64,6 @@ __all__ = [
     "SolverError",
     "as_rate_field",
     "triangle_gradients",
-    "hamiltonian",
-    "apply_bc",
     "step",
     "solve",
 ]
@@ -115,7 +112,7 @@ class StepResult:
     s: np.ndarray
     tri_grad: np.ndarray      # gradients of the state the step acted on
     dt: float                 # smallest per-node step
-    max_residual: float       # max |H + D| over non-pinned nodes
+    max_residual: float       # max |H + D| over nodes not held
 
 
 @dataclass
@@ -153,63 +150,40 @@ def triangle_gradients(mesh: Mesh, s: np.ndarray, cache: GeomCache | None = None
     return np.column_stack([cache.grad_x @ s, cache.grad_y @ s])
 
 
-def hamiltonian(rate, grad) -> np.ndarray:
-    """H = 1 - rate * |grad|, zero exactly on an arrival-time field."""
-    grad = np.asarray(grad, dtype=np.float64)
-    mag = np.sqrt(grad[..., 0] ** 2 + grad[..., 1] ** 2)
-    return 1.0 - np.asarray(rate, dtype=np.float64) * mag
-
-
-def apply_bc(mesh: Mesh, cache: GeomCache, grad_mean: np.ndarray):
-    """Boundary corrections to the half-fan mean gradient.
-
-    SYMMETRY averages the gradient with its mirror image (killing the
-    normal component): that is the exact mean of the fan joined with its
-    reflection, and it must feed every later use of the mean, the
-    linear-field bias subtraction included.  Subtracting the bias with
-    the raw half-fan mean leaves a cross term wherever mirror fronts
-    collide on the line, and the ridge nodes then relax to the
-    one-dimensional along-line solution instead of the arrival time.
-    Returns the corrected mean and the dissipation scale that restores
-    full-fan weight at SYMMETRY and FREE nodes.
-    """
-    g = grad_mean.copy()
-    scale = np.ones(len(g))
-    sym = cache.is_symmetry
-    if sym.any():
-        if not np.all(np.abs(cache.sym_dir[sym]).sum(axis=1) > 0.0):
-            raise SolverError("SYMMETRY node without a symmetry line direction")
-        t = cache.sym_dir[sym]
-        along = g[sym, 0] * t[:, 0] + g[sym, 1] * t[:, 1]
-        g[sym] = along[:, None] * t
-        scale[sym] = 2.0
-    scale[cache.is_free] = 2.0
-    return g, scale
-
-
 def step(
     mesh: Mesh,
     cache: GeomCache,
     rate: np.ndarray,
     s: np.ndarray,
     config: SolverConfig,
-    gradient_floor: float | None = None,
-    pinned: tuple[np.ndarray, np.ndarray] | None = None,
+    held: np.ndarray | None = None,
 ) -> StepResult:
     """One explicit update of the relaxation; pure, returns a new field.
 
     Each node marches with its own step dt_i; StepResult.dt is min(dt_i).
+    Nodes where the boolean mask held is set keep their value in s
+    (default: the IGNITION nodes).  The SYMMETRY mirror projection is
+    applied here; the doubled SYMMETRY and FREE dissipation is already
+    in cache.edge_diss.
     """
-    floor = gradient_floor
-    if floor is None:
-        floor = config.gradient_floor if config.gradient_floor is not None else 1.0 / rate.max()
+    if held is None:
+        held = cache.is_ignition
+    floor = config.gradient_floor if config.gradient_floor is not None else 1.0 / rate.max()
 
     U = triangle_gradients(mesh, s, cache)
     # sqrt(x*x + y*y) rather than hypot: rounding then commutes with the
     # power-of-two scalings the homogeneity properties rely on.
     Unorm = np.sqrt(U[:, 0] ** 2 + U[:, 1] ** 2)
 
-    grad_mean, bc_scale = apply_bc(mesh, cache, cache.node_mean @ U)
+    # project each SYMMETRY mean onto its mirror line, the exact mean of
+    # the fan joined with its reflection.  It must feed every later use
+    # of the mean: with the raw half-fan mean the bias subtraction below
+    # leaves a cross term wherever mirror fronts collide on the line, and
+    # the ridge nodes relax to the along-line solution instead.
+    grad_mean = cache.node_mean @ U
+    sym, t = cache.sym_nodes, cache.sym_dir
+    along = grad_mean[sym, 0] * t[:, 0] + grad_mean[sym, 1] * t[:, 1]
+    grad_mean[sym] = along[:, None] * t
 
     # L_i: the largest gradient over the triangles incident to node i
     fan = cache.node_mean
@@ -222,10 +196,9 @@ def step(
     # (boundary fans); the mean must already carry the mirror projection
     bias = cache.node_beta_bias
     acc = cache.edge_diss @ s - (grad_mean[:, 0] * bias[:, 0] + grad_mean[:, 1] * bias[:, 1])
-    diffusion = eps * bc_scale * acc
 
     H = 1.0 - rate * np.sqrt(grad_mean[:, 0] ** 2 + grad_mean[:, 1] ** 2)
-    Hcal = H + diffusion
+    Hcal = H + eps * acc
 
     # Half of h_i/(rate_i^2 L_i): the advection bound alone admits ~0.7 h,
     # but the edge dissipation needs the extra margin (measured: the update
@@ -233,19 +206,13 @@ def step(
     # dt carries dissipation_scale with eps; dropping eps alone destabilizes.
     dt = 0.5 * config.cfl_safety * config.dissipation_scale * cache.node_min_height / rate_scale
 
-    s_new = s + dt * Hcal
-    s_new[cache.is_ignition] = 0.0
-    if pinned is not None:
-        s_new[pinned[0]] = pinned[1]
+    s_new = np.where(held, s, s + dt * Hcal)
 
     if not np.all(np.isfinite(s_new)):
         bad = int(np.argmax(~np.isfinite(s_new)))
         raise SolverError(f"non-finite update at node {bad} (unstable marching)")
 
-    active = ~cache.is_ignition
-    if pinned is not None:
-        active = active.copy()
-        active[pinned[0]] = False
+    active = ~held
     max_residual = float(np.abs(Hcal[active]).max()) if active.any() else 0.0
     return StepResult(s=s_new, tri_grad=U, dt=float(dt.min()), max_residual=max_residual)
 
@@ -269,20 +236,19 @@ def solve(
     if cache is None:
         cache = geom_cache(mesh)
     rate = as_rate_field(mesh, rate)
-    floor = config.gradient_floor if config.gradient_floor is not None else 1.0 / rate.max()
 
+    s = np.zeros(mesh.n_nodes)
+    held = cache.is_ignition
     if pinned is not None:
         idx = np.asarray(pinned[0], dtype=np.int64)
         vals = np.asarray(pinned[1], dtype=np.float64)
         if idx.shape != vals.shape:
             raise SolverError("pinned indices and values differ in length")
-        pinned = (idx, vals)
-    if not cache.is_ignition.any() and (pinned is None or len(pinned[0]) == 0):
+        held = held.copy()
+        held[idx] = True
+        s[idx] = vals
+    if not held.any():
         raise SolverError("mesh has no IGNITION node and nothing is pinned")
-
-    s = np.zeros(mesh.n_nodes)
-    if pinned is not None:
-        s[pinned[0]] = pinned[1]
 
     grad_tol = config.convergence_tol / rate.min()
     prev_grad = None
@@ -293,7 +259,7 @@ def solve(
     n_steps = 0
 
     for n_steps in range(1, config.max_steps + 1):
-        res = step(mesh, cache, rate, s, config, gradient_floor=floor, pinned=pinned)
+        res = step(mesh, cache, rate, s, config, held)
         s = res.s
         residuals.append(res.max_residual)
         dts.append(res.dt)

@@ -196,16 +196,15 @@ def validate_mesh(mesh: Mesh) -> None:
             raise MeshError(f"SYMMETRY node {bad} lies off symmetry line {k} by {off.max():.3e}")
 
     # Orientation-consistent and edge-manifold: every directed edge at most
-    # once, every undirected edge on 1 or 2 triangles.
+    # once.  Three triangles on one edge must repeat one of its two
+    # directions, so this also rejects non-manifold edges.
     de = _directed_edges(tris)
     keys = de[:, 0].astype(np.int64) * nn + de[:, 1]
     if len(np.unique(keys)) != len(keys):
-        raise MeshError("duplicated directed edge (inconsistent orientation or doubled triangle)")
-    und = np.sort(de, axis=1)
-    ukeys = und[:, 0].astype(np.int64) * nn + und[:, 1]
-    _, counts = np.unique(ukeys, return_counts=True)
-    if counts.max() > 2:
-        raise MeshError("edge shared by more than 2 triangles (non-manifold)")
+        raise MeshError(
+            "duplicated directed edge (inconsistent orientation, doubled triangle "
+            "or edge on more than two triangles)"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -621,11 +620,15 @@ class GeomCache:
                     weights of every edge at its row node, summed over
                     the flanking triangles, with the negated row sum as
                     the last entry of each row, so edge_diss @ 1 is
-                    exactly zero
+                    exactly zero; rows of SYMMETRY and FREE nodes are
+                    doubled, restoring full-fan weight to their half fans
     node_beta_bias  (nn, 2) edge_diss applied to the coordinates: the
                     fan's response to a unit linear field, zero for full
                     interior fans (tan(angle/2) weights have linear
                     precision), nonzero on one-sided boundary fans
+    is_ignition     (nn,) bool, the nodes held at s = 0
+    sym_nodes       (ns,) ids of the SYMMETRY nodes
+    sym_dir         (ns, 2) unit direction of each one's mirror line
     """
 
     grad_x: csr_array
@@ -636,8 +639,7 @@ class GeomCache:
     node_min_height: np.ndarray
     node_beta_bias: np.ndarray
     is_ignition: np.ndarray
-    is_free: np.ndarray
-    is_symmetry: np.ndarray
+    sym_nodes: np.ndarray
     sym_dir: np.ndarray
 
 
@@ -650,13 +652,15 @@ def _corner_angles(p: np.ndarray) -> np.ndarray:
     return np.arctan2(np.abs(cross), dot)
 
 
-def _edge_dissipation(tris, corner_angle, edge_len3, nn: int) -> csr_array:
+def _edge_dissipation(tris, corner_angle, edge_len3, row_scale: np.ndarray) -> csr_array:
     """The edge_diss operator of GeomCache.
 
     Corner k weighs its edges to corners k+1 and k+2 by tan(angle_k/2)
     over their lengths (the edges opposite corners k+2 and k+1); an
-    interior edge collects one such weight per flanking triangle.
+    interior edge collects one such weight per flanking triangle.  Row i
+    is then multiplied by row_scale[i].
     """
+    nn = len(row_scale)
     half = np.tan(0.5 * corner_angle)
     inv_len = 1.0 / edge_len3
     rows = np.concatenate([tris, tris], axis=1).ravel()
@@ -665,7 +669,7 @@ def _edge_dissipation(tris, corner_angle, edge_len3, nn: int) -> csr_array:
     keys, inv = np.unique(rows * nn + cols, return_inverse=True)
     off = csr_array(
         (
-            np.bincount(inv, weights=w.ravel(), minlength=len(keys)),
+            np.bincount(inv, weights=w.ravel() * row_scale[rows], minlength=len(keys)),
             keys % nn,
             np.concatenate([[0], np.cumsum(np.bincount(keys // nn, minlength=nn))]),
         ),
@@ -715,14 +719,20 @@ def geom_cache(mesh: Mesh) -> GeomCache:
     node_min_height = np.full(nn, np.inf)
     np.minimum.at(node_min_height, flat, np.repeat(tri_min_h, 3))
 
-    edge_diss = _edge_dissipation(tris, corner_angle, edge_len3, nn)
-
     mk = mesh.node_markers
-    is_symmetry = mk == Marker.SYMMETRY
-    sym_dir = np.zeros((nn, 2))
-    for k, line in enumerate(mesh.symmetry_lines):
-        pick = is_symmetry & (mesh.node_symline == k)
-        sym_dir[pick] = line.direction
+    sym_nodes = np.flatnonzero(mk == Marker.SYMMETRY)
+    symline = mesh.node_symline[sym_nodes]
+    bad = (symline < 0) | (symline >= len(mesh.symmetry_lines))
+    if bad.any():
+        raise MeshError(
+            f"SYMMETRY node {int(sym_nodes[np.argmax(bad)])} has no valid symmetry line reference"
+        )
+    directions = np.array([line.direction for line in mesh.symmetry_lines]).reshape(-1, 2)
+
+    # a SYMMETRY or FREE node sees half its fan; doubling is exact, so
+    # the scaled row sums still cancel to zero on constant fields
+    half_fan = (mk == Marker.SYMMETRY) | (mk == Marker.FREE)
+    edge_diss = _edge_dissipation(tris, corner_angle, edge_len3, np.where(half_fan, 2.0, 1.0))
 
     return GeomCache(
         grad_x=grad_x,
@@ -733,7 +743,6 @@ def geom_cache(mesh: Mesh) -> GeomCache:
         node_min_height=node_min_height,
         node_beta_bias=edge_diss @ nodes,
         is_ignition=mk == Marker.IGNITION,
-        is_free=mk == Marker.FREE,
-        is_symmetry=is_symmetry,
-        sym_dir=sym_dir,
+        sym_nodes=sym_nodes,
+        sym_dir=directions[symline],
     )

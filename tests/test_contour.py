@@ -1,4 +1,4 @@
-"""Exact port contours: distance oracles, canonical shapes, evolution laws."""
+"""Exact port contours: distance oracles, canonical shapes, the perimeter law."""
 
 from __future__ import annotations
 
@@ -14,19 +14,12 @@ from burnback.contour import (
     Contour,
     ContourError,
     Line,
-    REGULAR,
     close_sector,
-    collision_drop,
-    corner,
-    cusp,
     cylinder_laws,
     distance,
-    feature_rate,
-    load_contour,
     make_circle,
     make_slot,
     make_star,
-    save_contour,
 )
 from burnback.star import neutral_tip_angle
 
@@ -173,26 +166,7 @@ def test_close_sector_length_and_closure():
     np.testing.assert_allclose(port.distance(turned), port.distance(pts), atol=1e-12)
 
 
-# ------------------------------------------------------------ evolution laws
-
-
-def test_feature_rates():
-    assert feature_rate(REGULAR) == pytest.approx(2.0 * math.pi)
-    assert feature_rate(corner(0.8)) == pytest.approx(0.8)
-    assert feature_rate(cusp(0.5 * math.pi)) == pytest.approx(-2.0)
-
-
-def test_feature_kind_validation():
-    with pytest.raises(ContourError):
-        corner(0.0)
-    with pytest.raises(ContourError):
-        cusp(math.pi)
-
-
-def test_collision_drop_is_a_step():
-    assert collision_drop(5.0, 0.3, 0.29) == 0.0
-    assert collision_drop(5.0, 0.3, 0.3) == -5.0
-    assert collision_drop(5.0, 0.3, 1.0) == -5.0
+# ------------------------------------------------------------- perimeter law
 
 
 def test_cylinder_laws_consistency():
@@ -204,25 +178,6 @@ def test_cylinder_laws_consistency():
         h = 1e-3
         dA = (cylinder_laws(P0, Ap0, y + h).A_p - cylinder_laws(P0, Ap0, y - h).A_p) / (2.0 * h)
         assert dA == pytest.approx(P, rel=1e-9)
-
-
-# --------------------------------------------------------------- persistence
-
-
-def test_save_load_round_trip_open_and_closed():
-    for shape in (make_slot(2.0, 0.5), make_circle(1.5)):
-        again = load_contour(save_contour(shape))
-        assert again.closed == shape.closed
-        assert len(again.pieces) == len(shape.pieces)
-        pts = np.array([[0.3, 0.4], [-1.0, 2.0], [0.0, 0.0]])
-        np.testing.assert_allclose(again.distance(pts), shape.distance(pts), atol=1e-15)
-
-
-def test_load_contour_reports_line_numbers():
-    with pytest.raises(ContourError, match="line 2"):
-        load_contour("L 0 0 1 0\nL 1 0 nope 0\n")
-    with pytest.raises(ContourError, match="line 1"):
-        load_contour("Q 0 0 1 0\n")
 
 
 # ----------------------------------------------------------------- invariants

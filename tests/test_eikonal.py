@@ -8,9 +8,7 @@ import pytest
 from burnback.eikonal import (
     SolverConfig,
     SolverError,
-    apply_bc,
     as_rate_field,
-    hamiltonian,
     solve,
     step,
     triangle_gradients,
@@ -50,12 +48,6 @@ def test_as_rate_field_rejects_bad_values():
     bad[7] = np.nan
     with pytest.raises(SolverError, match="node 7"):
         as_rate_field(mesh, bad)
-
-
-def test_hamiltonian_values():
-    assert hamiltonian(1.0, np.array([[0.6, 0.8]]))[0] == pytest.approx(0.0, abs=1e-15)
-    assert hamiltonian(2.0, np.array([[3.0, 4.0]]))[0] == pytest.approx(-9.0)
-    assert hamiltonian(0.5, np.array([[0.0, 0.0]]))[0] == pytest.approx(1.0)
 
 
 def test_triangle_gradients_linear_field_exact():
@@ -102,7 +94,7 @@ def test_edge_dissipation_vanishes_on_constant_and_linear_fields():
     bias = cache.node_beta_bias
     np.testing.assert_allclose(cache.edge_diss @ s, bias @ g, atol=1e-12)
     # one-sided boundary fans respond to a linear field, full fans do not
-    boundary = cache.is_ignition | cache.is_free | cache.is_symmetry
+    boundary = mesh.node_markers != Marker.INTERIOR
     assert np.abs(bias[boundary]).max() > 1.0
     np.testing.assert_allclose(bias[~boundary], 0.0, atol=1e-12)
 
@@ -110,29 +102,53 @@ def test_edge_dissipation_vanishes_on_constant_and_linear_fields():
 # ---------------------------------------------------------- boundary handling
 
 
-def test_apply_bc_projects_symmetry_and_doubles_boundary_weight():
-    mesh = gen_rect(6, 4, 1.0, 1.0, markers={"bottom": Marker.SYMMETRY, "left": Marker.IGNITION})
+def sym_bottom_rect():
+    return gen_rect(6, 4, 1.0, 1.0, markers={"bottom": Marker.SYMMETRY, "left": Marker.IGNITION})
+
+
+def test_half_fan_dissipation_rows_are_doubled():
+    # SYMMETRY and FREE nodes see half a fan; their rows carry twice the
+    # weight of the same mesh with every boundary marker but IGNITION cleared
+    mesh = sym_bottom_rect()
+    mk = mesh.node_markers
+    half = (mk == Marker.SYMMETRY) | (mk == Marker.FREE)
+    assert half.any() and (~half).any()
+    plain = Mesh(mesh.nodes, mesh.triangles, np.where(half, Marker.INTERIOR, mk))
+    cache, ref = geom_cache(mesh), geom_cache(plain)
+    D, D0 = cache.edge_diss.toarray(), ref.edge_diss.toarray()
+    np.testing.assert_array_equal(D[half], 2.0 * D0[half])
+    np.testing.assert_array_equal(D[~half], D0[~half])
+    bias, bias0 = cache.node_beta_bias, ref.node_beta_bias
+    np.testing.assert_array_equal(bias[half], 2.0 * bias0[half])
+    np.testing.assert_array_equal(bias[~half], bias0[~half])
+
+
+def test_step_projects_symmetry_mean_onto_mirror_line():
+    # s = y climbs straight off the bottom mirror line: joined with its
+    # reflection the fan sees |y|, whose mean gradient is zero, so each
+    # SYMMETRY node sees H = 1 and a positive curvature term and advances
+    # by at least its own step, while every other node is at a fixed point
+    mesh = sym_bottom_rect()
     cache = geom_cache(mesh)
-    g = np.tile([0.5, 0.7], (mesh.n_nodes, 1))
-    out, scale = apply_bc(mesh, cache, g)
-
-    sym = cache.is_symmetry
-    assert sym.any()
-    np.testing.assert_allclose(out[sym], np.tile([0.5, 0.0], (sym.sum(), 1)), atol=1e-15)
-    np.testing.assert_array_equal(scale[sym], 2.0)
-    np.testing.assert_array_equal(scale[cache.is_free], 2.0)
-
-    interior = ~(cache.is_ignition | cache.is_free | cache.is_symmetry)
-    np.testing.assert_array_equal(out[interior], g[interior])
-    np.testing.assert_array_equal(scale[interior], 1.0)
+    rate = as_rate_field(mesh, 1.0)
+    config = SolverConfig()
+    s = mesh.nodes[:, 1].copy()
+    res = step(mesh, cache, rate, s, config)
+    sym = cache.sym_nodes
+    assert len(sym) == 6
+    dt = 0.5 * config.cfl_safety * config.dissipation_scale * cache.node_min_height
+    assert np.all(res.s[sym] - s[sym] >= 0.99 * dt[sym])
+    rest = mesh.node_markers != Marker.SYMMETRY
+    np.testing.assert_allclose(res.s[rest], s[rest], atol=1e-12)
 
 
-def test_apply_bc_gradient_along_mirror_line_unchanged():
-    mesh = gen_rect(6, 4, 1.0, 1.0, markers={"bottom": Marker.SYMMETRY, "left": Marker.IGNITION})
+def test_step_keeps_gradient_along_mirror_line():
+    mesh = sym_bottom_rect()
     cache = geom_cache(mesh)
-    g = np.tile([1.25, 0.0], (mesh.n_nodes, 1))
-    out, _ = apply_bc(mesh, cache, g)
-    np.testing.assert_array_equal(out, g)
+    s = mesh.nodes[:, 0].copy()
+    res = step(mesh, cache, as_rate_field(mesh, 1.0), s, SolverConfig())
+    np.testing.assert_allclose(res.s, s, atol=1e-12)
+    assert res.max_residual < 1e-12
 
 
 # --------------------------------------------------------------- single steps

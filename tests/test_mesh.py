@@ -182,8 +182,11 @@ def test_validate_rejects_nonmanifold_edge():
     tris = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]])
     from burnback.mesh import Mesh
 
-    with pytest.raises(MeshError):
+    with pytest.raises(MeshError, match="edge on more than two triangles"):
         validate_mesh(Mesh(nodes, tris, np.zeros(5, dtype=np.int64)))
+    doubled = np.array([[0, 1, 2], [0, 1, 2]])
+    with pytest.raises(MeshError, match="edge on more than two triangles"):
+        validate_mesh(Mesh(nodes[:3], doubled, np.zeros(3, dtype=np.int64)))
 
 
 # ------------------------------------------------------------------- merging
@@ -257,12 +260,11 @@ def test_boundary_loops_on_rect():
 
 
 def test_geom_cache_angle_sums():
-    cache = geom_cache(gen_rect(6, 5, 1.3, 0.9))
-    interior = cache.is_ignition | cache.is_free | cache.is_symmetry
-    interior = ~interior
+    mesh = gen_rect(6, 5, 1.3, 0.9)
+    cache = geom_cache(mesh)
+    interior = mesh.node_markers == Marker.INTERIOR
     np.testing.assert_allclose(cache.node_angle_sum[interior], 2.0 * np.pi, rtol=1e-12)
     # straight boundary nodes away from corners see a half plane
-    mesh = gen_rect(6, 5, 1.3, 0.9)
     edge_mid = (
         np.isclose(mesh.nodes[:, 1], 0.0)
         & (mesh.nodes[:, 0] > 1e-9)
@@ -285,3 +287,17 @@ def test_geom_cache_gradient_of_linear_field_is_exact():
     s = 3.0 * mesh.nodes[:, 0] + 4.0 * mesh.nodes[:, 1] - 7.0
     np.testing.assert_allclose(cache.grad_x @ s, 3.0, atol=1e-12)
     np.testing.assert_allclose(cache.grad_y @ s, 4.0, atol=1e-12)
+
+
+def test_geom_cache_names_symmetry_node_without_a_line():
+    from burnback.mesh import Mesh
+
+    mesh = gen_rect(4, 3, 1.0, 1.0, markers={"bottom": Marker.SYMMETRY})
+    symline = mesh.node_symline.copy()
+    symline[2] = -1  # unvalidated: geom_cache must catch it itself
+    broken = Mesh(mesh.nodes, mesh.triangles, mesh.node_markers, mesh.symmetry_lines, symline)
+    with pytest.raises(MeshError, match="SYMMETRY node 2 "):
+        geom_cache(broken)
+    cache = geom_cache(mesh)
+    np.testing.assert_array_equal(cache.sym_nodes, np.flatnonzero(mesh.node_markers == Marker.SYMMETRY))
+    np.testing.assert_array_equal(cache.sym_dir, np.tile([1.0, 0.0], (len(cache.sym_nodes), 1)))
