@@ -36,10 +36,13 @@ Power-of-two rate scaling still commutes exactly (dt_i scales by 1/k
 with s), and the update is the same arithmetic on every run, so arrival
 fields stay bitwise deterministic.
 
-Per step the work is five sparse products with the operators of
-GeomCache (the x and y triangle gradients, the angle-weighted node
-mean of each gradient component, and the edge dissipation) plus
-elementwise arithmetic.
+Per step the work is four sparse products with the operators of
+GeomCache (the stacked x-then-y triangle gradients, the angle-weighted
+node mean of each gradient component, and the edge dissipation), a
+column max over the padded fan table for L_i, and elementwise
+arithmetic on contiguous x and y components.  solve lays out the
+per-node constants (rate^2, the dt numerator, the held node ids) once
+and hands them to every step.
 
 Boundary handling: SYMMETRY and FREE nodes see half a fan, so
 geom_cache doubles their edge_diss rows (and with them node_beta_bias)
@@ -51,7 +54,7 @@ at their values, by leaving them out of the update.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,10 +80,10 @@ class SolverError(RuntimeError):
 class SolverConfig:
     """Marching parameters.
 
-    gradient_floor defaults to 1/max(rate), the converged gradient
-    scale, so the very first step (all gradients zero) has a finite
-    time step.  L_i is the max gradient over the triangles incident to
-    node i, floored there; it sets both eps_i and the node's own step
+    L_i is the max gradient over the triangles incident to node i,
+    floored at 1/max(rate), the converged gradient scale, so the very
+    first step (all gradients zero) has a finite time step; it sets
+    both eps_i and the node's own step
     dt_i = 0.5 * cfl_safety * dissipation_scale * h_i / (rate_i^2 * L_i).
     dissipation_scale trades accuracy on curved fronts against step
     count (both eps and dt carry the factor); kept a power of two so
@@ -88,7 +91,6 @@ class SolverConfig:
     """
 
     cfl_safety: float = 0.9
-    gradient_floor: float | None = None
     convergence_tol: float = 1e-6
     quiet_steps: int = 10
     max_steps: int = 1_000_000
@@ -97,10 +99,8 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.cfl_safety <= 1.0:
             raise ValueError("cfl_safety must be in (0, 1]")
-        if self.convergence_tol <= 0.0:
-            raise ValueError("convergence_tol must be positive")
-        if self.gradient_floor is not None and self.gradient_floor <= 0.0:
-            raise ValueError("gradient_floor must be positive")
+        if not (np.isfinite(self.convergence_tol) and self.convergence_tol > 0.0):
+            raise ValueError("convergence_tol must be positive and finite")
         if self.quiet_steps < 1 or self.max_steps < 1:
             raise ValueError("quiet_steps and max_steps must be >= 1")
         if not 0.0 < self.dissipation_scale <= 1.0:
@@ -110,7 +110,7 @@ class SolverConfig:
 @dataclass
 class StepResult:
     s: np.ndarray
-    tri_grad: np.ndarray      # gradients of the state the step acted on
+    grad: np.ndarray          # x then y triangle gradients of the state acted on
     dt: float                 # smallest per-node step
     max_residual: float       # max |H + D| over nodes not held
 
@@ -123,7 +123,6 @@ class ArrivalField:
     dt_history: np.ndarray    # smallest per-node step of each step
     converged: bool
     n_steps: int
-    meta: dict = field(default_factory=dict)
 
 
 def as_rate_field(mesh: Mesh, rate) -> np.ndarray:
@@ -146,8 +145,27 @@ def triangle_gradients(mesh: Mesh, s: np.ndarray, cache: GeomCache | None = None
     """Exact gradient of the linear interpolant on every triangle."""
     if cache is None:
         cache = geom_cache(mesh)
-    s = np.asarray(s, dtype=np.float64)
-    return np.column_stack([cache.grad_x @ s, cache.grad_y @ s])
+    g = cache.grad @ np.asarray(s, dtype=np.float64)
+    return g.reshape(2, -1).T.copy()
+
+
+@dataclass(frozen=True)
+class _Marching:
+    """The per-node constants of step, laid out once per solve."""
+
+    rate2: np.ndarray         # rate * rate
+    floor: float              # lower bound of L_i, 1/max(rate)
+    dt_scale: np.ndarray      # 0.5 * cfl_safety * dissipation_scale * h_i
+    held: np.ndarray          # ids of the nodes that keep their value
+
+
+def _marching(cache: GeomCache, rate: np.ndarray, config: SolverConfig, held) -> _Marching:
+    return _Marching(
+        rate2=rate * rate,
+        floor=1.0 / rate.max(),
+        dt_scale=0.5 * config.cfl_safety * config.dissipation_scale * cache.node_min_height,
+        held=np.flatnonzero(cache.is_ignition if held is None else held),
+    )
 
 
 def step(
@@ -157,6 +175,8 @@ def step(
     s: np.ndarray,
     config: SolverConfig,
     held: np.ndarray | None = None,
+    *,
+    marching: _Marching | None = None,
 ) -> StepResult:
     """One explicit update of the relaxation; pure, returns a new field.
 
@@ -164,57 +184,68 @@ def step(
     Nodes where the boolean mask held is set keep their value in s
     (default: the IGNITION nodes).  The SYMMETRY mirror projection is
     applied here; the doubled SYMMETRY and FREE dissipation is already
-    in cache.edge_diss.
+    in cache.edge_diss.  solve passes marching, the constants that
+    _marching derives from cache, rate, config and held, so that they
+    are built once per solve rather than once per step.
     """
-    if held is None:
-        held = cache.is_ignition
-    floor = config.gradient_floor if config.gradient_floor is not None else 1.0 / rate.max()
+    m = marching if marching is not None else _marching(cache, rate, config, held)
+    nt = mesh.n_triangles
 
-    U = triangle_gradients(mesh, s, cache)
+    g = cache.grad @ s
+    ux, uy = g[:nt], g[nt:]
+
+    # L_i: the largest gradient over the triangles incident to node i,
+    # a column max over the fan table of the squared norms, whose padding
+    # id nt reads a 0.0 slot.  sqrt is correctly rounded and so monotone:
+    # the root of the max is the max of the roots, bit for bit.
     # sqrt(x*x + y*y) rather than hypot: rounding then commutes with the
     # power-of-two scalings the homogeneity properties rely on.
-    Unorm = np.sqrt(U[:, 0] ** 2 + U[:, 1] ** 2)
+    norm2 = np.empty(nt + 1)
+    norm2[nt] = 0.0
+    np.add(ux**2, uy**2, out=norm2[:nt])
+    L = norm2[cache.fan[0]]
+    for row in cache.fan[1:]:
+        np.maximum(L, norm2[row], out=L)
+    rate_scale = m.rate2 * np.maximum(np.sqrt(L), m.floor)
+    eps = config.dissipation_scale * rate_scale / np.pi
 
     # project each SYMMETRY mean onto its mirror line, the exact mean of
     # the fan joined with its reflection.  It must feed every later use
     # of the mean: with the raw half-fan mean the bias subtraction below
     # leaves a cross term wherever mirror fronts collide on the line, and
     # the ridge nodes relax to the along-line solution instead.
-    grad_mean = cache.node_mean @ U
-    sym, t = cache.sym_nodes, cache.sym_dir
-    along = grad_mean[sym, 0] * t[:, 0] + grad_mean[sym, 1] * t[:, 1]
-    grad_mean[sym] = along[:, None] * t
-
-    # L_i: the largest gradient over the triangles incident to node i
-    fan = cache.node_mean
-    L_eff = np.maximum(np.maximum.reduceat(Unorm[fan.indices], fan.indptr[:-1]), floor)
-    rate_scale = rate * rate * L_eff
-    eps = config.dissipation_scale * rate_scale / np.pi
+    gx = cache.node_mean @ ux
+    gy = cache.node_mean @ uy
+    sym = cache.sym_nodes
+    tx, ty = cache.sym_dir
+    along = gx[sym] * tx + gy[sym] * ty
+    gx[sym] = along * tx
+    gy[sym] = along * ty
 
     # subtract the fan's response to a linear field so the dissipation
     # vanishes on locally linear s even where the stencil is one-sided
     # (boundary fans); the mean must already carry the mirror projection
-    bias = cache.node_beta_bias
-    acc = cache.edge_diss @ s - (grad_mean[:, 0] * bias[:, 0] + grad_mean[:, 1] * bias[:, 1])
+    bx, by = cache.node_beta_bias
+    acc = cache.edge_diss @ s - (gx * bx + gy * by)
 
-    H = 1.0 - rate * np.sqrt(grad_mean[:, 0] ** 2 + grad_mean[:, 1] ** 2)
-    Hcal = H + eps * acc
+    Hcal = 1.0 - rate * np.sqrt(gx**2 + gy**2) + eps * acc
 
     # Half of h_i/(rate_i^2 L_i): the advection bound alone admits ~0.7 h,
     # but the edge dissipation needs the extra margin (measured: the update
     # limit-cycles near 0.9 h and converges cleanly at or below 0.5 h).
     # dt carries dissipation_scale with eps; dropping eps alone destabilizes.
-    dt = 0.5 * config.cfl_safety * config.dissipation_scale * cache.node_min_height / rate_scale
+    dt = m.dt_scale / rate_scale
 
-    s_new = np.where(held, s, s + dt * Hcal)
+    s_new = s + dt * Hcal
+    s_new[m.held] = s[m.held]
 
     if not np.all(np.isfinite(s_new)):
         bad = int(np.argmax(~np.isfinite(s_new)))
         raise SolverError(f"non-finite update at node {bad} (unstable marching)")
 
-    active = ~held
-    max_residual = float(np.abs(Hcal[active]).max()) if active.any() else 0.0
-    return StepResult(s=s_new, tri_grad=U, dt=float(dt.min()), max_residual=max_residual)
+    # held nodes drop out of the residual; the nodes left are finite here
+    Hcal[m.held] = 0.0
+    return StepResult(s=s_new, grad=g, dt=float(dt.min()), max_residual=float(np.abs(Hcal).max()))
 
 
 def solve(
@@ -250,6 +281,8 @@ def solve(
     if not held.any():
         raise SolverError("mesh has no IGNITION node and nothing is pinned")
 
+    marching = _marching(cache, rate, config, held)
+    nt = mesh.n_triangles
     grad_tol = config.convergence_tol / rate.min()
     prev_grad = None
     quiet = 0
@@ -259,18 +292,19 @@ def solve(
     n_steps = 0
 
     for n_steps in range(1, config.max_steps + 1):
-        res = step(mesh, cache, rate, s, config, held)
+        res = step(mesh, cache, rate, s, config, held, marching=marching)
         s = res.s
         residuals.append(res.max_residual)
         dts.append(res.dt)
         if prev_grad is not None:
-            dU = res.tri_grad - prev_grad
-            change = float(np.sqrt(dU[:, 0] ** 2 + dU[:, 1] ** 2).max())
+            d = res.grad - prev_grad
+            # the root of the max is the max of the roots (sqrt is monotone)
+            change = float(np.sqrt((d[:nt] ** 2 + d[nt:] ** 2).max()))
             quiet = quiet + 1 if change < grad_tol else 0
             if quiet >= config.quiet_steps:
                 converged = True
                 break
-        prev_grad = res.tri_grad
+        prev_grad = res.grad
 
     final_grad = triangle_gradients(mesh, s, cache)
     return ArrivalField(

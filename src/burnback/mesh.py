@@ -610,30 +610,36 @@ def boundary_loops(mesh: Mesh) -> list:
 class GeomCache:
     """Per-mesh operators and node data reused on every solver step.
 
-    grad_x, grad_y  (nt, nn) CSR: row t holds the x/y gradients of the
-                    three linear hat functions of triangle t, so the
-                    field gradient on t is (grad_x @ s, grad_y @ s)
+    grad            (2 nt, nn) CSR: row t holds the x gradients of the
+                    three linear hat functions of triangle t, row nt + t
+                    their y gradients, so grad @ s holds the x and then
+                    the y component of every triangle gradient
     node_mean       (nn, nt) CSR: corner angles over node_angle_sum, the
                     angle-weighted mean of the incident triangles; its
                     sparsity pattern is the node-to-triangle incidence
+    fan             (k_max, nn) int: column i lists the triangles at node
+                    i, in node_mean's order, padded with the id nt up to
+                    the largest node degree k_max
     edge_diss       (nn, nn) CSR: off-diagonal tan(angle/2) / len fan
                     weights of every edge at its row node, summed over
                     the flanking triangles, with the negated row sum as
                     the last entry of each row, so edge_diss @ 1 is
                     exactly zero; rows of SYMMETRY and FREE nodes are
                     doubled, restoring full-fan weight to their half fans
-    node_beta_bias  (nn, 2) edge_diss applied to the coordinates: the
-                    fan's response to a unit linear field, zero for full
-                    interior fans (tan(angle/2) weights have linear
-                    precision), nonzero on one-sided boundary fans
+    node_beta_bias  (2, nn) edge_diss applied to the x and the y
+                    coordinates: the fan's response to a unit linear
+                    field, zero for full interior fans (tan(angle/2)
+                    weights have linear precision), nonzero on one-sided
+                    boundary fans
     is_ignition     (nn,) bool, the nodes held at s = 0
     sym_nodes       (ns,) ids of the SYMMETRY nodes
-    sym_dir         (ns, 2) unit direction of each one's mirror line
+    sym_dir         (2, ns) x and y of the unit direction of each one's
+                    mirror line
     """
 
-    grad_x: csr_array
-    grad_y: csr_array
+    grad: csr_array
     node_mean: csr_array
+    fan: np.ndarray
     edge_diss: csr_array
     node_angle_sum: np.ndarray
     node_min_height: np.ndarray
@@ -700,19 +706,22 @@ def geom_cache(mesh: Mesh) -> GeomCache:
     # grad of the hat function at corner k: perpendicular of the opposite
     # edge over twice the area (valid for CCW triangles).
     opp = p[:, [2, 0, 1], :] - p[:, [1, 2, 0], :]  # edge opposite corner k
-    tri_ptr = np.arange(0, 3 * nt + 1, 3)
-    grad_x = csr_array(((-opp[:, :, 1] / two_area).ravel(), flat, tri_ptr), shape=(nt, nn))
-    grad_y = csr_array(((opp[:, :, 0] / two_area).ravel(), flat, tri_ptr), shape=(nt, nn))
+    hat = np.concatenate([-opp[:, :, 1] / two_area, opp[:, :, 0] / two_area])  # x rows, y rows
+    grad = csr_array((hat.ravel(), np.tile(flat, 2), np.arange(0, 6 * nt + 1, 3)), shape=(2 * nt, nn))
 
     corner_angle = _corner_angles(p)
 
     node_angle_sum = np.bincount(flat, weights=corner_angle.ravel(), minlength=nn)
     order = np.argsort(flat, kind="stable")
-    node_ptr = np.concatenate([[0], np.cumsum(np.bincount(flat, minlength=nn))])
+    owner = flat[order]
+    degree = np.bincount(flat, minlength=nn)
+    node_ptr = np.concatenate([[0], np.cumsum(degree)])
     node_mean = csr_array(
-        (corner_angle.ravel()[order] / node_angle_sum[flat[order]], order // 3, node_ptr),
+        (corner_angle.ravel()[order] / node_angle_sum[owner], order // 3, node_ptr),
         shape=(nn, nt),
     )
+    fan = np.full((degree.max(), nn), nt)
+    fan[np.arange(3 * nt) - node_ptr[owner], owner] = order // 3
 
     edge_len3 = np.sqrt(opp[:, :, 0] ** 2 + opp[:, :, 1] ** 2)
     tri_min_h = two_area[:, 0] / edge_len3.max(axis=1)
@@ -735,14 +744,14 @@ def geom_cache(mesh: Mesh) -> GeomCache:
     edge_diss = _edge_dissipation(tris, corner_angle, edge_len3, np.where(half_fan, 2.0, 1.0))
 
     return GeomCache(
-        grad_x=grad_x,
-        grad_y=grad_y,
+        grad=grad,
         node_mean=node_mean,
+        fan=fan,
         edge_diss=edge_diss,
         node_angle_sum=node_angle_sum,
         node_min_height=node_min_height,
-        node_beta_bias=edge_diss @ nodes,
+        node_beta_bias=np.ascontiguousarray((edge_diss @ nodes).T),
         is_ignition=mk == Marker.IGNITION,
         sym_nodes=sym_nodes,
-        sym_dir=directions[symline],
+        sym_dir=np.ascontiguousarray(directions[symline].T),
     )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import os
 import re
@@ -14,7 +15,8 @@ import numpy as np
 import pytest
 
 import burnback
-from burnback.cli import RunSpec, main, parse_args
+from burnback.cli import _SOLVER_FLAGS, RunSpec, main, parse_args
+from burnback.eikonal import SolverConfig
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -37,6 +39,16 @@ def test_parse_args_solve_defaults():
     assert spec.options["rate"] is None
     assert spec.options["out"] == "field.csv"
     assert spec.options["max_steps"] is None
+
+
+@pytest.mark.parametrize("cmd", ["solve", "curves", "contours"])
+def test_every_solver_config_field_has_a_flag(cmd):
+    # a SolverConfig knob that no flag can set fails here
+    for f in dataclasses.fields(SolverConfig):
+        assert f.name in _SOLVER_FLAGS
+        flag = "--" + f.name.replace("_", "-")
+        spec = parse_args([cmd, "--case", "rect", "--out", "x", flag, str(f.default)])
+        assert spec.options[f.name] == f.default
 
 
 def test_runspec_validation():
@@ -143,6 +155,15 @@ def test_solve_nonconvergence_exits_1(tmp_path, capsys):
     assert main(argv) == 1
     assert "quiet-step" in capsys.readouterr().err
     assert out.exists()  # partial field still written for inspection
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_solve_rejects_nonfinite_convergence_tol(tmp_path, capsys, tol):
+    out = tmp_path / "field.csv"
+    argv = ["solve", "--case", "rect", "--out", str(out), "--convergence-tol", tol]
+    assert main(argv) == 1
+    assert "convergence_tol" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_curves_planar_perimeter_constant(tmp_path):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from burnback.mesh import (
     Marker,
+    Mesh,
     MeshError,
     boundary_loops,
     combine_markers,
@@ -285,13 +286,43 @@ def test_geom_cache_gradient_of_linear_field_is_exact():
     mesh = gen_rect(5, 5, 1.0, 1.0)
     cache = geom_cache(mesh)
     s = 3.0 * mesh.nodes[:, 0] + 4.0 * mesh.nodes[:, 1] - 7.0
-    np.testing.assert_allclose(cache.grad_x @ s, 3.0, atol=1e-12)
-    np.testing.assert_allclose(cache.grad_y @ s, 4.0, atol=1e-12)
+    g = cache.grad @ s
+    np.testing.assert_allclose(g[: mesh.n_triangles], 3.0, atol=1e-12)
+    np.testing.assert_allclose(g[mesh.n_triangles :], 4.0, atol=1e-12)
+
+
+def heptagon_fan():
+    # seven triangles around node 0, two at each rim node
+    a = 2.0 * np.pi * np.arange(7) / 7.0
+    nodes = np.vstack([[0.0, 0.0], np.column_stack([np.cos(a), np.sin(a)])])
+    tris = np.array([[0, 1 + k, 1 + (k + 1) % 7] for k in range(7)])
+    markers = np.array([Marker.INTERIOR] + [Marker.IGNITION] * 7)
+    return Mesh(nodes, tris, markers)
+
+
+@pytest.mark.parametrize("mesh", [gen_rect(7, 5, 1.3, 0.9), heptagon_fan()], ids=["rect", "heptagon"])
+def test_geom_cache_fan_table_lists_incident_triangles(mesh):
+    cache = geom_cache(mesh)
+    nt = mesh.n_triangles
+    degree = np.bincount(mesh.triangles.ravel(), minlength=mesh.n_nodes)
+    assert len(set(degree)) > 1
+    assert cache.fan.shape == (degree.max(), mesh.n_nodes)
+    for i in range(mesh.n_nodes):
+        col = cache.fan[:, i]
+        assert set(col[: degree[i]]) == set(np.flatnonzero((mesh.triangles == i).any(axis=1)))
+        np.testing.assert_array_equal(col[degree[i] :], nt)
+    # L_i, the largest incident gradient: the column max over the table,
+    # whose padding id reads a 0.0 slot, against reduceat over the fans
+    s = np.random.default_rng(3).standard_normal(mesh.n_nodes)
+    g = cache.grad @ s
+    norm = np.append(np.sqrt(g[:nt] ** 2 + g[nt:] ** 2), 0.0)
+    fans = cache.node_mean
+    np.testing.assert_array_equal(
+        norm[cache.fan].max(axis=0), np.maximum.reduceat(norm[fans.indices], fans.indptr[:-1])
+    )
 
 
 def test_geom_cache_names_symmetry_node_without_a_line():
-    from burnback.mesh import Mesh
-
     mesh = gen_rect(4, 3, 1.0, 1.0, markers={"bottom": Marker.SYMMETRY})
     symline = mesh.node_symline.copy()
     symline[2] = -1  # unvalidated: geom_cache must catch it itself
@@ -300,4 +331,4 @@ def test_geom_cache_names_symmetry_node_without_a_line():
         geom_cache(broken)
     cache = geom_cache(mesh)
     np.testing.assert_array_equal(cache.sym_nodes, np.flatnonzero(mesh.node_markers == Marker.SYMMETRY))
-    np.testing.assert_array_equal(cache.sym_dir, np.tile([1.0, 0.0], (len(cache.sym_nodes), 1)))
+    np.testing.assert_array_equal(cache.sym_dir, np.tile([[1.0], [0.0]], (1, len(cache.sym_nodes))))
