@@ -17,7 +17,6 @@ from .contour import (
     close_sector,
     cylinder_laws,
     make_circle,
-    make_slot,
     make_star,
 )
 from .eikonal import (
@@ -48,17 +47,14 @@ from .postproc import (
     emit_svg,
     error_field,
     isocontour,
-    perimeter,
     port_area,
 )
 from .star import (
     BiStarDesign,
     InterfacePolyline,
-    StarDesign,
     bistar_design,
     bistar_interface,
     neutral_tip_angle,
-    star_metrics,
 )
 from .cases import CASE_BUILDERS, Case, build_case
 
@@ -82,7 +78,6 @@ __all__ = [
     "MeshError",
     "SolverConfig",
     "SolverError",
-    "StarDesign",
     "as_rate_field",
     "bistar_design",
     "bistar_interface",
@@ -99,14 +94,11 @@ __all__ = [
     "isocontour",
     "load_mesh",
     "make_circle",
-    "make_slot",
     "make_star",
     "merge_meshes",
     "neutral_tip_angle",
-    "perimeter",
     "port_area",
     "save_mesh",
     "solve",
-    "star_metrics",
     "triangle_gradients",
 ]

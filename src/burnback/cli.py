@@ -10,7 +10,7 @@ error, reported to stderr as module.ExceptionName), 2 usage.
 import argparse
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,13 +24,8 @@ from .star import bistar_design, bistar_interface, neutral_tip_angle
 
 __all__ = ["RunSpec", "parse_args", "run", "main"]
 
-_SOLVER_FLAGS = (
-    "dissipation_scale",
-    "cfl_safety",
-    "convergence_tol",
-    "quiet_steps",
-    "max_steps",
-)
+# one --flag per SolverConfig field, typed by the field's default
+_SOLVER_FLAGS = tuple(f.name for f in fields(SolverConfig))
 
 
 @dataclass(frozen=True)
@@ -55,11 +50,8 @@ def _add_dump(p: argparse.ArgumentParser) -> None:
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("solver overrides")
-    g.add_argument("--dissipation-scale", type=float, default=None)
-    g.add_argument("--cfl-safety", type=float, default=None)
-    g.add_argument("--convergence-tol", type=float, default=None)
-    g.add_argument("--quiet-steps", type=int, default=None)
-    g.add_argument("--max-steps", type=int, default=None)
+    for f in fields(SolverConfig):
+        g.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=None)
 
 
 def _build_parser() -> argparse.ArgumentParser:

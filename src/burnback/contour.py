@@ -25,10 +25,8 @@ __all__ = [
     "Arc",
     "Contour",
     "make_circle",
-    "make_slot",
     "make_star",
     "close_sector",
-    "distance",
     "CylinderState",
     "cylinder_laws",
 ]
@@ -213,16 +211,6 @@ class Contour:
         return out
 
 
-def distance(point, contour: Contour):
-    """Minimum Euclidean distance from point(s) to the contour.
-
-    For a contour receding at uniform unit rate this is the exact
-    arrival pseudotime: the minimum over pieces performs caustic
-    trimming automatically.
-    """
-    return contour.distance(point)
-
-
 # ---------------------------------------------------------------------------
 # canonical port shapes
 
@@ -233,25 +221,6 @@ def make_circle(radius: float) -> Contour:
         raise ContourError("circle radius must be positive")
     # clockwise traversal keeps the material (left side) outside
     return Contour((Arc((0.0, 0.0), radius, 0.0, -_TWO_PI, -1),), closed=True)
-
-
-def make_slot(straight_length: float, cap_radius: float) -> Contour:
-    """Open slot outline: two parallel walls joined by a semicircular cap.
-
-    The walls run from y = 0 to y = straight_length at x = +-cap_radius
-    and the cap tip sits at (0, straight_length + cap_radius).  Used
-    with a symmetry line on the x axis this is the half-slot port.
-    """
-    if not (straight_length > 0.0 and cap_radius > 0.0):
-        raise ContourError("slot needs positive straight_length and cap_radius")
-    r, top = cap_radius, straight_length
-    return Contour(
-        (
-            Line((-r, 0.0), (-r, top)),
-            Arc((0.0, top), r, math.pi, 0.0, -1),
-            Line((r, top), (r, 0.0)),
-        )
-    )
 
 
 def make_star(n: int, tip_angle: float, eps: float, valley_depth: float, casing_radius: float) -> Contour:

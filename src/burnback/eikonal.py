@@ -27,14 +27,17 @@ time step CFL-correct for rates above 1.
 
 Each node marches at its own CFL limit (local pseudo-time stepping)
 
-    dt_i = 0.5 * cfl_safety * dissipation_scale * h_i / (rate_i^2 * max(L_i, floor))
+    dt_i = 0.5 * CFL_SAFETY * dissipation_scale * h_i / (rate_i^2 * max(L_i, floor))
 
-with h_i the smallest height of the triangles at i.  The steady state
-H + D = 0 does not depend on dt, so only the path to it changes: nodes
-far from the one that would bound a global step stop waiting for it.
-Power-of-two rate scaling still commutes exactly (dt_i scales by 1/k
-with s), and the update is the same arithmetic on every run, so arrival
-fields stay bitwise deterministic.
+with h_i the smallest height of the triangles at i and CFL_SAFETY = 0.9.
+The steady state H + D = 0 does not depend on dt, so only the path to
+it changes: nodes far from the one that would bound a global step stop
+waiting for it.  Power-of-two rate scaling still commutes exactly
+(dt_i scales by 1/k with s), and the update is the same arithmetic on
+every run, so arrival fields stay bitwise deterministic.  solve stops
+after QUIET_STEPS consecutive steps whose triangle gradients change by
+less than convergence_tol / min(rate).  The returned ArrivalField holds
+s and the step histories; triangle_gradients derives gradients from s.
 
 Per step the work is four sparse products with the operators of
 GeomCache (the stacked x-then-y triangle gradients, the angle-weighted
@@ -61,6 +64,8 @@ import numpy as np
 from .mesh import GeomCache, Mesh, geom_cache
 
 __all__ = [
+    "CFL_SAFETY",
+    "QUIET_STEPS",
     "SolverConfig",
     "StepResult",
     "ArrivalField",
@@ -72,37 +77,41 @@ __all__ = [
 ]
 
 
+# safety factor on each node's CFL step, and the number of consecutive
+# steps under the gradient-change tolerance that count as converged
+CFL_SAFETY = 0.9
+QUIET_STEPS = 10
+
+
 class SolverError(RuntimeError):
     """Solver blow-up or unusable input."""
 
 
 @dataclass
 class SolverConfig:
-    """Marching parameters.
+    """Marching parameters; each field is a CLI flag of the same name.
 
     L_i is the max gradient over the triangles incident to node i,
     floored at 1/max(rate), the converged gradient scale, so the very
     first step (all gradients zero) has a finite time step; it sets
     both eps_i and the node's own step
-    dt_i = 0.5 * cfl_safety * dissipation_scale * h_i / (rate_i^2 * L_i).
+    dt_i = 0.5 * CFL_SAFETY * dissipation_scale * h_i / (rate_i^2 * L_i).
     dissipation_scale trades accuracy on curved fronts against step
     count (both eps and dt carry the factor); kept a power of two so
-    the scaling stays exact in floating point.
+    the scaling stays exact in floating point.  solve stops once the
+    triangle gradients change by less than convergence_tol / min(rate)
+    for QUIET_STEPS consecutive steps, or after max_steps.
     """
 
-    cfl_safety: float = 0.9
     convergence_tol: float = 1e-6
-    quiet_steps: int = 10
     max_steps: int = 1_000_000
     dissipation_scale: float = 0.25
 
     def __post_init__(self):
-        if not 0.0 < self.cfl_safety <= 1.0:
-            raise ValueError("cfl_safety must be in (0, 1]")
         if not (np.isfinite(self.convergence_tol) and self.convergence_tol > 0.0):
             raise ValueError("convergence_tol must be positive and finite")
-        if self.quiet_steps < 1 or self.max_steps < 1:
-            raise ValueError("quiet_steps and max_steps must be >= 1")
+        if self.max_steps < 1:
+            raise ValueError("max_steps must be >= 1")
         if not 0.0 < self.dissipation_scale <= 1.0:
             raise ValueError("dissipation_scale must be in (0, 1]")
 
@@ -118,7 +127,6 @@ class StepResult:
 @dataclass
 class ArrivalField:
     s: np.ndarray
-    tri_grad: np.ndarray
     residual_history: np.ndarray
     dt_history: np.ndarray    # smallest per-node step of each step
     converged: bool
@@ -155,7 +163,7 @@ class _Marching:
 
     rate2: np.ndarray         # rate * rate
     floor: float              # lower bound of L_i, 1/max(rate)
-    dt_scale: np.ndarray      # 0.5 * cfl_safety * dissipation_scale * h_i
+    dt_scale: np.ndarray      # 0.5 * CFL_SAFETY * dissipation_scale * h_i
     held: np.ndarray          # ids of the nodes that keep their value
 
 
@@ -163,7 +171,7 @@ def _marching(cache: GeomCache, rate: np.ndarray, config: SolverConfig, held) ->
     return _Marching(
         rate2=rate * rate,
         floor=1.0 / rate.max(),
-        dt_scale=0.5 * config.cfl_safety * config.dissipation_scale * cache.node_min_height,
+        dt_scale=0.5 * CFL_SAFETY * config.dissipation_scale * cache.node_min_height,
         held=np.flatnonzero(cache.is_ignition if held is None else held),
     )
 
@@ -258,10 +266,11 @@ def solve(
     """March to steady state from s = 0.
 
     Convergence requires the max triangle-gradient change per step to
-    stay below convergence_tol / min(rate) for quiet_steps consecutive
+    stay below convergence_tol / min(rate) for QUIET_STEPS consecutive
     steps.  If max_steps is exhausted the partial field is returned with
     converged=False.  pinned=(indices, values) holds extra Dirichlet
-    nodes fixed, e.g. immersed ignition contours with negative depth.
+    nodes fixed, e.g. immersed ignition contours with negative depth;
+    each index must be a distinct node id.
     """
     config = config or SolverConfig()
     if cache is None:
@@ -275,6 +284,12 @@ def solve(
         vals = np.asarray(pinned[1], dtype=np.float64)
         if idx.shape != vals.shape:
             raise SolverError("pinned indices and values differ in length")
+        outside = idx[(idx < 0) | (idx >= mesh.n_nodes)]
+        if outside.size:
+            raise SolverError(f"pinned id {int(outside[0])} is not a node id in 0..{mesh.n_nodes - 1}")
+        ids, counts = np.unique(idx, return_counts=True)
+        if np.any(counts > 1):
+            raise SolverError(f"pinned id {int(ids[np.argmax(counts > 1)])} is given more than once")
         held = held.copy()
         held[idx] = True
         s[idx] = vals
@@ -301,15 +316,13 @@ def solve(
             # the root of the max is the max of the roots (sqrt is monotone)
             change = float(np.sqrt((d[:nt] ** 2 + d[nt:] ** 2).max()))
             quiet = quiet + 1 if change < grad_tol else 0
-            if quiet >= config.quiet_steps:
+            if quiet >= QUIET_STEPS:
                 converged = True
                 break
         prev_grad = res.grad
 
-    final_grad = triangle_gradients(mesh, s, cache)
     return ArrivalField(
         s=s,
-        tri_grad=final_grad,
         residual_history=np.asarray(residuals),
         dt_history=np.asarray(dts),
         converged=converged,

@@ -21,6 +21,7 @@ from enum import IntEnum
 
 import numpy as np
 from scipy.sparse import csr_array
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 __all__ = [
@@ -29,14 +30,12 @@ __all__ = [
     "Mesh",
     "MeshError",
     "GeomCache",
-    "combine_markers",
     "validate_mesh",
     "load_mesh",
     "save_mesh",
     "gen_rect",
     "gen_coons",
     "merge_meshes",
-    "boundary_loops",
     "geom_cache",
 ]
 
@@ -55,11 +54,6 @@ class Marker(IntEnum):
 # Where two sides meet at a corner the stronger condition wins:
 # IGNITION > SYMMETRY > FREE > INTERIOR.
 _MARKER_RANK = np.array([0, 3, 1, 2])  # indexed by marker value
-
-
-def combine_markers(a: int, b: int) -> int:
-    """Resolve the marker of a node claimed by two boundary sides."""
-    return int(a) if _MARKER_RANK[int(a)] >= _MARKER_RANK[int(b)] else int(b)
 
 
 @dataclass(frozen=True)
@@ -520,23 +514,13 @@ def merge_meshes(meshes, tol: float | None = None) -> Mesh:
     if tol is None:
         tol = 1e-9 * max(_bbox_diag(nodes), 1e-300)
 
-    # Union-find over close pairs.
-    parent = np.arange(len(nodes))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    # Close pairs join components; components are labelled in order of
+    # their lowest node id, which is also the node each one keeps.
+    nn = len(nodes)
     pairs = cKDTree(nodes).query_pairs(tol, output_type="ndarray")
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    root = np.array([find(i) for i in range(len(nodes))])
-    uniq, new_id = np.unique(root, return_inverse=True)
+    close = csr_array((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(nn, nn))
+    _, new_id = connected_components(close, directed=False)
+    _, uniq = np.unique(new_id, return_index=True)
 
     new_nodes = nodes[uniq]
     new_tris = new_id[tris]
@@ -577,31 +561,6 @@ def merge_meshes(meshes, tol: float | None = None) -> Mesh:
     return merged
 
 
-def boundary_loops(mesh: Mesh) -> list:
-    """Closed boundary loops as node-id arrays, interior kept on the left."""
-    de = _directed_edges(mesh.triangles)
-    und = np.sort(de, axis=1)
-    keys = und[:, 0].astype(np.int64) * mesh.n_nodes + und[:, 1]
-    _, inv, counts = np.unique(keys, return_inverse=True, return_counts=True)
-    on_boundary = counts[inv] == 1
-    nxt = {int(a): int(b) for a, b in de[on_boundary]}
-
-    loops = []
-    seen = set()
-    for start in sorted(nxt):
-        if start in seen:
-            continue
-        loop = [start]
-        seen.add(start)
-        cur = nxt[start]
-        while cur != start:
-            loop.append(cur)
-            seen.add(cur)
-            cur = nxt[cur]
-        loops.append(np.array(loop, dtype=np.int64))
-    return loops
-
-
 # ---------------------------------------------------------------------------
 # cached geometry
 
@@ -614,9 +573,10 @@ class GeomCache:
                     three linear hat functions of triangle t, row nt + t
                     their y gradients, so grad @ s holds the x and then
                     the y component of every triangle gradient
-    node_mean       (nn, nt) CSR: corner angles over node_angle_sum, the
-                    angle-weighted mean of the incident triangles; its
-                    sparsity pattern is the node-to-triangle incidence
+    node_mean       (nn, nt) CSR: corner angles over the node's angle
+                    sum, the angle-weighted mean of the incident
+                    triangles; its sparsity pattern is the node-to-triangle
+                    incidence
     fan             (k_max, nn) int: column i lists the triangles at node
                     i, in node_mean's order, padded with the id nt up to
                     the largest node degree k_max
@@ -626,6 +586,8 @@ class GeomCache:
                     the last entry of each row, so edge_diss @ 1 is
                     exactly zero; rows of SYMMETRY and FREE nodes are
                     doubled, restoring full-fan weight to their half fans
+    node_min_height (nn,) smallest height of the triangles at each node,
+                    the length scale of its time step
     node_beta_bias  (2, nn) edge_diss applied to the x and the y
                     coordinates: the fan's response to a unit linear
                     field, zero for full interior fans (tan(angle/2)
@@ -641,7 +603,6 @@ class GeomCache:
     node_mean: csr_array
     fan: np.ndarray
     edge_diss: csr_array
-    node_angle_sum: np.ndarray
     node_min_height: np.ndarray
     node_beta_bias: np.ndarray
     is_ignition: np.ndarray
@@ -748,7 +709,6 @@ def geom_cache(mesh: Mesh) -> GeomCache:
         node_mean=node_mean,
         fan=fan,
         edge_diss=edge_diss,
-        node_angle_sum=node_angle_sum,
         node_min_height=node_min_height,
         node_beta_bias=np.ascontiguousarray((edge_diss @ nodes).T),
         is_ignition=mk == Marker.IGNITION,

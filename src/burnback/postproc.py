@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contour import Arc, Contour, Line
+from .contour import Contour, Line
 from .eikonal import ArrivalField
 from .mesh import Mesh
 
@@ -24,7 +24,6 @@ __all__ = [
     "ErrorField",
     "isocontour",
     "isocontour_segments",
-    "perimeter",
     "port_area",
     "burn_curves",
     "error_field",
@@ -78,6 +77,14 @@ def _nudged(s: np.ndarray, tau: float) -> np.ndarray:
     return v
 
 
+def _unique_edges(tri: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Undirected edges as sorted node-id pairs, and the (nt, 3) edge ids
+    of each triangle's sides 01, 12 and 20."""
+    pairs = np.sort(np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]]), axis=1)
+    edges, einv = np.unique(pairs, axis=0, return_inverse=True)
+    return edges, einv.reshape(3, len(tri)).T
+
+
 def isocontour_segments(mesh: Mesh, s: np.ndarray, tau: float):
     """Level-line segments with their host triangles.
 
@@ -87,13 +94,7 @@ def isocontour_segments(mesh: Mesh, s: np.ndarray, tau: float):
     edge, so segments in adjacent triangles share endpoints exactly.
     """
     v = _nudged(s, tau)
-    tri = mesh.triangles
-    nt = len(tri)
-    pairs = np.sort(
-        np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]]), axis=1
-    )
-    edges, einv = np.unique(pairs, axis=0, return_inverse=True)
-    tri_edge = einv.reshape(3, nt).T
+    edges, tri_edge = _unique_edges(mesh.triangles)
 
     va, vb = v[edges[:, 0]], v[edges[:, 1]]
     crossing = va * vb < 0.0
@@ -154,15 +155,6 @@ def isocontour(mesh: Mesh, s: np.ndarray, tau: float) -> list[np.ndarray]:
             start = a if passno == 1 or len(incident[a]) == 1 else b
             polylines.append(points[np.asarray(walk(k, start))])
     return polylines
-
-
-def perimeter(mesh: Mesh, s: np.ndarray, tau: float) -> float:
-    """Total isochrone length at level tau."""
-    points, seg_edges, _ = isocontour_segments(mesh, s, tau)
-    if len(seg_edges) == 0:
-        return 0.0
-    d = points[seg_edges[:, 0]] - points[seg_edges[:, 1]]
-    return float(np.sqrt(d[:, 0] ** 2 + d[:, 1] ** 2).sum())
 
 
 def port_area(mesh: Mesh, s: np.ndarray, tau: float) -> float:
@@ -243,18 +235,10 @@ def burn_curves(
     return BurnCurves(tau=tau_grid, P_b=P_b, A_p=A_p, A_eq=A_eq, A_b=A_b)
 
 
-def error_field(mesh: Mesh, s: np.ndarray, oracle) -> ErrorField:
-    """Node error against an oracle, normalized by the peak oracle depth.
-
-    The oracle may be a Contour (exact distance), a callable of (x, y),
-    or a precomputed per-node array.
-    """
-    if isinstance(oracle, Contour):
-        exact = oracle.distance(mesh.nodes)
-    elif callable(oracle):
-        exact = np.asarray(oracle(mesh.nodes[:, 0], mesh.nodes[:, 1]), dtype=np.float64)
-    else:
-        exact = np.asarray(oracle, dtype=np.float64)
+def error_field(mesh: Mesh, s: np.ndarray, exact: np.ndarray) -> ErrorField:
+    """Node error against the exact per-node values, normalized by the
+    peak exact depth."""
+    exact = np.asarray(exact, dtype=np.float64)
     if exact.shape != (mesh.n_nodes,):
         raise ValueError("oracle values must match the node count")
     depth = float(np.abs(exact).max())
@@ -333,7 +317,7 @@ def _svg_path_of_contour(contour: Contour) -> str:
 
 
 def emit_svg(
-    mesh: Mesh | None,
+    mesh: Mesh,
     s: np.ndarray | None = None,
     levels=(),
     contour: Contour | None = None,
@@ -342,18 +326,12 @@ def emit_svg(
     """SVG document with one group of isochrone polylines per level.
 
     Coordinates are model units inside a declared viewBox; the y axis
-    is flipped so the drawing matches the math orientation.  The mesh
-    edges go underneath as a single path when requested; a contour, if
-    given, is stroked on top.
+    is flipped so the drawing matches the math orientation and the
+    viewBox frames the mesh.  The mesh edges go underneath as a single
+    path when requested; a contour, if given, is stroked on top.
     """
-    if mesh is not None:
-        lo = mesh.nodes.min(axis=0)
-        hi = mesh.nodes.max(axis=0)
-    elif contour is not None:
-        pts = contour.sample(contour.length() / 512.0)
-        lo, hi = pts.min(axis=0), pts.max(axis=0)
-    else:
-        raise ValueError("emit_svg needs a mesh or a contour")
+    lo = mesh.nodes.min(axis=0)
+    hi = mesh.nodes.max(axis=0)
     pad = 0.03 * float(max(hi[0] - lo[0], hi[1] - lo[1], 1e-30))
     vb = (lo[0] - pad, -(hi[1] + pad), hi[0] - lo[0] + 2 * pad, hi[1] - lo[1] + 2 * pad)
     stroke = 0.15 * pad
@@ -362,14 +340,8 @@ def emit_svg(
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{_g(vb[0])} {_g(vb[1])} {_g(vb[2])} {_g(vb[3])}">',
     ]
-    if mesh is not None and show_mesh:
-        pairs = np.sort(
-            np.concatenate(
-                [mesh.triangles[:, [0, 1]], mesh.triangles[:, [1, 2]], mesh.triangles[:, [2, 0]]]
-            ),
-            axis=1,
-        )
-        edges = np.unique(pairs, axis=0)
+    if show_mesh:
+        edges, _ = _unique_edges(mesh.triangles)
         frags = []
         for a, b in edges:
             frags.append(
@@ -380,8 +352,8 @@ def emit_svg(
             f'<path d="{" ".join(frags)}" fill="none" stroke="#cccccc" stroke-width="{_g(0.5 * stroke)}"/>'
         )
     for tau in levels:
-        if mesh is None or s is None:
-            raise ValueError("isochrone levels need a mesh and a field")
+        if s is None:
+            raise ValueError("isochrone levels need a field")
         out.append(f'<g class="isochrone" data-tau="{_g(float(tau))}">')
         for poly in isocontour(mesh, s, float(tau)):
             pts = " ".join(f"{_g(x)},{_g(-y)}" for x, y in poly)

@@ -18,36 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .contour import close_sector, make_star
-
 __all__ = [
-    "StarDesign",
     "BiStarDesign",
     "InterfacePolyline",
     "neutral_residual",
     "neutral_tip_angle",
-    "star_metrics",
     "bistar_design",
     "bistar_interface",
-    "equilibrium_angle",
-    "equilibrium_ratio",
 ]
-
-
-@dataclass(frozen=True)
-class StarDesign:
-    """Neutral-star summary; the fractions are numerically derived."""
-
-    n: int
-    tip_semi_angle: float
-    web_fraction: float | None = None
-    volumetric_fraction: float | None = None
-
-    def __post_init__(self):
-        if self.n < 3:
-            raise ValueError("star design needs n >= 3")
-        if not 0.0 < self.tip_semi_angle < 0.5 * math.pi:
-            raise ValueError("tip semi-angle must be in (0, pi/2)")
 
 
 @dataclass(frozen=True)
@@ -113,40 +91,6 @@ def neutral_tip_angle(n: int) -> float:
     return 0.5 * theta
 
 
-def star_metrics(
-    n: int,
-    tip_semi_angle: float,
-    eps: float,
-    valley_depth: float,
-    casing_radius: float,
-    web_samples: int = 4096,
-) -> StarDesign:
-    """Derived fractions of a concrete star: web over casing diameter
-    and propellant volume over chamber volume.
-
-    The web is measured with the exact oracle (closest approach of the
-    casing circle to the port contour); the port area is exact (valley
-    circular sector plus the flank triangle, per half-sector).
-    """
-    half_sector = make_star(n, 2.0 * tip_semi_angle, eps, valley_depth, casing_radius)
-    full = close_sector(half_sector, n)
-    ang = np.linspace(0.0, math.pi / n, web_samples)
-    ring = casing_radius * np.column_stack([np.cos(ang), np.sin(ang)])
-    web = float(full.distance(ring).min())
-
-    alpha = math.pi / n
-    beta = (1.0 - eps) * alpha
-    apex_r = valley_depth * math.sin(tip_semi_angle - eps * alpha) / math.sin(tip_semi_angle)
-    port_area = n * (valley_depth**2 * beta + valley_depth * apex_r * math.sin(eps * alpha))
-    chamber = math.pi * casing_radius**2
-    return StarDesign(
-        n=n,
-        tip_semi_angle=tip_semi_angle,
-        web_fraction=web / (2.0 * casing_radius),
-        volumetric_fraction=(chamber - port_area) / chamber,
-    )
-
-
 def bistar_design(n: int, r_c: float, r_f: float, d: float) -> BiStarDesign:
     """Sliverless two-propellant star: web and required rate ratio.
 
@@ -187,24 +131,3 @@ def bistar_interface(design: BiStarDesign, n_samples: int) -> InterfacePolyline:
     theta1 = np.arccos(np.clip(cos_t1, -1.0, 1.0))
     theta2 = np.arctan2(r1 * np.sin(theta1), r1 * np.cos(theta1) - design.d)
     return InterfacePolyline(y=y, r1=r1, theta1=theta1, r2=r2, theta2=theta2)
-
-
-def equilibrium_angle(beta: float, rate_ratio: float) -> float:
-    """Interface tilt delta at which observed rates balance for half-angle beta.
-
-    Inverse of ratio = cos(2 beta) - tan(delta) sin(2 beta); measured
-    from the equal-rate bisector, so delta = -beta at ratio 1 under
-    this sign convention.
-    """
-    if not 0.0 < beta < 0.5 * math.pi:
-        raise ValueError("beta must be in (0, pi/2)")
-    two_b = 2.0 * beta
-    return math.atan((math.cos(two_b) - rate_ratio) / math.sin(two_b))
-
-
-def equilibrium_ratio(beta: float, delta: float) -> float:
-    """Forward evaluation matching equilibrium_angle's convention."""
-    if not 0.0 < beta < 0.5 * math.pi:
-        raise ValueError("beta must be in (0, pi/2)")
-    two_b = 2.0 * beta
-    return math.cos(two_b) - math.tan(delta) * math.sin(two_b)

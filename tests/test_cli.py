@@ -49,6 +49,14 @@ def test_every_solver_config_field_has_a_flag(cmd):
         flag = "--" + f.name.replace("_", "-")
         spec = parse_args([cmd, "--case", "rect", "--out", "x", flag, str(f.default)])
         assert spec.options[f.name] == f.default
+        assert type(spec.options[f.name]) is type(f.default)
+
+
+@pytest.mark.parametrize("flag", ["--cfl-safety", "--quiet-steps"])
+def test_fixed_solver_constants_have_no_flag(flag, capsys):
+    # CFL_SAFETY and QUIET_STEPS are module constants, not knobs
+    assert main(["solve", "--case", "rect", "--out", "x", flag, "1"]) == 2
+    assert flag in capsys.readouterr().err
 
 
 def test_runspec_validation():

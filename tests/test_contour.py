@@ -16,12 +16,23 @@ from burnback.contour import (
     Line,
     close_sector,
     cylinder_laws,
-    distance,
     make_circle,
-    make_slot,
     make_star,
 )
 from burnback.star import neutral_tip_angle
+
+
+@pytest.fixture()
+def slot():
+    # walls at x = -0.5 and x = 0.5 from y = 0 to y = 2, joined by a
+    # semicircular cap with its tip at (0, 2.5)
+    return Contour(
+        (
+            Line((-0.5, 0.0), (-0.5, 2.0)),
+            Arc((0.0, 2.0), 0.5, math.pi, 0.0, -1),
+            Line((0.5, 2.0), (0.5, 0.0)),
+        )
+    )
 
 
 # -------------------------------------------------------------------- pieces
@@ -69,16 +80,13 @@ def test_closed_contour_must_close():
         Contour((Line((0.0, 0.0), (1.0, 0.0)), Line((1.0, 0.0), (1.0, 1.0))), closed=True)
 
 
-def test_contour_distance_is_min_over_pieces():
-    slot = make_slot(2.0, 0.5)
+def test_contour_distance_is_min_over_pieces(slot):
     assert slot.distance((0.0, 1.0)) == pytest.approx(0.5)
     assert slot.distance((0.0, 3.5)) == pytest.approx(1.0)
-    assert distance((0.0, 1.0), slot) == pytest.approx(0.5)
 
 
-def test_contour_distance_matches_dense_sampling():
+def test_contour_distance_matches_dense_sampling(slot):
     # independent oracle: min distance to a fine point sampling of the curve
-    slot = make_slot(2.0, 0.5)
     cloud = slot.sample(1e-3)
     rng = np.random.default_rng(7)
     pts = rng.uniform([-2.0, -1.0], [2.0, 4.0], size=(200, 2))
@@ -107,14 +115,6 @@ def test_make_circle_distance_exact():
     assert ring.distance((3.0, 0.0)) == pytest.approx(1.0)
     assert ring.distance((0.0, 0.0)) == pytest.approx(2.0)
     assert ring.length() == pytest.approx(4.0 * math.pi)
-
-
-def test_make_slot_geometry():
-    slot = make_slot(2.0, 0.5)
-    assert not slot.closed
-    assert slot.length() == pytest.approx(4.0 + 0.5 * math.pi)
-    np.testing.assert_allclose(slot.pieces[0].start(), [-0.5, 0.0])
-    np.testing.assert_allclose(slot.pieces[-1].end(), [0.5, 0.0])
 
 
 def test_make_star_half_sector_geometry():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from burnback.eikonal import (
+    CFL_SAFETY,
     SolverConfig,
     SolverError,
     as_rate_field,
@@ -137,7 +138,7 @@ def test_step_projects_symmetry_mean_onto_mirror_line():
     res = step(mesh, cache, rate, s, config)
     sym = cache.sym_nodes
     assert len(sym) == 6
-    dt = 0.5 * config.cfl_safety * config.dissipation_scale * cache.node_min_height
+    dt = 0.5 * CFL_SAFETY * config.dissipation_scale * cache.node_min_height
     assert np.all(res.s[sym] - s[sym] >= 0.99 * dt[sym])
     rest = mesh.node_markers != Marker.SYMMETRY
     np.testing.assert_allclose(res.s[rest], s[rest], atol=1e-12)
@@ -165,7 +166,7 @@ def test_step_from_zero_grows_by_each_nodes_own_step():
     config = SolverConfig()
     res = step(mesh, cache, rate, np.zeros(mesh.n_nodes), config)
     ign = cache.is_ignition
-    dt = 0.5 * config.cfl_safety * config.dissipation_scale * cache.node_min_height / rate
+    dt = 0.5 * CFL_SAFETY * config.dissipation_scale * cache.node_min_height / rate
     np.testing.assert_array_equal(res.s[ign], 0.0)
     np.testing.assert_array_equal(res.s[~ign], dt[~ign])
     assert res.dt == dt.min() > 0.0
@@ -191,7 +192,7 @@ def reference_step(cache, rate, s, config, held):
     acc = cache.edge_diss @ s - (grad_mean[:, 0] * bias[:, 0] + grad_mean[:, 1] * bias[:, 1])
     H = 1.0 - rate * np.sqrt(grad_mean[:, 0] ** 2 + grad_mean[:, 1] ** 2)
     Hcal = H + eps * acc
-    dt = 0.5 * config.cfl_safety * config.dissipation_scale * cache.node_min_height / rate_scale
+    dt = 0.5 * CFL_SAFETY * config.dissipation_scale * cache.node_min_height / rate_scale
     s_new = np.where(held, s, s + dt * Hcal)
     return s_new, dt, float(np.abs(Hcal[~held]).max())
 
@@ -264,12 +265,9 @@ def test_step_rejects_nonfinite_state():
 
 def test_solver_config_validation():
     for bad in (
-        dict(cfl_safety=0.0),
-        dict(cfl_safety=1.5),
         dict(convergence_tol=-1.0),
         dict(convergence_tol=np.inf),
         dict(convergence_tol=np.nan),
-        dict(quiet_steps=0),
         dict(max_steps=0),
         dict(dissipation_scale=0.0),
         dict(dissipation_scale=2.0),
@@ -351,6 +349,18 @@ def test_solve_pinned_shape_mismatch():
     mesh = rect_left_ignition(4, 2)
     with pytest.raises(SolverError, match="pinned"):
         solve(mesh, 1.0, pinned=(np.array([0, 1]), np.array([0.0])))
+
+
+@pytest.mark.parametrize(
+    "ids, match",
+    [([3, -1], "pinned id -1 "), ([3, 28], "pinned id 28 "), ([3, 5, 3], "pinned id 3 ")],
+    ids=["negative", "past-last-node", "duplicate"],
+)
+def test_solve_rejects_bad_pinned_ids(ids, match):
+    mesh = gen_rect(6, 3, 1.0, 0.5)
+    assert mesh.n_nodes == 28
+    with pytest.raises(SolverError, match=match):
+        solve(mesh, 1.0, pinned=(np.array(ids), np.zeros(len(ids))))
 
 
 def test_solve_two_layer_rate():

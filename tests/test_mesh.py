@@ -11,8 +11,7 @@ from burnback.mesh import (
     Marker,
     Mesh,
     MeshError,
-    boundary_loops,
-    combine_markers,
+    SymmetryLine,
     gen_coons,
     gen_rect,
     geom_cache,
@@ -81,15 +80,6 @@ def test_gen_rect_rejects_bad_arguments():
         gen_rect(4, 4, -1.0, 1.0)
     with pytest.raises(MeshError):
         gen_rect(4, 4, 1.0, 1.0, markers={"north": Marker.FREE})
-
-
-def test_combine_markers_rank_order():
-    # ignition beats symmetry beats free beats interior
-    order = [Marker.INTERIOR, Marker.FREE, Marker.SYMMETRY, Marker.IGNITION]
-    for i, low in enumerate(order):
-        for high in order[i:]:
-            assert combine_markers(low, high) == high
-            assert combine_markers(high, low) == high
 
 
 def test_gen_coons_quarter_annulus():
@@ -210,6 +200,29 @@ def test_merge_meshes_welds_shared_edge():
     validate_mesh(merged)
 
 
+def shifted(mesh, dx):
+    lines = [SymmetryLine((ln.point[0] + dx, ln.point[1]), ln.direction) for ln in mesh.symmetry_lines]
+    return Mesh(mesh.nodes + [dx, 0.0], mesh.triangles, mesh.node_markers, lines, mesh.node_symline)
+
+
+def test_combine_markers_rank_order():
+    # a welded node takes the stronger of its two markers, whichever side
+    # of the seam carries it: ignition beats symmetry beats free beats interior
+    order = [Marker.INTERIOR, Marker.FREE, Marker.SYMMETRY, Marker.IGNITION]
+    for i, low in enumerate(order):
+        for high in order[i:]:
+            for a, b in ((low, high), (high, low)):
+                left = gen_rect(2, 2, 1.0, 1.0, markers={"right": a})
+                right = shifted(gen_rect(2, 2, 1.0, 1.0, markers={"left": b}), 1.0)
+                merged = merge_meshes([left, right])
+                mid = np.flatnonzero(np.all(merged.nodes == [1.0, 0.5], axis=1))
+                assert len(mid) == 1
+                assert merged.node_markers[mid[0]] == high
+                if high == Marker.SYMMETRY:
+                    line = merged.symmetry_lines[merged.node_symline[mid[0]]]
+                    assert line.point[0] == 1.0 and line.direction == (0.0, 1.0)
+
+
 def test_merge_meshes_combines_markers_by_rank():
     a = gen_rect(2, 2, 1.0, 1.0, markers={"right": Marker.IGNITION})
     b = gen_rect(2, 2, 1.0, 1.0, markers={"left": Marker.FREE})
@@ -241,37 +254,31 @@ def test_merge_meshes_dedupes_symmetry_lines():
     assert np.all(merged.node_symline[sym] == 0)
 
 
-def test_boundary_loops_on_rect():
-    mesh = gen_rect(6, 4, 1.0, 1.0)
-    loops = boundary_loops(mesh)
-    assert len(loops) == 1
-    loop = loops[0]  # implicitly closed, start node not repeated
-    assert len(loop) == 2 * (6 + 4)
-    assert len(set(loop.tolist())) == len(loop)
-    on_rim = (
-        np.isclose(mesh.nodes[loop, 0], 0.0)
-        | np.isclose(mesh.nodes[loop, 0], 1.0)
-        | np.isclose(mesh.nodes[loop, 1], 0.0)
-        | np.isclose(mesh.nodes[loop, 1], 1.0)
-    )
-    assert np.all(on_rim)
-
-
 # ------------------------------------------------------------ geometry cache
 
 
 def test_geom_cache_angle_sums():
+    # node_mean weighs each incident triangle by its corner angle over the
+    # node's angle sum: 2 pi at interior nodes, pi at straight boundary nodes
     mesh = gen_rect(6, 5, 1.3, 0.9)
     cache = geom_cache(mesh)
+    p = mesh.nodes[mesh.triangles]
+    a, b = p[:, [1, 2, 0]] - p, p[:, [2, 0, 1]] - p
+    cos = (a * b).sum(axis=2) / np.sqrt((a**2).sum(axis=2) * (b**2).sum(axis=2))
+    corner = np.arccos(cos)
+    mean = cache.node_mean.toarray()
     interior = mesh.node_markers == Marker.INTERIOR
-    np.testing.assert_allclose(cache.node_angle_sum[interior], 2.0 * np.pi, rtol=1e-12)
-    # straight boundary nodes away from corners see a half plane
     edge_mid = (
         np.isclose(mesh.nodes[:, 1], 0.0)
         & (mesh.nodes[:, 0] > 1e-9)
         & (mesh.nodes[:, 0] < 1.3 - 1e-9)
     )
-    np.testing.assert_allclose(cache.node_angle_sum[edge_mid], np.pi, rtol=1e-12)
+    assert interior.any() and edge_mid.any()
+    for i in np.flatnonzero(interior | edge_mid):
+        t, k = np.nonzero(mesh.triangles == i)
+        angle_sum = 2.0 * np.pi if interior[i] else np.pi
+        np.testing.assert_allclose(mean[i, t] * angle_sum, corner[t, k], rtol=1e-12)
+        assert np.count_nonzero(mean[i]) == len(t)
 
 
 def test_geom_cache_min_heights_positive_and_bounded():

@@ -12,14 +12,12 @@ from burnback.contour import make_circle
 from burnback.eikonal import SolverConfig, solve
 from burnback.mesh import Marker, gen_coons, gen_rect
 from burnback.postproc import (
-    BurnCurves,
     burn_curves,
     emit_csv,
     emit_svg,
     error_field,
     isocontour,
     isocontour_segments,
-    perimeter,
     port_area,
 )
 
@@ -38,6 +36,11 @@ def radial():
     return mesh, np.hypot(mesh.nodes[:, 0], mesh.nodes[:, 1]) - 1.0
 
 
+def perimeters(mesh, s, taus):
+    ones = np.ones(mesh.n_nodes, dtype=int)
+    return burn_curves(mesh, s, ones, 1.0, taus).P_b
+
+
 # ------------------------------------------------------------------ contours
 
 
@@ -53,8 +56,7 @@ def test_isocontour_of_planar_field_is_vertical_line(planar):
 
 def test_perimeter_of_planar_field(planar):
     mesh, s = planar
-    for tau in (0.3, 0.7, 1.5):
-        assert perimeter(mesh, s, tau) == pytest.approx(1.0, rel=1e-12)
+    np.testing.assert_allclose(perimeters(mesh, s, [0.3, 0.7, 1.5]), 1.0, rtol=1e-12)
 
 
 def test_port_area_of_planar_field(planar):
@@ -80,8 +82,9 @@ def test_segments_stay_inside_their_host_triangles(planar):
 def test_perimeter_of_radial_field_matches_circle(radial):
     mesh, s = radial
     # quarter ring between the burn front and the casing
-    for tau in (0.25, 0.5, 0.75):
-        assert perimeter(mesh, s, tau) == pytest.approx(0.5 * np.pi * (1.0 + tau), rel=2e-3)
+    taus = np.array([0.25, 0.5, 0.75])
+    np.testing.assert_allclose(perimeters(mesh, s, taus), 0.5 * np.pi * (1.0 + taus), rtol=2e-3)
+    for tau in taus:
         exact_area = 0.25 * np.pi * ((1.0 + tau) ** 2 - 1.0)
         assert port_area(mesh, s, tau) == pytest.approx(exact_area, rel=2e-3)
 
@@ -89,7 +92,7 @@ def test_perimeter_of_radial_field_matches_circle(radial):
 def test_isocontour_outside_range_is_empty(planar):
     mesh, s = planar
     assert isocontour(mesh, s, 5.0) == []
-    assert perimeter(mesh, s, 5.0) == 0.0
+    np.testing.assert_array_equal(perimeters(mesh, s, [5.0]), 0.0)
 
 
 # ---------------------------------------------------------------- burn curves
@@ -146,22 +149,24 @@ def test_burn_curves_empty_grid(planar):
 
 def test_error_field_zero_for_exact(planar):
     mesh, s = planar
-    out = error_field(mesh, s, lambda x, y: x)
+    out = error_field(mesh, s, mesh.nodes[:, 0])
     assert out.max_abs == 0.0
     assert out.mean_abs == 0.0
 
 
 def test_error_field_normalizes_by_peak_depth(planar):
     mesh, s = planar
-    out = error_field(mesh, s + 0.02, lambda x, y: x)
+    out = error_field(mesh, s + 0.02, mesh.nodes[:, 0])
     assert out.max_abs == pytest.approx(0.01)  # 0.02 against a depth of 2
 
 
-def test_error_field_accepts_contour_oracle(radial):
-    mesh, _ = radial
-    ring = make_circle(1.0)
-    out = error_field(mesh, ring.distance(mesh.nodes), ring)
-    assert out.max_abs == 0.0
+def test_error_field_zero_for_contour_distance_oracle(radial):
+    # |r - 1| is the distance to the unit circular port; the inner rim
+    # nodes sit on chords of the circle, slightly inside it
+    mesh, s = radial
+    assert s.min() < 0.0
+    out = error_field(mesh, np.abs(s), make_circle(1.0).distance(mesh.nodes))
+    assert out.max_abs < 1e-14
 
 
 def test_error_field_rejects_zero_oracle(planar):
@@ -218,9 +223,11 @@ def test_emit_svg_isochrone_groups(planar):
     assert "<polyline" in svg
 
 
-def test_emit_svg_contour_only():
-    svg = emit_svg(None, contour=make_circle(1.0))
-    assert "viewBox" in svg and "<path" in svg
+def test_emit_svg_contour_only(radial):
+    mesh, _ = radial
+    svg = emit_svg(mesh, contour=make_circle(1.0), show_mesh=False)
+    assert "viewBox" in svg and 'stroke="#d62728"' in svg
+    assert "<polyline" not in svg and 'stroke="#cccccc"' not in svg
 
 
 def test_emit_svg_mesh_toggle(planar):
@@ -228,11 +235,6 @@ def test_emit_svg_mesh_toggle(planar):
     with_mesh = emit_svg(mesh, s, levels=(0.5,))
     without = emit_svg(mesh, s, levels=(0.5,), show_mesh=False)
     assert len(without) < len(with_mesh)
-
-
-def test_emit_svg_needs_something():
-    with pytest.raises(ValueError):
-        emit_svg(None)
 
 
 def test_emit_svg_levels_need_field(planar):

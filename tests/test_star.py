@@ -6,17 +6,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from burnback.star import (
     bistar_design,
     bistar_interface,
-    equilibrium_angle,
-    equilibrium_ratio,
     neutral_residual,
     neutral_tip_angle,
-    star_metrics,
 )
 
 # published half-angle table, degrees, for 4..8 star points
@@ -52,14 +47,6 @@ def test_neutral_residual_validates_theta():
         neutral_residual(5, 0.0)
     with pytest.raises(ValueError):
         neutral_residual(5, math.pi)
-
-
-def test_star_metrics_known_web():
-    # valley arc radius 0.5 in a unit casing: the web is 0.5, measured
-    # against the 2 r_c reference length
-    design = star_metrics(5, 0.5 * math.radians(60.0), 0.6, 0.5, 1.0)
-    assert design.web_fraction == pytest.approx(0.25, abs=1e-4)
-    assert 0.0 < design.volumetric_fraction < 1.0
 
 
 # ----------------------------------------------------------------- bipropellant
@@ -131,36 +118,3 @@ def test_bistar_interface_needs_two_samples():
     design = bistar_design(4, 1.0, 0.1, 0.5)
     with pytest.raises(ValueError):
         bistar_interface(design, 1)
-
-
-# --------------------------------------------------- oblique interface algebra
-
-
-def test_equilibrium_ratio_one_at_mirrored_angle():
-    # ratio 1 means the interface is a mirror: delta = -beta
-    for beta in (0.3, 0.7, 1.2):
-        assert equilibrium_ratio(beta, -beta) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_equilibrium_angle_hand_value():
-    # beta = 45 deg: tan(delta) = (cos 90 - f) / sin 90 = -f
-    assert equilibrium_angle(0.25 * math.pi, 2.0) == pytest.approx(math.atan(-2.0))
-
-
-def test_equilibrium_validation():
-    with pytest.raises(ValueError):
-        equilibrium_angle(0.0, 1.5)
-    with pytest.raises(ValueError):
-        equilibrium_ratio(0.5 * math.pi, 0.1)
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    beta=st.floats(min_value=0.05, max_value=1.5),
-    delta=st.floats(min_value=-1.5, max_value=1.5),
-)
-def test_equilibrium_angle_ratio_round_trip(beta, delta):
-    ratio = equilibrium_ratio(beta, delta)
-    if ratio <= 0.0:
-        return  # no front can keep up, angle is undefined
-    assert equilibrium_angle(beta, ratio) == pytest.approx(delta, abs=1e-9)
