@@ -216,7 +216,7 @@ def _cmd_solve(opt: dict) -> int:
         f"s in [{res.s.min():.6g}, {res.s.max():.6g}], wrote {opt['out']}"
     )
     if not res.converged:
-        print("solver did not reach the quiet-step criterion", file=sys.stderr)
+        print("solver did not reach convergence_tol within max_steps", file=sys.stderr)
         return 1
     return 0
 

@@ -1,58 +1,67 @@
 """Arrival-time solver.
 
-Relaxes s_t = H + D to steady state on a triangular mesh, where
+Finds the steady state of s_t = H + D on a triangular mesh, where
 H = 1 - rate * |grad s| and D is an edge-based dissipation term, so the
 converged s satisfies |grad s| = 1/rate: the front arrival time for a
-surface receding at the given rate.  Node update per explicit step:
+surface receding at the given rate.  The discrete steady state is the
+root of the residual at every node that is not held,
 
-    s_i += dt_i * ( 1 - rate_i * |Gbar_i| + eps_i * sum_e beta_e (s_j - s_i)/len_e )
+    Hcal_i(s) = 1 - rate_i * |Gbar_i| + eps_i * (D s)_i
 
-with Gbar_i the angle-weighted mean of the incident triangle gradients
-and beta_e the tan(angle/2) fan weights of the edge at node i.  The
-dissipation sum is taken against the fan's linear-field response
-(Gbar_i dotted with the cached fan bias), so it vanishes wherever s is
-locally linear, including one-sided boundary fans; what remains is a
-curvature penalty whose steady-state bias scales with its coefficient
+with Gbar_i = ((A_x s)_i, (A_y s)_i) the angle-weighted mean of the
+incident triangle gradients and D the edge dissipation, both operators
+of GeomCache.  D weighs the edges at node i by their tan(angle/2) fan
+weights and subtracts the fan's response to the linear field of Gbar_i,
+so it vanishes wherever s is locally linear, one-sided boundary fans
+included; what remains is a curvature penalty whose steady-state bias
+scales with its coefficient
 
     eps_i = dissipation_scale * rate_i^2 * max(L_i, floor) / pi
 
-where L_i is the largest incident gradient magnitude.  dissipation_scale
-shrinks eps and dt together: the parasitic growth of the centred
-advection term goes as dt^2 per step while the dissipation damps it in
-proportion to eps * dt, so scaling both keeps the stability margin
-amplitude-independent while the smearing of curved fronts drops
-linearly.  The rate^2 factor makes the update commute exactly with rate
-scaling (s maps to s/k when rate maps to k*rate), which also keeps the
-time step CFL-correct for rates above 1.
+where L_i is the largest incident triangle gradient and floor =
+1/max(rate).  The rate^2 factor makes the residual commute exactly with
+rate scaling: s maps to s/k when rate maps to k*rate.
 
-Each node marches at its own CFL limit (local pseudo-time stepping)
+solve finds the root by pseudo-transient continuation (Kelley & Keyes,
+SIAM J. Numer. Anal. 35, 1998): backward-Euler steps in local
+pseudo-time on the nodes not held,
 
-    dt_i = 0.5 * CFL_SAFETY * dissipation_scale * h_i / (rate_i^2 * max(L_i, floor))
+    (diag(1 / (c dt_i)) - J) delta = Hcal,   s += delta,
 
-with h_i the smallest height of the triangles at i and CFL_SAFETY = 0.9.
-The steady state H + D = 0 does not depend on dt, so only the path to
-it changes: nodes far from the one that would bound a global step stop
-waiting for it.  Power-of-two rate scaling still commutes exactly
-(dt_i scales by 1/k with s), and the update is the same arithmetic on
-every run, so arrival fields stay bitwise deterministic.  solve stops
-after QUIET_STEPS consecutive steps whose triangle gradients change by
-less than convergence_tol / min(rate).  The returned ArrivalField holds
-s and the step histories; triangle_gradients derives gradients from s.
+    dt_i = 0.5 * dissipation_scale * h_i / (rate_i^2 * max(L_i, floor)),
 
-Per step the work is four sparse products with the operators of
-GeomCache (the stacked x-then-y triangle gradients, the angle-weighted
-node mean of each gradient component, and the edge dissipation), a
-column max over the padded fan table for L_i, and elementwise
-arithmetic on contiguous x and y components.  solve lays out the
-per-node constants (rate^2, the dt numerator, the held node ids) once
-and hands them to every step.
+with h_i the smallest height of the triangles at node i, so dt_i is the
+node's own explicit stability limit, and J = dHcal/ds:
+
+    J = -diag(rate Gbar / |Gbar|) A + diag(eps) D
+        + diag(dissipation_scale * rate^2 * (D s) / pi) dL/ds.
+
+Row i of dL/ds is the unit gradient of the triangle that attains L_i
+applied to that triangle's hat gradients; it is zero where L_i sits at
+the floor.  The CFL number c starts at 3 and grows by switched
+evolution/relaxation (Mulder & van Leer, JCP 59, 1985): after an
+accepted step c becomes min(2 c max(r_prev / r, 1), 1e10), with r the
+max |Hcal|; a step whose r is non-finite or more than doubles is
+rejected and c divided by 4.  As c grows the step turns into a Newton
+step, and the last iterations converge quadratically.  The iteration
+starts from graph distances: Dijkstra over the mesh edges weighted
+len * 2 / (rate_a + rate_b), from the held nodes at their values.
+solve stops once max |Hcal| over the nodes not held falls below
+convergence_tol, or after max_steps iterations, rejected ones included.
+
+A and D share one sparsity pattern, each node's one-ring plus the
+diagonal, and so does J.  Each iteration fills J's values into that
+pattern, slices the held rows and columns out through index arrays
+built once per solve, factors the matrix with SuperLU and frees the
+factor.  The arithmetic is the same on every run, so arrival fields
+stay bitwise deterministic, and doubling the rate doubles J and
+1/dt_i exactly while leaving Hcal unchanged, so s halves bitwise.
 
 Boundary handling: SYMMETRY and FREE nodes see half a fan, so
-geom_cache doubles their edge_diss rows (and with them node_beta_bias)
-once per mesh.  step projects the mean gradient of each SYMMETRY node
-onto its mirror line (GeomCache.sym_nodes, sym_dir) before the bias
-subtraction.  solve holds IGNITION nodes at s = 0, and pinned nodes
-at their values, by leaving them out of the update.
+geom_cache doubles their rows of D, and it projects the mean gradient
+rows of each SYMMETRY node onto its mirror line.  solve holds IGNITION
+nodes at s = 0, and pinned nodes at their values, by leaving them out
+of the system.
 """
 
 from __future__ import annotations
@@ -60,27 +69,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csc_array, csr_array
+from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.linalg import splu
 
-from .mesh import GeomCache, Mesh, geom_cache
+from .mesh import GeomCache, Mesh, _gradient_operator, geom_cache
 
 __all__ = [
-    "CFL_SAFETY",
-    "QUIET_STEPS",
     "SolverConfig",
-    "StepResult",
     "ArrivalField",
     "SolverError",
     "as_rate_field",
     "triangle_gradients",
-    "step",
     "solve",
 ]
 
 
-# safety factor on each node's CFL step, and the number of consecutive
-# steps under the gradient-change tolerance that count as converged
-CFL_SAFETY = 0.9
-QUIET_STEPS = 10
+# CFL number of the first pseudo-time step, and its ceiling
+_CFL_START = 3.0
+_CFL_MAX = 1e10
 
 
 class SolverError(RuntimeError):
@@ -89,18 +96,13 @@ class SolverError(RuntimeError):
 
 @dataclass
 class SolverConfig:
-    """Marching parameters; each field is a CLI flag of the same name.
+    """Solver parameters; each field is a CLI flag of the same name.
 
-    L_i is the max gradient over the triangles incident to node i,
-    floored at 1/max(rate), the converged gradient scale, so the very
-    first step (all gradients zero) has a finite time step; it sets
-    both eps_i and the node's own step
-    dt_i = 0.5 * CFL_SAFETY * dissipation_scale * h_i / (rate_i^2 * L_i).
-    dissipation_scale trades accuracy on curved fronts against step
-    count (both eps and dt carry the factor); kept a power of two so
-    the scaling stays exact in floating point.  solve stops once the
-    triangle gradients change by less than convergence_tol / min(rate)
-    for QUIET_STEPS consecutive steps, or after max_steps.
+    dissipation_scale sets eps_i and with it the discrete fixed point:
+    smaller values smear curved fronts less; kept a power of two so the
+    scaling stays exact in floating point.  solve stops once
+    max |Hcal| over the nodes not held falls below convergence_tol, or
+    after max_steps pseudo-transient iterations, rejected ones included.
     """
 
     convergence_tol: float = 1e-6
@@ -117,20 +119,12 @@ class SolverConfig:
 
 
 @dataclass
-class StepResult:
-    s: np.ndarray
-    grad: np.ndarray          # x then y triangle gradients of the state acted on
-    dt: float                 # smallest per-node step
-    max_residual: float       # max |H + D| over nodes not held
-
-
-@dataclass
 class ArrivalField:
     s: np.ndarray
-    residual_history: np.ndarray
-    dt_history: np.ndarray    # smallest per-node step of each step
+    residual_history: np.ndarray  # max |Hcal| after each iteration
+    dt_history: np.ndarray    # min(c * dt_i) of each iteration
     converged: bool
-    n_steps: int
+    n_steps: int              # iterations, rejected ones included
 
 
 def as_rate_field(mesh: Mesh, rate) -> np.ndarray:
@@ -151,109 +145,130 @@ def as_rate_field(mesh: Mesh, rate) -> np.ndarray:
 
 def triangle_gradients(mesh: Mesh, s: np.ndarray, cache: GeomCache | None = None) -> np.ndarray:
     """Exact gradient of the linear interpolant on every triangle."""
-    if cache is None:
-        cache = geom_cache(mesh)
-    g = cache.grad @ np.asarray(s, dtype=np.float64)
+    grad = _gradient_operator(mesh) if cache is None else cache.grad
+    g = grad @ np.asarray(s, dtype=np.float64)
     return g.reshape(2, -1).T.copy()
 
 
-@dataclass(frozen=True)
-class _Marching:
-    """The per-node constants of step, laid out once per solve."""
+@dataclass
+class _State:
+    """Hcal at one field, with the pieces that J is made of."""
 
-    rate2: np.ndarray         # rate * rate
-    floor: float              # lower bound of L_i, 1/max(rate)
-    dt_scale: np.ndarray      # 0.5 * CFL_SAFETY * dissipation_scale * h_i
-    held: np.ndarray          # ids of the nodes that keep their value
-
-
-def _marching(cache: GeomCache, rate: np.ndarray, config: SolverConfig, held) -> _Marching:
-    return _Marching(
-        rate2=rate * rate,
-        floor=1.0 / rate.max(),
-        dt_scale=0.5 * CFL_SAFETY * config.dissipation_scale * cache.node_min_height,
-        held=np.flatnonzero(cache.is_ignition if held is None else held),
-    )
+    s: np.ndarray
+    hcal: np.ndarray
+    max_residual: float       # max |Hcal| over the nodes not held
+    g: np.ndarray             # x then y triangle gradients
+    tri: np.ndarray           # the triangle that attains L_i
+    L: np.ndarray             # largest incident gradient, not floored
+    mean: np.ndarray          # x then y components of Gbar
+    mean_norm: np.ndarray     # |Gbar|
+    acc: np.ndarray           # D s
+    rate_scale: np.ndarray    # rate^2 * max(L, floor)
 
 
-def step(
-    mesh: Mesh,
-    cache: GeomCache,
-    rate: np.ndarray,
-    s: np.ndarray,
-    config: SolverConfig,
-    held: np.ndarray | None = None,
-    *,
-    marching: _Marching | None = None,
-) -> StepResult:
-    """One explicit update of the relaxation; pure, returns a new field.
+class _System:
+    """Hcal, J and the pseudo-time matrix of one solve.
 
-    Each node marches with its own step dt_i; StepResult.dt is min(dt_i).
-    Nodes where the boolean mask held is set keep their value in s
-    (default: the IGNITION nodes).  The SYMMETRY mirror projection is
-    applied here; the doubled SYMMETRY and FREE dissipation is already
-    in cache.edge_diss.  solve passes marching, the constants that
-    _marching derives from cache, rate, config and held, so that they
-    are built once per solve rather than once per step.
+    The per-node constants and the index arrays into the shared pattern
+    are laid out once: the row of every pattern entry, its row-major key,
+    and the entries in the rows and columns of the nodes not held, in
+    the column-major order of the matrix handed to splu.
     """
-    m = marching if marching is not None else _marching(cache, rate, config, held)
-    nt = mesh.n_triangles
 
-    g = cache.grad @ s
-    ux, uy = g[:nt], g[nt:]
+    def __init__(self, mesh: Mesh, cache: GeomCache, rate: np.ndarray, scale: float, held: np.ndarray):
+        self.mesh, self.cache, self.rate, self.scale = mesh, cache, rate, scale
+        self.rate2 = rate * rate
+        self.floor = 1.0 / rate.max()
+        self.dt_scale = 0.5 * scale * cache.node_min_height
+        self.free = np.flatnonzero(~held)
 
-    # L_i: the largest gradient over the triangles incident to node i,
-    # a column max over the fan table of the squared norms, whose padding
-    # id nt reads a 0.0 slot.  sqrt is correctly rounded and so monotone:
-    # the root of the max is the max of the roots, bit for bit.
-    # sqrt(x*x + y*y) rather than hypot: rounding then commutes with the
-    # power-of-two scalings the homogeneity properties rely on.
-    norm2 = np.empty(nt + 1)
-    norm2[nt] = 0.0
-    np.add(ux**2, uy**2, out=norm2[:nt])
-    L = norm2[cache.fan[0]]
-    for row in cache.fan[1:]:
-        np.maximum(L, norm2[row], out=L)
-    rate_scale = m.rate2 * np.maximum(np.sqrt(L), m.floor)
-    eps = config.dissipation_scale * rate_scale / np.pi
+        nn = mesh.n_nodes
+        pattern = cache.edge_diss
+        self.row = np.repeat(np.arange(nn), np.diff(pattern.indptr))
+        self.keys = self.row * nn + pattern.indices
+        new_id = np.cumsum(~held) - 1
+        keep = np.flatnonzero(~held[self.row] & ~held[pattern.indices])
+        r, c = new_id[self.row[keep]], new_id[pattern.indices[keep]]
+        order = np.lexsort((r, c))
+        self.take = keep[order]
+        self.m_indices = r[order]
+        self.m_indptr = np.concatenate([[0], np.cumsum(np.bincount(c, minlength=len(self.free)))])
+        self.m_diag = np.flatnonzero(r[order] == c[order])
 
-    # project each SYMMETRY mean onto its mirror line, the exact mean of
-    # the fan joined with its reflection.  It must feed every later use
-    # of the mean: with the raw half-fan mean the bias subtraction below
-    # leaves a cross term wherever mirror fronts collide on the line, and
-    # the ridge nodes relax to the along-line solution instead.
-    gx = cache.node_mean @ ux
-    gy = cache.node_mean @ uy
-    sym = cache.sym_nodes
-    tx, ty = cache.sym_dir
-    along = gx[sym] * tx + gy[sym] * ty
-    gx[sym] = along * tx
-    gy[sym] = along * ty
+    def warm_start(self, held_ids: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Shortest-path arrival over the mesh edges from the held nodes.
 
-    # subtract the fan's response to a linear field so the dissipation
-    # vanishes on locally linear s even where the stencil is one-sided
-    # (boundary fans); the mean must already carry the mirror projection
-    bx, by = cache.node_beta_bias
-    acc = cache.edge_diss @ s - (gx * bx + gy * by)
+        An extra node nn reaches each held node at its value above the
+        lowest one; the pattern's zero-length diagonal adds only loops.
+        """
+        nodes, rate, pattern = self.mesh.nodes, self.rate, self.cache.edge_diss
+        nn = self.mesh.n_nodes
+        d = nodes[pattern.indices] - nodes[self.row]
+        w = np.sqrt(d[:, 0] ** 2 + d[:, 1] ** 2) * 2.0 / (rate[self.row] + rate[pattern.indices])
+        base = values.min()
+        graph = csr_array(
+            (
+                np.concatenate([w, values - base]),
+                np.concatenate([pattern.indices, held_ids]),
+                np.concatenate([pattern.indptr, [pattern.nnz + len(held_ids)]]),
+            ),
+            shape=(nn + 1, nn + 1),
+        )
+        s = dijkstra(graph, indices=nn)[:nn] + base
+        if not np.all(np.isfinite(s)):
+            bad = int(np.argmax(~np.isfinite(s)))
+            raise SolverError(f"node {bad} is not connected to any IGNITION or pinned node")
+        s[held_ids] = values
+        return s
 
-    Hcal = 1.0 - rate * np.sqrt(gx**2 + gy**2) + eps * acc
+    def evaluate(self, s: np.ndarray) -> _State:
+        cache = self.cache
+        nn, nt = self.mesh.n_nodes, self.mesh.n_triangles
+        g = cache.grad @ s
+        # L_i over the fan table, whose padding id nt reads a 0.0 slot;
+        # sqrt(x*x + y*y) rather than hypot: rounding then commutes with
+        # the power-of-two scalings the homogeneity properties rely on
+        norm2 = np.empty(nt + 1)
+        norm2[nt] = 0.0
+        np.add(g[:nt] ** 2, g[nt:] ** 2, out=norm2[:nt])
+        tri = cache.fan[norm2[cache.fan].argmax(axis=0), np.arange(nn)]
+        L = np.sqrt(norm2[tri])
+        rate_scale = self.rate2 * np.maximum(L, self.floor)
+        mean = cache.mean_grad @ s
+        mean_norm = np.sqrt(mean[:nn] ** 2 + mean[nn:] ** 2)
+        acc = cache.edge_diss @ s
+        hcal = 1.0 - self.rate * mean_norm + self.scale * rate_scale / np.pi * acc
+        r = float(np.abs(hcal[self.free]).max(initial=0.0))
+        return _State(s, hcal, r, g, tri, L, mean, mean_norm, acc, rate_scale)
 
-    # Half of h_i/(rate_i^2 L_i): the advection bound alone admits ~0.7 h,
-    # but the edge dissipation needs the extra margin (measured: the update
-    # limit-cycles near 0.9 h and converges cleanly at or below 0.5 h).
-    # dt carries dissipation_scale with eps; dropping eps alone destabilizes.
-    dt = m.dt_scale / rate_scale
+    def jacobian(self, st: _State) -> np.ndarray:
+        """dHcal/ds as the data array of the shared pattern."""
+        cache, row = self.cache, self.row
+        nn, nt = self.mesh.n_nodes, self.mesh.n_triangles
+        nnz = len(row)
+        unit = np.divide(self.rate, st.mean_norm, out=np.zeros(nn), where=st.mean_norm > 0.0)
+        eps = self.scale * st.rate_scale / np.pi
+        A = cache.mean_grad.data
+        J = eps[row] * cache.edge_diss.data - (unit * st.mean[:nn])[row] * A[:nnz]
+        J -= (unit * st.mean[nn:])[row] * A[nnz:]
+        # dL_i/ds: the unit gradient of the triangle attaining L_i times
+        # its hat gradients, whose columns are that triangle's corners
+        i = np.flatnonzero(st.L > self.floor)
+        t = st.tri[i]
+        w = self.scale * self.rate2[i] * st.acc[i] / np.pi / st.L[i]
+        hat = cache.grad.data.reshape(2, nt, 3)
+        corners = cache.grad.indices[: 3 * nt].reshape(nt, 3)
+        dL = (w * st.g[t])[:, None] * hat[0, t] + (w * st.g[nt + t])[:, None] * hat[1, t]
+        J[np.searchsorted(self.keys, i[:, None] * nn + corners[t])] += dL
+        return J
 
-    s_new = s + dt * Hcal
-    s_new[m.held] = s[m.held]
-
-    if not np.all(np.isfinite(s_new)):
-        bad = int(np.argmax(~np.isfinite(s_new)))
-        raise SolverError(f"non-finite update at node {bad} (unstable marching)")
-
-    # held nodes drop out of the residual; the nodes left are finite here
-    Hcal[m.held] = 0.0
-    return StepResult(s=s_new, grad=g, dt=float(dt.min()), max_residual=float(np.abs(Hcal).max()))
+    def matrix(self, st: _State, c: float) -> tuple[csc_array, float]:
+        """diag(1/(c dt_i)) - J on the nodes not held, and min(c dt_i)."""
+        c_dt = c * (self.dt_scale[self.free] / st.rate_scale[self.free])
+        data = -self.jacobian(st)[self.take]
+        data[self.m_diag] += 1.0 / c_dt
+        n = len(self.free)
+        return csc_array((data, self.m_indices, self.m_indptr), shape=(n, n)), float(c_dt.min())
 
 
 def solve(
@@ -263,22 +278,21 @@ def solve(
     cache: GeomCache | None = None,
     pinned: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> ArrivalField:
-    """March to steady state from s = 0.
+    """Pseudo-transient continuation to the steady state, from graph distances.
 
-    Convergence requires the max triangle-gradient change per step to
-    stay below convergence_tol / min(rate) for QUIET_STEPS consecutive
-    steps.  If max_steps is exhausted the partial field is returned with
-    converged=False.  pinned=(indices, values) holds extra Dirichlet
-    nodes fixed, e.g. immersed ignition contours with negative depth;
-    each index must be a distinct node id.
+    Converged means max |Hcal| < convergence_tol over the nodes not
+    held.  If max_steps iterations are spent first, the partial field is
+    returned with converged=False.  pinned=(indices, values) holds extra
+    Dirichlet nodes fixed, e.g. immersed ignition contours with negative
+    depth; each index must be a distinct node id and each value finite.
     """
     config = config or SolverConfig()
     if cache is None:
         cache = geom_cache(mesh)
     rate = as_rate_field(mesh, rate)
 
-    s = np.zeros(mesh.n_nodes)
-    held = cache.is_ignition
+    held = cache.is_ignition.copy()
+    values = np.zeros(mesh.n_nodes)
     if pinned is not None:
         idx = np.asarray(pinned[0], dtype=np.int64)
         vals = np.asarray(pinned[1], dtype=np.float64)
@@ -290,41 +304,38 @@ def solve(
         ids, counts = np.unique(idx, return_counts=True)
         if np.any(counts > 1):
             raise SolverError(f"pinned id {int(ids[np.argmax(counts > 1)])} is given more than once")
-        held = held.copy()
+        if not np.all(np.isfinite(vals)):
+            raise SolverError(f"pinned id {int(idx[np.argmax(~np.isfinite(vals))])} has a non-finite value")
         held[idx] = True
-        s[idx] = vals
+        values[idx] = vals
     if not held.any():
         raise SolverError("mesh has no IGNITION node and nothing is pinned")
 
-    marching = _marching(cache, rate, config, held)
-    nt = mesh.n_triangles
-    grad_tol = config.convergence_tol / rate.min()
-    prev_grad = None
-    quiet = 0
-    residuals = []
-    dts = []
-    converged = False
-    n_steps = 0
-
-    for n_steps in range(1, config.max_steps + 1):
-        res = step(mesh, cache, rate, s, config, held, marching=marching)
-        s = res.s
-        residuals.append(res.max_residual)
-        dts.append(res.dt)
-        if prev_grad is not None:
-            d = res.grad - prev_grad
-            # the root of the max is the max of the roots (sqrt is monotone)
-            change = float(np.sqrt((d[:nt] ** 2 + d[nt:] ** 2).max()))
-            quiet = quiet + 1 if change < grad_tol else 0
-            if quiet >= QUIET_STEPS:
-                converged = True
-                break
-        prev_grad = res.grad
+    system = _System(mesh, cache, rate, config.dissipation_scale, held)
+    held_ids = np.flatnonzero(held)
+    state = system.evaluate(system.warm_start(held_ids, values[held_ids]))
+    c = _CFL_START
+    residuals, dts = [], []
+    while state.max_residual >= config.convergence_tol and len(residuals) < config.max_steps:
+        matrix, dt = system.matrix(state, c)
+        lu = splu(matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1, options=dict(SymmetricMode=True))
+        s = state.s.copy()
+        s[system.free] += lu.solve(state.hcal[system.free])
+        del lu
+        trial = system.evaluate(s)
+        r_prev, r = state.max_residual, trial.max_residual
+        if r <= 2.0 * r_prev:  # false for a non-finite r as well
+            c = min(c * 2.0 * max(r_prev / r, 1.0), _CFL_MAX) if r > 0.0 else _CFL_MAX
+            state = trial
+        else:
+            c /= 4.0
+        residuals.append(state.max_residual)
+        dts.append(dt)
 
     return ArrivalField(
-        s=s,
+        s=state.s,
         residual_history=np.asarray(residuals),
         dt_history=np.asarray(dts),
-        converged=converged,
-        n_steps=n_steps,
+        converged=state.max_residual < config.convergence_tol,
+        n_steps=len(residuals),
     )

@@ -22,7 +22,6 @@ from enum import IntEnum
 import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
-from scipy.spatial import cKDTree
 
 __all__ = [
     "Marker",
@@ -488,6 +487,28 @@ def _canonical_line(line: SymmetryLine):
     return anchor, d
 
 
+def _close_pairs(nodes: np.ndarray, tol: float) -> np.ndarray:
+    """Node id pairs (k, 2) within Euclidean distance tol of each other.
+
+    A sweep in x order: node i of the sorted order is compared with node
+    i + k for k = 1, 2, ... while their x gap is within tol.  Gaps only
+    grow with k, so a node whose gap exceeds tol at one offset drops out
+    for every later one.
+    """
+    order = np.argsort(nodes[:, 0], kind="stable")
+    xy = nodes[order]
+    pairs = [np.empty((0, 2), dtype=np.int64)]
+    i, k = np.arange(len(xy)), 1
+    while i.size:
+        i = i[i + k < len(xy)]
+        i = i[xy[i + k, 0] - xy[i, 0] <= tol]
+        d = xy[i + k] - xy[i]
+        near = i[np.sqrt(d[:, 0] ** 2 + d[:, 1] ** 2) <= tol]
+        pairs.append(np.column_stack([order[near], order[near + k]]))
+        k += 1
+    return np.concatenate(pairs)
+
+
 def merge_meshes(meshes, tol: float | None = None) -> Mesh:
     """Weld coincident nodes of several meshes into one mesh.
 
@@ -517,7 +538,7 @@ def merge_meshes(meshes, tol: float | None = None) -> Mesh:
     # Close pairs join components; components are labelled in order of
     # their lowest node id, which is also the node each one keeps.
     nn = len(nodes)
-    pairs = cKDTree(nodes).query_pairs(tol, output_type="ndarray")
+    pairs = _close_pairs(nodes, tol)
     close = csr_array((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(nn, nn))
     _, new_id = connected_components(close, directed=False)
     _, uniq = np.unique(new_id, return_index=True)
@@ -567,47 +588,45 @@ def merge_meshes(meshes, tol: float | None = None) -> Mesh:
 
 @dataclass
 class GeomCache:
-    """Per-mesh operators and node data reused on every solver step.
+    """Per-mesh operators and node data reused on every solver iteration.
 
     grad            (2 nt, nn) CSR: row t holds the x gradients of the
                     three linear hat functions of triangle t, row nt + t
                     their y gradients, so grad @ s holds the x and then
                     the y component of every triangle gradient
-    node_mean       (nn, nt) CSR: corner angles over the node's angle
-                    sum, the angle-weighted mean of the incident
-                    triangles; its sparsity pattern is the node-to-triangle
-                    incidence
     fan             (k_max, nn) int: column i lists the triangles at node
-                    i, in node_mean's order, padded with the id nt up to
-                    the largest node degree k_max
-    edge_diss       (nn, nn) CSR: off-diagonal tan(angle/2) / len fan
-                    weights of every edge at its row node, summed over
-                    the flanking triangles, with the negated row sum as
-                    the last entry of each row, so edge_diss @ 1 is
-                    exactly zero; rows of SYMMETRY and FREE nodes are
-                    doubled, restoring full-fan weight to their half fans
+                    i, padded with the id nt up to the largest node
+                    degree k_max
+    mean_grad       (2 nn, nn) CSR: rows i and nn + i give the x and the
+                    y component of node i's mean gradient, the incident
+                    triangle gradients weighted by corner angle over the
+                    node's angle sum; the two rows of a SYMMETRY node are
+                    projected onto its mirror line
+    edge_diss       (nn, nn) CSR: the dissipation D.  Off the diagonal,
+                    the tan(angle/2) / len fan weights of every edge at
+                    its row node, summed over the flanking triangles, with
+                    their negated row sum on the diagonal; from each row
+                    the fan's response to the linear field of the node's
+                    mean gradient is then subtracted, so D s vanishes
+                    wherever s is locally linear, one-sided boundary fans
+                    included (at SYMMETRY nodes: linear along the mirror
+                    line).  Rows of SYMMETRY and FREE nodes are doubled,
+                    restoring full-fan weight to their half fans
     node_min_height (nn,) smallest height of the triangles at each node,
-                    the length scale of its time step
-    node_beta_bias  (2, nn) edge_diss applied to the x and the y
-                    coordinates: the fan's response to a unit linear
-                    field, zero for full interior fans (tan(angle/2)
-                    weights have linear precision), nonzero on one-sided
-                    boundary fans
+                    the length scale of its pseudo-time step
     is_ignition     (nn,) bool, the nodes held at s = 0
-    sym_nodes       (ns,) ids of the SYMMETRY nodes
-    sym_dir         (2, ns) x and y of the unit direction of each one's
-                    mirror line
+
+    Both halves of mean_grad and edge_diss share one sparsity pattern, the
+    one-ring of each node plus the diagonal, with sorted columns, so the
+    solver fills its Jacobian into that pattern from their data arrays.
     """
 
     grad: csr_array
-    node_mean: csr_array
     fan: np.ndarray
+    mean_grad: csr_array
     edge_diss: csr_array
     node_min_height: np.ndarray
-    node_beta_bias: np.ndarray
     is_ignition: np.ndarray
-    sym_nodes: np.ndarray
-    sym_dir: np.ndarray
 
 
 def _corner_angles(p: np.ndarray) -> np.ndarray:
@@ -619,41 +638,75 @@ def _corner_angles(p: np.ndarray) -> np.ndarray:
     return np.arctan2(np.abs(cross), dot)
 
 
-def _edge_dissipation(tris, corner_angle, edge_len3, row_scale: np.ndarray) -> csr_array:
-    """The edge_diss operator of GeomCache.
+def _opposite_edges(p: np.ndarray) -> np.ndarray:
+    """Edge vectors (nt, 3, 2) opposite each corner."""
+    return p[:, [2, 0, 1], :] - p[:, [1, 2, 0], :]
 
-    Corner k weighs its edges to corners k+1 and k+2 by tan(angle_k/2)
-    over their lengths (the edges opposite corners k+2 and k+1); an
-    interior edge collects one such weight per flanking triangle.  Row i
-    is then multiplied by row_scale[i].
-    """
-    nn = len(row_scale)
-    half = np.tan(0.5 * corner_angle)
-    inv_len = 1.0 / edge_len3
-    rows = np.concatenate([tris, tris], axis=1).ravel()
-    cols = np.concatenate([tris[:, [1, 2, 0]], tris[:, [2, 0, 1]]], axis=1).ravel()
-    w = np.concatenate([half * inv_len[:, [2, 0, 1]], half * inv_len[:, [1, 2, 0]]], axis=1)
-    keys, inv = np.unique(rows * nn + cols, return_inverse=True)
-    off = csr_array(
-        (
-            np.bincount(inv, weights=w.ravel() * row_scale[rows], minlength=len(keys)),
-            keys % nn,
-            np.concatenate([[0], np.cumsum(np.bincount(keys // nn, minlength=nn))]),
-        ),
-        shape=(nn, nn),
-    )
-    # the diagonal goes last in each row: a product then adds it to the
-    # very partial sum it was negated from, so a constant field maps to
-    # exactly zero
-    ends = off.indptr[1:]
+
+def _gradient_operator(mesh: Mesh) -> csr_array:
+    """The grad operator of GeomCache."""
+    nodes, tris = mesh.nodes, mesh.triangles
+    nt = mesh.n_triangles
+    # grad of the hat function at corner k: perpendicular of the opposite
+    # edge over twice the area (valid for CCW triangles).
+    opp = _opposite_edges(nodes[tris])
+    two_area = 2.0 * _signed_areas(nodes, tris)[:, None]
+    hat = np.concatenate([-opp[:, :, 1] / two_area, opp[:, :, 0] / two_area])  # x rows, y rows
     return csr_array(
-        (
-            np.insert(off.data, ends, -(off @ np.ones(nn))),
-            np.insert(off.indices, ends, np.arange(nn)),
-            off.indptr + np.arange(nn + 1),
-        ),
-        shape=(nn, nn),
+        (hat.ravel(), np.tile(tris.ravel(), 2), np.arange(0, 6 * nt + 1, 3)), shape=(2 * nt, mesh.n_nodes)
     )
+
+
+def _fan_operators(mesh: Mesh, grad: csr_array, corner_angle, edge_len3, mirror):
+    """The mean_grad and edge_diss operators of GeomCache.
+
+    Corner pair (a, b) of triangle t couples node tris[t, a] to node
+    tris[t, b]; the pairs of all triangles, a == b included, make the
+    shared pattern.  Corner a weighs its edge to corner b by
+    tan(angle_a/2) over the edge's length (the edge opposite the third
+    corner 3 - a - b).  mirror holds the unit mirror direction of each
+    SYMMETRY node and zeros elsewhere.
+    """
+    tris, mk = mesh.triangles, mesh.node_markers
+    nn, nt = mesh.n_nodes, mesh.n_triangles
+    pair_keys = np.repeat(tris, 3, axis=1).ravel() * nn + np.tile(tris, 3).ravel()
+    # np.unique(pair_keys, return_inverse=True), at half its cost here
+    order = np.argsort(pair_keys)
+    first = np.concatenate([[True], np.diff(pair_keys[order]) != 0])
+    inv = np.empty(len(order), dtype=np.intp)
+    inv[order] = np.cumsum(first) - 1
+    keys = pair_keys[order][first]
+    row, indices = keys // nn, keys % nn
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=nn))])
+
+    def assemble(w):  # (nt, 3, 3) weights of the corner pairs
+        return np.bincount(inv, weights=w.ravel(), minlength=len(keys))
+
+    angle_sum = np.bincount(tris.ravel(), weights=corner_angle.ravel(), minlength=nn)
+    weight = (corner_angle / angle_sum[tris])[:, :, None]
+    hat = grad.data.reshape(2, nt, 1, 3)
+    ax, ay = assemble(weight * hat[0]), assemble(weight * hat[1])
+    j = np.flatnonzero(mk[row] == Marker.SYMMETRY)
+    tx, ty = mirror[row[j], 0], mirror[row[j], 1]
+    along = ax[j] * tx + ay[j] * ty
+    ax[j], ay[j] = along * tx, along * ty
+
+    # a SYMMETRY or FREE node sees half its fan
+    k = np.arange(3)
+    half_fan = (mk == Marker.SYMMETRY) | (mk == Marker.FREE)
+    fan_w = np.tan(0.5 * corner_angle) * np.where(half_fan, 2.0, 1.0)[tris]
+    w = fan_w[:, :, None] / edge_len3[:, (3 - k[:, None] - k) % 3] * (k[:, None] != k)
+    e = assemble(w)
+    e[row == indices] = -np.bincount(row, weights=e, minlength=nn)
+    bias = csr_array((e, indices, indptr), shape=(nn, nn)) @ mesh.nodes
+    d = e - bias[row, 0] * ax - bias[row, 1] * ay
+
+    nnz = len(keys)
+    mean_grad = csr_array(
+        (np.concatenate([ax, ay]), np.tile(indices, 2), np.concatenate([indptr, indptr[1:] + nnz])),
+        shape=(2 * nn, nn),
+    )
+    return mean_grad, csr_array((d, indices, indptr), shape=(nn, nn))
 
 
 def geom_cache(mesh: Mesh) -> GeomCache:
@@ -661,33 +714,21 @@ def geom_cache(mesh: Mesh) -> GeomCache:
     nn, nt = mesh.n_nodes, mesh.n_triangles
     flat = tris.ravel()
 
+    grad = _gradient_operator(mesh)
     p = nodes[tris]  # (nt, 3, 2)
-    two_area = 2.0 * _signed_areas(nodes, tris)[:, None]
-
-    # grad of the hat function at corner k: perpendicular of the opposite
-    # edge over twice the area (valid for CCW triangles).
-    opp = p[:, [2, 0, 1], :] - p[:, [1, 2, 0], :]  # edge opposite corner k
-    hat = np.concatenate([-opp[:, :, 1] / two_area, opp[:, :, 0] / two_area])  # x rows, y rows
-    grad = csr_array((hat.ravel(), np.tile(flat, 2), np.arange(0, 6 * nt + 1, 3)), shape=(2 * nt, nn))
-
     corner_angle = _corner_angles(p)
+    opp = _opposite_edges(p)
+    edge_len3 = np.sqrt(opp[:, :, 0] ** 2 + opp[:, :, 1] ** 2)
+    tri_min_h = 2.0 * _signed_areas(nodes, tris) / edge_len3.max(axis=1)
+    node_min_height = np.full(nn, np.inf)
+    np.minimum.at(node_min_height, flat, np.repeat(tri_min_h, 3))
 
-    node_angle_sum = np.bincount(flat, weights=corner_angle.ravel(), minlength=nn)
     order = np.argsort(flat, kind="stable")
     owner = flat[order]
     degree = np.bincount(flat, minlength=nn)
     node_ptr = np.concatenate([[0], np.cumsum(degree)])
-    node_mean = csr_array(
-        (corner_angle.ravel()[order] / node_angle_sum[owner], order // 3, node_ptr),
-        shape=(nn, nt),
-    )
     fan = np.full((degree.max(), nn), nt)
     fan[np.arange(3 * nt) - node_ptr[owner], owner] = order // 3
-
-    edge_len3 = np.sqrt(opp[:, :, 0] ** 2 + opp[:, :, 1] ** 2)
-    tri_min_h = two_area[:, 0] / edge_len3.max(axis=1)
-    node_min_height = np.full(nn, np.inf)
-    np.minimum.at(node_min_height, flat, np.repeat(tri_min_h, 3))
 
     mk = mesh.node_markers
     sym_nodes = np.flatnonzero(mk == Marker.SYMMETRY)
@@ -697,21 +738,15 @@ def geom_cache(mesh: Mesh) -> GeomCache:
         raise MeshError(
             f"SYMMETRY node {int(sym_nodes[np.argmax(bad)])} has no valid symmetry line reference"
         )
-    directions = np.array([line.direction for line in mesh.symmetry_lines]).reshape(-1, 2)
-
-    # a SYMMETRY or FREE node sees half its fan; doubling is exact, so
-    # the scaled row sums still cancel to zero on constant fields
-    half_fan = (mk == Marker.SYMMETRY) | (mk == Marker.FREE)
-    edge_diss = _edge_dissipation(tris, corner_angle, edge_len3, np.where(half_fan, 2.0, 1.0))
+    mirror = np.zeros((nn, 2))
+    mirror[sym_nodes] = np.array([line.direction for line in mesh.symmetry_lines]).reshape(-1, 2)[symline]
+    mean_grad, edge_diss = _fan_operators(mesh, grad, corner_angle, edge_len3, mirror)
 
     return GeomCache(
         grad=grad,
-        node_mean=node_mean,
         fan=fan,
+        mean_grad=mean_grad,
         edge_diss=edge_diss,
         node_min_height=node_min_height,
-        node_beta_bias=np.ascontiguousarray((edge_diss @ nodes).T),
         is_ignition=mk == Marker.IGNITION,
-        sym_nodes=sym_nodes,
-        sym_dir=np.ascontiguousarray(directions[symline].T),
     )

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "BiStarDesign",
@@ -73,13 +72,21 @@ def neutral_tip_angle(n: int) -> float:
     """Tip semi-angle theta/2 making an n-tip star neutral.
 
     The residual is monotone in theta, so the root is unique; it is
-    bracketed, solved, and Newton-polished to |residual| < 1e-12.
-    Stars with fewer than 4 tips are rejected: their formal root lies
-    where the construction self-intersects.
+    bisected on [1e-6, pi - 1e-12] down to a 1e-14 bracket and
+    Newton-polished to |residual| < 1e-12.  Stars with fewer than 4 tips
+    are rejected: their formal root lies where the construction
+    self-intersects.
     """
     if n < 4:
         raise ValueError("neutral star needs n >= 4")
-    theta = brentq(lambda t: neutral_residual(n, t), 1e-6, math.pi - 1e-12, xtol=1e-14)
+    lo, hi = 1e-6, math.pi - 1e-12
+    while hi - lo > 1e-14:
+        mid = 0.5 * (lo + hi)
+        if neutral_residual(n, mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    theta = 0.5 * (lo + hi)
     for _ in range(3):
         # dR/dtheta = cot(theta/2)^2 / 2, positive away from theta = pi
         slope = 0.5 / math.tan(0.5 * theta) ** 2

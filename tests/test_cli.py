@@ -54,7 +54,7 @@ def test_every_solver_config_field_has_a_flag(cmd):
 
 @pytest.mark.parametrize("flag", ["--cfl-safety", "--quiet-steps"])
 def test_fixed_solver_constants_have_no_flag(flag, capsys):
-    # CFL_SAFETY and QUIET_STEPS are module constants, not knobs
+    # neither is a solver setting, so neither has a flag
     assert main(["solve", "--case", "rect", "--out", "x", flag, "1"]) == 2
     assert flag in capsys.readouterr().err
 
@@ -159,9 +159,9 @@ def test_solve_from_mesh_file_writes_field_and_residuals(tmp_path, capsys):
 
 def test_solve_nonconvergence_exits_1(tmp_path, capsys):
     out = tmp_path / "field.csv"
-    argv = ["solve", "--case", "rect", "--out", str(out), "--max-steps", "5"]
+    argv = ["solve", "--case", "annulus", "--out", str(out), "--max-steps", "2"]
     assert main(argv) == 1
-    assert "quiet-step" in capsys.readouterr().err
+    assert "convergence_tol" in capsys.readouterr().err
     assert out.exists()  # partial field still written for inspection
 
 

@@ -1,20 +1,22 @@
-"""Arrival-time relaxation: rate fields, single steps, full solves."""
+"""Arrival-time solver: rate fields, operators, residual, Jacobian, full solves."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
 
+from burnback import eikonal
+from burnback.cases import build_case
 from burnback.eikonal import (
-    CFL_SAFETY,
     SolverConfig,
     SolverError,
+    _System,
     as_rate_field,
     solve,
-    step,
     triangle_gradients,
 )
-from burnback.mesh import Marker, Mesh, gen_coons, gen_rect, geom_cache
+from burnback.mesh import Marker, Mesh, gen_coons, gen_rect, geom_cache, merge_meshes
 
 
 def rect_left_ignition(nx=20, ny=10, width=2.0, height=1.0):
@@ -82,23 +84,43 @@ def test_gradient_operators_reproduce_linear_field():
     np.testing.assert_allclose(g[mesh.n_triangles :], -2.0, atol=1e-12)
 
 
-def test_node_mean_rows_sum_to_one():
-    cache = geom_cache(mixed_sides_rect())
-    np.testing.assert_allclose(cache.node_mean.sum(axis=1), 1.0, rtol=1e-14)
+def test_mean_grad_reproduces_linear_field():
+    # the corner-angle weights of every node sum to one, so the mean of a
+    # uniform gradient is that gradient; on the bottom mirror line only
+    # its component along the line is kept
+    mesh = mixed_sides_rect()
+    cache = geom_cache(mesh)
+    nn = mesh.n_nodes
+    s = 3.0 * mesh.nodes[:, 0] - 2.0 * mesh.nodes[:, 1] + 0.5
+    mean = cache.mean_grad @ s
+    sym = mesh.node_markers == Marker.SYMMETRY
+    assert sym.any()
+    np.testing.assert_allclose(mean[:nn], 3.0, atol=1e-12)
+    np.testing.assert_allclose(mean[nn:][~sym], -2.0, atol=1e-12)
+    np.testing.assert_array_equal(mean[nn:][sym], 0.0)
 
 
 def test_edge_dissipation_vanishes_on_constant_and_linear_fields():
     mesh = mixed_sides_rect()
     cache = geom_cache(mesh)
-    np.testing.assert_array_equal(cache.edge_diss @ np.ones(mesh.n_nodes), 0.0)
-    g = np.array([3.0, -2.0])
-    s = mesh.nodes @ g + 0.5
-    bias = cache.node_beta_bias
-    np.testing.assert_allclose(cache.edge_diss @ s, g @ bias, atol=1e-12)
-    # one-sided boundary fans respond to a linear field, full fans do not
-    boundary = mesh.node_markers != Marker.INTERIOR
-    assert np.abs(bias[:, boundary]).max() > 1.0
-    np.testing.assert_allclose(bias[:, ~boundary], 0.0, atol=1e-12)
+    D = cache.edge_diss
+    np.testing.assert_allclose(D @ np.ones(mesh.n_nodes), 0.0, atol=1e-12)
+    # one-sided boundary fans included: the fan's response to the linear
+    # field is subtracted in every row; a SYMMETRY node keeps the part of
+    # a field that is linear across its mirror line, which its reflection
+    # turns into a kink
+    sym = mesh.node_markers == Marker.SYMMETRY
+    along = 3.0 * mesh.nodes[:, 0] + 0.5
+    np.testing.assert_allclose(D @ along, 0.0, atol=1e-12)
+    across = D @ mesh.nodes[:, 1]
+    np.testing.assert_allclose(across[~sym], 0.0, atol=1e-12)
+    assert np.all(across[sym] > 1.0)
+    # D shares one sparsity pattern with both halves of mean_grad
+    nnz = D.nnz
+    A = cache.mean_grad
+    np.testing.assert_array_equal(A.indices[:nnz], D.indices)
+    np.testing.assert_array_equal(A.indices[nnz:], D.indices)
+    np.testing.assert_array_equal(A.indptr[: mesh.n_nodes + 1], D.indptr)
 
 
 # ---------------------------------------------------------- boundary handling
@@ -113,92 +135,114 @@ def test_half_fan_dissipation_rows_are_doubled():
     # weight of the same mesh with every boundary marker but IGNITION cleared
     mesh = sym_bottom_rect()
     mk = mesh.node_markers
-    half = (mk == Marker.SYMMETRY) | (mk == Marker.FREE)
-    assert half.any() and (~half).any()
-    plain = Mesh(mesh.nodes, mesh.triangles, np.where(half, Marker.INTERIOR, mk))
-    cache, ref = geom_cache(mesh), geom_cache(plain)
-    D, D0 = cache.edge_diss.toarray(), ref.edge_diss.toarray()
-    np.testing.assert_array_equal(D[half], 2.0 * D0[half])
-    np.testing.assert_array_equal(D[~half], D0[~half])
-    bias, bias0 = cache.node_beta_bias, ref.node_beta_bias
-    np.testing.assert_array_equal(bias[:, half], 2.0 * bias0[:, half])
-    np.testing.assert_array_equal(bias[:, ~half], bias0[:, ~half])
+    free, sym = mk == Marker.FREE, mk == Marker.SYMMETRY
+    assert free.any() and sym.any() and (~free & ~sym).any()
+    plain = Mesh(mesh.nodes, mesh.triangles, np.where(free | sym, Marker.INTERIOR, mk))
+    D, D0 = geom_cache(mesh).edge_diss, geom_cache(plain).edge_diss
+    np.testing.assert_array_equal(D.toarray()[free], 2.0 * D0.toarray()[free])
+    np.testing.assert_array_equal(D.toarray()[~free & ~sym], D0.toarray()[~free & ~sym])
+    # the mirror projection changes a SYMMETRY row's linear-field term,
+    # so compare on a field curved along the line, whose mean gradient
+    # already lies on it
+    s = mesh.nodes[:, 0] ** 2
+    np.testing.assert_allclose((D @ s)[sym], 2.0 * (D0 @ s)[sym], rtol=1e-12, atol=1e-12)
+
+
+def system_for(mesh, rate=1.0, scale=0.25):
+    cache = geom_cache(mesh)
+    return _System(mesh, cache, as_rate_field(mesh, rate), scale, cache.is_ignition)
+
+
+def pseudo_time_step(system, s, c):
+    state = system.evaluate(s)
+    matrix, _ = system.matrix(state, c)
+    delta = np.zeros_like(s)
+    delta[system.free] = np.linalg.solve(matrix.toarray(), state.hcal[system.free])
+    return state, delta
 
 
 def test_step_projects_symmetry_mean_onto_mirror_line():
     # s = y climbs straight off the bottom mirror line: joined with its
     # reflection the fan sees |y|, whose mean gradient is zero, so each
-    # SYMMETRY node sees H = 1 and a positive curvature term and advances
-    # by at least its own step, while every other node is at a fixed point
+    # SYMMETRY node sees H = 1 and a positive curvature term, while every
+    # other node is at a fixed point; a short pseudo-time step raises
+    # the SYMMETRY nodes and moves the rest far less
     mesh = sym_bottom_rect()
-    cache = geom_cache(mesh)
-    rate = as_rate_field(mesh, 1.0)
-    config = SolverConfig()
+    system = system_for(mesh)
     s = mesh.nodes[:, 1].copy()
-    res = step(mesh, cache, rate, s, config)
-    sym = cache.sym_nodes
+    state, delta = pseudo_time_step(system, s, 0.1)
+    nn = mesh.n_nodes
+    sym = np.flatnonzero((mesh.node_markers == Marker.SYMMETRY) & ~system.cache.is_ignition)
     assert len(sym) == 6
-    dt = 0.5 * CFL_SAFETY * config.dissipation_scale * cache.node_min_height
-    assert np.all(res.s[sym] - s[sym] >= 0.99 * dt[sym])
-    rest = mesh.node_markers != Marker.SYMMETRY
-    np.testing.assert_allclose(res.s[rest], s[rest], atol=1e-12)
+    np.testing.assert_array_equal(state.mean[nn + sym], 0.0)
+    assert np.all(state.hcal[sym] > 1.0)
+    rest = np.flatnonzero((mesh.node_markers != Marker.SYMMETRY) & ~system.cache.is_ignition)
+    np.testing.assert_allclose(state.hcal[rest], 0.0, atol=1e-12)
+    assert np.all(delta[sym] > 0.0)
+    assert delta[sym].min() > 5.0 * np.abs(delta[rest]).max()
 
 
 def test_step_keeps_gradient_along_mirror_line():
     mesh = sym_bottom_rect()
-    cache = geom_cache(mesh)
+    system = system_for(mesh)
     s = mesh.nodes[:, 0].copy()
-    res = step(mesh, cache, as_rate_field(mesh, 1.0), s, SolverConfig())
-    np.testing.assert_allclose(res.s, s, atol=1e-12)
-    assert res.max_residual < 1e-12
+    state, delta = pseudo_time_step(system, s, 1e3)
+    assert state.max_residual < 1e-12
+    assert np.abs(delta).max() < 1e-12
 
 
-# --------------------------------------------------------------- single steps
+def test_step_exact_planar_field_is_a_fixed_point():
+    mesh = rect_left_ignition()
+    system = system_for(mesh)
+    s = mesh.nodes[:, 0].copy()
+    state, delta = pseudo_time_step(system, s, 1e3)
+    assert state.max_residual < 1e-12
+    assert np.abs(delta).max() < 1e-12
+    # solve starts from the graph distance, here exact along the grid
+    # rows, so it stops at once
+    field = solve(mesh, 1.0)
+    assert field.converged and field.n_steps == 0
+    np.testing.assert_allclose(field.s, s, atol=1e-15)
 
 
-def test_step_from_zero_grows_by_each_nodes_own_step():
-    # zero field: unit Hamiltonian everywhere, no dissipation, and every
-    # gradient at the floor 1/rate, so each node not held at the ignition
-    # value advances by exactly its own CFL step 0.5 cfl scale h_i / rate
-    mesh = quarter_annulus()  # radially graded triangle heights
-    cache = geom_cache(mesh)
-    rate = as_rate_field(mesh, 2.0)
-    config = SolverConfig()
-    res = step(mesh, cache, rate, np.zeros(mesh.n_nodes), config)
-    ign = cache.is_ignition
-    dt = 0.5 * CFL_SAFETY * config.dissipation_scale * cache.node_min_height / rate
-    np.testing.assert_array_equal(res.s[ign], 0.0)
-    np.testing.assert_array_equal(res.s[~ign], dt[~ign])
-    assert res.dt == dt.min() > 0.0
-    assert dt.max() > 1.2 * dt.min()
+# ---------------------------------------------------- residual and Jacobian
 
 
-def reference_step(cache, rate, s, config, held):
-    """The step as it was written before the stacked operator and the fan
-    table: (nt, 2) gradient columns, node_mean applied to both at once,
-    L_i by reduceat over node_mean's pattern, and a masked update."""
-    nt = cache.node_mean.shape[1]
-    U = np.column_stack([cache.grad[:nt] @ s, cache.grad[nt:] @ s])
-    Unorm = np.sqrt(U[:, 0] ** 2 + U[:, 1] ** 2)
-    grad_mean = cache.node_mean @ U
-    sym, t = cache.sym_nodes, cache.sym_dir.T
-    along = grad_mean[sym, 0] * t[:, 0] + grad_mean[sym, 1] * t[:, 1]
-    grad_mean[sym] = along[:, None] * t
-    fan = cache.node_mean
-    L_eff = np.maximum(np.maximum.reduceat(Unorm[fan.indices], fan.indptr[:-1]), 1.0 / rate.max())
-    rate_scale = rate * rate * L_eff
-    eps = config.dissipation_scale * rate_scale / np.pi
-    bias = cache.node_beta_bias.T
-    acc = cache.edge_diss @ s - (grad_mean[:, 0] * bias[:, 0] + grad_mean[:, 1] * bias[:, 1])
-    H = 1.0 - rate * np.sqrt(grad_mean[:, 0] ** 2 + grad_mean[:, 1] ** 2)
-    Hcal = H + eps * acc
-    dt = 0.5 * CFL_SAFETY * config.dissipation_scale * cache.node_min_height / rate_scale
-    s_new = np.where(held, s, s + dt * Hcal)
-    return s_new, dt, float(np.abs(Hcal[~held]).max())
+def reference_residual(mesh, rate, s, scale):
+    """Hcal written node by node from the mesh geometry, without the
+    operators of GeomCache: the angle-weighted mean of the triangle
+    gradients (mirror-projected), L_i as the largest incident gradient
+    floored at 1/max(rate), and the tan(angle/2) edge sum less its
+    response to the mean gradient's linear field, doubled on half fans."""
+    nodes, tris, mk = mesh.nodes, mesh.triangles, mesh.node_markers
+    grads = [np.linalg.solve(nodes[t[1:]] - nodes[t[0]], s[t[1:]] - s[t[0]]) for t in tris]
+    hcal = np.empty(mesh.n_nodes)
+    for i in range(mesh.n_nodes):
+        mean, angles, L = np.zeros(2), 0.0, 0.0
+        diss, bias = 0.0, np.zeros(2)
+        half = 2.0 if mk[i] in (Marker.SYMMETRY, Marker.FREE) else 1.0
+        for t, k in zip(*np.nonzero(tris == i)):
+            j1, j2 = tris[t, (k + 1) % 3], tris[t, (k + 2) % 3]
+            e1, e2 = nodes[j1] - nodes[i], nodes[j2] - nodes[i]
+            angle = np.arccos(e1 @ e2 / np.sqrt((e1 @ e1) * (e2 @ e2)))
+            mean += angle * grads[t]
+            angles += angle
+            L = max(L, np.sqrt(grads[t] @ grads[t]))
+            for j, e in ((j1, e1), (j2, e2)):
+                w = half * np.tan(0.5 * angle) / np.sqrt(e @ e)
+                diss += w * (s[j] - s[i])
+                bias += w * e
+        mean /= angles
+        if mk[i] == Marker.SYMMETRY:
+            d = np.asarray(mesh.symmetry_lines[mesh.node_symline[i]].direction)
+            mean = (mean @ d) * d
+        eps = scale * rate[i] ** 2 * max(L, 1.0 / rate.max()) / np.pi
+        hcal[i] = 1.0 - rate[i] * np.sqrt(mean @ mean) + eps * (diss - mean @ bias)
+    return hcal
 
 
-def test_step_matches_reference_formulas_bitwise():
-    # mid-march state on a mesh with every marker, pinned nodes, fans of
+def test_step_residual_matches_reference_formulas():
+    # mid-solve state on a mesh with every marker, pinned nodes, fans of
     # 1, 2, 3 and 6 triangles and a rate that varies over the nodes
     mesh = gen_rect(
         12,
@@ -207,60 +251,84 @@ def test_step_matches_reference_formulas_bitwise():
         1.0,
         markers={"left": Marker.IGNITION, "bottom": Marker.SYMMETRY, "top": Marker.FREE},
     )
-    cache = geom_cache(mesh)
-    assert set(np.diff(cache.node_mean.indptr)) == {1, 2, 3, 6}
+    assert set(np.bincount(mesh.triangles.ravel())) == {1, 2, 3, 6}
     rate = as_rate_field(mesh, lambda x, y: 1.0 + 0.5 * x + 0.25 * y * y)
-    config = SolverConfig()
     pins = np.array([40, 41, 66])
-    partial = solve(mesh, rate, config=SolverConfig(max_steps=25), pinned=(pins, [0.3, 0.31, 0.5]))
+    partial = solve(mesh, rate, config=SolverConfig(max_steps=2), pinned=(pins, [0.3, 0.31, 0.5]))
     assert not partial.converged
-    s = partial.s
-    held = cache.is_ignition.copy()
-    held[pins] = True
-    res = step(mesh, cache, rate, s, config, held)
-    ref_s, ref_dt, ref_residual = reference_step(cache, rate, s, config, held)
-    # StepResult carries min(dt_i); each node's own dt_i enters s through
-    # its update, s_i + dt_i * Hcal_i
-    assert np.count_nonzero(res.s != s) > 0.8 * np.count_nonzero(~held)
-    np.testing.assert_array_equal(res.s, ref_s)
-    assert res.dt == ref_dt.min()
-    assert ref_dt.max() > 2.0 * ref_dt.min()
-    assert res.max_residual == ref_residual > 0.0
-    nt = mesh.n_triangles
-    np.testing.assert_array_equal(res.grad, np.concatenate([cache.grad[:nt] @ s, cache.grad[nt:] @ s]))
+    state = system_for(mesh, rate).evaluate(partial.s)
+    ref = reference_residual(mesh, rate, partial.s, SolverConfig().dissipation_scale)
+    assert np.abs(ref).max() > 0.01
+    np.testing.assert_allclose(state.hcal, ref, rtol=0.0, atol=1e-12)
 
 
-def test_step_exact_planar_field_is_a_fixed_point():
-    mesh = rect_left_ignition()
+def test_step_matrix_holds_each_nodes_own_pseudo_time_step():
+    # diag(1 / (c dt_i)) - J over the nodes not held, with dt_i each node's
+    # explicit limit 0.5 scale h_i / (rate_i^2 max(L_i, floor)); the held
+    # rows and columns, pinned ones inside the mesh included, are sliced out
+    mesh = quarter_annulus()  # radially graded triangle heights
     cache = geom_cache(mesh)
-    rate = as_rate_field(mesh, 1.0)
-    config = SolverConfig()
-    s = mesh.nodes[:, 0].copy()
-    res = step(mesh, cache, rate, s, config)
-    assert np.abs(res.s - s).max() <= res.dt * config.convergence_tol
-    assert res.max_residual < 1e-12
+    rate = as_rate_field(mesh, lambda x, y: 2.0 + x)
+    held = cache.is_ignition.copy()
+    held[[60, 61, 140]] = True
+    system = _System(mesh, cache, rate, 0.25, held)
+    state = system.evaluate(system.warm_start(np.flatnonzero(held), np.zeros(np.count_nonzero(held))))
+    c = 3.0
+    matrix, dt_min = system.matrix(state, c)
+    nn = mesh.n_nodes
+    J = csr_array((system.jacobian(state), cache.edge_diss.indices, cache.edge_diss.indptr), shape=(nn, nn))
+    dt = 0.5 * 0.25 * cache.node_min_height / (rate * rate * np.maximum(state.L, 1.0 / rate.max()))
+    free = ~held
+    expected = (np.diag(1.0 / (c * dt)) - J.toarray())[np.ix_(free, free)]
+    np.testing.assert_allclose(matrix.toarray(), expected, rtol=1e-14, atol=0.0)
+    assert dt_min == pytest.approx((c * dt[free]).min(), rel=1e-14)
+    assert dt.max() > 2.0 * dt.min()
+
+
+@pytest.mark.parametrize("at", ["converged", "warm-start"])
+@pytest.mark.parametrize("name", ["slot-coarse", "bistar"])
+def test_jacobian_matches_central_differences(name, at):
+    # J v against (Hcal(s + h v) - Hcal(s - h v)) / 2h in random directions,
+    # on meshes with SYMMETRY and FREE nodes (bistar: two rates).  Hcal is
+    # only piecewise smooth: rows whose L_i changes triangle, or crosses
+    # the floor, inside the difference interval are skipped.  On a
+    # converged field many fans hold equal gradient norms, so about half
+    # the rows of slot-coarse have a tied L_i.
+    case = build_case(name)
+    mesh = case.mesh
+    system = system_for(mesh, case.rate, scale=case.config.dissipation_scale if case.config else 0.25)
+    assert (mesh.node_markers == Marker.SYMMETRY).any()
+    held = np.flatnonzero(system.cache.is_ignition)
+    s = system.warm_start(held, np.zeros(len(held)))
+    if at == "converged":
+        s = solve(mesh, case.rate, config=case.config, cache=system.cache).s
+    state = system.evaluate(s)
+    nn = mesh.n_nodes
+    J = csr_array((system.jacobian(state), system.cache.edge_diss.indices, system.cache.edge_diss.indptr), shape=(nn, nn))
+    rng = np.random.default_rng(11)
+    h = 1e-8 * s.max()
+    for _ in range(3):
+        v = rng.standard_normal(nn)
+        plus, minus = system.evaluate(s + h * v), system.evaluate(s - h * v)
+        floor = system.floor
+        smooth = (plus.tri == state.tri) & (minus.tri == state.tri)
+        smooth &= ((plus.L > floor) == (state.L > floor)) & ((minus.L > floor) == (state.L > floor))
+        smooth[held] = False
+        assert np.count_nonzero(smooth) > 0.4 * (nn - len(held))
+        fd = (plus.hcal - minus.hcal) / (2.0 * h)
+        Jv = J @ v
+        scale = np.abs(Jv[smooth]).max()
+        np.testing.assert_allclose(Jv[smooth], fd[smooth], rtol=0.0, atol=1e-6 * scale)
 
 
 def test_step_field_stays_nonnegative_while_marching():
-    mesh = rect_left_ignition(16, 8)
-    cache = geom_cache(mesh)
-    rate = as_rate_field(mesh, 1.0)
-    config = SolverConfig()
-    s = np.zeros(mesh.n_nodes)
-    for _ in range(400):
-        s = step(mesh, cache, rate, s, config).s
-        assert s.min() >= 0.0
-
-
-def test_step_rejects_nonfinite_state():
-    mesh = rect_left_ignition(6, 4)
-    cache = geom_cache(mesh)
-    rate = as_rate_field(mesh, 1.0)
-    s = np.zeros(mesh.n_nodes)
-    s[10] = np.inf
-    with np.errstate(invalid="ignore"):
-        with pytest.raises(SolverError, match="node"):
-            step(mesh, cache, rate, s, SolverConfig())
+    mesh = quarter_annulus(8, 12)
+    for k in range(1, 30):
+        field = solve(mesh, 1.0, config=SolverConfig(max_steps=k))
+        assert field.s.min() >= 0.0
+        if field.converged:
+            break
+    assert field.converged and field.n_steps > 3
 
 
 def test_solver_config_validation():
@@ -352,15 +420,31 @@ def test_solve_pinned_shape_mismatch():
 
 
 @pytest.mark.parametrize(
-    "ids, match",
-    [([3, -1], "pinned id -1 "), ([3, 28], "pinned id 28 "), ([3, 5, 3], "pinned id 3 ")],
-    ids=["negative", "past-last-node", "duplicate"],
+    "ids, values, match",
+    [
+        ([3, -1], [0.0, 0.0], "pinned id -1 "),
+        ([3, 28], [0.0, 0.0], "pinned id 28 "),
+        ([3, 5, 3], [0.0, 0.0, 0.0], "pinned id 3 "),
+        ([5, 3], [0.0, np.nan], "pinned id 3 has a non-finite value"),
+        ([3], [np.inf], "pinned id 3 has a non-finite value"),
+    ],
+    ids=["negative", "past-last-node", "duplicate", "nan-value", "inf-value"],
 )
-def test_solve_rejects_bad_pinned_ids(ids, match):
+def test_solve_rejects_bad_pinned_ids(ids, values, match):
     mesh = gen_rect(6, 3, 1.0, 0.5)
     assert mesh.n_nodes == 28
     with pytest.raises(SolverError, match=match):
-        solve(mesh, 1.0, pinned=(np.array(ids), np.zeros(len(ids))))
+        solve(mesh, 1.0, pinned=(np.array(ids), np.array(values)))
+
+
+def test_solve_names_a_node_no_held_node_reaches():
+    # two unwelded rectangles, ignition only on the first
+    lit = rect_left_ignition(4, 2)
+    dark = gen_rect(4, 2, 2.0, 1.0)
+    apart = Mesh(dark.nodes + [5.0, 0.0], dark.triangles, dark.node_markers)
+    mesh = merge_meshes([lit, apart])
+    with pytest.raises(SolverError, match=f"node {lit.n_nodes} is not connected"):
+        solve(mesh, 1.0)
 
 
 def test_solve_two_layer_rate():
@@ -375,8 +459,24 @@ def test_solve_two_layer_rate():
 
 
 def test_solve_reports_nonconvergence():
-    mesh = rect_left_ignition(10, 5)
-    field = solve(mesh, 1.0, config=SolverConfig(max_steps=5))
+    mesh = quarter_annulus(8, 12)
+    field = solve(mesh, 1.0, config=SolverConfig(max_steps=2))
     assert not field.converged
-    assert field.n_steps == 5
-    assert len(field.residual_history) == 5
+    assert field.n_steps == 2
+    assert len(field.residual_history) == len(field.dt_history) == 2
+    assert field.residual_history[-1] >= SolverConfig().convergence_tol
+
+
+def test_rejected_steps_count_toward_max_steps(monkeypatch):
+    # a first step at c = 1e10 is a full Newton step from the graph
+    # distance, which overshoots across a tenfold rate jump: each rejected
+    # step keeps the field, quarters c and still counts as an iteration
+    monkeypatch.setattr(eikonal, "_CFL_START", 1e10)
+    mesh = quarter_annulus(8, 12)
+    rate = lambda x, y: np.where(x > 1.0, 10.0, 1.0)  # noqa: E731
+    field = solve(mesh, rate, config=SolverConfig(max_steps=4))
+    assert not field.converged and field.n_steps == 4
+    np.testing.assert_array_equal(field.residual_history, field.residual_history[0])
+    np.testing.assert_array_equal(field.dt_history[1:], field.dt_history[:-1] / 4.0)
+    first = solve(mesh, rate, config=SolverConfig(max_steps=1))
+    np.testing.assert_array_equal(field.s, first.s)

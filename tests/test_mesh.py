@@ -12,6 +12,7 @@ from burnback.mesh import (
     Mesh,
     MeshError,
     SymmetryLine,
+    _close_pairs,
     gen_coons,
     gen_rect,
     geom_cache,
@@ -223,6 +224,20 @@ def test_combine_markers_rank_order():
                     assert line.point[0] == 1.0 and line.direction == (0.0, 1.0)
 
 
+def test_close_pairs_match_brute_force():
+    # many exact duplicates and shared x coordinates, plus near misses
+    rng = np.random.default_rng(2)
+    pts = rng.random((300, 2)).round(1)
+    pts[::7, 1] += 5e-10
+    pts[::11, 1] += 2e-9
+    tol = 1e-9
+    dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+    want = set(zip(*np.nonzero(np.triu(dist <= tol, 1))))
+    got = _close_pairs(pts, tol)
+    assert len(got) == len(want) > 100
+    assert set(map(tuple, np.sort(got, axis=1))) == want
+
+
 def test_merge_meshes_combines_markers_by_rank():
     a = gen_rect(2, 2, 1.0, 1.0, markers={"right": Marker.IGNITION})
     b = gen_rect(2, 2, 1.0, 1.0, markers={"left": Marker.FREE})
@@ -258,15 +273,20 @@ def test_merge_meshes_dedupes_symmetry_lines():
 
 
 def test_geom_cache_angle_sums():
-    # node_mean weighs each incident triangle by its corner angle over the
-    # node's angle sum: 2 pi at interior nodes, pi at straight boundary nodes
+    # mean_grad weighs each incident triangle gradient by its corner angle
+    # over the node's angle sum: 2 pi at interior nodes, pi at straight
+    # boundary nodes
     mesh = gen_rect(6, 5, 1.3, 0.9)
     cache = geom_cache(mesh)
+    nn, nt = mesh.n_nodes, mesh.n_triangles
     p = mesh.nodes[mesh.triangles]
     a, b = p[:, [1, 2, 0]] - p, p[:, [2, 0, 1]] - p
     cos = (a * b).sum(axis=2) / np.sqrt((a**2).sum(axis=2) * (b**2).sum(axis=2))
     corner = np.arccos(cos)
-    mean = cache.node_mean.toarray()
+    s = np.random.default_rng(5).standard_normal(nn)
+    g = cache.grad @ s
+    mean = cache.mean_grad @ s
+    ptr, cols = cache.mean_grad.indptr, cache.mean_grad.indices
     interior = mesh.node_markers == Marker.INTERIOR
     edge_mid = (
         np.isclose(mesh.nodes[:, 1], 0.0)
@@ -277,8 +297,9 @@ def test_geom_cache_angle_sums():
     for i in np.flatnonzero(interior | edge_mid):
         t, k = np.nonzero(mesh.triangles == i)
         angle_sum = 2.0 * np.pi if interior[i] else np.pi
-        np.testing.assert_allclose(mean[i, t] * angle_sum, corner[t, k], rtol=1e-12)
-        assert np.count_nonzero(mean[i]) == len(t)
+        w = corner[t, k] / angle_sum
+        np.testing.assert_allclose([mean[i], mean[nn + i]], [w @ g[t], w @ g[nt + t]], rtol=1e-12, atol=1e-12)
+        assert set(cols[ptr[i] : ptr[i + 1]]) == set(mesh.triangles[t].ravel())
 
 
 def test_geom_cache_min_heights_positive_and_bounded():
@@ -319,14 +340,12 @@ def test_geom_cache_fan_table_lists_incident_triangles(mesh):
         assert set(col[: degree[i]]) == set(np.flatnonzero((mesh.triangles == i).any(axis=1)))
         np.testing.assert_array_equal(col[degree[i] :], nt)
     # L_i, the largest incident gradient: the column max over the table,
-    # whose padding id reads a 0.0 slot, against reduceat over the fans
+    # whose padding id reads a 0.0 slot, against a max over each fan
     s = np.random.default_rng(3).standard_normal(mesh.n_nodes)
     g = cache.grad @ s
     norm = np.append(np.sqrt(g[:nt] ** 2 + g[nt:] ** 2), 0.0)
-    fans = cache.node_mean
-    np.testing.assert_array_equal(
-        norm[cache.fan].max(axis=0), np.maximum.reduceat(norm[fans.indices], fans.indptr[:-1])
-    )
+    fans = [norm[:nt][(mesh.triangles == i).any(axis=1)].max() for i in range(mesh.n_nodes)]
+    np.testing.assert_array_equal(norm[cache.fan].max(axis=0), fans)
 
 
 def test_geom_cache_names_symmetry_node_without_a_line():
@@ -336,6 +355,9 @@ def test_geom_cache_names_symmetry_node_without_a_line():
     broken = Mesh(mesh.nodes, mesh.triangles, mesh.node_markers, mesh.symmetry_lines, symline)
     with pytest.raises(MeshError, match="SYMMETRY node 2 "):
         geom_cache(broken)
+    # with the line in place, the bottom nodes' mean gradient keeps only
+    # its component along the line: their y rows are zero
     cache = geom_cache(mesh)
-    np.testing.assert_array_equal(cache.sym_nodes, np.flatnonzero(mesh.node_markers == Marker.SYMMETRY))
-    np.testing.assert_array_equal(cache.sym_dir, np.tile([[1.0], [0.0]], (1, len(cache.sym_nodes))))
+    sym = np.flatnonzero(mesh.node_markers == Marker.SYMMETRY)
+    assert len(sym) == 5
+    np.testing.assert_array_equal(cache.mean_grad.toarray()[mesh.n_nodes + sym], 0.0)

@@ -194,18 +194,19 @@ def test_emit_csv_burn_curves_round_trip(planar):
     np.testing.assert_allclose(data[:, 2], curves.A_p, rtol=1e-11)
 
 
-def test_emit_csv_field_and_residuals(planar):
+def test_emit_csv_field_and_residuals(planar, radial):
     mesh, s = planar
     head, data = parse_csv(emit_csv(s, mesh=mesh))
     assert head == ["node", "x", "y", "s"]
     assert data.shape == (mesh.n_nodes, 4)
     np.testing.assert_allclose(data[:, 3], s, rtol=1e-11)
 
-    field = solve(mesh, 1.0, config=SolverConfig(max_steps=20))
+    field = solve(radial[0], 1.0, config=SolverConfig(max_steps=3))
     head, data = parse_csv(emit_csv(field))
     assert head == ["step", "dt", "max_residual"]
-    assert data.shape == (20, 3)
-    np.testing.assert_array_equal(data[:, 0], np.arange(1, 21))
+    assert data.shape == (3, 3)
+    np.testing.assert_array_equal(data[:, 0], np.arange(1, 4))
+    np.testing.assert_allclose(data[:, 2], field.residual_history, rtol=1e-11)
 
 
 def test_emit_csv_field_needs_mesh(planar):

@@ -37,6 +37,17 @@ def test_neutral_tip_angle_grows_with_n():
     assert np.all(np.diff(angles) > 0.0)
 
 
+def test_neutral_tip_angle_matches_brentq():
+    # the bisection lands where scipy's brentq root, polished by the same
+    # three Newton steps, does, to within the rounding of the residual
+    brentq = pytest.importorskip("scipy.optimize").brentq
+    for n in range(4, 40):
+        theta = brentq(lambda t: neutral_residual(n, t), 1e-6, math.pi - 1e-12, xtol=1e-14)
+        for _ in range(3):
+            theta -= neutral_residual(n, theta) / (0.5 / math.tan(0.5 * theta) ** 2)
+        assert abs(2.0 * neutral_tip_angle(n) - theta) <= 2.0 * math.ulp(theta), f"n = {n}"
+
+
 def test_neutral_tip_angle_rejects_small_n():
     with pytest.raises(ValueError):
         neutral_tip_angle(3)
