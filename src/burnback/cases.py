@@ -1,5 +1,7 @@
 """Benchmark grain configurations with exact arrival-time oracles.
 
+The registry holds fixed configurations: every dimension and mesh
+count is a constant of its builder, so a case name names one mesh.
 Each builder returns a Case bundling a mesh, node recession rates and,
 where the geometry admits one, the closed-form arrival field used to
 measure solver error: planar for the rectangle, radial for the annulus
@@ -32,8 +34,8 @@ class Case:
     name: str
     mesh: Mesh
     rate: float | np.ndarray
-    exact: np.ndarray | None = None
-    depth: float | None = None
+    exact: np.ndarray | None
+    depth: float
     labels: np.ndarray | None = None
     rate_ratio: float = 1.0
     port: Contour | None = None
@@ -51,13 +53,14 @@ def _radius(mesh: Mesh) -> np.ndarray:
     return np.sqrt(mesh.nodes[:, 0] ** 2 + mesh.nodes[:, 1] ** 2)
 
 
-def rect_case(nx: int = 60, ny: int = 30, width: float = 2.0, height: float = 1.0) -> Case:
+def rect_case() -> Case:
     """Planar front: ignition on the left edge, outflow on the right."""
+    width = 2.0
     mesh = gen_rect(
-        nx,
-        ny,
+        60,
+        30,
         width,
-        height,
+        1.0,
         markers={
             "left": Marker.IGNITION,
             "right": Marker.FREE,
@@ -68,32 +71,30 @@ def rect_case(nx: int = 60, ny: int = 30, width: float = 2.0, height: float = 1.
     return Case("rect", mesh, 1.0, mesh.nodes[:, 0].copy(), depth=width)
 
 
-def annulus_case(
-    nr: int = 56, nt: int = 84, r_inner: float = 1.0, r_outer: float = 2.0
-) -> Case:
+def annulus_case() -> Case:
     """Radial front on a quarter annulus bounded by two symmetry rays."""
+    r_inner, r_outer = 1.0, 2.0
     inner = _arc_points((0.0, 0.0), r_inner, 0.0, 0.5 * np.pi, 512)
     outer = _arc_points((0.0, 0.0), r_outer, 0.0, 0.5 * np.pi, 512)
-    mesh = gen_coons(inner, outer, nr, nt)
+    mesh = gen_coons(inner, outer, 56, 84)
     return Case("annulus", mesh, 1.0, _radius(mesh) - r_inner, depth=r_outer - r_inner)
 
 
-def circle_case(
-    nr: int = 28, nt: int = 42, r_inner: float = 1.0, r_outer: float = 2.0
-) -> Case:
+def circle_case() -> Case:
     """Full annulus welded from four rotated quarter patches.
 
     The seams are interior, so the grain has no symmetry boundary at
     all; perimeter and port-area growth laws can be checked against the
     whole circumference.
     """
+    r_inner, r_outer = 1.0, 2.0
     inner = _arc_points((0.0, 0.0), r_inner, 0.0, 0.5 * np.pi, 512)
     outer = _arc_points((0.0, 0.0), r_outer, 0.0, 0.5 * np.pi, 512)
     quarter = gen_coons(
         inner,
         outer,
-        nr,
-        nt,
+        28,
+        42,
         markers={"side0": Marker.INTERIOR, "side1": Marker.INTERIOR},
     )
     # Exact 90-degree rotations keep seam coordinates bitwise mirrored.
@@ -119,7 +120,7 @@ def circle_case(
 _SLOT_GRIDS = {"coarse": (28, 19, 66), "fine": (57, 39, 134)}
 
 
-def slot_case(level: str = "coarse") -> Case:
+def slot_case(level: str) -> Case:
     """Half of a rounded axial slot in a rectangular propellant block.
 
     The slot of half-width RF runs up the x = 0 mirror plane to height L
@@ -151,15 +152,7 @@ def slot_case(level: str = "coarse") -> Case:
     return Case(f"slot-{level}", mesh, 1.0, exact, depth=depth, port=port)
 
 
-def star_case(
-    n: int = 5,
-    eps: float = 0.6,
-    valley_depth: float = 0.5,
-    casing_radius: float = 1.0,
-    n_transverse: int = 80,
-    n_flank: int = 70,
-    n_valley: int = 50,
-) -> Case:
+def star_case() -> Case:
     """Neutral star half-sector meshed flank-to-casing and valley-to-casing.
 
     The tip semi-angle comes from the neutrality condition, so measured
@@ -169,23 +162,24 @@ def star_case(
     leaves the flank steeply enough that neither loft runs parallel to
     its inner curve, which would squeeze cell heights and the time step.
     """
+    n, eps, casing_radius = 5, 0.6, 1.0
     theta = 2.0 * neutral_tip_angle(n)
-    half = make_star(n, theta, eps, valley_depth, casing_radius)
+    half = make_star(n, theta, eps, 0.5, casing_radius)
     flank, valley_arc = half.pieces
     alpha, beta = np.pi / n, (1.0 - eps) * (np.pi / n)
     seam = 0.5 * (alpha + beta)
     patch_a = gen_coons(
         flank.points(512),
         _arc_points((0.0, 0.0), casing_radius, alpha, seam, 512),
-        n_transverse,
-        n_flank,
+        80,
+        70,
         markers={"side1": Marker.INTERIOR},
     )
     patch_b = gen_coons(
         valley_arc.points(512),
         _arc_points((0.0, 0.0), casing_radius, seam, 0.0, 512),
-        n_transverse,
-        n_valley,
+        80,
+        50,
         markers={"side0": Marker.INTERIOR},
     )
     mesh = merge_meshes([patch_a, patch_b])
@@ -199,15 +193,7 @@ def star_case(
     )
 
 
-def bistar_case(
-    n: int = 4,
-    casing_radius: float = 1.0,
-    fillet_radius: float = 0.1,
-    slot_depth: float = 0.5,
-    n_transverse: int = 56,
-    n_wall: int = 44,
-    n_cap: int = 28,
-) -> Case:
+def bistar_case() -> Case:
     """Sliverless two-propellant slotted star, one half-sector.
 
     The port is a straight slot of half-width fillet_radius reaching
@@ -222,6 +208,7 @@ def bistar_case(
     the junction a mesh vertex and both lofts steep against their inner
     curves.
     """
+    n, casing_radius, fillet_radius, slot_depth = 4, 1.0, 0.1, 0.5
     design = bistar_design(n, casing_radius, fillet_radius, slot_depth)
     alpha = np.pi / n
     seam = 2.0 * alpha / 3.0
@@ -231,15 +218,15 @@ def bistar_case(
     patch_w = gen_coons(
         np.linspace(wall0, wall1, 513),
         _arc_points((0.0, 0.0), casing_radius, alpha, seam, 512),
-        n_transverse,
-        n_wall,
+        56,
+        44,
         markers={"side1": Marker.INTERIOR},
     )
     patch_c = gen_coons(
         _arc_points(tip, fillet_radius, 0.5 * np.pi, 0.0, 256),
         _arc_points((0.0, 0.0), casing_radius, seam, 0.0, 512),
-        n_transverse,
-        n_cap,
+        56,
+        28,
         markers={"side0": Marker.INTERIOR},
     )
     mesh = merge_meshes([patch_w, patch_c])
@@ -272,19 +259,13 @@ def bistar_case(
     )
 
 
-def scheme_case(
-    feature: str = "corner",
-    tilt_deg: float = 5.0,
-    fast_rate: float = 3.0,
-    nx: int = 48,
-    ny: int = 24,
-) -> Case:
+def scheme_case(feature: str, tilt_deg: float) -> Case:
     """Rate-jump interface through a front feature, for smoke runs.
 
     The ignition boundary of a 2 x 1 block kinks at its midpoint: a
     corner dips away from the propellant, a cusp juts into it.  The
     material interface is a line through the kink tilted tilt_deg from
-    vertical, rate 1 on its left and fast_rate on its right.  No exact
+    vertical, rate 1 on its left and 3 on its right.  No exact
     field; these runs only need to converge and draw sane isochrones.
     """
     if feature not in ("corner", "cusp"):
@@ -293,12 +274,13 @@ def scheme_case(
     inner = np.array([[0.0, 0.0], kink, [2.0, 0.0]])
     outer = np.array([[0.0, 1.0], [2.0, 1.0]])
     mesh = gen_coons(
-        inner, outer, ny, nx, markers={"side0": Marker.FREE, "side1": Marker.FREE}
+        inner, outer, 24, 48, markers={"side0": Marker.FREE, "side1": Marker.FREE}
     )
     tilt = np.radians(tilt_deg)
     u = np.array([np.sin(tilt), np.cos(tilt)])
     rel = mesh.nodes - kink
     left = u[0] * rel[:, 1] - u[1] * rel[:, 0] > 0.0
+    fast_rate = 3.0
     rate = np.where(left, 1.0, fast_rate)
     labels = np.where(left, 1, 2)
     name = f"scheme-{feature}{'+' if tilt_deg >= 0 else ''}{tilt_deg:g}"

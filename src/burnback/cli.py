@@ -224,9 +224,8 @@ def _cmd_solve(opt: dict) -> int:
 def _cmd_curves(opt: dict) -> int:
     case = build_case(opt["case"])
     res = _solve_case(case, opt)
-    depth = case.depth if case.depth is not None else float(res.s.max())
-    lo = opt["tau_min"] if opt.get("tau_min") is not None else 0.05 * depth
-    hi = opt["tau_max"] if opt.get("tau_max") is not None else 0.95 * depth
+    lo = opt["tau_min"] if opt.get("tau_min") is not None else 0.05 * case.depth
+    hi = opt["tau_max"] if opt.get("tau_max") is not None else 0.95 * case.depth
     if not lo < hi:
         raise ValueError("curves needs tau-min < tau-max")
     tau = np.linspace(lo, hi, opt["tau_count"])
@@ -245,14 +244,13 @@ def _cmd_curves(opt: dict) -> int:
 def _cmd_contours(opt: dict) -> int:
     case = build_case(opt["case"])
     res = _solve_case(case, opt)
-    depth = case.depth if case.depth is not None else float(res.s.max())
     if opt.get("levels"):
         levels = [float(tok) for tok in opt["levels"].split(",") if tok.strip()]
         if not levels:
             raise ValueError("--levels must hold at least one tau value")
     else:
         k = np.arange(1, opt["nlevels"] + 1)
-        levels = list(depth * k / (opt["nlevels"] + 1.0))
+        levels = list(case.depth * k / (opt["nlevels"] + 1.0))
     svg = emit_svg(
         case.mesh, res.s, levels=levels, contour=case.port, show_mesh=not opt["no_mesh"]
     )

@@ -73,7 +73,7 @@ from scipy.sparse import csc_array, csr_array
 from scipy.sparse.csgraph import dijkstra
 from scipy.sparse.linalg import splu
 
-from .mesh import GeomCache, Mesh, _gradient_operator, geom_cache
+from .mesh import GeomCache, Marker, Mesh, _gradient_operator, geom_cache
 
 __all__ = [
     "SolverConfig",
@@ -291,7 +291,7 @@ def solve(
         cache = geom_cache(mesh)
     rate = as_rate_field(mesh, rate)
 
-    held = cache.is_ignition.copy()
+    held = mesh.node_markers == Marker.IGNITION
     values = np.zeros(mesh.n_nodes)
     if pinned is not None:
         idx = np.asarray(pinned[0], dtype=np.int64)

@@ -238,11 +238,13 @@ def load_mesh(text: str) -> Mesh:
 
     if not records:
         raise MeshError("empty mesh document")
+    remaining = iter(records)
 
     def take():
-        if not records:
-            raise MeshError("unexpected end of mesh document")
-        return records.pop(0)
+        try:
+            return next(remaining)
+        except StopIteration:
+            raise MeshError("unexpected end of mesh document") from None
 
     ln, head = take()
     if len(head) != 3:
@@ -296,9 +298,9 @@ def load_mesh(text: str) -> Mesh:
         except ValueError:
             raise MeshError(f"line {ln}: bad node id in triangle record") from None
 
-    if records:
-        ln, _ = records[0]
-        raise MeshError(f"line {ln}: trailing records beyond declared counts")
+    extra = next(remaining, None)
+    if extra is not None:
+        raise MeshError(f"line {extra[0]}: trailing records beyond declared counts")
 
     mesh = Mesh(nodes, tris, markers, lines, symline)
     validate_mesh(mesh)
@@ -490,31 +492,38 @@ def _canonical_line(line: SymmetryLine):
 def _close_pairs(nodes: np.ndarray, tol: float) -> np.ndarray:
     """Node id pairs (k, 2) within Euclidean distance tol of each other.
 
-    A sweep in x order: node i of the sorted order is compared with node
-    i + k for k = 1, 2, ... while their x gap is within tol.  Gaps only
-    grow with k, so a node whose gap exceeds tol at one offset drops out
-    for every later one.
+    Nodes are binned into square cells of side 2 tol, so a close pair
+    sits in one cell or in two neighbouring ones even after rounding.
+    Cells are keyed column by column with one empty cell between
+    columns.  In key order each node is checked against the later nodes
+    of its own cell and the next cell up, then against the three cells
+    of the next column, so every pair is found once.  The keys fit in
+    int64 while the node spread is below ~1e9 tol.
     """
-    order = np.argsort(nodes[:, 0], kind="stable")
-    xy = nodes[order]
-    pairs = [np.empty((0, 2), dtype=np.int64)]
-    i, k = np.arange(len(xy)), 1
-    while i.size:
-        i = i[i + k < len(xy)]
-        i = i[xy[i + k, 0] - xy[i, 0] <= tol]
-        d = xy[i + k] - xy[i]
-        near = i[np.sqrt(d[:, 0] ** 2 + d[:, 1] ** 2) <= tol]
-        pairs.append(np.column_stack([order[near], order[near + k]]))
-        k += 1
-    return np.concatenate(pairs)
+    cell = ((nodes - nodes.min(axis=0)) / (2.0 * tol)).astype(np.int64)  # >= 0, so floored
+    width = cell[:, 1].max() + 2
+    key = cell[:, 0] * width + cell[:, 1]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    pos = np.arange(len(key))
+    lo = np.concatenate([pos + 1, np.searchsorted(key, key + width - 1)])
+    hi = np.concatenate([np.searchsorted(key, key + 2), np.searchsorted(key, key + width + 2)])
+    count = hi - lo
+    # positions a < b in key order of each candidate pair
+    a = np.repeat(np.tile(pos, 2), count)
+    b = np.arange(len(a)) + np.repeat(lo - np.cumsum(count) + count, count)
+    i, j = order[a], order[b]
+    d = nodes[j] - nodes[i]
+    near = np.sqrt(d[:, 0] ** 2 + d[:, 1] ** 2) <= tol
+    return np.column_stack([i[near], j[near]])
 
 
-def merge_meshes(meshes, tol: float | None = None) -> Mesh:
+def merge_meshes(meshes) -> Mesh:
     """Weld coincident nodes of several meshes into one mesh.
 
-    Coincident means within tol (default 1e-9 of the joint bounding box
-    diagonal).  Markers of welded nodes combine with the usual corner
-    priority; identical symmetry lines are deduplicated.
+    Coincident means within 1e-9 of the joint bounding box diagonal.
+    Markers of welded nodes combine with the usual corner priority;
+    identical symmetry lines are deduplicated.
     """
     meshes = list(meshes)
     if not meshes:
@@ -532,8 +541,7 @@ def merge_meshes(meshes, tol: float | None = None) -> Mesh:
     )
     all_lines = [ln for m in meshes for ln in m.symmetry_lines]
 
-    if tol is None:
-        tol = 1e-9 * max(_bbox_diag(nodes), 1e-300)
+    tol = 1e-9 * max(_bbox_diag(nodes), 1e-300)
 
     # Close pairs join components; components are labelled in order of
     # their lowest node id, which is also the node each one keeps.
@@ -614,11 +622,11 @@ class GeomCache:
                     restoring full-fan weight to their half fans
     node_min_height (nn,) smallest height of the triangles at each node,
                     the length scale of its pseudo-time step
-    is_ignition     (nn,) bool, the nodes held at s = 0
 
-    Both halves of mean_grad and edge_diss share one sparsity pattern, the
-    one-ring of each node plus the diagonal, with sorted columns, so the
-    solver fills its Jacobian into that pattern from their data arrays.
+    Index arrays are int32.  Both halves of mean_grad and edge_diss
+    share one sparsity pattern, the one-ring of each node plus the
+    diagonal, with sorted columns, so the solver fills its Jacobian into
+    that pattern from their data arrays.
     """
 
     grad: csr_array
@@ -626,7 +634,6 @@ class GeomCache:
     mean_grad: csr_array
     edge_diss: csr_array
     node_min_height: np.ndarray
-    is_ignition: np.ndarray
 
 
 def _corner_angles(p: np.ndarray) -> np.ndarray:
@@ -652,9 +659,9 @@ def _gradient_operator(mesh: Mesh) -> csr_array:
     opp = _opposite_edges(nodes[tris])
     two_area = 2.0 * _signed_areas(nodes, tris)[:, None]
     hat = np.concatenate([-opp[:, :, 1] / two_area, opp[:, :, 0] / two_area])  # x rows, y rows
-    return csr_array(
-        (hat.ravel(), np.tile(tris.ravel(), 2), np.arange(0, 6 * nt + 1, 3)), shape=(2 * nt, mesh.n_nodes)
-    )
+    indices = np.tile(tris.ravel(), 2).astype(np.int32)
+    indptr = np.arange(0, 6 * nt + 1, 3, dtype=np.int32)
+    return csr_array((hat.ravel(), indices, indptr), shape=(2 * nt, mesh.n_nodes))
 
 
 def _fan_operators(mesh: Mesh, grad: csr_array, corner_angle, edge_len3, mirror):
@@ -676,8 +683,8 @@ def _fan_operators(mesh: Mesh, grad: csr_array, corner_angle, edge_len3, mirror)
     inv = np.empty(len(order), dtype=np.intp)
     inv[order] = np.cumsum(first) - 1
     keys = pair_keys[order][first]
-    row, indices = keys // nn, keys % nn
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=nn))])
+    row, indices = keys // nn, (keys % nn).astype(np.int32)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=nn))]).astype(np.int32)
 
     def assemble(w):  # (nt, 3, 3) weights of the corner pairs
         return np.bincount(inv, weights=w.ravel(), minlength=len(keys))
@@ -727,7 +734,7 @@ def geom_cache(mesh: Mesh) -> GeomCache:
     owner = flat[order]
     degree = np.bincount(flat, minlength=nn)
     node_ptr = np.concatenate([[0], np.cumsum(degree)])
-    fan = np.full((degree.max(), nn), nt)
+    fan = np.full((degree.max(), nn), nt, dtype=np.int32)
     fan[np.arange(3 * nt) - node_ptr[owner], owner] = order // 3
 
     mk = mesh.node_markers
@@ -748,5 +755,4 @@ def geom_cache(mesh: Mesh) -> GeomCache:
         mean_grad=mean_grad,
         edge_diss=edge_diss,
         node_min_height=node_min_height,
-        is_ignition=mk == Marker.IGNITION,
     )

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 
+from burnback import cases
 from burnback.cases import CASE_BUILDERS, build_case
 from burnback.mesh import Marker, validate_mesh
 from burnback.star import bistar_design
@@ -15,7 +18,7 @@ def test_case_builds_clean(name):
     case = build_case(name)
     assert case.name == name
     validate_mesh(case.mesh)
-    assert case.depth is None or case.depth > 0.0
+    assert case.depth > 0.0
     if case.exact is not None:
         assert case.exact.shape == (case.mesh.n_nodes,)
         assert np.all(np.isfinite(case.exact))
@@ -25,6 +28,21 @@ def test_case_builds_clean(name):
         assert set(np.unique(case.labels)) <= {1, 2}
     rate = np.broadcast_to(np.asarray(case.rate, dtype=float), (case.mesh.n_nodes,))
     assert np.all(rate > 0.0)
+
+
+def test_cases_are_fixed_configurations():
+    # a registry name names one mesh: nothing about a case can be set
+    for name, builder in CASE_BUILDERS.items():
+        assert not inspect.signature(builder).parameters, name
+    public = [
+        fn
+        for name, fn in vars(cases).items()
+        if not name.startswith("_") and inspect.isfunction(fn) and fn.__module__ == cases.__name__
+    ]
+    assert len(public) == 8  # seven builders and build_case
+    for fn in public:
+        params = inspect.signature(fn).parameters.values()
+        assert all(p.default is inspect.Parameter.empty for p in params), fn.__name__
 
 
 def test_build_case_rejects_unknown_name():

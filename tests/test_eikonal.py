@@ -150,7 +150,7 @@ def test_half_fan_dissipation_rows_are_doubled():
 
 def system_for(mesh, rate=1.0, scale=0.25):
     cache = geom_cache(mesh)
-    return _System(mesh, cache, as_rate_field(mesh, rate), scale, cache.is_ignition)
+    return _System(mesh, cache, as_rate_field(mesh, rate), scale, mesh.node_markers == Marker.IGNITION)
 
 
 def pseudo_time_step(system, s, c):
@@ -172,11 +172,11 @@ def test_step_projects_symmetry_mean_onto_mirror_line():
     s = mesh.nodes[:, 1].copy()
     state, delta = pseudo_time_step(system, s, 0.1)
     nn = mesh.n_nodes
-    sym = np.flatnonzero((mesh.node_markers == Marker.SYMMETRY) & ~system.cache.is_ignition)
+    sym = np.flatnonzero(mesh.node_markers == Marker.SYMMETRY)
     assert len(sym) == 6
     np.testing.assert_array_equal(state.mean[nn + sym], 0.0)
     assert np.all(state.hcal[sym] > 1.0)
-    rest = np.flatnonzero((mesh.node_markers != Marker.SYMMETRY) & ~system.cache.is_ignition)
+    rest = np.flatnonzero((mesh.node_markers != Marker.SYMMETRY) & (mesh.node_markers != Marker.IGNITION))
     np.testing.assert_allclose(state.hcal[rest], 0.0, atol=1e-12)
     assert np.all(delta[sym] > 0.0)
     assert delta[sym].min() > 5.0 * np.abs(delta[rest]).max()
@@ -269,7 +269,7 @@ def test_step_matrix_holds_each_nodes_own_pseudo_time_step():
     mesh = quarter_annulus()  # radially graded triangle heights
     cache = geom_cache(mesh)
     rate = as_rate_field(mesh, lambda x, y: 2.0 + x)
-    held = cache.is_ignition.copy()
+    held = mesh.node_markers == Marker.IGNITION
     held[[60, 61, 140]] = True
     system = _System(mesh, cache, rate, 0.25, held)
     state = system.evaluate(system.warm_start(np.flatnonzero(held), np.zeros(np.count_nonzero(held))))
@@ -298,7 +298,7 @@ def test_jacobian_matches_central_differences(name, at):
     mesh = case.mesh
     system = system_for(mesh, case.rate, scale=case.config.dissipation_scale if case.config else 0.25)
     assert (mesh.node_markers == Marker.SYMMETRY).any()
-    held = np.flatnonzero(system.cache.is_ignition)
+    held = np.flatnonzero(mesh.node_markers == Marker.IGNITION)
     s = system.warm_start(held, np.zeros(len(held)))
     if at == "converged":
         s = solve(mesh, case.rate, config=case.config, cache=system.cache).s

@@ -227,15 +227,20 @@ def test_combine_markers_rank_order():
 def test_close_pairs_match_brute_force():
     # many exact duplicates and shared x coordinates, plus near misses
     rng = np.random.default_rng(2)
-    pts = rng.random((300, 2)).round(1)
-    pts[::7, 1] += 5e-10
-    pts[::11, 1] += 2e-9
+    scattered = rng.random((300, 2)).round(1)
+    scattered[::7, 1] += 5e-10
+    scattered[::11, 1] += 2e-9
+    # one long run of equal x, as along a straight seam, welded pairwise
+    y = np.linspace(0.0, 1.0, 400)
+    column = np.column_stack([np.full(800, 0.5), np.concatenate([y, y + 5e-10])])
+    column[::9, 0] += 2e-9
     tol = 1e-9
-    dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
-    want = set(zip(*np.nonzero(np.triu(dist <= tol, 1))))
-    got = _close_pairs(pts, tol)
-    assert len(got) == len(want) > 100
-    assert set(map(tuple, np.sort(got, axis=1))) == want
+    for pts in (scattered, column):
+        dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+        want = set(zip(*np.nonzero(np.triu(dist <= tol, 1))))
+        got = _close_pairs(pts, tol)
+        assert len(got) == len(want) > 100
+        assert set(map(tuple, np.sort(got, axis=1))) == want
 
 
 def test_merge_meshes_combines_markers_by_rank():
