@@ -38,13 +38,19 @@ node's own explicit stability limit, and J = dHcal/ds:
 
 Row i of dL/ds is the unit gradient of the triangle that attains L_i
 applied to that triangle's hat gradients; it is zero where L_i sits at
-the floor.  The CFL number c starts at 3 and grows by switched
-evolution/relaxation (Mulder & van Leer, JCP 59, 1985): after an
-accepted step c becomes min(2 c max(r_prev / r, 1), 1e10), with r the
-max |Hcal|; a step whose r is non-finite or more than doubles is
-rejected and c divided by 4.  As c grows the step turns into a Newton
-step, and the last iterations converge quadratically.  The iteration
-starts from graph distances: Dijkstra over the mesh edges weighted
+the floor.  The CFL number c starts at its ceiling 1e10, so the first
+step is all but a Newton step, damped by a backtracking line search
+(Kelley, Solving Nonlinear Equations with Newton's Method, SIAM 2003,
+ch. 1.6): a trial whose max |Hcal| r is non-finite or more than doubles
+is retried along the same delta at 1/2, 1/4, 1/8 and 1/16 of its
+length.  Only when all five trials fail is the step rejected and c
+divided by 4, which falls back on pseudo-transient continuation.  After
+an accepted step c becomes min(2 c max(r_prev / r, 1), 1e10) by
+switched evolution/relaxation (Mulder & van Leer, JCP 59, 1985), and
+the last iterations converge quadratically.  Once r is below
+convergence_tol, up to two chord steps with the last factor polish the
+field, each kept only if it lowers r.  The iteration starts from graph
+distances: Dijkstra over the mesh edges weighted
 len * 2 / (rate_a + rate_b), from the held nodes at their values.
 solve stops once max |Hcal| over the nodes not held falls below
 convergence_tol, or after max_steps iterations, rejected ones included.
@@ -52,8 +58,8 @@ convergence_tol, or after max_steps iterations, rejected ones included.
 A and D share one sparsity pattern, each node's one-ring plus the
 diagonal, and so does J.  Each iteration fills J's values into that
 pattern, slices the held rows and columns out through index arrays
-built once per solve, factors the matrix with SuperLU and frees the
-factor.  The arithmetic is the same on every run, so arrival fields
+built once per solve, and factors the matrix with SuperLU; the old
+factor is freed before the next one is made.  The arithmetic is the same on every run, so arrival fields
 stay bitwise deterministic, and doubling the rate doubles J and
 1/dt_i exactly while leaving Hcal unchanged, so s halves bitwise.
 
@@ -85,9 +91,12 @@ __all__ = [
 ]
 
 
-# CFL number of the first pseudo-time step, and its ceiling
-_CFL_START = 3.0
+# CFL number of the first pseudo-time step, which is also its ceiling
 _CFL_MAX = 1e10
+# times a step along one Newton direction is halved before it is rejected
+_HALVINGS = 4
+# chord steps with the last factor once the residual is below tolerance
+_CHORD_STEPS = 2
 
 
 class SolverError(RuntimeError):
@@ -102,7 +111,8 @@ class SolverConfig:
     smaller values smear curved fronts less; kept a power of two so the
     scaling stays exact in floating point.  solve stops once
     max |Hcal| over the nodes not held falls below convergence_tol, or
-    after max_steps pseudo-transient iterations, rejected ones included.
+    after max_steps iterations.  An iteration is one factorization and
+    the trials along its direction, at most five; a rejected one counts.
     """
 
     convergence_tol: float = 1e-6
@@ -313,24 +323,42 @@ def solve(
 
     system = _System(mesh, cache, rate, config.dissipation_scale, held)
     held_ids = np.flatnonzero(held)
+    free = system.free
     state = system.evaluate(system.warm_start(held_ids, values[held_ids]))
-    c = _CFL_START
+    c = _CFL_MAX
+    lu = None
     residuals, dts = [], []
     while state.max_residual >= config.convergence_tol and len(residuals) < config.max_steps:
         matrix, dt = system.matrix(state, c)
+        lu = None  # never hold two factors at once
         lu = splu(matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1, options=dict(SymmetricMode=True))
-        s = state.s.copy()
-        s[system.free] += lu.solve(state.hcal[system.free])
-        del lu
-        trial = system.evaluate(s)
-        r_prev, r = state.max_residual, trial.max_residual
-        if r <= 2.0 * r_prev:  # false for a non-finite r as well
-            c = min(c * 2.0 * max(r_prev / r, 1.0), _CFL_MAX) if r > 0.0 else _CFL_MAX
-            state = trial
+        delta = lu.solve(state.hcal[free])
+        r_prev = state.max_residual
+        for k in range(_HALVINGS + 1):
+            s = state.s.copy()
+            s[free] += delta * 0.5**k
+            trial = system.evaluate(s)
+            r = trial.max_residual
+            if r <= 2.0 * r_prev:  # false for a non-finite r as well
+                c = min(c * 2.0 * max(r_prev / r, 1.0), _CFL_MAX) if r > 0.0 else _CFL_MAX
+                state = trial
+                break
         else:
             c /= 4.0
         residuals.append(state.max_residual)
         dts.append(dt)
+
+    if lu is not None and state.max_residual < config.convergence_tol:
+        # polish with the last factor, within its evaluation budget; the
+        # history ends on the field returned
+        for _ in range(min(_CHORD_STEPS, _HALVINGS - k)):
+            s = state.s.copy()
+            s[free] += lu.solve(state.hcal[free])
+            trial = system.evaluate(s)
+            if not trial.max_residual < state.max_residual:
+                break
+            state = trial
+        residuals[-1] = state.max_residual
 
     return ArrivalField(
         s=state.s,

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -192,8 +194,8 @@ def validate_mesh(mesh: Mesh) -> None:
     # once.  Three triangles on one edge must repeat one of its two
     # directions, so this also rejects non-manifold edges.
     de = _directed_edges(tris)
-    keys = de[:, 0].astype(np.int64) * nn + de[:, 1]
-    if len(np.unique(keys)) != len(keys):
+    keys = np.sort(de[:, 0].astype(np.int64) * nn + de[:, 1])
+    if np.any(keys[1:] == keys[:-1]):
         raise MeshError(
             "duplicated directed edge (inconsistent orientation, doubled triangle "
             "or edge on more than two triangles)"
@@ -228,25 +230,63 @@ def save_mesh(mesh: Mesh) -> str:
     return "\n".join(out) + "\n"
 
 
+def _node_block(recs: list) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Node arrays of well-formed node records, column by column; None
+    when any record is malformed, so the caller can name its line."""
+    n = len(recs)
+    counts = np.fromiter(map(len, recs), np.int64, n)
+    if np.any((counts != 3) & (counts != 4)):
+        return None
+    try:
+        nodes = np.empty((n, 2), dtype=np.float64)
+        nodes[:, 0] = np.fromiter(map(float, map(itemgetter(0), recs)), np.float64, n)
+        nodes[:, 1] = np.fromiter(map(float, map(itemgetter(1), recs)), np.float64, n)
+        markers = np.fromiter(map(int, map(itemgetter(2), recs)), np.int64, n)
+        four = np.flatnonzero(counts == 4)
+        symline = np.full(n, -1, dtype=np.int64)
+        symline[four] = np.fromiter((int(recs[i][3]) for i in four.tolist()), np.int64, len(four))
+    except (ValueError, OverflowError):
+        return None
+    if np.any((markers == Marker.SYMMETRY) != (counts == 4)):
+        return None
+    return nodes, markers, symline
+
+
+def _triangle_block(recs: list) -> np.ndarray | None:
+    """Triangle array of well-formed triangle records; None when any
+    record is malformed, so the caller can name its line."""
+    n = len(recs)
+    if any(len(rec) != 3 for rec in recs):
+        return None
+    try:
+        return np.fromiter(map(int, chain.from_iterable(recs)), np.int64, 3 * n).reshape(n, 3)
+    except (ValueError, OverflowError):
+        return None
+
+
 def load_mesh(text: str) -> Mesh:
-    """Parse and validate a mesh document; errors carry line numbers."""
-    records = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            records.append((ln, body.split()))
+    """Parse and validate a mesh document; errors carry line numbers.
 
-    if not records:
+    The node and triangle blocks are parsed as arrays; a block with a
+    malformed record is parsed again record by record to name its line.
+    """
+    rows = text.splitlines()
+    if "#" in text:
+        rows = [raw.split("#", 1)[0] for raw in rows]
+    recs = list(map(str.split, rows))
+    line_no = range(1, len(recs) + 1)
+    if not all(recs):
+        line_no = [ln for ln, rec in zip(line_no, recs) if rec]
+        recs = [rec for rec in recs if rec]
+    if not recs:
         raise MeshError("empty mesh document")
-    remaining = iter(records)
 
-    def take():
-        try:
-            return next(remaining)
-        except StopIteration:
-            raise MeshError("unexpected end of mesh document") from None
+    def take(k: int):
+        if k >= len(recs):
+            raise MeshError("unexpected end of mesh document")
+        return line_no[k], recs[k]
 
-    ln, head = take()
+    ln, head = take(0)
     if len(head) != 3:
         raise MeshError(f"line {ln}: header must be 'ntri nnode nsym'")
     try:
@@ -255,8 +295,8 @@ def load_mesh(text: str) -> Mesh:
         raise MeshError(f"line {ln}: header must hold three integers") from None
 
     lines = []
-    for _ in range(nsym):
-        ln, rec = take()
+    for k in range(1, 1 + nsym):
+        ln, rec = take(k)
         if len(rec) != 4:
             raise MeshError(f"line {ln}: symmetry line needs 'px py dx dy'")
         try:
@@ -265,42 +305,52 @@ def load_mesh(text: str) -> Mesh:
             raise MeshError(f"line {ln}: bad number in symmetry line") from None
         lines.append(SymmetryLine((px, py), (dx, dy)))
 
-    nodes = np.empty((nnode, 2), dtype=np.float64)
-    markers = np.empty(nnode, dtype=np.int64)
-    symline = np.full(nnode, -1, dtype=np.int64)
-    for i in range(nnode):
-        ln, rec = take()
-        if len(rec) not in (3, 4):
-            raise MeshError(f"line {ln}: node record needs 'x y marker [symline]'")
-        try:
-            nodes[i, 0] = float(rec[0])
-            nodes[i, 1] = float(rec[1])
-            markers[i] = int(rec[2])
-        except ValueError:
-            raise MeshError(f"line {ln}: bad number in node record") from None
-        if len(rec) == 4:
-            if markers[i] != Marker.SYMMETRY:
-                raise MeshError(f"line {ln}: symline given for a non-SYMMETRY node")
+    first = 1 + max(nsym, 0)
+    block = recs[first : first + max(nnode, 0)]
+    parsed = _node_block(block) if len(block) == nnode else None
+    if parsed is None:
+        nodes = np.empty((nnode, 2), dtype=np.float64)
+        markers = np.empty(nnode, dtype=np.int64)
+        symline = np.full(nnode, -1, dtype=np.int64)
+        for i in range(nnode):
+            ln, rec = take(first + i)
+            if len(rec) not in (3, 4):
+                raise MeshError(f"line {ln}: node record needs 'x y marker [symline]'")
             try:
-                symline[i] = int(rec[3])
+                nodes[i, 0] = float(rec[0])
+                nodes[i, 1] = float(rec[1])
+                markers[i] = int(rec[2])
             except ValueError:
-                raise MeshError(f"line {ln}: bad symline index") from None
-        elif markers[i] == Marker.SYMMETRY:
-            raise MeshError(f"line {ln}: SYMMETRY node missing its symline index")
+                raise MeshError(f"line {ln}: bad number in node record") from None
+            if len(rec) == 4:
+                if markers[i] != Marker.SYMMETRY:
+                    raise MeshError(f"line {ln}: symline given for a non-SYMMETRY node")
+                try:
+                    symline[i] = int(rec[3])
+                except ValueError:
+                    raise MeshError(f"line {ln}: bad symline index") from None
+            elif markers[i] == Marker.SYMMETRY:
+                raise MeshError(f"line {ln}: SYMMETRY node missing its symline index")
+    else:
+        nodes, markers, symline = parsed
 
-    tris = np.empty((ntri, 3), dtype=np.int64)
-    for i in range(ntri):
-        ln, rec = take()
-        if len(rec) != 3:
-            raise MeshError(f"line {ln}: triangle record needs 'i0 i1 i2'")
-        try:
-            tris[i] = [int(tok) for tok in rec]
-        except ValueError:
-            raise MeshError(f"line {ln}: bad node id in triangle record") from None
+    first += max(nnode, 0)
+    block = recs[first : first + max(ntri, 0)]
+    tris = _triangle_block(block) if len(block) == ntri else None
+    if tris is None:
+        tris = np.empty((ntri, 3), dtype=np.int64)
+        for i in range(ntri):
+            ln, rec = take(first + i)
+            if len(rec) != 3:
+                raise MeshError(f"line {ln}: triangle record needs 'i0 i1 i2'")
+            try:
+                tris[i] = [int(tok) for tok in rec]
+            except ValueError:
+                raise MeshError(f"line {ln}: bad node id in triangle record") from None
 
-    extra = next(remaining, None)
-    if extra is not None:
-        raise MeshError(f"line {extra[0]}: trailing records beyond declared counts")
+    first += max(ntri, 0)
+    if first < len(recs):
+        raise MeshError(f"line {line_no[first]}: trailing records beyond declared counts")
 
     mesh = Mesh(nodes, tris, markers, lines, symline)
     validate_mesh(mesh)

@@ -93,8 +93,13 @@ def isocontour_segments(mesh: Mesh, s: np.ndarray, tau: float):
     the segment's host triangle.  Crossings are computed once per mesh
     edge, so segments in adjacent triangles share endpoints exactly.
     """
+    return _segments(mesh, s, tau, _unique_edges(mesh.triangles))
+
+
+def _segments(mesh: Mesh, s: np.ndarray, tau: float, table):
+    """isocontour_segments on the edge table of _unique_edges."""
     v = _nudged(s, tau)
-    edges, tri_edge = _unique_edges(mesh.triangles)
+    edges, tri_edge = table
 
     va, vb = v[edges[:, 0]], v[edges[:, 1]]
     crossing = va * vb < 0.0
@@ -117,7 +122,12 @@ def isocontour_segments(mesh: Mesh, s: np.ndarray, tau: float):
 
 def isocontour(mesh: Mesh, s: np.ndarray, tau: float) -> list[np.ndarray]:
     """Chained isochrone polylines at level tau (possibly empty)."""
-    points, seg_edges, _ = isocontour_segments(mesh, s, tau)
+    return _isocontour(mesh, s, tau, _unique_edges(mesh.triangles))
+
+
+def _isocontour(mesh: Mesh, s: np.ndarray, tau: float, table) -> list[np.ndarray]:
+    """isocontour on the edge table of _unique_edges."""
+    points, seg_edges, _ = _segments(mesh, s, tau, table)
     nseg = len(seg_edges)
     if nseg == 0:
         return []
@@ -336,34 +346,33 @@ def emit_svg(
     vb = (lo[0] - pad, -(hi[1] + pad), hi[0] - lo[0] + 2 * pad, hi[1] - lo[1] + 2 * pad)
     stroke = 0.15 * pad
 
+    levels = [float(tau) for tau in levels]
+    if levels and s is None:
+        raise ValueError("isochrone levels need a field")
+    # one edge table for the underlay and every level
+    table = _unique_edges(mesh.triangles) if show_mesh or levels else None
+
     out = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{_g(vb[0])} {_g(vb[1])} {_g(vb[2])} {_g(vb[3])}">',
+        '<?xml version="1.0" encoding="UTF-8"?>\n',
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{_g(vb[0])} {_g(vb[1])} {_g(vb[2])} {_g(vb[3])}">\n',
     ]
     if show_mesh:
-        edges, _ = _unique_edges(mesh.triangles)
-        frags = []
-        for a, b in edges:
-            frags.append(
-                f"M {_g(mesh.nodes[a, 0])} {_g(-mesh.nodes[a, 1])} "
-                f"L {_g(mesh.nodes[b, 0])} {_g(-mesh.nodes[b, 1])}"
-            )
-        out.append(
-            f'<path d="{" ".join(frags)}" fill="none" stroke="#cccccc" stroke-width="{_g(0.5 * stroke)}"/>'
-        )
+        xs = [_g(x) for x in mesh.nodes[:, 0].tolist()]
+        ys = [_g(-y) for y in mesh.nodes[:, 1].tolist()]
+        path = " ".join([f"M {xs[a]} {ys[a]} L {xs[b]} {ys[b]}" for a, b in table[0].tolist()])
+        # the path is the bulk of the document: joined in place, not copied
+        out += ['<path d="', path, f'" fill="none" stroke="#cccccc" stroke-width="{_g(0.5 * stroke)}"/>\n']
     for tau in levels:
-        if s is None:
-            raise ValueError("isochrone levels need a field")
-        out.append(f'<g class="isochrone" data-tau="{_g(float(tau))}">')
-        for poly in isocontour(mesh, s, float(tau)):
-            pts = " ".join(f"{_g(x)},{_g(-y)}" for x, y in poly)
+        out.append(f'<g class="isochrone" data-tau="{_g(tau)}">\n')
+        for poly in _isocontour(mesh, s, tau, table):
+            pts = " ".join([f"{_g(x)},{_g(-y)}" for x, y in poly.tolist()])
             out.append(
-                f'<polyline points="{pts}" fill="none" stroke="#1f77b4" stroke-width="{_g(stroke)}"/>'
+                f'<polyline points="{pts}" fill="none" stroke="#1f77b4" stroke-width="{_g(stroke)}"/>\n'
             )
-        out.append("</g>")
+        out.append("</g>\n")
     if contour is not None:
         out.append(
-            f'<path d="{_svg_path_of_contour(contour)}" fill="none" stroke="#d62728" stroke-width="{_g(stroke)}"/>'
+            f'<path d="{_svg_path_of_contour(contour)}" fill="none" stroke="#d62728" stroke-width="{_g(stroke)}"/>\n'
         )
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    out.append("</svg>\n")
+    return "".join(out)

@@ -1,6 +1,6 @@
 """Shared fixtures.
 
-The expensive arrival-time solves (star is ~0.6 s) are cached per
+The expensive arrival-time solves (star is ~0.35 s) are cached per
 case name for the whole session so the acceptance tests, the curve tests,
 and the CLI tests all reuse one run.
 """

@@ -159,7 +159,7 @@ def test_solve_from_mesh_file_writes_field_and_residuals(tmp_path, capsys):
 
 def test_solve_nonconvergence_exits_1(tmp_path, capsys):
     out = tmp_path / "field.csv"
-    argv = ["solve", "--case", "annulus", "--out", str(out), "--max-steps", "2"]
+    argv = ["solve", "--case", "annulus", "--out", str(out), "--max-steps", "1"]
     assert main(argv) == 1
     assert "convergence_tol" in capsys.readouterr().err
     assert out.exists()  # partial field still written for inspection

@@ -7,7 +7,7 @@ import pytest
 from scipy.sparse import csr_array
 
 from burnback import eikonal
-from burnback.cases import build_case
+from burnback.cases import CASE_BUILDERS, build_case
 from burnback.eikonal import (
     SolverConfig,
     SolverError,
@@ -322,9 +322,11 @@ def test_jacobian_matches_central_differences(name, at):
 
 
 def test_step_field_stays_nonnegative_while_marching():
+    # a tenfold rate jump takes enough iterations to watch the field move
     mesh = quarter_annulus(8, 12)
+    rate = lambda x, y: np.where(x > 1.0, 10.0, 1.0)  # noqa: E731
     for k in range(1, 30):
-        field = solve(mesh, 1.0, config=SolverConfig(max_steps=k))
+        field = solve(mesh, rate, config=SolverConfig(max_steps=k))
         assert field.s.min() >= 0.0
         if field.converged:
             break
@@ -460,18 +462,19 @@ def test_solve_two_layer_rate():
 
 def test_solve_reports_nonconvergence():
     mesh = quarter_annulus(8, 12)
-    field = solve(mesh, 1.0, config=SolverConfig(max_steps=2))
+    field = solve(mesh, 1.0, config=SolverConfig(max_steps=1))
     assert not field.converged
-    assert field.n_steps == 2
-    assert len(field.residual_history) == len(field.dt_history) == 2
+    assert field.n_steps == 1
+    assert len(field.residual_history) == len(field.dt_history) == 1
     assert field.residual_history[-1] >= SolverConfig().convergence_tol
 
 
 def test_rejected_steps_count_toward_max_steps(monkeypatch):
-    # a first step at c = 1e10 is a full Newton step from the graph
-    # distance, which overshoots across a tenfold rate jump: each rejected
-    # step keeps the field, quarters c and still counts as an iteration
-    monkeypatch.setattr(eikonal, "_CFL_START", 1e10)
+    # the first step at c = 1e10 is a full Newton step from the graph
+    # distance, which overshoots across a tenfold rate jump; without
+    # halvings each rejected step keeps the field, quarters c and still
+    # counts as an iteration
+    monkeypatch.setattr(eikonal, "_HALVINGS", 0)
     mesh = quarter_annulus(8, 12)
     rate = lambda x, y: np.where(x > 1.0, 10.0, 1.0)  # noqa: E731
     field = solve(mesh, rate, config=SolverConfig(max_steps=4))
@@ -480,3 +483,49 @@ def test_rejected_steps_count_toward_max_steps(monkeypatch):
     np.testing.assert_array_equal(field.dt_history[1:], field.dt_history[:-1] / 4.0)
     first = solve(mesh, rate, config=SolverConfig(max_steps=1))
     np.testing.assert_array_equal(field.s, first.s)
+
+
+@pytest.mark.parametrize("name", sorted(CASE_BUILDERS))
+def test_registry_cases_converge_within_eight_iterations(solved, name):
+    case, field, _ = solved(name)
+    assert field.converged and field.n_steps <= 8
+    if field.n_steps:
+        # the history ends on the residual of the field returned
+        system = system_for(case.mesh, case.rate, case.config.dissipation_scale if case.config else 0.25)
+        assert field.residual_history[-1] == system.evaluate(field.s).max_residual
+
+
+def test_rate_jump_converges_through_a_shortened_step(monkeypatch):
+    # across a tenfold rate jump the full Newton step from the graph
+    # distance overshoots; a step accepted at a fraction of its length
+    # shows as a factorization whose first trial more than doubles the
+    # residual and whose iteration still moves the field
+    events = []
+    factor, evaluate = eikonal.splu, _System.evaluate
+
+    def logged_factor(*args, **kwargs):
+        events.append(None)
+        return factor(*args, **kwargs)
+
+    def logged_evaluate(self, s):
+        state = evaluate(self, s)
+        events.append(state.max_residual)
+        return state
+
+    monkeypatch.setattr(eikonal, "splu", logged_factor)
+    monkeypatch.setattr(_System, "evaluate", logged_evaluate)
+    mesh = quarter_annulus(8, 12)
+    field = solve(mesh, lambda x, y: np.where(x > 1.0, 10.0, 1.0))
+    assert field.converged and field.n_steps <= 10
+
+    starts = [k for k, e in enumerate(events) if e is None]
+    assert len(starts) == field.n_steps
+    trials = [events[a + 1 : b] for a, b in zip(starts, starts[1:] + [len(events)])]
+    assert all(1 <= len(t) <= 5 for t in trials)
+    before = np.concatenate([[events[0]], field.residual_history[:-1]])
+    shortened = [
+        k
+        for k, t in enumerate(trials[:-1])
+        if t[0] > 2.0 * before[k] and field.residual_history[k] != before[k]
+    ]
+    assert shortened

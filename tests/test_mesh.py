@@ -366,3 +366,17 @@ def test_geom_cache_names_symmetry_node_without_a_line():
     sym = np.flatnonzero(mesh.node_markers == Marker.SYMMETRY)
     assert len(sym) == 5
     np.testing.assert_array_equal(cache.mean_grad.toarray()[mesh.n_nodes + sym], 0.0)
+
+
+def test_load_mesh_line_numbers_count_comments_and_blank_lines():
+    mesh = gen_rect(3, 2, 1.0, 1.0, markers={"bottom": Marker.SYMMETRY})
+    lines = save_mesh(mesh).splitlines()
+    doc = ["# a mesh", lines[0], "", *lines[1:4], "   # note", *lines[4:]]
+    again = load_mesh("\n".join(doc))
+    assert save_mesh(again) == "\n".join(lines) + "\n"
+    doc[-1] = "0 1 x"
+    with pytest.raises(MeshError, match=f"line {len(doc)}: bad node id"):
+        load_mesh("\n".join(doc))
+    doc[5] = doc[5].split()[0] + " 0.0 3"
+    with pytest.raises(MeshError, match="line 6: SYMMETRY node missing its symline index"):
+        load_mesh("\n".join(doc))

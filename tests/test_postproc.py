@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 
 import numpy as np
 import pytest
 
+from burnback import postproc
 from burnback.contour import make_circle
 from burnback.eikonal import SolverConfig, solve
 from burnback.mesh import Marker, gen_coons, gen_rect
 from burnback.postproc import (
+    _g,
     burn_curves,
     emit_csv,
     emit_svg,
@@ -201,7 +204,10 @@ def test_emit_csv_field_and_residuals(planar, radial):
     assert data.shape == (mesh.n_nodes, 4)
     np.testing.assert_allclose(data[:, 3], s, rtol=1e-11)
 
-    field = solve(radial[0], 1.0, config=SolverConfig(max_steps=3))
+    # the tenfold rate jump needs more than 3 iterations
+    jump = lambda x, y: np.where(x > 1.0, 10.0, 1.0)  # noqa: E731
+    field = solve(radial[0], jump, config=SolverConfig(max_steps=3))
+    assert not field.converged
     head, data = parse_csv(emit_csv(field))
     assert head == ["step", "dt", "max_residual"]
     assert data.shape == (3, 3)
@@ -242,3 +248,30 @@ def test_emit_svg_levels_need_field(planar):
     mesh, _ = planar
     with pytest.raises(ValueError, match="field"):
         emit_svg(mesh, None, levels=(0.5,))
+
+
+def test_emit_svg_builds_one_edge_table(planar, monkeypatch):
+    mesh, s = planar
+    calls = []
+    build = postproc._unique_edges
+
+    def counted(tri):
+        calls.append(len(tri))
+        return build(tri)
+
+    monkeypatch.setattr(postproc, "_unique_edges", counted)
+    emit_svg(mesh, s, levels=(0.5, 1.0, 1.5))
+    assert calls == [mesh.n_triangles]
+
+
+@pytest.mark.parametrize("name", ["star", "bistar"])
+def test_emit_svg_groups_hold_the_isocontour_polylines(solved, name):
+    case, field, _ = solved(name)
+    levels = [k * field.s.max() / 9.0 for k in range(1, 9)]
+    svg = emit_svg(case.mesh, field.s, levels=levels, contour=case.port)
+    groups = re.findall(r'<g class="isochrone" data-tau="([^"]*)">\n(.*?)</g>', svg, flags=re.S)
+    assert [tau for tau, _ in groups] == [_g(tau) for tau in levels]
+    for tau, (_, body) in zip(levels, groups):
+        drawn = re.findall(r'<polyline points="([^"]*)"', body)
+        expected = [" ".join(f"{_g(x)},{_g(-y)}" for x, y in poly) for poly in isocontour(case.mesh, field.s, tau)]
+        assert expected and drawn == expected
