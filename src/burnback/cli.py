@@ -4,7 +4,8 @@ Configuration is flags-only so every run can be reproduced by quoting
 its command line; --dump-spec on any subcommand prints the resolved
 RunSpec first for archival.  Exit codes: 0 success, 1 numeric failure
 (non-convergence or a verification threshold breach; also any module
-error, reported to stderr as module.ExceptionName), 2 usage.
+error, reported to stderr as module.ExceptionName), 2 usage (also an
+empty path and a level count below 1).
 """
 
 import argparse
@@ -42,6 +43,12 @@ class RunSpec:
             if key in self.options and self.options[key] is not None:
                 if not str(self.options[key]):
                     raise ValueError(f"--{key.replace('_', '-')} must not be empty")
+
+
+def _positive_int(text: str) -> int:
+    if not (text.strip().isdecimal() and int(text) > 0):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return int(text)
 
 
 def _add_dump(p: argparse.ArgumentParser) -> None:
@@ -88,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     crv.add_argument("--out", required=True, help="CSV tau,P_b,A_p,A_eq[,A_b]")
     crv.add_argument("--tau-min", type=float, default=None)
     crv.add_argument("--tau-max", type=float, default=None)
-    crv.add_argument("--tau-count", type=int, default=33)
+    crv.add_argument("--tau-count", type=_positive_int, default=33)
     crv.add_argument("--grain-length", type=float, default=None)
     _add_solver_flags(crv)
     _add_dump(crv)
@@ -97,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ctr.add_argument("--case", required=True, choices=cases)
     ctr.add_argument("--out", required=True, help="SVG path")
     ctr.add_argument("--levels", default=None, help="comma-separated tau values")
-    ctr.add_argument("--nlevels", type=int, default=8)
+    ctr.add_argument("--nlevels", type=_positive_int, default=8)
     ctr.add_argument("--no-mesh", action="store_true", help="omit the mesh underlay")
     _add_solver_flags(ctr)
     _add_dump(ctr)
@@ -131,11 +138,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def parse_args(argv) -> RunSpec:
-    ns = _build_parser().parse_args(list(argv))
-    options = vars(ns)
+    parser = _build_parser()
+    options = vars(parser.parse_args(list(argv)))
     cmd = options.pop("cmd")
     subname = options.pop("sub", None)
-    return RunSpec(f"{cmd}-{subname}" if subname else cmd, options)
+    try:
+        return RunSpec(f"{cmd}-{subname}" if subname else cmd, options)
+    except ValueError as exc:  # an empty path: a usage error like argparse's own
+        parser.error(str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +258,9 @@ def _cmd_contours(opt: dict) -> int:
         levels = [float(tok) for tok in opt["levels"].split(",") if tok.strip()]
         if not levels:
             raise ValueError("--levels must hold at least one tau value")
+        bad = [tau for tau in levels if not math.isfinite(tau)]
+        if bad:
+            raise ValueError(f"--levels value {bad[0]} is not a finite tau")
     else:
         k = np.arange(1, opt["nlevels"] + 1)
         levels = list(case.depth * k / (opt["nlevels"] + 1.0))

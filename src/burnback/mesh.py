@@ -5,7 +5,7 @@ sparse operators and node heights consumed by the front solver.
 
 Text format, line oriented, '#' starts a comment:
 
-    ntri nnode nsym
+    ntri nnode nsym        record counts, non-negative integers
     px py dx dy            one line per symmetry line (point, unit direction)
     x y marker [symline]   one line per node; symline only for marker 3
     i0 i1 i2               one line per triangle, 0-based node ids, CCW
@@ -16,6 +16,7 @@ exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 from itertools import chain
@@ -66,13 +67,18 @@ class SymmetryLine:
 
     def __post_init__(self):
         p = (float(self.point[0]), float(self.point[1]))
-        d = np.array([self.direction[0], self.direction[1]], dtype=float)
-        n = float(np.sqrt(d[0] * d[0] + d[1] * d[1]))
-        if not np.isfinite(n) or n == 0.0:
+        d = (float(self.direction[0]), float(self.direction[1]))
+        if not all(map(math.isfinite, p)):
+            raise MeshError("symmetry line point must be finite")
+        if not all(map(math.isfinite, d)):
+            raise MeshError("symmetry line direction must be finite")
+        if d == (0.0, 0.0):
             raise MeshError("symmetry line needs a nonzero direction")
-        d = d / n
+        n = math.sqrt(d[0] * d[0] + d[1] * d[1])
+        if not 0.0 < n < math.inf:  # the squares under- or overflowed
+            n = math.hypot(*d)
         object.__setattr__(self, "point", p)
-        object.__setattr__(self, "direction", (float(d[0]), float(d[1])))
+        object.__setattr__(self, "direction", (d[0] / n, d[1] / n))
 
 
 @dataclass
@@ -138,8 +144,9 @@ def validate_mesh(mesh: Mesh) -> None:
         raise MeshError("nodes must be an (n, 2) array")
     if tris.ndim != 2 or tris.shape[1] != 3:
         raise MeshError("triangles must be an (n, 3) array")
-    if not np.all(np.isfinite(nodes)):
-        raise MeshError("non-finite node coordinate")
+    finite = np.isfinite(nodes).all(axis=1)
+    if not finite.all():
+        raise MeshError(f"non-finite coordinate at node {int(np.argmax(~finite))}")
     nn = len(nodes)
     if tris.size and (tris.min() < 0 or tris.max() >= nn):
         bad = int(np.argmax((tris < 0) | (tris >= nn)).item() // 3)
@@ -230,46 +237,74 @@ def save_mesh(mesh: Mesh) -> str:
     return "\n".join(out) + "\n"
 
 
-def _node_block(recs: list) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Node arrays of well-formed node records, column by column; None
-    when any record is malformed, so the caller can name its line."""
-    n = len(recs)
-    counts = np.fromiter(map(len, recs), np.int64, n)
-    if np.any((counts != 3) & (counts != 4)):
-        return None
-    try:
-        nodes = np.empty((n, 2), dtype=np.float64)
-        nodes[:, 0] = np.fromiter(map(float, map(itemgetter(0), recs)), np.float64, n)
-        nodes[:, 1] = np.fromiter(map(float, map(itemgetter(1), recs)), np.float64, n)
-        markers = np.fromiter(map(int, map(itemgetter(2), recs)), np.int64, n)
-        four = np.flatnonzero(counts == 4)
-        symline = np.full(n, -1, dtype=np.int64)
-        symline[four] = np.fromiter((int(recs[i][3]) for i in four.tolist()), np.int64, len(four))
-    except (ValueError, OverflowError):
-        return None
-    if np.any((markers == Marker.SYMMETRY) != (counts == 4)):
-        return None
-    return nodes, markers, symline
+def _first(bad: np.ndarray) -> int:
+    """Index of the first True in bad; len(bad) when there is none."""
+    return int(np.argmax(bad)) if bad.any() else len(bad)
 
 
-def _triangle_block(recs: list) -> np.ndarray | None:
-    """Triangle array of well-formed triangle records; None when any
-    record is malformed, so the caller can name its line."""
-    n = len(recs)
-    if any(len(rec) != 3 for rec in recs):
-        return None
+def _numbers(tokens: tuple | list, conv, dtype) -> np.ndarray:
+    """tokens converted by conv into dtype, cut short at the first token
+    that conv rejects or dtype cannot hold."""
     try:
-        return np.fromiter(map(int, chain.from_iterable(recs)), np.int64, 3 * n).reshape(n, 3)
+        return np.fromiter(map(conv, tokens), dtype, len(tokens))
     except (ValueError, OverflowError):
-        return None
+        good = []
+        for tok in tokens:
+            try:
+                good.append(dtype(conv(tok)))
+            except (ValueError, OverflowError):
+                break
+        return np.array(good, dtype)
+
+
+def _raise_first(line_no, *faults: tuple[int, str]) -> None:
+    """Raise the (record index, message) fault of the earliest record, the
+    first listed on a tie; an index of len(line_no) means no fault."""
+    at, msg = min(faults, key=itemgetter(0))
+    if at < len(line_no):
+        raise MeshError(f"line {line_no[at]}: {msg}")
+
+
+def _node_block(recs: list, line_no) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coordinates, markers and symline indices of the node records."""
+    width = np.fromiter(map(len, recs), np.int64, len(recs))
+    end = _first((width != 3) & (width != 4))
+    # each column is read up to the first bad token of the ones before it
+    cols = list(zip(*recs[:end])) or [()] * 3
+    x = _numbers(cols[0], float, np.float64)
+    y = _numbers(cols[1][: len(x)], float, np.float64)
+    markers = _numbers(cols[2][: len(y)], int, np.int64)
+    m = len(markers)
+    four, sym = width[:m] == 4, markers == Marker.SYMMETRY
+    given = np.flatnonzero(four)
+    index = _numbers([recs[i][3] for i in given.tolist()], int, np.int64)
+    _raise_first(
+        line_no,
+        (end, "node record needs 'x y marker [symline]'"),
+        (m, "bad number in node record"),
+        (_first(four & ~sym), "symline given for a non-SYMMETRY node"),
+        (_first(sym & ~four), "SYMMETRY node missing its symline index"),
+        (given[len(index)] if len(index) < len(given) else m, "bad symline index"),
+    )
+    symline = np.full(m, -1, dtype=np.int64)
+    symline[given] = index
+    return np.column_stack([x, y]), markers, symline
+
+
+def _triangle_block(recs: list, line_no) -> np.ndarray:
+    """(n, 3) node ids of the triangle records."""
+    end = _first(np.fromiter(map(len, recs), np.int64, len(recs)) != 3)
+    ids = _numbers(list(chain.from_iterable(recs[:end])), int, np.int64)
+    _raise_first(
+        line_no,
+        (end, "triangle record needs 'i0 i1 i2'"),
+        (len(ids) // 3, "bad node id in triangle record"),
+    )
+    return ids.reshape(-1, 3)
 
 
 def load_mesh(text: str) -> Mesh:
-    """Parse and validate a mesh document; errors carry line numbers.
-
-    The node and triangle blocks are parsed as arrays; a block with a
-    malformed record is parsed again record by record to name its line.
-    """
+    """Parse and validate a mesh document; errors carry line numbers."""
     rows = text.splitlines()
     if "#" in text:
         rows = [raw.split("#", 1)[0] for raw in rows]
@@ -281,76 +316,36 @@ def load_mesh(text: str) -> Mesh:
     if not recs:
         raise MeshError("empty mesh document")
 
-    def take(k: int):
-        if k >= len(recs):
-            raise MeshError("unexpected end of mesh document")
-        return line_no[k], recs[k]
-
-    ln, head = take(0)
-    if len(head) != 3:
-        raise MeshError(f"line {ln}: header must be 'ntri nnode nsym'")
+    if len(recs[0]) != 3:
+        raise MeshError(f"line {line_no[0]}: header must be 'ntri nnode nsym'")
     try:
-        ntri, nnode, nsym = (int(tok) for tok in head)
+        ntri, nnode, nsym = map(int, recs[0])
     except ValueError:
-        raise MeshError(f"line {ln}: header must hold three integers") from None
+        raise MeshError(f"line {line_no[0]}: header must hold three integers") from None
+    if min(ntri, nnode, nsym) < 0:
+        raise MeshError(f"line {line_no[0]}: header counts must be non-negative")
 
     lines = []
-    for k in range(1, 1 + nsym):
-        ln, rec = take(k)
+    for ln, rec in zip(line_no[1 : 1 + nsym], recs[1 : 1 + nsym]):
         if len(rec) != 4:
             raise MeshError(f"line {ln}: symmetry line needs 'px py dx dy'")
         try:
-            px, py, dx, dy = (float(tok) for tok in rec)
+            px, py, dx, dy = map(float, rec)
         except ValueError:
             raise MeshError(f"line {ln}: bad number in symmetry line") from None
-        lines.append(SymmetryLine((px, py), (dx, dy)))
+        try:
+            lines.append(SymmetryLine((px, py), (dx, dy)))
+        except MeshError as exc:
+            raise MeshError(f"line {ln}: {exc}") from None
 
-    first = 1 + max(nsym, 0)
-    block = recs[first : first + max(nnode, 0)]
-    parsed = _node_block(block) if len(block) == nnode else None
-    if parsed is None:
-        nodes = np.empty((nnode, 2), dtype=np.float64)
-        markers = np.empty(nnode, dtype=np.int64)
-        symline = np.full(nnode, -1, dtype=np.int64)
-        for i in range(nnode):
-            ln, rec = take(first + i)
-            if len(rec) not in (3, 4):
-                raise MeshError(f"line {ln}: node record needs 'x y marker [symline]'")
-            try:
-                nodes[i, 0] = float(rec[0])
-                nodes[i, 1] = float(rec[1])
-                markers[i] = int(rec[2])
-            except ValueError:
-                raise MeshError(f"line {ln}: bad number in node record") from None
-            if len(rec) == 4:
-                if markers[i] != Marker.SYMMETRY:
-                    raise MeshError(f"line {ln}: symline given for a non-SYMMETRY node")
-                try:
-                    symline[i] = int(rec[3])
-                except ValueError:
-                    raise MeshError(f"line {ln}: bad symline index") from None
-            elif markers[i] == Marker.SYMMETRY:
-                raise MeshError(f"line {ln}: SYMMETRY node missing its symline index")
-    else:
-        nodes, markers, symline = parsed
-
-    first += max(nnode, 0)
-    block = recs[first : first + max(ntri, 0)]
-    tris = _triangle_block(block) if len(block) == ntri else None
-    if tris is None:
-        tris = np.empty((ntri, 3), dtype=np.int64)
-        for i in range(ntri):
-            ln, rec = take(first + i)
-            if len(rec) != 3:
-                raise MeshError(f"line {ln}: triangle record needs 'i0 i1 i2'")
-            try:
-                tris[i] = [int(tok) for tok in rec]
-            except ValueError:
-                raise MeshError(f"line {ln}: bad node id in triangle record") from None
-
-    first += max(ntri, 0)
-    if first < len(recs):
-        raise MeshError(f"line {line_no[first]}: trailing records beyond declared counts")
+    # a block that runs past the last record is reported after its records
+    a, b, c = 1 + nsym, 1 + nsym + nnode, 1 + nsym + nnode + ntri
+    nodes, markers, symline = _node_block(recs[a:b], line_no[a:b])
+    tris = _triangle_block(recs[b:c], line_no[b:c])
+    if c > len(recs):
+        raise MeshError("unexpected end of mesh document")
+    if c < len(recs):
+        raise MeshError(f"line {line_no[c]}: trailing records beyond declared counts")
 
     mesh = Mesh(nodes, tris, markers, lines, symline)
     validate_mesh(mesh)

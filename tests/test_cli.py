@@ -73,6 +73,25 @@ def test_usage_errors_exit_2():
     assert main(["--help"]) == 0
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["solve", "--case", "rect", "--out", ""], "--out"),
+        (["mesh", "info", "--mesh", ""], "--mesh"),
+        (["solve", "--case", "rect", "--out", "f.csv", "--residuals", ""], "--residuals"),
+        (["curves", "--case", "rect", "--out", "c.csv", "--tau-count", "0"], "--tau-count"),
+        (["contours", "--case", "rect", "--out", "c.svg", "--nlevels", "0"], "--nlevels"),
+    ],
+    ids=["out", "mesh", "residuals", "tau-count", "nlevels"],
+)
+def test_empty_paths_and_zero_counts_exit_2(argv, flag, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and flag in err
+    assert not any(tmp_path.iterdir())
+
+
 # ------------------------------------------------------------------ formulas
 
 
@@ -210,6 +229,22 @@ def test_contours_level_count(tmp_path):
     svg = out.read_text()
     assert svg.count('<g class="isochrone"') == 2
     assert 'data-tau="0.5"' in svg
+
+
+def test_contours_rejects_nonfinite_level(tmp_path, capsys):
+    out = tmp_path / "iso.svg"
+    argv = ["contours", "--case", "rect", "--out", str(out), "--levels", "0.5,nan"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("cli.ValueError: --levels value nan ")
+    assert not out.exists()
+
+
+def test_mesh_info_names_the_line_of_an_oversized_id(tmp_path, capsys):
+    path = tmp_path / "big.mesh"
+    path.write_text("1 3 0\n0 0 1\n1 0 0\n0 1 0\n0 1 99999999999999999999999\n")
+    assert main(["mesh", "info", "--mesh", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "mesh.MeshError: line 5: bad node id in triangle record\n"
 
 
 def test_artifacts_are_byte_identical_across_reruns(tmp_path):

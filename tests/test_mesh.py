@@ -162,6 +162,168 @@ def test_load_mesh_rejects_trailing_records():
         load_mesh(text + "0 1 2\n")
 
 
+# save_mesh of a 2x1 block with an ignition left side and a symmetry
+# bottom: header on line 1, the symmetry line on line 2, nodes on lines
+# 3-8 (nodes 1 and 2 SYMMETRY), triangles on lines 9-12.
+DOC = [
+    "4 6 1",
+    "0 0 1 0",
+    "0 0 1",
+    "0.5 0 3 0",
+    "1 0 3 0",
+    "0 1 1",
+    "0.5 1 2",
+    "1 1 2",
+    "0 1 4",
+    "0 4 3",
+    "1 2 5",
+    "1 5 4",
+]
+
+
+def edited(edits: dict, padded: bool) -> str:
+    """DOC with lines replaced (a key one past the end appends); padded
+    adds two leading comment/blank lines and a comment on every record."""
+    lines = list(DOC)
+    for ln, text in edits.items():
+        lines[ln - 1 : ln] = [text]
+    if padded:
+        lines = ["# a mesh", "", *(f"{rec}  # note" for rec in lines)]
+    return "\n".join(lines)
+
+
+# (edits, message, line the message names); "{}" in a message stands for
+# that line, which moves down by 2 in the padded document
+LOAD_ERRORS = {
+    "header-width": ({1: "4 6"}, "line {}: header must be 'ntri nnode nsym'", 1),
+    "header-long": ({1: "4 6 1 0"}, "line {}: header must be 'ntri nnode nsym'", 1),
+    "header-word": ({1: "4 6 x"}, "line {}: header must hold three integers", 1),
+    "header-float": ({1: "4 6 1.0"}, "line {}: header must hold three integers", 1),
+    "symline-width": ({2: "0 0 1"}, "line {}: symmetry line needs 'px py dx dy'", 2),
+    "symline-number": ({2: "0 0 1 x"}, "line {}: bad number in symmetry line", 2),
+    "node-short": ({3: "0 0"}, "line {}: node record needs 'x y marker [symline]'", 3),
+    "node-long": ({3: "0 0 1 0 0"}, "line {}: node record needs 'x y marker [symline]'", 3),
+    "node-x": ({3: "x 0 1"}, "line {}: bad number in node record", 3),
+    "node-y": ({6: "0 y 1"}, "line {}: bad number in node record", 6),
+    "node-marker": ({3: "0 0 1.5"}, "line {}: bad number in node record", 3),
+    "node-extra-symline": ({3: "0 0 1 0"}, "line {}: symline given for a non-SYMMETRY node", 3),
+    "node-bad-symline": ({4: "0.5 0 3 x"}, "line {}: bad symline index", 4),
+    "node-no-symline": ({5: "1 0 3"}, "line {}: SYMMETRY node missing its symline index", 5),
+    "tri-short": ({9: "0 1"}, "line {}: triangle record needs 'i0 i1 i2'", 9),
+    "tri-long": ({12: "1 5 4 0"}, "line {}: triangle record needs 'i0 i1 i2'", 12),
+    "tri-id": ({10: "0 4 x"}, "line {}: bad node id in triangle record", 10),
+    "trailing": ({13: "0 1 2"}, "line {}: trailing records beyond declared counts", 13),
+    # a wrong header count shifts the blocks, and the error names the
+    # first record that no longer fits
+    "nnode-high": ({1: "4 7 1"}, "unexpected end of mesh document", None),
+    "nnode-low": ({1: "4 5 1"}, "line {}: trailing records beyond declared counts", 12),
+    "ntri-high": ({1: "5 6 1"}, "unexpected end of mesh document", None),
+    "ntri-low": ({1: "3 6 1"}, "line {}: trailing records beyond declared counts", 12),
+    "nsym-high": ({1: "4 6 2"}, "line {}: symmetry line needs 'px py dx dy'", 3),
+    "nsym-low": ({1: "4 6 0"}, "line {}: symline given for a non-SYMMETRY node", 2),
+    "nnode-into-tris": (
+        {1: "4 7 1", 9: "0 1 3"}, "line {}: SYMMETRY node missing its symline index", 9
+    ),
+    # within a record: width, then numbers, then the symline token
+    "width-before-number": ({3: "0 0 x 0 0"}, "line {}: node record needs 'x y marker [symline]'", 3),
+    "number-before-symline": ({4: "x 0 3"}, "line {}: bad number in node record", 4),
+    "extra-before-bad-symline": ({3: "0 0 1 x"}, "line {}: symline given for a non-SYMMETRY node", 3),
+    # across records: the earliest line, whatever the kind
+    "number-before-width": ({8: "1 1", 3: "x 0 1"}, "line {}: bad number in node record", 3),
+    "marker-before-y": ({6: "0 y 1", 4: "0.5 0 q 0"}, "line {}: bad number in node record", 4),
+    "bad-before-extra-symline": ({5: "1 0 3 x", 6: "0 1 1 0"}, "line {}: bad symline index", 5),
+    "missing-before-extra-symline": (
+        {4: "0.5 0 3", 6: "0 1 1 0"}, "line {}: SYMMETRY node missing its symline index", 4
+    ),
+    "node-before-tri": ({11: "1 2", 7: "0.5 1 3"}, "line {}: SYMMETRY node missing its symline index", 7),
+    "tri-id-before-width": ({12: "1 5", 9: "0 1 x"}, "line {}: bad node id in triangle record", 9),
+    "tri-width-before-id": ({10: "0 4", 12: "1 x 4"}, "line {}: triangle record needs 'i0 i1 i2'", 10),
+    # well-formed records that break a mesh invariant
+    "marker-value": ({3: "0 0 7"}, "invalid marker value at node 0", None),
+    "tri-range": ({9: "0 1 6"}, "triangle 0 references a node outside 0..5", None),
+    "symline-range": ({4: "0.5 0 3 1"}, "SYMMETRY node 1 has no valid symmetry line reference", None),
+    "off-line": ({4: "0.5 0.25 3 0"}, "SYMMETRY node 1 lies off symmetry line 0 by 2.500e-01", None),
+    "clockwise": (
+        {9: "0 4 1"}, "non-positive triangle area (clockwise or degenerate): triangles [0]", None
+    ),
+}
+
+
+@pytest.mark.parametrize("padded", [False, True], ids=["plain", "padded"])
+@pytest.mark.parametrize("name", sorted(LOAD_ERRORS))
+def test_load_mesh_error_table(name, padded):
+    edits, message, line = LOAD_ERRORS[name]
+    assert load_mesh(edited({}, padded)).n_nodes == 6
+    with pytest.raises(MeshError) as exc:
+        load_mesh(edited(edits, padded))
+    assert str(exc.value) == message.format(line + 2 * padded if line else None)
+
+
+@pytest.mark.parametrize("text", ["", "\n  \n", "# comment only\n\n"])
+def test_load_mesh_empty_document(text):
+    with pytest.raises(MeshError, match="^empty mesh document$"):
+        load_mesh(text)
+
+
+# faults that escaped as numpy errors, bare OverflowErrors or wrong
+# messages, or loaded silently
+NEW_ERRORS = {
+    "ntri-negative": ({1: "-1 6 1"}, "line 1: header counts must be non-negative"),
+    "nnode-negative": ({1: "4 -6 1"}, "line 1: header counts must be non-negative"),
+    "nsym-negative": ({1: "4 6 -1"}, "line 1: header counts must be non-negative"),
+    "ntri-huge": ({1: "99999999999999999999 6 1"}, "unexpected end of mesh document"),
+    "tri-id-huge": ({9: "0 1 99999999999999999999999"}, "line 9: bad node id in triangle record"),
+    "marker-huge": ({3: "0 0 99999999999999999999"}, "line 3: bad number in node record"),
+    "symline-huge": ({4: "0.5 0 3 -99999999999999999999"}, "line 4: bad symline index"),
+    "point-nan": ({2: "nan 0 1 0"}, "line 2: symmetry line point must be finite"),
+    "direction-nan": ({2: "0 0 nan 0"}, "line 2: symmetry line direction must be finite"),
+    "direction-inf": ({2: "0 0 1e400 0"}, "line 2: symmetry line direction must be finite"),
+    "direction-zero": ({2: "0 0 0 0"}, "line 2: symmetry line needs a nonzero direction"),
+    "node-nan": ({3: "nan 0 1"}, "non-finite coordinate at node 0"),
+    "node-inf": ({7: "0.5 1e400 2"}, "non-finite coordinate at node 4"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEW_ERRORS))
+def test_load_mesh_names_bad_counts_and_numbers(name):
+    edits, message = NEW_ERRORS[name]
+    with pytest.raises(MeshError) as exc:
+        load_mesh(edited(edits, False))
+    assert str(exc.value) == message
+
+
+def test_symmetry_line_direction_is_normalised_at_any_scale():
+    for scale in (1e-200, 1.0, 1e200):
+        line = SymmetryLine((0.0, 0.0), (3.0 * scale, -4.0 * scale))
+        assert line.direction == pytest.approx((0.6, -0.8), rel=1e-15)
+
+
+_DRAWN = st.one_of(
+    st.integers().map(str),
+    st.sampled_from(["", "-1", "-0", "nan", "-inf", "1e400", "99999999999999999999999"]),
+    st.floats().map(repr),
+    st.text(max_size=5),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_load_mesh_raises_only_mesh_error(data):
+    # one token, or one whole record, of DOC replaced by drawn text
+    recs = [ln.split() for ln in DOC]
+    r = data.draw(st.integers(0, len(recs) - 1), label="record")
+    drawn = data.draw(_DRAWN, label="text")
+    if data.draw(st.booleans(), label="whole record"):
+        recs[r] = [drawn]
+    else:
+        recs[r][data.draw(st.integers(0, len(recs[r]) - 1), label="token")] = drawn
+    try:
+        mesh = load_mesh("\n".join(map(" ".join, recs)))
+    except MeshError:
+        return
+    assert isinstance(mesh, Mesh)
+
+
 def test_validate_rejects_inverted_triangle():
     mesh = gen_rect(2, 2, 1.0, 1.0)
     mesh.triangles[0] = mesh.triangles[0][::-1]
