@@ -47,7 +47,6 @@ from .postproc import (
     emit_svg,
     error_field,
     isocontour,
-    port_area,
 )
 from .star import (
     BiStarDesign,
@@ -97,7 +96,6 @@ __all__ = [
     "make_star",
     "merge_meshes",
     "neutral_tip_angle",
-    "port_area",
     "save_mesh",
     "solve",
     "triangle_gradients",

@@ -233,11 +233,14 @@ def _cmd_solve(opt: dict) -> int:
 
 def _cmd_curves(opt: dict) -> int:
     case = build_case(opt["case"])
-    res = _solve_case(case, opt)
     lo = opt["tau_min"] if opt.get("tau_min") is not None else 0.05 * case.depth
     hi = opt["tau_max"] if opt.get("tau_max") is not None else 0.95 * case.depth
+    for flag, tau in (("--tau-min", lo), ("--tau-max", hi)):
+        if not math.isfinite(tau):
+            raise ValueError(f"{flag} value {tau} is not a finite tau")
     if not lo < hi:
         raise ValueError("curves needs tau-min < tau-max")
+    res = _solve_case(case, opt)
     tau = np.linspace(lo, hi, opt["tau_count"])
     labels = case.labels if case.labels is not None else np.ones(case.mesh.n_nodes, dtype=np.int64)
     curves = burn_curves(

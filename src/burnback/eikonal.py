@@ -51,7 +51,7 @@ the last iterations converge quadratically.  Once r is below
 convergence_tol, up to two chord steps with the last factor polish the
 field, each kept only if it lowers r.  The iteration starts from graph
 distances: Dijkstra over the mesh edges weighted
-len * 2 / (rate_a + rate_b), from the held nodes at their values.
+len * 2 / (rate_a + rate_b), from the held nodes at zero.
 solve stops once max |Hcal| over the nodes not held falls below
 convergence_tol, or after max_steps iterations, rejected ones included.
 
@@ -65,9 +65,8 @@ stay bitwise deterministic, and doubling the rate doubles J and
 
 Boundary handling: SYMMETRY and FREE nodes see half a fan, so
 geom_cache doubles their rows of D, and it projects the mean gradient
-rows of each SYMMETRY node onto its mirror line.  solve holds IGNITION
-nodes at s = 0, and pinned nodes at their values, by leaving them out
-of the system.
+rows of each SYMMETRY node onto its mirror line.  solve holds exactly
+the IGNITION nodes, at s = 0, by leaving them out of the system.
 """
 
 from __future__ import annotations
@@ -185,11 +184,15 @@ class _System:
     the column-major order of the matrix handed to splu.
     """
 
-    def __init__(self, mesh: Mesh, cache: GeomCache, rate: np.ndarray, scale: float, held: np.ndarray):
+    def __init__(self, mesh: Mesh, cache: GeomCache, rate: np.ndarray, scale: float):
+        held = mesh.node_markers == Marker.IGNITION
+        if not held.any():
+            raise SolverError("mesh has no IGNITION node")
         self.mesh, self.cache, self.rate, self.scale = mesh, cache, rate, scale
         self.rate2 = rate * rate
         self.floor = 1.0 / rate.max()
         self.dt_scale = 0.5 * scale * cache.node_min_height
+        self.held = np.flatnonzero(held)
         self.free = np.flatnonzero(~held)
 
         nn = mesh.n_nodes
@@ -205,30 +208,19 @@ class _System:
         self.m_indptr = np.concatenate([[0], np.cumsum(np.bincount(c, minlength=len(self.free)))])
         self.m_diag = np.flatnonzero(r[order] == c[order])
 
-    def warm_start(self, held_ids: np.ndarray, values: np.ndarray) -> np.ndarray:
+    def warm_start(self) -> np.ndarray:
         """Shortest-path arrival over the mesh edges from the held nodes.
 
-        An extra node nn reaches each held node at its value above the
-        lowest one; the pattern's zero-length diagonal adds only loops.
+        The pattern's zero-length diagonal adds only loops.
         """
         nodes, rate, pattern = self.mesh.nodes, self.rate, self.cache.edge_diss
-        nn = self.mesh.n_nodes
         d = nodes[pattern.indices] - nodes[self.row]
         w = np.sqrt(d[:, 0] ** 2 + d[:, 1] ** 2) * 2.0 / (rate[self.row] + rate[pattern.indices])
-        base = values.min()
-        graph = csr_array(
-            (
-                np.concatenate([w, values - base]),
-                np.concatenate([pattern.indices, held_ids]),
-                np.concatenate([pattern.indptr, [pattern.nnz + len(held_ids)]]),
-            ),
-            shape=(nn + 1, nn + 1),
-        )
-        s = dijkstra(graph, indices=nn)[:nn] + base
+        graph = csr_array((w, pattern.indices, pattern.indptr), shape=pattern.shape)
+        s = dijkstra(graph, indices=self.held, min_only=True)
         if not np.all(np.isfinite(s)):
             bad = int(np.argmax(~np.isfinite(s)))
-            raise SolverError(f"node {bad} is not connected to any IGNITION or pinned node")
-        s[held_ids] = values
+            raise SolverError(f"node {bad} is not connected to any IGNITION node")
         return s
 
     def evaluate(self, s: np.ndarray) -> _State:
@@ -286,45 +278,22 @@ def solve(
     rate,
     config: SolverConfig | None = None,
     cache: GeomCache | None = None,
-    pinned: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> ArrivalField:
     """Pseudo-transient continuation to the steady state, from graph distances.
 
+    The IGNITION nodes are held at s = 0 and no other node is held.
     Converged means max |Hcal| < convergence_tol over the nodes not
     held.  If max_steps iterations are spent first, the partial field is
-    returned with converged=False.  pinned=(indices, values) holds extra
-    Dirichlet nodes fixed, e.g. immersed ignition contours with negative
-    depth; each index must be a distinct node id and each value finite.
+    returned with converged=False.
     """
     config = config or SolverConfig()
     if cache is None:
         cache = geom_cache(mesh)
     rate = as_rate_field(mesh, rate)
 
-    held = mesh.node_markers == Marker.IGNITION
-    values = np.zeros(mesh.n_nodes)
-    if pinned is not None:
-        idx = np.asarray(pinned[0], dtype=np.int64)
-        vals = np.asarray(pinned[1], dtype=np.float64)
-        if idx.shape != vals.shape:
-            raise SolverError("pinned indices and values differ in length")
-        outside = idx[(idx < 0) | (idx >= mesh.n_nodes)]
-        if outside.size:
-            raise SolverError(f"pinned id {int(outside[0])} is not a node id in 0..{mesh.n_nodes - 1}")
-        ids, counts = np.unique(idx, return_counts=True)
-        if np.any(counts > 1):
-            raise SolverError(f"pinned id {int(ids[np.argmax(counts > 1)])} is given more than once")
-        if not np.all(np.isfinite(vals)):
-            raise SolverError(f"pinned id {int(idx[np.argmax(~np.isfinite(vals))])} has a non-finite value")
-        held[idx] = True
-        values[idx] = vals
-    if not held.any():
-        raise SolverError("mesh has no IGNITION node and nothing is pinned")
-
-    system = _System(mesh, cache, rate, config.dissipation_scale, held)
-    held_ids = np.flatnonzero(held)
+    system = _System(mesh, cache, rate, config.dissipation_scale)
     free = system.free
-    state = system.evaluate(system.warm_start(held_ids, values[held_ids]))
+    state = system.evaluate(system.warm_start())
     c = _CFL_MAX
     lu = None
     residuals, dts = [], []

@@ -3,7 +3,7 @@
 Isochrones are extracted by marching triangles on the linear
 interpolant, port areas by exact clipping of each triangle against the
 level line, and perimeters as plain segment-length sums, so that
-d(port_area)/dtau and perimeter agree to the same interpolant and the
+dA_p/dtau and the perimeter agree to the same interpolant and the
 burn curves need no smoothing.  CSV and SVG emitters keep fixed headers
 and structure for downstream tooling.
 """
@@ -23,8 +23,6 @@ __all__ = [
     "BurnCurves",
     "ErrorField",
     "isocontour",
-    "isocontour_segments",
-    "port_area",
     "burn_curves",
     "error_field",
     "emit_csv",
@@ -85,19 +83,15 @@ def _unique_edges(tri: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return edges, einv.reshape(3, len(tri)).T
 
 
-def isocontour_segments(mesh: Mesh, s: np.ndarray, tau: float):
+def _segments(mesh: Mesh, s: np.ndarray, tau: float, table):
     """Level-line segments with their host triangles.
 
     Returns (points, seg_edges, seg_tri): crossing coordinates indexed
-    by unique-edge id, the (n, 2) edge-id pairs of each segment, and
-    the segment's host triangle.  Crossings are computed once per mesh
-    edge, so segments in adjacent triangles share endpoints exactly.
+    by the unique-edge ids of table, the edge table of _unique_edges;
+    the (n, 2) edge-id pairs of each segment; and the segment's host
+    triangle.  Crossings are computed once per mesh edge, so segments
+    in adjacent triangles share endpoints exactly.
     """
-    return _segments(mesh, s, tau, _unique_edges(mesh.triangles))
-
-
-def _segments(mesh: Mesh, s: np.ndarray, tau: float, table):
-    """isocontour_segments on the edge table of _unique_edges."""
     v = _nudged(s, tau)
     edges, tri_edge = table
 
@@ -167,7 +161,7 @@ def _isocontour(mesh: Mesh, s: np.ndarray, tau: float, table) -> list[np.ndarray
     return polylines
 
 
-def port_area(mesh: Mesh, s: np.ndarray, tau: float) -> float:
+def _port_area(mesh: Mesh, s: np.ndarray, tau: float) -> float:
     """Exact area of the burned region {s <= tau} under linear interpolation."""
     v = _nudged(s, tau)
     tri = mesh.triangles
@@ -212,9 +206,16 @@ def burn_curves(
     rate_labels assigns each node to propellant 1 or 2 (all ones for a
     monopropellant); a triangle belongs to the propellant owning the
     majority of its nodes, and each isochrone segment reports to its
-    host triangle's propellant.  A_eq = P_1 + f * P_2.
+    host triangle's propellant.  A_eq = P_1 + f * P_2.  A_p is the
+    exact area of {s <= tau} under linear interpolation.  Every tau
+    must be finite, and grain_length positive and finite.
     """
     tau_grid = np.asarray(tau_grid, dtype=np.float64)
+    if not np.all(np.isfinite(tau_grid)):
+        bad = float(tau_grid[np.argmax(~np.isfinite(tau_grid))])
+        raise ValueError(f"tau grid value {bad} is not finite")
+    if grain_length is not None and not (math.isfinite(grain_length) and grain_length > 0.0):
+        raise ValueError(f"grain_length = {grain_length} must be positive and finite")
     labels = np.asarray(rate_labels, dtype=np.int64)
     if labels.shape != (mesh.n_nodes,):
         raise ValueError("rate_labels must give one label per node")
@@ -228,7 +229,7 @@ def burn_curves(
     A_p = np.empty(len(tau_grid))
     A_eq = np.empty(len(tau_grid))
     for k, tau in enumerate(tau_grid):
-        points, seg_edges, hosts = isocontour_segments(mesh, s, float(tau))
+        points, seg_edges, hosts = _segments(mesh, s, float(tau), _unique_edges(mesh.triangles))
         if len(seg_edges):
             d = points[seg_edges[:, 0]] - points[seg_edges[:, 1]]
             seg_len = np.sqrt(d[:, 0] ** 2 + d[:, 1] ** 2)
@@ -239,7 +240,7 @@ def burn_curves(
             P1 = P2 = 0.0
         P_b[k] = P1 + P2
         A_eq[k] = P1 + f * P2
-        A_p[k] = port_area(mesh, s, float(tau))
+        A_p[k] = _port_area(mesh, s, float(tau))
 
     A_b = P_b * grain_length if grain_length is not None else None
     return BurnCurves(tau=tau_grid, P_b=P_b, A_p=A_p, A_eq=A_eq, A_b=A_b)
@@ -293,6 +294,8 @@ def emit_csv(obj, mesh: Mesh | None = None, err: np.ndarray | None = None) -> st
     s = np.asarray(obj, dtype=np.float64)
     if mesh is None or s.shape != (mesh.n_nodes,):
         raise ValueError("field CSV needs a mesh and one value per node")
+    if err is not None and np.shape(err) != (mesh.n_nodes,):
+        raise ValueError("field CSV err needs one value per node")
     rows = ["node,x,y,s" + (",err" if err is not None else "")]
     for i in range(mesh.n_nodes):
         row = f"{i},{_g(mesh.nodes[i, 0])},{_g(mesh.nodes[i, 1])},{_g(s[i])}"
@@ -349,6 +352,9 @@ def emit_svg(
     levels = [float(tau) for tau in levels]
     if levels and s is None:
         raise ValueError("isochrone levels need a field")
+    bad = [tau for tau in levels if not math.isfinite(tau)]
+    if bad:
+        raise ValueError(f"isochrone level {bad[0]} is not finite")
     # one edge table for the underlay and every level
     table = _unique_edges(mesh.triangles) if show_mesh or levels else None
 

@@ -108,6 +108,9 @@ def bistar_design(n: int, r_c: float, r_f: float, d: float) -> BiStarDesign:
     """
     if n < 3:
         raise ValueError("need n >= 3")
+    for name, value in (("r_c", r_c), ("r_f", r_f), ("d", d)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} = {value} is not finite")
     if not (r_f > 0.0 and d > 0.0):
         raise ValueError("need positive r_f and d")
     omega = r_c - r_f - d

@@ -6,6 +6,7 @@ import dataclasses
 import importlib
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from burnback.cli import _SOLVER_FLAGS, RunSpec, main, parse_args
 from burnback.eikonal import SolverConfig
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+README = PYPROJECT.parent / "README.md"
 
 
 # -------------------------------------------------------------------- parsing
@@ -131,6 +133,36 @@ def test_bistar_interface_writes_csv(tmp_path, capsys):
     assert first[0] == 0.0 and first[1] == pytest.approx(0.6)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("sub", ["design", "interface"])
+def test_bistar_rejects_nonfinite_radius(tmp_path, capsys, sub, value):
+    out = tmp_path / "face.csv"
+    argv = ["bistar", sub, "--n", "4", "--rc", value, "--rf", "0.1", "--d", "0.5"]
+    if sub == "interface":
+        argv += ["--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"star.ValueError: r_c = {value} is not finite\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_readme_cli_examples_print_what_the_readme_shows(capsys):
+    # each `$ burnback ...` line of the README's text block, followed by
+    # the lines it prints
+    block = README.read_text(encoding="utf-8").split("```text\n", 1)[1].split("```", 1)[0]
+    runs = [chunk.strip("\n").split("\n") for chunk in block.split("$ burnback ")[1:]]
+    assert [command for command, *_ in runs] == [
+        "star neutral --n 5",
+        "bistar design --n 4 --rc 1.0 --rf 0.1 --d 0.5",
+        "verify slot --nodes 2500",
+        "verify slot --nodes 10000",
+    ]
+    for command, *expected in runs:
+        assert main(shlex.split(command)) == 0, command
+        assert capsys.readouterr().out.splitlines() == expected, command
+
+
 def test_dump_spec_prints_resolved_runspec(capsys):
     assert main(["star", "neutral", "--n", "5", "--dump-spec"]) == 0
     out = capsys.readouterr().out
@@ -215,6 +247,23 @@ def test_curves_grain_length_adds_column(tmp_path):
     assert rows[0] == "tau,P_b,A_p,A_eq,A_b"
     data = np.loadtxt(rows[1:], delimiter=",")
     np.testing.assert_allclose(data[:, 4], 3.0 * data[:, 1], rtol=1e-12)
+
+
+@pytest.mark.parametrize("flag, value", [("--tau-min", "nan"), ("--tau-max", "nan"), ("--tau-max", "inf")])
+def test_curves_rejects_nonfinite_tau_bound(tmp_path, capsys, flag, value):
+    out = tmp_path / "curves.csv"
+    assert main(["curves", "--case", "rect", "--out", str(out), flag, value]) == 1
+    assert capsys.readouterr().err.startswith(f"cli.ValueError: {flag} value {value} is not a finite tau")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-2"])
+def test_curves_rejects_bad_grain_length(tmp_path, capsys, value):
+    out = tmp_path / "curves.csv"
+    argv = ["curves", "--case", "rect", "--out", str(out), "--grain-length", value]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("postproc.ValueError: grain_length = ")
+    assert not out.exists()
 
 
 def test_contours_level_count(tmp_path):

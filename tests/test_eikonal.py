@@ -150,7 +150,14 @@ def test_half_fan_dissipation_rows_are_doubled():
 
 def system_for(mesh, rate=1.0, scale=0.25):
     cache = geom_cache(mesh)
-    return _System(mesh, cache, as_rate_field(mesh, rate), scale, mesh.node_markers == Marker.IGNITION)
+    return _System(mesh, cache, as_rate_field(mesh, rate), scale)
+
+
+def with_ignition(mesh, ids):
+    """A copy of mesh with the nodes ids marked IGNITION as well."""
+    markers = mesh.node_markers.copy()
+    markers[ids] = Marker.IGNITION
+    return Mesh(mesh.nodes, mesh.triangles, markers, mesh.symmetry_lines, mesh.node_symline)
 
 
 def pseudo_time_step(system, s, c):
@@ -242,8 +249,9 @@ def reference_residual(mesh, rate, s, scale):
 
 
 def test_step_residual_matches_reference_formulas():
-    # mid-solve state on a mesh with every marker, pinned nodes, fans of
-    # 1, 2, 3 and 6 triangles and a rate that varies over the nodes
+    # mid-solve state on a mesh with every marker, interior IGNITION
+    # nodes, fans of 1, 2, 3 and 6 triangles and a rate that varies over
+    # the nodes
     mesh = gen_rect(
         12,
         8,
@@ -252,9 +260,9 @@ def test_step_residual_matches_reference_formulas():
         markers={"left": Marker.IGNITION, "bottom": Marker.SYMMETRY, "top": Marker.FREE},
     )
     assert set(np.bincount(mesh.triangles.ravel())) == {1, 2, 3, 6}
+    mesh = with_ignition(mesh, [40, 41, 66])
     rate = as_rate_field(mesh, lambda x, y: 1.0 + 0.5 * x + 0.25 * y * y)
-    pins = np.array([40, 41, 66])
-    partial = solve(mesh, rate, config=SolverConfig(max_steps=2), pinned=(pins, [0.3, 0.31, 0.5]))
+    partial = solve(mesh, rate, config=SolverConfig(max_steps=2))
     assert not partial.converged
     state = system_for(mesh, rate).evaluate(partial.s)
     ref = reference_residual(mesh, rate, partial.s, SolverConfig().dissipation_scale)
@@ -265,14 +273,13 @@ def test_step_residual_matches_reference_formulas():
 def test_step_matrix_holds_each_nodes_own_pseudo_time_step():
     # diag(1 / (c dt_i)) - J over the nodes not held, with dt_i each node's
     # explicit limit 0.5 scale h_i / (rate_i^2 max(L_i, floor)); the held
-    # rows and columns, pinned ones inside the mesh included, are sliced out
-    mesh = quarter_annulus()  # radially graded triangle heights
+    # rows and columns, IGNITION ones inside the mesh included, are sliced out
+    mesh = with_ignition(quarter_annulus(), [60, 61, 140])  # radially graded triangle heights
     cache = geom_cache(mesh)
     rate = as_rate_field(mesh, lambda x, y: 2.0 + x)
     held = mesh.node_markers == Marker.IGNITION
-    held[[60, 61, 140]] = True
-    system = _System(mesh, cache, rate, 0.25, held)
-    state = system.evaluate(system.warm_start(np.flatnonzero(held), np.zeros(np.count_nonzero(held))))
+    system = _System(mesh, cache, rate, 0.25)
+    state = system.evaluate(system.warm_start())
     c = 3.0
     matrix, dt_min = system.matrix(state, c)
     nn = mesh.n_nodes
@@ -299,7 +306,7 @@ def test_jacobian_matches_central_differences(name, at):
     system = system_for(mesh, case.rate, scale=case.config.dissipation_scale if case.config else 0.25)
     assert (mesh.node_markers == Marker.SYMMETRY).any()
     held = np.flatnonzero(mesh.node_markers == Marker.IGNITION)
-    s = system.warm_start(held, np.zeros(len(held)))
+    s = system.warm_start()
     if at == "converged":
         s = solve(mesh, case.rate, config=case.config, cache=system.cache).s
     state = system.evaluate(s)
@@ -401,42 +408,6 @@ def test_solve_needs_ignition_or_pins():
     mesh = gen_rect(4, 4, 1.0, 1.0)  # all sides FREE
     with pytest.raises(SolverError, match="IGNITION"):
         solve(mesh, 1.0)
-
-
-def test_solve_pinned_immersed_front_allows_negative_depth():
-    # ignition line at x = 0.25 expressed with pins only: pinned values
-    # left of it are negative, no node carries an IGNITION marker
-    mesh = gen_rect(40, 10, 2.0, 0.5)
-    x = mesh.nodes[:, 0]
-    idx = np.flatnonzero(x <= 0.3 + 1e-12)
-    field = solve(mesh, 1.0, pinned=(idx, x[idx] - 0.25))
-    assert field.converged
-    assert field.s.min() < 0.0
-    assert np.abs(field.s - (x - 0.25)).max() < 0.01
-
-
-def test_solve_pinned_shape_mismatch():
-    mesh = rect_left_ignition(4, 2)
-    with pytest.raises(SolverError, match="pinned"):
-        solve(mesh, 1.0, pinned=(np.array([0, 1]), np.array([0.0])))
-
-
-@pytest.mark.parametrize(
-    "ids, values, match",
-    [
-        ([3, -1], [0.0, 0.0], "pinned id -1 "),
-        ([3, 28], [0.0, 0.0], "pinned id 28 "),
-        ([3, 5, 3], [0.0, 0.0, 0.0], "pinned id 3 "),
-        ([5, 3], [0.0, np.nan], "pinned id 3 has a non-finite value"),
-        ([3], [np.inf], "pinned id 3 has a non-finite value"),
-    ],
-    ids=["negative", "past-last-node", "duplicate", "nan-value", "inf-value"],
-)
-def test_solve_rejects_bad_pinned_ids(ids, values, match):
-    mesh = gen_rect(6, 3, 1.0, 0.5)
-    assert mesh.n_nodes == 28
-    with pytest.raises(SolverError, match=match):
-        solve(mesh, 1.0, pinned=(np.array(ids), np.array(values)))
 
 
 def test_solve_names_a_node_no_held_node_reaches():

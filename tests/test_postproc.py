@@ -20,8 +20,6 @@ from burnback.postproc import (
     emit_svg,
     error_field,
     isocontour,
-    isocontour_segments,
-    port_area,
 )
 
 
@@ -39,9 +37,12 @@ def radial():
     return mesh, np.hypot(mesh.nodes[:, 0], mesh.nodes[:, 1]) - 1.0
 
 
+def mono_curves(mesh, s, taus):
+    return burn_curves(mesh, s, np.ones(mesh.n_nodes, dtype=int), 1.0, taus)
+
+
 def perimeters(mesh, s, taus):
-    ones = np.ones(mesh.n_nodes, dtype=int)
-    return burn_curves(mesh, s, ones, 1.0, taus).P_b
+    return mono_curves(mesh, s, taus).P_b
 
 
 # ------------------------------------------------------------------ contours
@@ -65,13 +66,14 @@ def test_perimeter_of_planar_field(planar):
 def test_port_area_of_planar_field(planar):
     mesh, s = planar
     # the level is nudged off exact node values, so allow ~1e-12 slack
-    for tau in (0.3, 0.7, 1.5):
-        assert port_area(mesh, s, tau) == pytest.approx(tau * 1.0, rel=1e-9)
+    taus = [0.3, 0.7, 1.5]
+    for tau, area in zip(taus, mono_curves(mesh, s, taus).A_p):
+        assert area == pytest.approx(tau * 1.0, rel=1e-9)
 
 
 def test_segments_stay_inside_their_host_triangles(planar):
     mesh, s = planar
-    points, seg_edges, hosts = isocontour_segments(mesh, s, 0.6123)
+    points, seg_edges, hosts = postproc._segments(mesh, s, 0.6123, postproc._unique_edges(mesh.triangles))
     assert len(seg_edges) == len(hosts)
     for (i0, i1), tri in zip(seg_edges, hosts):
         corners = mesh.nodes[mesh.triangles[tri]]
@@ -86,10 +88,11 @@ def test_perimeter_of_radial_field_matches_circle(radial):
     mesh, s = radial
     # quarter ring between the burn front and the casing
     taus = np.array([0.25, 0.5, 0.75])
-    np.testing.assert_allclose(perimeters(mesh, s, taus), 0.5 * np.pi * (1.0 + taus), rtol=2e-3)
-    for tau in taus:
+    curves = mono_curves(mesh, s, taus)
+    np.testing.assert_allclose(curves.P_b, 0.5 * np.pi * (1.0 + taus), rtol=2e-3)
+    for tau, area in zip(taus, curves.A_p):
         exact_area = 0.25 * np.pi * ((1.0 + tau) ** 2 - 1.0)
-        assert port_area(mesh, s, tau) == pytest.approx(exact_area, rel=2e-3)
+        assert area == pytest.approx(exact_area, rel=2e-3)
 
 
 def test_isocontour_outside_range_is_empty(planar):
@@ -131,6 +134,21 @@ def test_burn_curves_validation(planar):
         burn_curves(mesh, s, ones, 0.5, [0.5])
     with pytest.raises(ValueError, match="increasing"):
         burn_curves(mesh, s, ones, 1.0, [1.0, 0.5])
+
+
+@pytest.mark.parametrize("taus", [[0.5, np.nan], [np.nan], [0.5, np.inf], [-np.inf, 0.5]])
+def test_burn_curves_rejects_nonfinite_levels(planar, taus):
+    mesh, s = planar
+    with pytest.raises(ValueError, match="not finite"):
+        mono_curves(mesh, s, taus)
+
+
+@pytest.mark.parametrize("length", [np.nan, np.inf, 0.0, -1.0])
+def test_burn_curves_rejects_bad_grain_length(planar, length):
+    mesh, s = planar
+    ones = np.ones(mesh.n_nodes, dtype=int)
+    with pytest.raises(ValueError, match="grain_length"):
+        burn_curves(mesh, s, ones, 1.0, [0.5], grain_length=length)
 
 
 def test_burn_curves_grain_length_column(planar):
@@ -221,6 +239,13 @@ def test_emit_csv_field_needs_mesh(planar):
         emit_csv(s)
 
 
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_emit_csv_err_needs_one_value_per_node(planar, extra):
+    mesh, s = planar
+    with pytest.raises(ValueError, match="err"):
+        emit_csv(s, mesh=mesh, err=np.zeros(mesh.n_nodes + extra))
+
+
 def test_emit_svg_isochrone_groups(planar):
     mesh, s = planar
     svg = emit_svg(mesh, s, levels=(0.5, 1.0, 1.5))
@@ -248,6 +273,13 @@ def test_emit_svg_levels_need_field(planar):
     mesh, _ = planar
     with pytest.raises(ValueError, match="field"):
         emit_svg(mesh, None, levels=(0.5,))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_emit_svg_rejects_nonfinite_level(planar, bad):
+    mesh, s = planar
+    with pytest.raises(ValueError, match="not finite"):
+        emit_svg(mesh, s, levels=(0.5, bad))
 
 
 def test_emit_svg_builds_one_edge_table(planar, monkeypatch):

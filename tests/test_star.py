@@ -83,6 +83,15 @@ def test_bistar_design_rejects_missing_web():
         bistar_design(4, 1.0, 0.4, 0.6)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["r_c", "r_f", "d"])
+def test_bistar_design_rejects_nonfinite_input(name, bad):
+    args = dict(r_c=1.0, r_f=0.1, d=0.5)
+    args[name] = bad
+    with pytest.raises(ValueError, match=f"^{name} = {bad} is not finite"):
+        bistar_design(4, **args)
+
+
 def test_bistar_interface_endpoints():
     design = bistar_design(4, 1.0, 0.1, 0.5)
     face = bistar_interface(design, 512)
