@@ -46,7 +46,6 @@ from .postproc import (
     emit_csv,
     emit_svg,
     error_field,
-    isocontour,
 )
 from .star import (
     BiStarDesign,
@@ -90,7 +89,6 @@ __all__ = [
     "gen_coons",
     "gen_rect",
     "geom_cache",
-    "isocontour",
     "load_mesh",
     "make_circle",
     "make_star",

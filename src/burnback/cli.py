@@ -238,14 +238,15 @@ def _cmd_curves(opt: dict) -> int:
     for flag, tau in (("--tau-min", lo), ("--tau-max", hi)):
         if not math.isfinite(tau):
             raise ValueError(f"{flag} value {tau} is not a finite tau")
+    grain = opt.get("grain_length")
+    if grain is not None and not (math.isfinite(grain) and grain > 0.0):
+        raise ValueError(f"--grain-length value {grain} is not a positive finite length")
     if not lo < hi:
         raise ValueError("curves needs tau-min < tau-max")
     res = _solve_case(case, opt)
     tau = np.linspace(lo, hi, opt["tau_count"])
     labels = case.labels if case.labels is not None else np.ones(case.mesh.n_nodes, dtype=np.int64)
-    curves = burn_curves(
-        case.mesh, res.s, labels, case.rate_ratio, tau, grain_length=opt.get("grain_length")
-    )
+    curves = burn_curves(case.mesh, res.s, labels, case.rate_ratio, tau, grain_length=grain)
     _write(opt["out"], emit_csv(curves))
     print(
         f"curves: {len(tau)} levels in [{lo:.6g}, {hi:.6g}], "

@@ -196,20 +196,6 @@ class Contour:
             best = np.minimum(best, piece.distance(pts))
         return float(best[0]) if single else best
 
-    def sample(self, spacing: float) -> np.ndarray:
-        """Points along the contour at most spacing apart, junctions deduplicated."""
-        if spacing <= 0.0:
-            raise ContourError("sample spacing must be positive")
-        chunks = []
-        for k, piece in enumerate(self.pieces):
-            n = max(1, math.ceil(piece.length() / spacing))
-            pts = piece.points(n)
-            chunks.append(pts if k == 0 else pts[1:])
-        out = np.vstack(chunks)
-        if self.closed and len(out) > 1:
-            out = out[:-1]
-        return out
-
 
 # ---------------------------------------------------------------------------
 # canonical port shapes

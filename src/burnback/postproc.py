@@ -17,21 +17,19 @@ import numpy as np
 
 from .contour import Contour, Line
 from .eikonal import ArrivalField
-from .mesh import Mesh
+from .mesh import Mesh, _signed_areas
 
 __all__ = [
     "BurnCurves",
     "ErrorField",
-    "isocontour",
     "burn_curves",
     "error_field",
     "emit_csv",
     "emit_svg",
 ]
 
-# nodes sitting exactly on a level are nudged above it by this fraction
-# of the field range, so every triangle has an even crossing count
-_TIE_NUDGE = 1e-12
+# the two sides (01, 12, 20 order) that meet at lone vertex 0, 1 or 2
+_LONE_SIDES = np.array([[0, 2], [0, 1], [1, 2]])
 
 
 @dataclass(frozen=True)
@@ -68,13 +66,6 @@ class ErrorField:
     mean_abs: float
 
 
-def _nudged(s: np.ndarray, tau: float) -> np.ndarray:
-    v = np.asarray(s, dtype=np.float64) - float(tau)
-    rng = float(s.max() - s.min()) or 1.0
-    v[v == 0.0] = _TIE_NUDGE * rng
-    return v
-
-
 def _unique_edges(tri: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Undirected edges as sorted node-id pairs, and the (nt, 3) edge ids
     of each triangle's sides 01, 12 and 20."""
@@ -83,45 +74,43 @@ def _unique_edges(tri: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return edges, einv.reshape(3, len(tri)).T
 
 
-def _segments(mesh: Mesh, s: np.ndarray, tau: float, table):
-    """Level-line segments with their host triangles.
+def _cut(mesh: Mesh, v: np.ndarray, table):
+    """Cut the triangles crossed by the level line {v = 0} of v = s - tau.
 
-    Returns (points, seg_edges, seg_tri): crossing coordinates indexed
-    by the unique-edge ids of table, the edge table of _unique_edges;
-    the (n, 2) edge-id pairs of each segment; and the segment's host
-    triangle.  Crossings are computed once per mesh edge, so segments
-    in adjacent triangles share endpoints exactly.
+    Each node is tested once: it is burned when v < 0, so a node exactly
+    at tau counts as unburned and the line passes through it exactly.  A
+    crossed triangle has one or two burned corners and is cut at its
+    lone vertex, the corner alone on its side, across the two sides that
+    meet there.  table is the edge table of _unique_edges.  Returns:
+
+    - nburned, the burned corner count of every triangle;
+    - hosts, the crossed triangles, and lone, the corner index 0..2 of
+      each one's lone vertex;
+    - points, the crossing of every crossed edge, indexed by edge id and
+      computed from the lower node id, so that segments in adjacent
+      triangles share endpoints bitwise;
+    - seg_edges, the two crossed edge ids of each host in side order.
     """
-    v = _nudged(s, tau)
     edges, tri_edge = table
+    burned = v < 0.0
+    corner_burned = burned[mesh.triangles]
+    nburned = corner_burned.sum(axis=1)
+    hosts = np.flatnonzero((nburned == 1) | (nburned == 2))
+    lone = np.argmax(corner_burned[hosts] == (nburned[hosts] == 1)[:, None], axis=1)
+    seg_edges = tri_edge[hosts[:, None], _LONE_SIDES[lone]]
 
     va, vb = v[edges[:, 0]], v[edges[:, 1]]
-    crossing = va * vb < 0.0
-    t = np.where(crossing, va / np.where(crossing, va - vb, 1.0), 0.0)
+    crossed = burned[edges[:, 0]] != burned[edges[:, 1]]
+    t = np.where(crossed, va / np.where(crossed, va - vb, 1.0), 0.0)
     pa, pb = mesh.nodes[edges[:, 0]], mesh.nodes[edges[:, 1]]
     points = pa + t[:, None] * (pb - pa)
-
-    cmask = crossing[tri_edge]
-    count = cmask.sum(axis=1)
-    if np.any((count != 0) & (count != 2)):
-        raise RuntimeError("odd crossing count; tie nudge failed")
-    hosts = np.nonzero(count == 2)[0]
-    # order True columns first; the first two are the crossed edges
-    order = np.argsort(~cmask[hosts], axis=1, kind="stable")
-    seg_edges = np.column_stack(
-        [tri_edge[hosts, order[:, 0]], tri_edge[hosts, order[:, 1]]]
-    )
-    return points, seg_edges, hosts
-
-
-def isocontour(mesh: Mesh, s: np.ndarray, tau: float) -> list[np.ndarray]:
-    """Chained isochrone polylines at level tau (possibly empty)."""
-    return _isocontour(mesh, s, tau, _unique_edges(mesh.triangles))
+    return nburned, hosts, lone, points, seg_edges
 
 
 def _isocontour(mesh: Mesh, s: np.ndarray, tau: float, table) -> list[np.ndarray]:
-    """isocontour on the edge table of _unique_edges."""
-    points, seg_edges, _ = _segments(mesh, s, tau, table)
+    """Chained isochrone polylines at level tau (possibly empty), on the
+    edge table of _unique_edges."""
+    _, _, _, points, seg_edges = _cut(mesh, s - tau, table)
     nseg = len(seg_edges)
     if nseg == 0:
         return []
@@ -161,38 +150,6 @@ def _isocontour(mesh: Mesh, s: np.ndarray, tau: float, table) -> list[np.ndarray
     return polylines
 
 
-def _port_area(mesh: Mesh, s: np.ndarray, tau: float) -> float:
-    """Exact area of the burned region {s <= tau} under linear interpolation."""
-    v = _nudged(s, tau)
-    tri = mesh.triangles
-    p = mesh.nodes
-    e1 = p[tri[:, 1]] - p[tri[:, 0]]
-    e2 = p[tri[:, 2]] - p[tri[:, 0]]
-    areas = 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-    vt = v[tri]
-    below = vt < 0.0
-    nbelow = below.sum(axis=1)
-    out = np.zeros(len(tri))
-    out[nbelow == 3] = areas[nbelow == 3]
-
-    def lone(mask, flip):
-        # fraction cut off around the single vertex on its own side
-        rows = np.nonzero(mask)[0]
-        if len(rows) == 0:
-            return
-        side = below[rows] if flip else ~below[rows]
-        j = np.argmax(side, axis=1)
-        va = vt[rows, j]
-        vb = vt[rows, (j + 1) % 3]
-        vc = vt[rows, (j + 2) % 3]
-        frac = (va / (va - vb)) * (va / (va - vc))
-        out[rows] = areas[rows] * (frac if flip else 1.0 - frac)
-
-    lone(nbelow == 1, True)
-    lone(nbelow == 2, False)
-    return float(out.sum())
-
-
 def burn_curves(
     mesh: Mesh,
     s: np.ndarray,
@@ -207,7 +164,7 @@ def burn_curves(
     monopropellant); a triangle belongs to the propellant owning the
     majority of its nodes, and each isochrone segment reports to its
     host triangle's propellant.  A_eq = P_1 + f * P_2.  A_p is the
-    exact area of {s <= tau} under linear interpolation.  Every tau
+    exact area of {s < tau} under linear interpolation.  Every tau
     must be finite, and grain_length positive and finite.
     """
     tau_grid = np.asarray(tau_grid, dtype=np.float64)
@@ -225,22 +182,30 @@ def burn_curves(
         raise ValueError("rate ratio f must be >= 1")
     tri_label = np.where((labels[mesh.triangles] == 1).sum(axis=1) >= 2, 1, 2)
 
+    areas = np.abs(_signed_areas(mesh.nodes, mesh.triangles))
+
     P_b = np.empty(len(tau_grid))
     A_p = np.empty(len(tau_grid))
     A_eq = np.empty(len(tau_grid))
     for k, tau in enumerate(tau_grid):
-        points, seg_edges, hosts = _segments(mesh, s, float(tau), _unique_edges(mesh.triangles))
-        if len(seg_edges):
-            d = points[seg_edges[:, 0]] - points[seg_edges[:, 1]]
-            seg_len = np.sqrt(d[:, 0] ** 2 + d[:, 1] ** 2)
-            own1 = tri_label[hosts] == 1
-            P1 = float(seg_len[own1].sum())
-            P2 = float(seg_len[~own1].sum())
-        else:
-            P1 = P2 = 0.0
+        v = s - tau
+        nburned, hosts, lone, points, seg_edges = _cut(mesh, v, _unique_edges(mesh.triangles))
+        d = points[seg_edges[:, 0]] - points[seg_edges[:, 1]]
+        seg_len = np.sqrt(d[:, 0] ** 2 + d[:, 1] ** 2)
+        own1 = tri_label[hosts] == 1
+        P1 = float(seg_len[own1].sum())
+        P2 = float(seg_len[~own1].sum())
         P_b[k] = P1 + P2
         A_eq[k] = P1 + f * P2
-        A_p[k] = _port_area(mesh, s, float(tau))
+
+        # the lone vertex's corner of the host is cut off along the chord
+        vt = v[mesh.triangles[hosts]]
+        rows = np.arange(len(hosts))
+        va, vb, vc = vt[rows, lone], vt[rows, (lone + 1) % 3], vt[rows, (lone + 2) % 3]
+        frac = (va / (va - vb)) * (va / (va - vc))
+        burned_area = np.where(nburned == 3, areas, 0.0)
+        burned_area[hosts] = areas[hosts] * np.where(nburned[hosts] == 1, frac, 1.0 - frac)
+        A_p[k] = float(burned_area.sum())
 
     A_b = P_b * grain_length if grain_length is not None else None
     return BurnCurves(tau=tau_grid, P_b=P_b, A_p=A_p, A_eq=A_eq, A_b=A_b)

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import burnback
+from burnback import cli
 from burnback.cli import _SOLVER_FLAGS, RunSpec, main, parse_args
 from burnback.eikonal import SolverConfig
 
@@ -258,11 +259,15 @@ def test_curves_rejects_nonfinite_tau_bound(tmp_path, capsys, flag, value):
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "0", "-2"])
-def test_curves_rejects_bad_grain_length(tmp_path, capsys, value):
+def test_curves_rejects_bad_grain_length(tmp_path, capsys, monkeypatch, value):
+    def no_solve(case, opt):
+        raise AssertionError("the grain length is checked before the solve")
+
+    monkeypatch.setattr(cli, "_solve_case", no_solve)
     out = tmp_path / "curves.csv"
     argv = ["curves", "--case", "rect", "--out", str(out), "--grain-length", value]
     assert main(argv) == 1
-    assert capsys.readouterr().err.startswith("postproc.ValueError: grain_length = ")
+    assert capsys.readouterr().err.startswith(f"cli.ValueError: --grain-length value {float(value)} ")
     assert not out.exists()
 
 

@@ -19,7 +19,6 @@ from burnback.postproc import (
     emit_csv,
     emit_svg,
     error_field,
-    isocontour,
 )
 
 
@@ -45,6 +44,10 @@ def perimeters(mesh, s, taus):
     return mono_curves(mesh, s, taus).P_b
 
 
+def isocontour(mesh, s, tau):
+    return postproc._isocontour(mesh, s, tau, postproc._unique_edges(mesh.triangles))
+
+
 # ------------------------------------------------------------------ contours
 
 
@@ -65,7 +68,8 @@ def test_perimeter_of_planar_field(planar):
 
 def test_port_area_of_planar_field(planar):
     mesh, s = planar
-    # the level is nudged off exact node values, so allow ~1e-12 slack
+    # 0.3 and 0.7 cut through the triangles, 1.5 passes through a grid
+    # column; the partial areas carry rounding, so allow ~1e-12 slack
     taus = [0.3, 0.7, 1.5]
     for tau, area in zip(taus, mono_curves(mesh, s, taus).A_p):
         assert area == pytest.approx(tau * 1.0, rel=1e-9)
@@ -73,7 +77,7 @@ def test_port_area_of_planar_field(planar):
 
 def test_segments_stay_inside_their_host_triangles(planar):
     mesh, s = planar
-    points, seg_edges, hosts = postproc._segments(mesh, s, 0.6123, postproc._unique_edges(mesh.triangles))
+    _, hosts, _, points, seg_edges = postproc._cut(mesh, s - 0.6123, postproc._unique_edges(mesh.triangles))
     assert len(seg_edges) == len(hosts)
     for (i0, i1), tri in zip(seg_edges, hosts):
         corners = mesh.nodes[mesh.triangles[tri]]
@@ -93,6 +97,32 @@ def test_perimeter_of_radial_field_matches_circle(radial):
     for tau, area in zip(taus, curves.A_p):
         exact_area = 0.25 * np.pi * ((1.0 + tau) ** 2 - 1.0)
         assert area == pytest.approx(exact_area, rel=2e-3)
+
+
+def test_level_through_a_grid_column_is_exact(planar):
+    # nodes exactly at tau count as unburned: the line runs through them
+    mesh, s = planar
+    tau = mesh.nodes[7, 0]
+    assert np.count_nonzero(s == tau) == 11
+    curves = mono_curves(mesh, s, [tau])
+    assert curves.P_b[0] == 1.0
+    assert curves.A_p[0] == pytest.approx(tau * 1.0, rel=1e-15)
+    polylines = isocontour(mesh, s, tau)
+    assert polylines
+    for line in polylines:
+        np.testing.assert_array_equal(line[:, 0], tau)
+
+
+def test_burn_curves_are_invariant_under_power_of_two_field_scaling(planar):
+    # the products of tiny node values underflow; the cut must not need them
+    mesh, s = planar
+    taus = np.array([0.3, 0.7, 1.5])
+    scale = 2.0**-550
+    plain = mono_curves(mesh, s, taus)
+    tiny = mono_curves(mesh, s * scale, taus * scale)
+    np.testing.assert_array_equal(tiny.P_b, plain.P_b)
+    np.testing.assert_array_equal(tiny.A_p, plain.A_p)
+    assert np.all(tiny.P_b > 0.0)
 
 
 def test_isocontour_outside_range_is_empty(planar):
