@@ -57,10 +57,10 @@ convergence_tol, or after max_steps iterations, rejected ones included.
 
 A and D share one sparsity pattern, each node's one-ring plus the
 diagonal, and so does J.  Each iteration fills J's values into that
-pattern, slices the held rows and columns out through index arrays
-built once per solve, and factors the matrix with SuperLU; the old
-factor is freed before the next one is made.  The arithmetic is the same on every run, so arrival fields
-stay bitwise deterministic, and doubling the rate doubles J and
+pattern, slices out the rows and columns of the nodes not held, and
+factors the matrix with SuperLU; the old factor is freed before the
+next one is made.  The arithmetic is the same on every run, so arrival
+fields stay bitwise deterministic, and doubling the rate doubles J and
 1/dt_i exactly while leaving Hcal unchanged, so s halves bitwise.
 
 Boundary handling: SYMMETRY and FREE nodes see half a fan, so
@@ -179,9 +179,8 @@ class _System:
     """Hcal, J and the pseudo-time matrix of one solve.
 
     The per-node constants and the index arrays into the shared pattern
-    are laid out once: the row of every pattern entry, its row-major key,
-    and the entries in the rows and columns of the nodes not held, in
-    the column-major order of the matrix handed to splu.
+    are laid out once: the row of every pattern entry and its row-major
+    key.
     """
 
     def __init__(self, mesh: Mesh, cache: GeomCache, rate: np.ndarray, scale: float):
@@ -199,14 +198,6 @@ class _System:
         pattern = cache.edge_diss
         self.row = np.repeat(np.arange(nn), np.diff(pattern.indptr))
         self.keys = self.row * nn + pattern.indices
-        new_id = np.cumsum(~held) - 1
-        keep = np.flatnonzero(~held[self.row] & ~held[pattern.indices])
-        r, c = new_id[self.row[keep]], new_id[pattern.indices[keep]]
-        order = np.lexsort((r, c))
-        self.take = keep[order]
-        self.m_indices = r[order]
-        self.m_indptr = np.concatenate([[0], np.cumsum(np.bincount(c, minlength=len(self.free)))])
-        self.m_diag = np.flatnonzero(r[order] == c[order])
 
     def warm_start(self) -> np.ndarray:
         """Shortest-path arrival over the mesh edges from the held nodes.
@@ -266,11 +257,12 @@ class _System:
 
     def matrix(self, st: _State, c: float) -> tuple[csc_array, float]:
         """diag(1/(c dt_i)) - J on the nodes not held, and min(c dt_i)."""
-        c_dt = c * (self.dt_scale[self.free] / st.rate_scale[self.free])
-        data = -self.jacobian(st)[self.take]
-        data[self.m_diag] += 1.0 / c_dt
-        n = len(self.free)
-        return csc_array((data, self.m_indices, self.m_indptr), shape=(n, n)), float(c_dt.min())
+        free, pattern = self.free, self.cache.edge_diss
+        c_dt = c * (self.dt_scale[free] / st.rate_scale[free])
+        m = csr_array((-self.jacobian(st), pattern.indices, pattern.indptr), shape=pattern.shape)
+        m = m[free][:, free].tocsc()
+        m.setdiag(m.diagonal() + 1.0 / c_dt)
+        return m, float(c_dt.min())
 
 
 def solve(

@@ -127,7 +127,7 @@ def _bbox_diag(nodes: np.ndarray) -> float:
     if len(nodes) == 0:
         return 0.0
     span = nodes.max(axis=0) - nodes.min(axis=0)
-    return float(np.sqrt(span[0] ** 2 + span[1] ** 2))
+    return math.hypot(*span)  # squaring the span overflows past ~1.3e154
 
 
 def _directed_edges(triangles: np.ndarray) -> np.ndarray:
@@ -154,7 +154,12 @@ def validate_mesh(mesh: Mesh) -> None:
     if len(tris) == 0:
         raise MeshError("mesh has no triangles")
 
-    areas = _signed_areas(nodes, tris)
+    # edges longer than ~1e154 overflow the cross product to inf or nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        areas = _signed_areas(nodes, tris)
+    if not np.isfinite(areas).all():
+        bad = np.flatnonzero(~np.isfinite(areas))
+        raise MeshError(f"triangle area overflows float64: triangles {bad[:10].tolist()}")
     if np.any(areas <= 0.0):
         bad = np.flatnonzero(areas <= 0.0)
         raise MeshError(
@@ -368,24 +373,42 @@ def _grid_triangles(nx: int, ny: int) -> np.ndarray:
     return np.concatenate([tri_a[:, None, :], tri_b[:, None, :]], axis=1).reshape(-1, 3)
 
 
-def _apply_side_markers(markers, symline, side_masks, rule, side_lines):
-    """Paint side markers with corner priority, then bind symmetry lines."""
-    line_list = []
-    for name, mask in side_masks:
+def _side_rule(defaults: dict, markers, kind: str) -> dict:
+    """defaults updated by markers, each of whose keys must name a side."""
+    for key in markers or ():
+        if key not in defaults:
+            raise MeshError(f"unknown {kind} name {key!r}")
+    return {**defaults, **(markers or {})}
+
+
+def _grid_mesh(nodes, tris, nu: int, nv: int, sides, rule) -> Mesh:
+    """Validated mesh of an (nu x nv) cell grid whose node (iu, iv) is
+    nodes[iv * (nu + 1) + iu].
+
+    sides lists (name, axis, last) in paint and bind order: the nodes
+    with iu (axis 0) or iv (axis 1) at 0, or at nu or nv when last.
+    rule maps each name to a Marker.  Markers are painted with corner
+    priority; each SYMMETRY side then gets the line through its two end
+    nodes and binds its SYMMETRY nodes not yet bound, so a corner goes
+    to the first SYMMETRY side listed.
+    """
+    index = (np.tile(np.arange(nu + 1), nv + 1), np.repeat(np.arange(nv + 1), nu + 1))
+    masks = [index[axis] == ((nu, nv)[axis] if last else 0) for _, axis, last in sides]
+    markers = np.zeros(len(nodes), dtype=np.int64)
+    for (name, _, _), mask in zip(sides, masks):
         m = int(rule[name])
-        cur = markers[mask]
-        take = _MARKER_RANK[m] > _MARKER_RANK[cur]
-        cur[take] = m
-        markers[mask] = cur
-    for name, mask in side_masks:
+        markers[mask & (_MARKER_RANK[m] > _MARKER_RANK[markers])] = m
+    lines = []
+    symline = np.full(len(nodes), -1, dtype=np.int64)
+    for (name, _, _), mask in zip(sides, masks):
         if int(rule[name]) != Marker.SYMMETRY:
             continue
-        line = side_lines[name]()
-        line_list.append(line)
-        idx = len(line_list) - 1
-        bind = mask & (markers == Marker.SYMMETRY) & (symline == -1)
-        symline[bind] = idx
-    return line_list
+        a, b = nodes[np.flatnonzero(mask)[[0, -1]]]
+        symline[mask & (markers == Marker.SYMMETRY) & (symline == -1)] = len(lines)
+        lines.append(SymmetryLine(tuple(a), tuple(b - a)))
+    mesh = Mesh(nodes, tris, markers, lines, symline)
+    validate_mesh(mesh)
+    return mesh
 
 
 def gen_rect(nx: int, ny: int, width: float, height: float, markers=None) -> Mesh:
@@ -398,40 +421,15 @@ def gen_rect(nx: int, ny: int, width: float, height: float, markers=None) -> Mes
         raise MeshError("gen_rect needs nx, ny >= 1")
     if width <= 0 or height <= 0:
         raise MeshError("gen_rect needs positive width and height")
-    rule = {"left": Marker.FREE, "right": Marker.FREE, "bottom": Marker.FREE, "top": Marker.FREE}
-    if markers:
-        for key in markers:
-            if key not in rule:
-                raise MeshError(f"unknown side name {key!r}")
-        rule.update(markers)
+    defaults = {"left": Marker.FREE, "right": Marker.FREE, "bottom": Marker.FREE, "top": Marker.FREE}
+    rule = _side_rule(defaults, markers, "side")
 
     xs = np.linspace(0.0, width, nx + 1)
     ys = np.linspace(0.0, height, ny + 1)
     X, Y = np.meshgrid(xs, ys)
     nodes = np.column_stack([X.ravel(), Y.ravel()])
-    tris = _grid_triangles(nx, ny)
-
-    ix = np.tile(np.arange(nx + 1), ny + 1)
-    iy = np.repeat(np.arange(ny + 1), nx + 1)
-    side_masks = [
-        ("left", ix == 0),
-        ("right", ix == nx),
-        ("bottom", iy == 0),
-        ("top", iy == ny),
-    ]
-    side_lines = {
-        "left": lambda: SymmetryLine((0.0, 0.0), (0.0, 1.0)),
-        "right": lambda: SymmetryLine((width, 0.0), (0.0, 1.0)),
-        "bottom": lambda: SymmetryLine((0.0, 0.0), (1.0, 0.0)),
-        "top": lambda: SymmetryLine((0.0, height), (1.0, 0.0)),
-    }
-    node_markers = np.zeros(len(nodes), dtype=np.int64)
-    node_symline = np.full(len(nodes), -1, dtype=np.int64)
-    lines = _apply_side_markers(node_markers, node_symline, side_masks, rule, side_lines)
-
-    mesh = Mesh(nodes, tris, node_markers, lines, node_symline)
-    validate_mesh(mesh)
-    return mesh
+    sides = [("left", 0, False), ("right", 0, True), ("bottom", 1, False), ("top", 1, True)]
+    return _grid_mesh(nodes, _grid_triangles(nx, ny), nx, ny, sides, rule)
 
 
 def _resample_polyline(poly: np.ndarray, n: int) -> np.ndarray:
@@ -459,17 +457,13 @@ def gen_coons(inner, outer, n_transverse: int, n_longitudinal: int, markers=None
     """
     if n_transverse < 1 or n_longitudinal < 1:
         raise MeshError("gen_coons needs n_transverse, n_longitudinal >= 1")
-    rule = {
+    defaults = {
         "inner": Marker.IGNITION,
         "outer": Marker.FREE,
         "side0": Marker.SYMMETRY,
         "side1": Marker.SYMMETRY,
     }
-    if markers:
-        for key in markers:
-            if key not in rule:
-                raise MeshError(f"unknown boundary name {key!r}")
-        rule.update(markers)
+    rule = _side_rule(defaults, markers, "boundary")
     if int(rule["inner"]) == Marker.SYMMETRY or int(rule["outer"]) == Marker.SYMMETRY:
         raise MeshError("SYMMETRY is only supported on the straight side chords")
 
@@ -490,35 +484,10 @@ def gen_coons(inner, outer, n_transverse: int, n_longitudinal: int, markers=None
         where = [(int(c % nu), int(c // nu)) for c in cells[:10]]
         raise MeshError(f"degenerate Coons patch: non-positive cells (iu, iv) {where}")
 
-    iu = np.tile(np.arange(nu + 1), nv + 1)
-    iv = np.repeat(np.arange(nv + 1), nu + 1)
-    side_masks = [
-        ("inner", iv == 0),
-        ("outer", iv == nv),
-        ("side0", iu == 0),
-        ("side1", iu == nu),
-    ]
-
-    def chord_line(a, b):
-        def make():
-            d = (b[0] - a[0], b[1] - a[1])
-            return SymmetryLine((float(a[0]), float(a[1])), d)
-
-        return make
-
-    side_lines = {
-        "side0": chord_line(ci[0], co[0]),
-        "side1": chord_line(ci[-1], co[-1]),
-        "inner": lambda: None,
-        "outer": lambda: None,
-    }
-    node_markers = np.zeros(len(nodes), dtype=np.int64)
-    node_symline = np.full(len(nodes), -1, dtype=np.int64)
-    lines = _apply_side_markers(node_markers, node_symline, side_masks, rule, side_lines)
-
-    mesh = Mesh(nodes, tris, node_markers, lines, node_symline)
-    validate_mesh(mesh)
-    return mesh
+    # rows v = 0 and v = 1 are exactly ci and co, so side0 runs from
+    # inner[0] to outer[0] and side1 from inner[-1] to outer[-1]
+    sides = [("inner", 1, False), ("outer", 1, True), ("side0", 0, False), ("side1", 0, True)]
+    return _grid_mesh(nodes, tris, nu, nv, sides, rule)
 
 
 # ---------------------------------------------------------------------------

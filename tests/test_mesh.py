@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -104,6 +106,34 @@ def test_gen_coons_accepts_either_orientation():
     flipped = gen_coons(inner[::-1], outer[::-1], 6, 12)
     assert total_area(flipped) > 0.0
     validate_mesh(flipped)
+
+
+def test_gen_rect_symmetry_sides_bind_corners_in_side_order():
+    sym = dict.fromkeys(("left", "right", "bottom", "top"), Marker.SYMMETRY)
+    mesh = gen_rect(3, 2, 1, 1, markers=sym)
+    assert [(ln.point, ln.direction) for ln in mesh.symmetry_lines] == [
+        ((0.0, 0.0), (0.0, 1.0)),
+        ((1.0, 0.0), (0.0, 1.0)),
+        ((0.0, 0.0), (1.0, 0.0)),
+        ((0.0, 1.0), (1.0, 0.0)),
+    ]
+    # node (iu, iv) is 4 iv + iu; a corner goes to the first of its two
+    # sides in left, right, bottom, top order
+    assert mesh.node_symline.tolist() == [0, 2, 2, 1, 0, -1, -1, 1, 0, 3, 3, 1]
+
+
+def test_gen_coons_side_chords_run_from_inner_to_outer_in_a_flipped_loft():
+    inner = arc(1.0, 0.0, 0.5 * np.pi, 40)
+    outer = arc(2.0, 0.0, 0.5 * np.pi, 40)
+    mesh = gen_coons(inner, outer, 3, 5)
+    # this loft is clockwise, so each cell's two triangles were reversed
+    assert mesh.triangles[:2].tolist() == [[0, 7, 1], [0, 6, 7]]
+    for line, a, b in zip(mesh.symmetry_lines, inner[[0, -1]], outer[[0, -1]]):
+        assert line.point == tuple(a)
+        assert line.direction == pytest.approx(tuple((b - a) / np.hypot(*(b - a))), abs=1e-15)
+    # node (iu, iv) is 6 iv + iu; the inner corners stay IGNITION
+    assert mesh.node_symline[0::6].tolist() == [-1, 0, 0, 0]
+    assert mesh.node_symline[5::6].tolist() == [-1, 1, 1, 1]
 
 
 def test_gen_coons_rejects_symmetry_on_longitudinal_boundaries():
@@ -331,6 +361,27 @@ def test_validate_rejects_inverted_triangle():
         validate_mesh(mesh)
 
 
+def test_validate_rejects_overflowing_triangle_areas():
+    rect = gen_rect(2, 2, 1.0, 1.0)
+    rect.nodes *= 1e200  # every cross product overflows to inf
+    sliver = Mesh([[0.0, 0.0], [1e200, 1e200], [1e200, 2e200]], [[0, 1, 2]], [0, 0, 0])  # inf - inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MeshError, match=r"area overflows float64: triangles \[0, 1, 2, 3, 4, 5, 6, 7\]"):
+            validate_mesh(rect)
+        with pytest.raises(MeshError, match=r"area overflows float64: triangles \[0\]"):
+            validate_mesh(sliver)
+
+
+def test_validate_symmetry_tolerance_survives_large_coordinates():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mesh = gen_rect(100, 1, 1e155, 1e153, markers={"bottom": Marker.SYMMETRY})
+        mesh.nodes[50, 1] += 1e150
+        with pytest.raises(MeshError, match="SYMMETRY node 50 lies off symmetry line 0"):
+            validate_mesh(mesh)
+
+
 def test_validate_rejects_nonmanifold_edge():
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [1.5, 1.0]])
     tris = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]])
@@ -434,6 +485,15 @@ def test_merge_meshes_dedupes_symmetry_lines():
     assert len(merged.symmetry_lines) == 1
     sym = merged.node_markers == Marker.SYMMETRY
     assert np.all(merged.node_symline[sym] == 0)
+
+
+def test_merge_meshes_welds_only_the_seam_at_large_coordinates():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rect = gen_rect(100, 1, 1e155, 1e153, markers={"bottom": Marker.SYMMETRY})
+        merged = merge_meshes([rect, shifted(rect, 1e155)])
+    assert merged.n_nodes == 2 * 202 - 2
+    assert len(merged.symmetry_lines) == 1
 
 
 # ------------------------------------------------------------ geometry cache
