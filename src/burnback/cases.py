@@ -10,7 +10,7 @@ star, and a two-region composite for the bipropellant star whose slow
 region burns as circles about the chamber center.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -99,18 +99,9 @@ def circle_case() -> Case:
     )
     # Exact 90-degree rotations keep seam coordinates bitwise mirrored.
     rot = np.array([[0.0, -1.0], [1.0, 0.0]])
-    parts, nodes = [quarter], quarter.nodes
+    parts = [quarter]
     for _ in range(3):
-        nodes = nodes @ rot.T
-        parts.append(
-            Mesh(
-                nodes,
-                quarter.triangles.copy(),
-                quarter.node_markers.copy(),
-                [],
-                np.full(quarter.n_nodes, -1, dtype=np.int64),
-            )
-        )
+        parts.append(replace(parts[-1], nodes=parts[-1].nodes @ rot.T))
     mesh = merge_meshes(parts)
     return Case("circle", mesh, 1.0, _radius(mesh) - r_inner, depth=r_outer - r_inner)
 

@@ -208,14 +208,17 @@ def _cmd_mesh_info(opt: dict) -> int:
 
 
 def _cmd_solve(opt: dict) -> int:
+    rate = opt.get("rate")
+    if rate is not None and not (math.isfinite(rate) and rate > 0.0):
+        raise ValueError(f"--rate value {rate} is not a positive finite rate")
     if opt.get("mesh") is not None:
         mesh = load_mesh(Path(opt["mesh"]).read_text(encoding="utf-8"))
-        rate = 1.0 if opt.get("rate") is None else opt["rate"]
+        rate = 1.0 if rate is None else rate
         config = _merged_config(opt, None)
     else:
         case = build_case(opt["case"])
         mesh = case.mesh
-        rate = case.rate if opt.get("rate") is None else opt["rate"]
+        rate = case.rate if rate is None else rate
         config = _merged_config(opt, case.config)
     res = solve(mesh, rate, config=config)
     _write(opt["out"], emit_csv(res.s, mesh=mesh))
@@ -255,19 +258,26 @@ def _cmd_curves(opt: dict) -> int:
     return 0
 
 
+def _finite_tau(token: str) -> float:
+    try:
+        tau = float(token)
+    except ValueError:
+        tau = math.nan
+    if not math.isfinite(tau):
+        raise ValueError(f"--levels value {token} is not a finite tau")
+    return tau
+
+
 def _cmd_contours(opt: dict) -> int:
     case = build_case(opt["case"])
-    res = _solve_case(case, opt)
     if opt.get("levels"):
-        levels = [float(tok) for tok in opt["levels"].split(",") if tok.strip()]
+        levels = [_finite_tau(tok.strip()) for tok in opt["levels"].split(",") if tok.strip()]
         if not levels:
             raise ValueError("--levels must hold at least one tau value")
-        bad = [tau for tau in levels if not math.isfinite(tau)]
-        if bad:
-            raise ValueError(f"--levels value {bad[0]} is not a finite tau")
     else:
         k = np.arange(1, opt["nlevels"] + 1)
         levels = list(case.depth * k / (opt["nlevels"] + 1.0))
+    res = _solve_case(case, opt)
     svg = emit_svg(
         case.mesh, res.s, levels=levels, contour=case.port, show_mesh=not opt["no_mesh"]
     )

@@ -1,7 +1,10 @@
 """Triangular meshes for 2D burnback runs.
 
-Containers, generators, text I/O, validation, and the precomputed
-sparse operators and node heights consumed by the front solver.
+Containers, generators, text I/O, and the precomputed sparse operators
+and node heights consumed by the front solver.  A Mesh checks every
+mesh invariant when it is built and holds read-only arrays, so each
+mesh is valid however it was made: parsed, generated, welded, derived
+with dataclasses.replace, or built by hand.
 
 Text format, line oriented, '#' starts a comment:
 
@@ -17,7 +20,7 @@ exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from itertools import chain
 from operator import itemgetter
@@ -32,7 +35,6 @@ __all__ = [
     "Mesh",
     "MeshError",
     "GeomCache",
-    "validate_mesh",
     "load_mesh",
     "save_mesh",
     "gen_rect",
@@ -81,31 +83,117 @@ class SymmetryLine:
         object.__setattr__(self, "direction", (d[0] / n, d[1] / n))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Mesh:
     """Triangulated cross-section with per-node boundary markers.
 
     nodes          (nn, 2) float64 coordinates
     triangles      (nt, 3) int64 node ids, counter-clockwise
     node_markers   (nn,) int64 values from Marker
-    symmetry_lines list of SymmetryLine
+    symmetry_lines tuple of SymmetryLine
     node_symline   (nn,) int64 index into symmetry_lines, -1 where unused
+
+    The arrays are read-only copies of the arguments.  Construction
+    checks every mesh invariant and raises MeshError naming the
+    offending node or triangle; derive a changed mesh with
+    dataclasses.replace, which checks it again.
     """
 
     nodes: np.ndarray
     triangles: np.ndarray
     node_markers: np.ndarray
-    symmetry_lines: list = field(default_factory=list)
+    symmetry_lines: tuple = ()
     node_symline: np.ndarray | None = None
 
     def __post_init__(self):
-        self.nodes = np.ascontiguousarray(np.asarray(self.nodes, dtype=np.float64))
-        self.triangles = np.ascontiguousarray(np.asarray(self.triangles, dtype=np.int64))
-        self.node_markers = np.asarray(self.node_markers, dtype=np.int64)
-        if self.node_symline is None:
-            self.node_symline = np.full(len(self.nodes), -1, dtype=np.int64)
-        else:
-            self.node_symline = np.asarray(self.node_symline, dtype=np.int64)
+        for name, dtype in (
+            ("nodes", np.float64),
+            ("triangles", np.int64),
+            ("node_markers", np.int64),
+            ("node_symline", np.int64),
+        ):
+            value = getattr(self, name)
+            if value is None:  # node_symline: no node on a line
+                value = np.full(self.nodes.shape[:1], -1)
+            array = np.array(value, dtype=dtype, order="C")
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+        object.__setattr__(self, "symmetry_lines", tuple(self.symmetry_lines))
+
+        nodes, tris = self.nodes, self.triangles
+        if nodes.ndim != 2 or nodes.shape[1] != 2:
+            raise MeshError("nodes must be an (n, 2) array")
+        if tris.ndim != 2 or tris.shape[1] != 3:
+            raise MeshError("triangles must be an (n, 3) array")
+        finite = np.isfinite(nodes).all(axis=1)
+        if not finite.all():
+            raise MeshError(f"non-finite coordinate at node {int(np.argmax(~finite))}")
+        nn = len(nodes)
+        if tris.size and (tris.min() < 0 or tris.max() >= nn):
+            bad = int(np.argmax((tris < 0) | (tris >= nn)).item() // 3)
+            raise MeshError(f"triangle {bad} references a node outside 0..{nn - 1}")
+        if len(tris) == 0:
+            raise MeshError("mesh has no triangles")
+
+        # edges longer than ~1e154 overflow the cross product to inf or nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            areas = _signed_areas(nodes, tris)
+        if not np.isfinite(areas).all():
+            bad = np.flatnonzero(~np.isfinite(areas))
+            raise MeshError(f"triangle area overflows float64: triangles {bad[:10].tolist()}")
+        if np.any(areas <= 0.0):
+            bad = np.flatnonzero(areas <= 0.0)
+            raise MeshError(
+                "non-positive triangle area (clockwise or degenerate): "
+                f"triangles {bad[:10].tolist()}"
+            )
+
+        used = np.zeros(nn, dtype=bool)
+        used[tris.ravel()] = True
+        if not used.all():
+            raise MeshError(f"nodes not referenced by any triangle: {np.flatnonzero(~used)[:10].tolist()}")
+
+        for name in ("node_markers", "node_symline"):
+            if getattr(self, name).shape != (nn,):
+                raise MeshError(f"{name} length does not match nodes")
+        mk = self.node_markers
+        if np.any((mk < 0) | (mk > 3)):
+            raise MeshError(f"invalid marker value at node {int(np.argmax((mk < 0) | (mk > 3)))}")
+
+        sl = self.node_symline
+        nsym = len(self.symmetry_lines)
+        is_sym = mk == Marker.SYMMETRY
+        if np.any(is_sym & ((sl < 0) | (sl >= nsym))):
+            bad = int(np.argmax(is_sym & ((sl < 0) | (sl >= nsym))))
+            raise MeshError(f"SYMMETRY node {bad} has no valid symmetry line reference")
+        if np.any(~is_sym & (sl != -1)):
+            bad = int(np.argmax(~is_sym & (sl != -1)))
+            raise MeshError(f"node {bad} carries a symmetry line reference but is not SYMMETRY")
+
+        # Symmetry nodes must sit on their line to within 1e-9 of the mesh size.
+        tol = 1e-9 * max(_bbox_diag(nodes), 1e-300)
+        for k, line in enumerate(self.symmetry_lines):
+            pick = is_sym & (sl == k)
+            if not pick.any():
+                continue
+            p = np.asarray(line.point)
+            d = np.asarray(line.direction)
+            r = nodes[pick] - p
+            off = np.abs(r[:, 0] * d[1] - r[:, 1] * d[0])
+            if off.max() > tol:
+                bad = int(np.flatnonzero(pick)[int(np.argmax(off))])
+                raise MeshError(f"SYMMETRY node {bad} lies off symmetry line {k} by {off.max():.3e}")
+
+        # Orientation-consistent and edge-manifold: every directed edge at
+        # most once.  Three triangles on one edge must repeat one of its two
+        # directions, so this also rejects non-manifold edges.
+        de = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
+        keys = np.sort(de[:, 0] * nn + de[:, 1])
+        if np.any(keys[1:] == keys[:-1]):
+            raise MeshError(
+                "duplicated directed edge (inconsistent orientation, doubled triangle "
+                "or edge on more than two triangles)"
+            )
 
     @property
     def n_nodes(self) -> int:
@@ -124,94 +212,8 @@ def _signed_areas(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
 
 
 def _bbox_diag(nodes: np.ndarray) -> float:
-    if len(nodes) == 0:
-        return 0.0
     span = nodes.max(axis=0) - nodes.min(axis=0)
     return math.hypot(*span)  # squaring the span overflows past ~1.3e154
-
-
-def _directed_edges(triangles: np.ndarray) -> np.ndarray:
-    """All 3*nt directed edges (corner k to corner k+1)."""
-    return np.concatenate(
-        [triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]], axis=0
-    )
-
-
-def validate_mesh(mesh: Mesh) -> None:
-    """Check every mesh invariant; raise MeshError naming the offender."""
-    nodes, tris = mesh.nodes, mesh.triangles
-    if nodes.ndim != 2 or nodes.shape[1] != 2:
-        raise MeshError("nodes must be an (n, 2) array")
-    if tris.ndim != 2 or tris.shape[1] != 3:
-        raise MeshError("triangles must be an (n, 3) array")
-    finite = np.isfinite(nodes).all(axis=1)
-    if not finite.all():
-        raise MeshError(f"non-finite coordinate at node {int(np.argmax(~finite))}")
-    nn = len(nodes)
-    if tris.size and (tris.min() < 0 or tris.max() >= nn):
-        bad = int(np.argmax((tris < 0) | (tris >= nn)).item() // 3)
-        raise MeshError(f"triangle {bad} references a node outside 0..{nn - 1}")
-    if len(tris) == 0:
-        raise MeshError("mesh has no triangles")
-
-    # edges longer than ~1e154 overflow the cross product to inf or nan
-    with np.errstate(over="ignore", invalid="ignore"):
-        areas = _signed_areas(nodes, tris)
-    if not np.isfinite(areas).all():
-        bad = np.flatnonzero(~np.isfinite(areas))
-        raise MeshError(f"triangle area overflows float64: triangles {bad[:10].tolist()}")
-    if np.any(areas <= 0.0):
-        bad = np.flatnonzero(areas <= 0.0)
-        raise MeshError(
-            "non-positive triangle area (clockwise or degenerate): "
-            f"triangles {bad[:10].tolist()}"
-        )
-
-    used = np.zeros(nn, dtype=bool)
-    used[tris.ravel()] = True
-    if not used.all():
-        raise MeshError(f"nodes not referenced by any triangle: {np.flatnonzero(~used)[:10].tolist()}")
-
-    mk = mesh.node_markers
-    if mk.shape != (nn,):
-        raise MeshError("node_markers length does not match nodes")
-    if np.any((mk < 0) | (mk > 3)):
-        raise MeshError(f"invalid marker value at node {int(np.argmax((mk < 0) | (mk > 3)))}")
-
-    sl = mesh.node_symline
-    nsym = len(mesh.symmetry_lines)
-    is_sym = mk == Marker.SYMMETRY
-    if np.any(is_sym & ((sl < 0) | (sl >= nsym))):
-        bad = int(np.argmax(is_sym & ((sl < 0) | (sl >= nsym))))
-        raise MeshError(f"SYMMETRY node {bad} has no valid symmetry line reference")
-    if np.any(~is_sym & (sl != -1)):
-        bad = int(np.argmax(~is_sym & (sl != -1)))
-        raise MeshError(f"node {bad} carries a symmetry line reference but is not SYMMETRY")
-
-    # Symmetry nodes must sit on their line to within 1e-9 of the mesh size.
-    tol = 1e-9 * max(_bbox_diag(nodes), 1e-300)
-    for k, line in enumerate(mesh.symmetry_lines):
-        pick = is_sym & (sl == k)
-        if not pick.any():
-            continue
-        p = np.asarray(line.point)
-        d = np.asarray(line.direction)
-        r = nodes[pick] - p
-        off = np.abs(r[:, 0] * d[1] - r[:, 1] * d[0])
-        if off.max() > tol:
-            bad = int(np.flatnonzero(pick)[int(np.argmax(off))])
-            raise MeshError(f"SYMMETRY node {bad} lies off symmetry line {k} by {off.max():.3e}")
-
-    # Orientation-consistent and edge-manifold: every directed edge at most
-    # once.  Three triangles on one edge must repeat one of its two
-    # directions, so this also rejects non-manifold edges.
-    de = _directed_edges(tris)
-    keys = np.sort(de[:, 0].astype(np.int64) * nn + de[:, 1])
-    if np.any(keys[1:] == keys[:-1]):
-        raise MeshError(
-            "duplicated directed edge (inconsistent orientation, doubled triangle "
-            "or edge on more than two triangles)"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -352,9 +354,7 @@ def load_mesh(text: str) -> Mesh:
     if c < len(recs):
         raise MeshError(f"line {line_no[c]}: trailing records beyond declared counts")
 
-    mesh = Mesh(nodes, tris, markers, lines, symline)
-    validate_mesh(mesh)
-    return mesh
+    return Mesh(nodes, tris, markers, lines, symline)
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +406,7 @@ def _grid_mesh(nodes, tris, nu: int, nv: int, sides, rule) -> Mesh:
         a, b = nodes[np.flatnonzero(mask)[[0, -1]]]
         symline[mask & (markers == Marker.SYMMETRY) & (symline == -1)] = len(lines)
         lines.append(SymmetryLine(tuple(a), tuple(b - a)))
-    mesh = Mesh(nodes, tris, markers, lines, symline)
-    validate_mesh(mesh)
-    return mesh
+    return Mesh(nodes, tris, markers, lines, symline)
 
 
 def gen_rect(nx: int, ny: int, width: float, height: float, markers=None) -> Mesh:
@@ -437,9 +435,14 @@ def _resample_polyline(poly: np.ndarray, n: int) -> np.ndarray:
     poly = np.asarray(poly, dtype=np.float64)
     if poly.ndim != 2 or poly.shape[1] != 2 or len(poly) < 2:
         raise MeshError("boundary polyline needs at least 2 points")
-    seg = np.diff(poly, axis=0)
-    slen = np.sqrt(seg[:, 0] ** 2 + seg[:, 1] ** 2)
-    cum = np.concatenate([[0.0], np.cumsum(slen)])
+    if not np.isfinite(poly).all():
+        raise MeshError("boundary polyline points must be finite")
+    with np.errstate(over="ignore"):  # an overflowed length is named below
+        seg = np.diff(poly, axis=0)
+        slen = np.sqrt(seg[:, 0] ** 2 + seg[:, 1] ** 2)
+        cum = np.concatenate([[0.0], np.cumsum(slen)])
+    if not math.isfinite(cum[-1]):
+        raise MeshError("boundary polyline length overflows float64")
     if cum[-1] <= 0.0:
         raise MeshError("degenerate boundary polyline (zero length)")
     t = np.linspace(0.0, cum[-1], n + 1)
@@ -475,14 +478,16 @@ def gen_coons(inner, outer, n_transverse: int, n_longitudinal: int, markers=None
     nodes = nodes.reshape(-1, 2)
     tris = _grid_triangles(nu, nv)
 
-    areas = _signed_areas(nodes, tris)
-    if np.all(areas < 0.0):
-        tris = tris[:, [0, 2, 1]]  # inner/outer orientation flips the loft
-        areas = -areas
-    if np.any(areas <= 0.0):
-        cells = np.unique(np.flatnonzero(areas <= 0.0) // 2)
-        where = [(int(c % nu), int(c // nu)) for c in cells[:10]]
-        raise MeshError(f"degenerate Coons patch: non-positive cells (iu, iv) {where}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        areas = _signed_areas(nodes, tris)
+    if np.isfinite(areas).all():  # else Mesh names the overflowed triangles
+        if np.all(areas < 0.0):
+            tris = tris[:, [0, 2, 1]]  # inner/outer orientation flips the loft
+            areas = -areas
+        if np.any(areas <= 0.0):
+            cells = np.unique(np.flatnonzero(areas <= 0.0) // 2)
+            where = [(int(c % nu), int(c // nu)) for c in cells[:10]]
+            raise MeshError(f"degenerate Coons patch: non-positive cells (iu, iv) {where}")
 
     # rows v = 0 and v = 1 are exactly ci and co, so side0 runs from
     # inner[0] to outer[0] and side1 from inner[-1] to outer[-1]
@@ -492,15 +497,6 @@ def gen_coons(inner, outer, n_transverse: int, n_longitudinal: int, markers=None
 
 # ---------------------------------------------------------------------------
 # welding
-
-
-def _canonical_line(line: SymmetryLine):
-    d = np.asarray(line.direction)
-    if d[0] < 0 or (d[0] == 0 and d[1] < 0):
-        d = -d
-    p = np.asarray(line.point)
-    anchor = p - (p @ d) * d  # foot of the origin on the line
-    return anchor, d
 
 
 def _close_pairs(nodes: np.ndarray, tol: float) -> np.ndarray:
@@ -536,8 +532,8 @@ def merge_meshes(meshes) -> Mesh:
     """Weld coincident nodes of several meshes into one mesh.
 
     Coincident means within 1e-9 of the joint bounding box diagonal.
-    Markers of welded nodes combine with the usual corner priority;
-    identical symmetry lines are deduplicated.
+    Markers of welded nodes combine with the usual corner priority.
+    Every input's symmetry lines are kept, in input order.
     """
     meshes = list(meshes)
     if not meshes:
@@ -575,33 +571,13 @@ def merge_meshes(meshes) -> Mesh:
     rank_to_marker[_MARKER_RANK] = np.arange(4)
     new_markers = rank_to_marker[best_rank]
 
-    # Deduplicate symmetry lines that describe the same geometric line.
-    canon = [_canonical_line(ln) for ln in all_lines]
-    line_map = np.full(len(all_lines), -1, dtype=np.int64)
-    kept: list[SymmetryLine] = []
-    kept_canon = []
-    for i, (anchor, d) in enumerate(canon):
-        hit = -1
-        for j, (a2, d2) in enumerate(kept_canon):
-            if abs(d[0] * d2[1] - d[1] * d2[0]) < 1e-12 and np.hypot(*(anchor - a2)) <= max(tol, 1e-12):
-                hit = j
-                break
-        if hit < 0:
-            kept.append(all_lines[i])
-            kept_canon.append((anchor, d))
-            hit = len(kept) - 1
-        line_map[i] = hit
-
+    # a welded SYMMETRY node keeps the line of its lowest-id source
+    src = np.flatnonzero(symline >= 0)
+    target, first = np.unique(new_id[src], return_index=True)
     new_symline = np.full(len(uniq), -1, dtype=np.int64)
-    is_sym_src = (markers == Marker.SYMMETRY) & (symline >= 0)
-    for src in np.flatnonzero(is_sym_src):
-        g = new_id[src]
-        if new_markers[g] == Marker.SYMMETRY and new_symline[g] == -1:
-            new_symline[g] = line_map[symline[src]]
-
-    merged = Mesh(new_nodes, new_tris, new_markers, kept, new_symline)
-    validate_mesh(merged)
-    return merged
+    new_symline[target] = symline[src[first]]
+    new_symline[new_markers != Marker.SYMMETRY] = -1
+    return Mesh(new_nodes, new_tris, new_markers, all_lines, new_symline)
 
 
 # ---------------------------------------------------------------------------
@@ -751,16 +727,10 @@ def geom_cache(mesh: Mesh) -> GeomCache:
     fan = np.full((degree.max(), nn), nt, dtype=np.int32)
     fan[np.arange(3 * nt) - node_ptr[owner], owner] = order // 3
 
-    mk = mesh.node_markers
-    sym_nodes = np.flatnonzero(mk == Marker.SYMMETRY)
-    symline = mesh.node_symline[sym_nodes]
-    bad = (symline < 0) | (symline >= len(mesh.symmetry_lines))
-    if bad.any():
-        raise MeshError(
-            f"SYMMETRY node {int(sym_nodes[np.argmax(bad)])} has no valid symmetry line reference"
-        )
+    sym_nodes = np.flatnonzero(mesh.node_markers == Marker.SYMMETRY)
+    directions = np.array([line.direction for line in mesh.symmetry_lines]).reshape(-1, 2)
     mirror = np.zeros((nn, 2))
-    mirror[sym_nodes] = np.array([line.direction for line in mesh.symmetry_lines]).reshape(-1, 2)[symline]
+    mirror[sym_nodes] = directions[mesh.node_symline[sym_nodes]]
     mean_grad, edge_diss = _fan_operators(mesh, grad, corner_angle, edge_len3, mirror)
 
     return GeomCache(

@@ -285,11 +285,29 @@ def test_contours_level_count(tmp_path):
     assert 'data-tau="0.5"' in svg
 
 
-def test_contours_rejects_nonfinite_level(tmp_path, capsys):
+def test_contours_rejects_nonfinite_level(tmp_path, capsys, monkeypatch):
+    def no_solve(case, opt):
+        raise AssertionError("the levels are checked before the solve")
+
+    monkeypatch.setattr(cli, "_solve_case", no_solve)
     out = tmp_path / "iso.svg"
-    argv = ["contours", "--case", "rect", "--out", str(out), "--levels", "0.5,nan"]
-    assert main(argv) == 1
-    assert capsys.readouterr().err.startswith("cli.ValueError: --levels value nan ")
+    for levels, shown in (("0.5,nan", "nan"), ("0.5, abc", "abc"), ("1e400", "1e400")):
+        argv = ["contours", "--case", "rect", "--out", str(out), "--levels", levels]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"cli.ValueError: --levels value {shown} is not a finite tau\n"
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "0", "-1", "inf"])
+def test_solve_checks_rate_before_the_solve(tmp_path, capsys, monkeypatch, value):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the rate is checked before the solve")
+
+    monkeypatch.setattr(cli, "solve", no_solve)
+    out = tmp_path / "field.csv"
+    assert main(["solve", "--case", "rect", "--out", str(out), "--rate", value]) == 1
+    err = capsys.readouterr().err
+    assert err == f"cli.ValueError: --rate value {float(value)} is not a positive finite rate\n"
     assert not out.exists()
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import warnings
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from burnback.mesh import (
     load_mesh,
     merge_meshes,
     save_mesh,
-    validate_mesh,
 )
 
 
@@ -105,7 +105,7 @@ def test_gen_coons_accepts_either_orientation():
     outer = arc(2.0, 0.0, 0.5 * np.pi, 40)
     flipped = gen_coons(inner[::-1], outer[::-1], 6, 12)
     assert total_area(flipped) > 0.0
-    validate_mesh(flipped)
+    replace(flipped)  # checks the mesh again
 
 
 def test_gen_rect_symmetry_sides_bind_corners_in_side_order():
@@ -354,44 +354,137 @@ def test_load_mesh_raises_only_mesh_error(data):
     assert isinstance(mesh, Mesh)
 
 
+def _straight_patch(width: float, height: float):
+    inner = np.array([[0.0, 0.0], [width, 0.0]])
+    return gen_coons(inner, inner + [0.0, height], 1, 1)
+
+
+def _weld_sliver(dx: float):
+    # a unit square and a triangle on its right side whose first two
+    # nodes lie dx apart: at dx = 1e-10 they weld and it collapses
+    sliver = Mesh([[1.0, 0.0], [1.0 + dx, 0.0], [1.0, 1.0]], [[0, 1, 2]], [0, 0, 0])
+    return merge_meshes([gen_rect(1, 1, 1.0, 1.0), sliver])
+
+
+_SYM_RECT = gen_rect(4, 3, 1.0, 1.0, markers={"bottom": Marker.SYMMETRY})
+
+# each way to make a mesh: build(bad) and the MeshError that bad input raises
+BUILDS = {
+    "Mesh": (
+        lambda bad: Mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 2, 1] if bad else [0, 1, 2]], [1, 0, 0]),
+        "non-positive triangle area (clockwise or degenerate): triangles [0]",
+    ),
+    "replace": (
+        lambda bad: replace(_SYM_RECT, node_symline=np.full(20, -1) if bad else _SYM_RECT.node_symline),
+        "SYMMETRY node 0 has no valid symmetry line reference",
+    ),
+    "load_mesh": (
+        lambda bad: load_mesh(edited({4: "0.5 0.25 3 0"} if bad else {}, False)),
+        "SYMMETRY node 1 lies off symmetry line 0 by 2.500e-01",
+    ),
+    "gen_rect": (
+        lambda bad: gen_rect(2, 2, 1e200 if bad else 1.0, 1e200 if bad else 1.0),
+        "triangle area overflows float64: triangles [0, 1, 2, 3, 4, 5, 6, 7]",
+    ),
+    "gen_coons": (
+        lambda bad: _straight_patch(1e154, 1e300) if bad else _straight_patch(1.0, 1.0),
+        "triangle area overflows float64: triangles [0, 1]",
+    ),
+    "merge_meshes": (
+        lambda bad: _weld_sliver(1e-10 if bad else 0.5),
+        "non-positive triangle area (clockwise or degenerate): triangles [2]",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILDS))
+def test_every_mesh_is_checked_when_built_and_read_only(name):
+    build, message = BUILDS[name]
+    mesh = build(False)
+    assert isinstance(mesh.symmetry_lines, tuple)
+    for array in (mesh.nodes, mesh.triangles, mesh.node_markers, mesh.node_symline):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    with pytest.raises(FrozenInstanceError):
+        mesh.nodes = mesh.nodes.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MeshError) as exc:
+            build(True)
+    assert str(exc.value) == message
+
+
+def test_mesh_keeps_its_own_copy_of_the_arrays():
+    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    mesh = Mesh(nodes, [[0, 1, 2]], [1, 0, 0])
+    nodes[1, 0] = -1.0  # would make the triangle clockwise
+    assert mesh.nodes[1, 0] == 1.0
+    assert mesh.node_symline.tolist() == [-1, -1, -1]
+
+
+def test_mesh_names_array_length_mismatches():
+    tri = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+    with pytest.raises(MeshError, match="^node_markers length does not match nodes$"):
+        Mesh(tri, [[0, 1, 2]], [1, 0])
+    with pytest.raises(MeshError, match="^node_symline length does not match nodes$"):
+        Mesh(tri, [[0, 1, 2]], [1, 0, 0], (), [-1, -1])
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["ccw", "cw"])
+def test_gen_coons_names_non_finite_input_without_a_warning(reverse):
+    straight = np.array([[0.0, 0.0], [1e154, 0.0]])
+    inputs = [
+        # segment lengths of 1e200-radius arcs overflow
+        (arc(1e200, 0.0, 0.5 * np.pi, 40), arc(2e200, 0.0, 0.5 * np.pi, 40), "boundary polyline length overflows"),
+        # finite lengths, but every cell area overflows
+        (straight, straight + [0.0, 1e300], r"triangle area overflows float64: triangles \[0, 1\]"),
+        (arc(1.0, 0.0, 0.5 * np.pi, 40), np.array([[2.0, 0.0], [np.inf, 2.0]]), "points must be finite"),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for inner, outer, message in inputs:
+            if reverse:
+                inner, outer = inner[::-1], outer[::-1]
+            with pytest.raises(MeshError, match=message):
+                gen_coons(inner, outer, 1, 1)
+
+
 def test_validate_rejects_inverted_triangle():
     mesh = gen_rect(2, 2, 1.0, 1.0)
-    mesh.triangles[0] = mesh.triangles[0][::-1]
+    tris = mesh.triangles.copy()
+    tris[0] = tris[0][::-1]
     with pytest.raises(MeshError, match="non-positive"):
-        validate_mesh(mesh)
+        replace(mesh, triangles=tris)
 
 
 def test_validate_rejects_overflowing_triangle_areas():
     rect = gen_rect(2, 2, 1.0, 1.0)
-    rect.nodes *= 1e200  # every cross product overflows to inf
-    sliver = Mesh([[0.0, 0.0], [1e200, 1e200], [1e200, 2e200]], [[0, 1, 2]], [0, 0, 0])  # inf - inf
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(MeshError, match=r"area overflows float64: triangles \[0, 1, 2, 3, 4, 5, 6, 7\]"):
-            validate_mesh(rect)
+            replace(rect, nodes=rect.nodes * 1e200)  # every cross product overflows to inf
         with pytest.raises(MeshError, match=r"area overflows float64: triangles \[0\]"):
-            validate_mesh(sliver)
+            Mesh([[0.0, 0.0], [1e200, 1e200], [1e200, 2e200]], [[0, 1, 2]], [0, 0, 0])  # inf - inf
 
 
 def test_validate_symmetry_tolerance_survives_large_coordinates():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         mesh = gen_rect(100, 1, 1e155, 1e153, markers={"bottom": Marker.SYMMETRY})
-        mesh.nodes[50, 1] += 1e150
+        nodes = mesh.nodes.copy()
+        nodes[50, 1] += 1e150
         with pytest.raises(MeshError, match="SYMMETRY node 50 lies off symmetry line 0"):
-            validate_mesh(mesh)
+            replace(mesh, nodes=nodes)
 
 
 def test_validate_rejects_nonmanifold_edge():
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [1.5, 1.0]])
     tris = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]])
-    from burnback.mesh import Mesh
-
     with pytest.raises(MeshError, match="edge on more than two triangles"):
-        validate_mesh(Mesh(nodes, tris, np.zeros(5, dtype=np.int64)))
+        Mesh(nodes, tris, np.zeros(5, dtype=np.int64))
     doubled = np.array([[0, 1, 2], [0, 1, 2]])
     with pytest.raises(MeshError, match="edge on more than two triangles"):
-        validate_mesh(Mesh(nodes[:3], doubled, np.zeros(3, dtype=np.int64)))
+        Mesh(nodes[:3], doubled, np.zeros(3, dtype=np.int64))
 
 
 # ------------------------------------------------------------------- merging
@@ -411,7 +504,6 @@ def test_merge_meshes_welds_shared_edge():
     assert merged.nodes.shape[0] == 2 * 5 * 4 - 4
     assert merged.triangles.shape[0] == 2 * 24
     assert total_area(merged) == pytest.approx(2.0, rel=1e-12)
-    validate_mesh(merged)
 
 
 def shifted(mesh, dx):
@@ -471,29 +563,13 @@ def test_merge_meshes_combines_markers_by_rank():
     assert np.all(merged.node_markers[seam] == Marker.IGNITION)
 
 
-def test_merge_meshes_dedupes_symmetry_lines():
-    a = gen_rect(3, 2, 1.0, 1.0, markers={"bottom": Marker.SYMMETRY})
-    b = gen_rect(3, 2, 1.0, 1.0, markers={"bottom": Marker.SYMMETRY})
-    b = type(b)(
-        b.nodes + np.array([1.0, 0.0]),
-        b.triangles,
-        b.node_markers,
-        b.symmetry_lines,
-        b.node_symline,
-    )
-    merged = merge_meshes([a, b])
-    assert len(merged.symmetry_lines) == 1
-    sym = merged.node_markers == Marker.SYMMETRY
-    assert np.all(merged.node_symline[sym] == 0)
-
-
 def test_merge_meshes_welds_only_the_seam_at_large_coordinates():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rect = gen_rect(100, 1, 1e155, 1e153, markers={"bottom": Marker.SYMMETRY})
         merged = merge_meshes([rect, shifted(rect, 1e155)])
     assert merged.n_nodes == 2 * 202 - 2
-    assert len(merged.symmetry_lines) == 1
+    assert len(merged.symmetry_lines) == 2  # one per input, kept apart
 
 
 # ------------------------------------------------------------ geometry cache
@@ -578,10 +654,9 @@ def test_geom_cache_fan_table_lists_incident_triangles(mesh):
 def test_geom_cache_names_symmetry_node_without_a_line():
     mesh = gen_rect(4, 3, 1.0, 1.0, markers={"bottom": Marker.SYMMETRY})
     symline = mesh.node_symline.copy()
-    symline[2] = -1  # unvalidated: geom_cache must catch it itself
-    broken = Mesh(mesh.nodes, mesh.triangles, mesh.node_markers, mesh.symmetry_lines, symline)
+    symline[2] = -1  # no such mesh reaches geom_cache: building it fails
     with pytest.raises(MeshError, match="SYMMETRY node 2 "):
-        geom_cache(broken)
+        replace(mesh, node_symline=symline)
     # with the line in place, the bottom nodes' mean gradient keeps only
     # its component along the line: their y rows are zero
     cache = geom_cache(mesh)
