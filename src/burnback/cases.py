@@ -20,7 +20,7 @@ from .mesh import Marker, Mesh, gen_coons, gen_rect, merge_meshes
 from .star import bistar_design, bistar_interface, neutral_tip_angle
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Case:
     """A meshed grain plus everything a benchmark run needs.
 
@@ -29,6 +29,7 @@ class Case:
     penetration the front achieves.  labels mark propellant 1/2 nodes
     for equivalent-area curves; rate_ratio is their speed ratio.
     config overrides solver defaults where a geometry needs them.
+    Cases compare and hash by identity.
     """
 
     name: str

@@ -152,10 +152,9 @@ def as_rate_field(mesh: Mesh, rate) -> np.ndarray:
     return values
 
 
-def triangle_gradients(mesh: Mesh, s: np.ndarray, cache: GeomCache | None = None) -> np.ndarray:
+def triangle_gradients(mesh: Mesh, s: np.ndarray) -> np.ndarray:
     """Exact gradient of the linear interpolant on every triangle."""
-    grad = _gradient_operator(mesh) if cache is None else cache.grad
-    g = grad @ np.asarray(s, dtype=np.float64)
+    g = _gradient_operator(mesh) @ np.asarray(s, dtype=np.float64)
     return g.reshape(2, -1).T.copy()
 
 

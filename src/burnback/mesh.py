@@ -83,7 +83,7 @@ class SymmetryLine:
         object.__setattr__(self, "direction", (d[0] / n, d[1] / n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mesh:
     """Triangulated cross-section with per-node boundary markers.
 
@@ -96,7 +96,8 @@ class Mesh:
     The arrays are read-only copies of the arguments.  Construction
     checks every mesh invariant and raises MeshError naming the
     offending node or triangle; derive a changed mesh with
-    dataclasses.replace, which checks it again.
+    dataclasses.replace, which checks it again.  Meshes compare and
+    hash by identity.
     """
 
     nodes: np.ndarray
@@ -584,7 +585,7 @@ def merge_meshes(meshes) -> Mesh:
 # cached geometry
 
 
-@dataclass
+@dataclass(eq=False)
 class GeomCache:
     """Per-mesh operators and node data reused on every solver iteration.
 

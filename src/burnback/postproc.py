@@ -86,10 +86,10 @@ def _cut(mesh: Mesh, v: np.ndarray, table):
     - nburned, the burned corner count of every triangle;
     - hosts, the crossed triangles, and lone, the corner index 0..2 of
       each one's lone vertex;
-    - points, the crossing of every crossed edge, indexed by edge id and
-      computed from the lower node id, so that segments in adjacent
-      triangles share endpoints bitwise;
-    - seg_edges, the two crossed edge ids of each host in side order.
+    - points, the (nseg, 2, 2) end points of each host's segment, each
+      the crossing of one cut edge computed from its lower node id, so
+      that segments in adjacent triangles share endpoints bitwise;
+    - seg_edges, the (nseg, 2) edge ids those ends lie on.
     """
     edges, tri_edge = table
     burned = v < 0.0
@@ -99,54 +99,44 @@ def _cut(mesh: Mesh, v: np.ndarray, table):
     lone = np.argmax(corner_burned[hosts] == (nburned[hosts] == 1)[:, None], axis=1)
     seg_edges = tri_edge[hosts[:, None], _LONE_SIDES[lone]]
 
-    va, vb = v[edges[:, 0]], v[edges[:, 1]]
-    crossed = burned[edges[:, 0]] != burned[edges[:, 1]]
-    t = np.where(crossed, va / np.where(crossed, va - vb, 1.0), 0.0)
-    pa, pb = mesh.nodes[edges[:, 0]], mesh.nodes[edges[:, 1]]
-    points = pa + t[:, None] * (pb - pa)
+    a, b = edges[seg_edges, 0], edges[seg_edges, 1]
+    t = v[a] / (v[a] - v[b])
+    pa = mesh.nodes[a]
+    points = pa + t[..., None] * (mesh.nodes[b] - pa)
     return nburned, hosts, lone, points, seg_edges
 
 
 def _isocontour(mesh: Mesh, s: np.ndarray, tau: float, table) -> list[np.ndarray]:
-    """Chained isochrone polylines at level tau (possibly empty), on the
-    edge table of _unique_edges."""
-    _, _, _, points, seg_edges = _cut(mesh, s - tau, table)
-    nseg = len(seg_edges)
-    if nseg == 0:
-        return []
+    """Chained isochrone polylines at level tau (possibly empty).
 
-    incident: dict[int, list[int]] = {}
-    for k in range(nseg):
-        for e in seg_edges[k]:
-            incident.setdefault(int(e), []).append(k)
-
-    used = np.zeros(nseg, dtype=bool)
-
-    def walk(seg: int, start_edge: int) -> list[int]:
-        chain = [start_edge]
-        cur_seg, cur_edge = seg, start_edge
-        while True:
-            used[cur_seg] = True
-            a, b = (int(x) for x in seg_edges[cur_seg])
-            nxt_edge = b if a == cur_edge else a
-            chain.append(nxt_edge)
-            candidates = [k for k in incident[nxt_edge] if not used[k]]
-            if not candidates:
-                return chain
-            cur_seg, cur_edge = candidates[0], nxt_edge
+    End j of segment k is end 2k + j; mate[end] is the other end on the
+    same cut edge, or -1 on the boundary.  A chain leaves a segment by
+    end ^ 1 and goes on at mate[end ^ 1]: open chains from unpaired ends
+    in segment order, then closed loops from each segment's first end.
+    A segment cut off at an unburned lone vertex exactly at tau has both
+    ends there and adds no point, so a tied node is drawn once.
+    """
+    _, hosts, lone, points, seg_edges = _cut(mesh, s - tau, table)
+    ends = seg_edges.ravel()
+    order = np.argsort(ends, kind="stable")
+    pair = np.flatnonzero(ends[order[1:]] == ends[order[:-1]])
+    mate = np.full(len(ends), -1)
+    mate[order[pair]], mate[order[pair + 1]] = order[pair + 1], order[pair]
+    starts = np.concatenate([np.flatnonzero(mate < 0), 2 * np.arange(len(hosts))])
+    tied = (s[mesh.triangles[hosts, lone]] == tau).tolist()
+    mate, used, flat = mate.tolist(), [False] * len(hosts), points.reshape(-1, 2)
 
     polylines = []
-    # every crossing touches at most two segments, so chains are simple:
-    # trace open ones from their degree-1 ends first, then closed loops
-    for passno in range(2):
-        for k in range(nseg):
-            if used[k]:
-                continue
-            a, b = (int(x) for x in seg_edges[k])
-            if passno == 0 and len(incident[a]) != 1 and len(incident[b]) != 1:
-                continue
-            start = a if passno == 1 or len(incident[a]) == 1 else b
-            polylines.append(points[np.asarray(walk(k, start))])
+    for start in starts.tolist():
+        if used[start >> 1]:
+            continue
+        chain, end = [start], start
+        while end >= 0 and not used[end >> 1]:
+            used[end >> 1] = True
+            if not tied[end >> 1]:
+                chain.append(end ^ 1)
+            end = mate[end ^ 1]
+        polylines.append(flat[chain])
     return polylines
 
 
@@ -189,8 +179,8 @@ def burn_curves(
     A_eq = np.empty(len(tau_grid))
     for k, tau in enumerate(tau_grid):
         v = s - tau
-        nburned, hosts, lone, points, seg_edges = _cut(mesh, v, _unique_edges(mesh.triangles))
-        d = points[seg_edges[:, 0]] - points[seg_edges[:, 1]]
+        nburned, hosts, lone, points, _ = _cut(mesh, v, _unique_edges(mesh.triangles))
+        d = points[:, 0] - points[:, 1]
         seg_len = np.sqrt(d[:, 0] ** 2 + d[:, 1] ** 2)
         own1 = tri_label[hosts] == 1
         P1 = float(seg_len[own1].sum())

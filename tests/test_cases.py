@@ -10,7 +10,7 @@ import pytest
 
 from burnback import cases
 from burnback.cases import CASE_BUILDERS, build_case
-from burnback.mesh import Marker
+from burnback.mesh import Marker, gen_rect
 from burnback.star import bistar_design
 
 
@@ -135,3 +135,11 @@ def test_scheme_cases_split_rates(name, fast_fraction):
     assert case.exact is None
     left = case.labels == 1
     np.testing.assert_array_equal(case.rate[left], 1.0)
+
+
+def test_cases_compare_and_hash_by_identity():
+    mesh = gen_rect(2, 2, 1.0, 1.0, markers={"left": Marker.IGNITION})
+    case = cases.Case("tiny", mesh, 1.0, None, depth=1.0)
+    copy = replace(case)
+    assert case == case and case != copy
+    assert len({case, copy, case}) == 2

@@ -677,3 +677,15 @@ def test_load_mesh_line_numbers_count_comments_and_blank_lines():
     doc[5] = doc[5].split()[0] + " 0.0 3"
     with pytest.raises(MeshError, match="line 6: SYMMETRY node missing its symline index"):
         load_mesh("\n".join(doc))
+
+
+def test_mesh_and_geom_cache_compare_and_hash_by_identity():
+    # array fields make a field-wise == ambiguous and hash impossible
+    mesh = gen_rect(2, 2, 1.0, 1.0)
+    copy = replace(mesh)
+    assert mesh == mesh and mesh != copy
+    assert len({mesh, copy, mesh}) == 2
+    cache = geom_cache(mesh)
+    cache_copy = replace(cache)
+    assert cache == cache and cache != cache_copy
+    assert len({cache, cache_copy, cache}) == 2

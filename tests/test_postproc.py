@@ -8,8 +8,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from burnback import postproc
+from burnback.cases import CASE_BUILDERS
 from burnback.contour import make_circle
 from burnback.eikonal import SolverConfig, solve
 from burnback.mesh import Marker, gen_coons, gen_rect
@@ -78,10 +81,10 @@ def test_port_area_of_planar_field(planar):
 def test_segments_stay_inside_their_host_triangles(planar):
     mesh, s = planar
     _, hosts, _, points, seg_edges = postproc._cut(mesh, s - 0.6123, postproc._unique_edges(mesh.triangles))
-    assert len(seg_edges) == len(hosts)
-    for (i0, i1), tri in zip(seg_edges, hosts):
+    assert points.shape == (len(hosts), 2, 2) and seg_edges.shape == (len(hosts), 2)
+    for ends, tri in zip(points, hosts):
         corners = mesh.nodes[mesh.triangles[tri]]
-        for p in (points[i0], points[i1]):
+        for p in ends:
             # barycentric coordinates of p within the host triangle
             T = np.column_stack([corners[1] - corners[0], corners[2] - corners[0]])
             lam = np.linalg.solve(T, p - corners[0])
@@ -337,3 +340,149 @@ def test_emit_svg_groups_hold_the_isocontour_polylines(solved, name):
         drawn = re.findall(r'<polyline points="([^"]*)"', body)
         expected = [" ".join(f"{_g(x)},{_g(-y)}" for x, y in poly) for poly in isocontour(case.mesh, field.s, tau)]
         assert expected and drawn == expected
+
+
+# ------------------------------------------------- reference chainer (oracle)
+
+
+def _reference_cut(mesh, v, table):
+    # the all-edge cut that _cut replaced, kept as the oracle: one crossing
+    # per mesh edge, indexed by edge id
+    edges, tri_edge = table
+    burned = v < 0.0
+    corner_burned = burned[mesh.triangles]
+    nburned = corner_burned.sum(axis=1)
+    hosts = np.flatnonzero((nburned == 1) | (nburned == 2))
+    lone = np.argmax(corner_burned[hosts] == (nburned[hosts] == 1)[:, None], axis=1)
+    seg_edges = tri_edge[hosts[:, None], postproc._LONE_SIDES[lone]]
+
+    va, vb = v[edges[:, 0]], v[edges[:, 1]]
+    crossed = burned[edges[:, 0]] != burned[edges[:, 1]]
+    t = np.where(crossed, va / np.where(crossed, va - vb, 1.0), 0.0)
+    pa, pb = mesh.nodes[edges[:, 0]], mesh.nodes[edges[:, 1]]
+    points = pa + t[:, None] * (pb - pa)
+    return nburned, hosts, lone, points, seg_edges
+
+
+def _reference_isocontour(mesh, s, tau, table):
+    # the dict walk that the mate-array chainer replaced, verbatim except
+    # that it returns the crossing points and each chain's edge ids
+    _, _, _, points, seg_edges = _reference_cut(mesh, s - tau, table)
+    nseg = len(seg_edges)
+    if nseg == 0:
+        return points, []
+
+    incident: dict[int, list[int]] = {}
+    for k in range(nseg):
+        for e in seg_edges[k]:
+            incident.setdefault(int(e), []).append(k)
+
+    used = np.zeros(nseg, dtype=bool)
+
+    def walk(seg: int, start_edge: int) -> list[int]:
+        chain = [start_edge]
+        cur_seg, cur_edge = seg, start_edge
+        while True:
+            used[cur_seg] = True
+            a, b = (int(x) for x in seg_edges[cur_seg])
+            nxt_edge = b if a == cur_edge else a
+            chain.append(nxt_edge)
+            candidates = [k for k in incident[nxt_edge] if not used[k]]
+            if not candidates:
+                return chain
+            cur_seg, cur_edge = candidates[0], nxt_edge
+
+    chains = []
+    # every crossing touches at most two segments, so chains are simple:
+    # trace open ones from their degree-1 ends first, then closed loops
+    for passno in range(2):
+        for k in range(nseg):
+            if used[k]:
+                continue
+            a, b = (int(x) for x in seg_edges[k])
+            if passno == 0 and len(incident[a]) != 1 and len(incident[b]) != 1:
+                continue
+            start = a if passno == 1 or len(incident[a]) == 1 else b
+            chains.append(np.asarray(walk(k, start)))
+    return points, chains
+
+
+def reference_polylines(mesh, s, tau, table):
+    """The reference polylines, less the repeated point that each
+    zero-length tie segment adds: consecutive chain edges are the two cut
+    sides of one host, and that host's segment is a tie segment when the
+    node the two sides share sits exactly at tau."""
+    points, chains = _reference_isocontour(mesh, s, tau, table)
+    edges = table[0]
+    polylines = []
+    for chain in chains:
+        a, b = edges[chain[:-1]], edges[chain[1:]]
+        shared = np.where((a[:, 0] == b[:, 0]) | (a[:, 0] == b[:, 1]), a[:, 0], a[:, 1])
+        polylines.append(points[chain[np.concatenate([[True], s[shared] != tau])]])
+    return polylines
+
+
+def assert_same_polylines(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.parametrize("name", list(CASE_BUILDERS))
+def test_chainer_matches_the_reference_walk_on_every_case(solved, name):
+    case, field, _ = solved(name)
+    table = postproc._unique_edges(case.mesh.triangles)
+    cli_levels = case.depth * np.arange(1, 9) / 9.0
+    curve_levels = np.linspace(0.05 * case.depth, 0.95 * case.depth, 33)
+    for tau in np.concatenate([cli_levels, curve_levels]):
+        got = postproc._isocontour(case.mesh, field.s, tau, table)
+        assert got
+        assert_same_polylines(got, reference_polylines(case.mesh, field.s, tau, table))
+
+
+@pytest.mark.parametrize("k", [3, 6])
+def test_rect_tied_level_draws_each_node_once(solved, k):
+    # tau = 2/3 and 4/3 at the contours defaults: 31 nodes sit exactly there
+    case, field, _ = solved("rect")
+    tau = case.depth * k / 9.0
+    assert np.count_nonzero(field.s == tau) == 31
+    polylines = isocontour(case.mesh, field.s, tau)
+    assert len(polylines) == 1 and polylines[0].shape == (31, 2)
+    assert np.all(np.any(np.diff(polylines[0], axis=0) != 0.0, axis=1))
+    groups = re.findall(r'<polyline points="([^"]*)"', emit_svg(case.mesh, field.s, levels=[tau]))
+    assert len(groups) == 1 and len(groups[0].split()) == 31
+
+
+@st.composite
+def meshed_fields(draw):
+    if draw(st.booleans()):
+        mesh = gen_rect(draw(st.integers(1, 6)), draw(st.integers(1, 6)), 2.0, 1.0)
+    else:
+        t = np.linspace(0.0, 0.5 * np.pi, draw(st.integers(2, 9)))
+        ring = np.column_stack([np.cos(t), np.sin(t)])
+        outer = draw(st.sampled_from([1.5, 2.0, 3.0])) * ring
+        mesh = gen_coons(ring, outer, draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+    # small integers tie many nodes; arbitrary floats tie none
+    value = st.one_of(st.integers(-3, 3).map(float), st.floats(-2.0, 2.0, allow_nan=False))
+    s = np.array(draw(st.lists(value, min_size=mesh.n_nodes, max_size=mesh.n_nodes)))
+    values = np.unique(s)
+    i = draw(st.integers(0, len(values) - 1))
+    if draw(st.booleans()) or i == len(values) - 1:
+        tau = values[i]
+    else:
+        tau = 0.5 * values[i] + 0.5 * values[i + 1]
+    return mesh, s, float(tau)
+
+
+@settings(max_examples=150, deadline=None)
+@given(meshed_fields())
+def test_chainer_matches_the_reference_walk_on_random_fields(drawn):
+    mesh, s, tau = drawn
+    table = postproc._unique_edges(mesh.triangles)
+    got = postproc._isocontour(mesh, s, tau, table)
+    if np.any(s == tau):
+        assert_same_polylines(got, reference_polylines(mesh, s, tau, table))
+    else:
+        # with no node at tau there is no tie segment: the walks agree exactly
+        points, chains = _reference_isocontour(mesh, s, tau, table)
+        assert_same_polylines(got, [points[chain] for chain in chains])
