@@ -25,8 +25,7 @@ def main() -> None:
     print(f"circle: {case.mesh.n_nodes} nodes, {field.n_steps} steps")
 
     tau = np.linspace(0.05, 0.85, 33)
-    ones = np.ones(case.mesh.n_nodes, dtype=np.int64)
-    curves = burn_curves(case.mesh, field.s, ones, 1.0, tau)
+    curves = burn_curves(case.mesh, field.s, case.labels, case.rate_ratio, tau)
     (OUT / "circle_curves.csv").write_text(emit_csv(curves))
 
     # central differences away from the grid ends

@@ -24,12 +24,14 @@ from .star import bistar_design, bistar_interface, neutral_tip_angle
 class Case:
     """A meshed grain plus everything a benchmark run needs.
 
-    exact is None when no closed form exists (scheme smoke cases).
-    depth is the normalization length for relative errors, the largest
-    penetration the front achieves.  labels mark propellant 1/2 nodes
-    for equivalent-area curves; rate_ratio is their speed ratio.
-    config overrides solver defaults where a geometry needs them.
-    Cases compare and hash by identity.
+    rate is the recession rate, one value or one per node, and holds
+    at most two propellants: propellant 1 burns at the slowest rate and
+    propellant 2 at the other.  labels and rate_ratio, the split that
+    burn_curves weighs the equivalent area by, derive from it.  exact
+    is None when no closed form exists (scheme smoke cases).  depth is
+    the normalization length for relative errors, the largest
+    penetration the front achieves.  config overrides solver defaults
+    where a geometry needs them.  Cases compare and hash by identity.
     """
 
     name: str
@@ -37,10 +39,23 @@ class Case:
     rate: float | np.ndarray
     exact: np.ndarray | None
     depth: float
-    labels: np.ndarray | None = None
-    rate_ratio: float = 1.0
     port: Contour | None = None
     config: SolverConfig | None = None
+
+    def __post_init__(self):
+        if len(np.unique(self.rate)) > 2:
+            raise ValueError(f"case {self.name} has more than two propellant rates")
+
+    @property
+    def labels(self) -> np.ndarray:
+        """Propellant of each node: 1 where the rate is the slowest, 2 elsewhere."""
+        rate = np.broadcast_to(self.rate, (self.mesh.n_nodes,))
+        return np.where(rate == rate.min(), 1, 2)
+
+    @property
+    def rate_ratio(self) -> float:
+        """Fastest over slowest rate: A_eq = P_1 + rate_ratio * P_2."""
+        return float(np.max(self.rate) / np.min(self.rate))
 
 
 def _arc_points(center, radius: float, a0: float, a1: float, n: int) -> np.ndarray:
@@ -52,6 +67,21 @@ def _arc_points(center, radius: float, a0: float, a1: float, n: int) -> np.ndarr
 
 def _radius(mesh: Mesh) -> np.ndarray:
     return np.sqrt(mesh.nodes[:, 0] ** 2 + mesh.nodes[:, 1] ** 2)
+
+
+def _welded_pair(nv: int, a: tuple, b: tuple) -> Mesh:
+    """Two Coons patches of nv transverse cells welded on a shared chord.
+
+    a and b are each (inner, outer, longitudinal count).  The chord is
+    side1 of a and side0 of b, marked INTERIOR; every other side keeps
+    its gen_coons default.
+    """
+    return merge_meshes(
+        [
+            gen_coons(inner, outer, nv, nu, markers={seam: Marker.INTERIOR})
+            for (inner, outer, nu), seam in ((a, "side1"), (b, "side0"))
+        ]
+    )
 
 
 def rect_case() -> Case:
@@ -126,16 +156,9 @@ def slot_case(level: str) -> Case:
         raise ValueError(f"slot level must be one of {sorted(_SLOT_GRIDS)}") from None
     rf, length, w, h = 0.25, 2.0, 1.25, 3.25
     cap = _arc_points((0.0, length), rf, 0.5 * np.pi, 0.0, 256)
-    top = np.array([[0.0, h], [w, h]])
-    patch_a = gen_coons(
-        cap, top, nv, n_cap, markers={"outer": Marker.FREE, "side1": Marker.INTERIOR}
-    )
     wall = np.array([[rf, length], [rf, 0.0]])
-    right = np.array([[w, h], [w, 0.0]])
-    patch_b = gen_coons(
-        wall, right, nv, n_wall, markers={"outer": Marker.FREE, "side0": Marker.INTERIOR}
-    )
-    mesh = merge_meshes([patch_a, patch_b])
+    top, right = np.array([[0.0, h], [w, h]]), np.array([[w, h], [w, 0.0]])
+    mesh = _welded_pair(nv, (cap, top, n_cap), (wall, right, n_wall))
     port = Contour(
         (Arc((0.0, length), rf, 0.5 * np.pi, 0.0, -1), Line((rf, length), (rf, 0.0)))
     )
@@ -160,21 +183,11 @@ def star_case() -> Case:
     flank, valley_arc = half.pieces
     alpha, beta = np.pi / n, (1.0 - eps) * (np.pi / n)
     seam = 0.5 * (alpha + beta)
-    patch_a = gen_coons(
-        flank.points(512),
-        _arc_points((0.0, 0.0), casing_radius, alpha, seam, 512),
-        80,
-        70,
-        markers={"side1": Marker.INTERIOR},
+    casing_a = _arc_points((0.0, 0.0), casing_radius, alpha, seam, 512)
+    casing_b = _arc_points((0.0, 0.0), casing_radius, seam, 0.0, 512)
+    mesh = _welded_pair(
+        80, (flank.points(512), casing_a, 70), (valley_arc.points(512), casing_b, 50)
     )
-    patch_b = gen_coons(
-        valley_arc.points(512),
-        _arc_points((0.0, 0.0), casing_radius, seam, 0.0, 512),
-        80,
-        50,
-        markers={"side0": Marker.INTERIOR},
-    )
-    mesh = merge_meshes([patch_a, patch_b])
     port = close_sector(half, n)
     exact = port.distance(mesh.nodes)
     # Half-strength dissipation: the tip-ray ridge smears with eps and
@@ -207,22 +220,11 @@ def bistar_case() -> Case:
     tip = np.array([slot_depth, 0.0])
     wall0 = np.array([fillet_radius / np.tan(alpha), fillet_radius])
     wall1 = np.array([slot_depth, fillet_radius])
-    patch_w = gen_coons(
-        np.linspace(wall0, wall1, 513),
-        _arc_points((0.0, 0.0), casing_radius, alpha, seam, 512),
-        56,
-        44,
-        markers={"side1": Marker.INTERIOR},
-    )
-    patch_c = gen_coons(
-        _arc_points(tip, fillet_radius, 0.5 * np.pi, 0.0, 256),
-        _arc_points((0.0, 0.0), casing_radius, seam, 0.0, 512),
-        56,
-        28,
-        markers={"side0": Marker.INTERIOR},
-    )
-    mesh = merge_meshes([patch_w, patch_c])
-
+    wall = np.linspace(wall0, wall1, 513)
+    fillet = _arc_points(tip, fillet_radius, 0.5 * np.pi, 0.0, 256)
+    casing_w = _arc_points((0.0, 0.0), casing_radius, alpha, seam, 512)
+    casing_c = _arc_points((0.0, 0.0), casing_radius, seam, 0.0, 512)
+    mesh = _welded_pair(56, (wall, casing_w, 44), (fillet, casing_c, 28))
     port = Contour(
         (
             Line(tuple(wall0), tuple(wall1)),
@@ -238,17 +240,7 @@ def bistar_case() -> Case:
     exact = np.where(
         fast, port.distance(mesh.nodes) / design.f, r - (fillet_radius + slot_depth)
     )
-    labels = np.where(fast, 2, 1)
-    return Case(
-        "bistar",
-        mesh,
-        rate,
-        exact,
-        depth=design.omega,
-        labels=labels,
-        rate_ratio=design.f,
-        port=port,
-    )
+    return Case("bistar", mesh, rate, exact, depth=design.omega, port=port)
 
 
 def scheme_case(feature: str, tilt_deg: float) -> Case:
@@ -272,11 +264,9 @@ def scheme_case(feature: str, tilt_deg: float) -> Case:
     u = np.array([np.sin(tilt), np.cos(tilt)])
     rel = mesh.nodes - kink
     left = u[0] * rel[:, 1] - u[1] * rel[:, 0] > 0.0
-    fast_rate = 3.0
-    rate = np.where(left, 1.0, fast_rate)
-    labels = np.where(left, 1, 2)
+    rate = np.where(left, 1.0, 3.0)
     name = f"scheme-{feature}{'+' if tilt_deg >= 0 else ''}{tilt_deg:g}"
-    return Case(name, mesh, rate, None, depth=1.0, labels=labels, rate_ratio=fast_rate)
+    return Case(name, mesh, rate, None, depth=1.0)
 
 
 CASE_BUILDERS = {

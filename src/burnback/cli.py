@@ -248,8 +248,7 @@ def _cmd_curves(opt: dict) -> int:
         raise ValueError("curves needs tau-min < tau-max")
     res = _solve_case(case, opt)
     tau = np.linspace(lo, hi, opt["tau_count"])
-    labels = case.labels if case.labels is not None else np.ones(case.mesh.n_nodes, dtype=np.int64)
-    curves = burn_curves(case.mesh, res.s, labels, case.rate_ratio, tau, grain_length=grain)
+    curves = burn_curves(case.mesh, res.s, case.labels, case.rate_ratio, tau, grain_length=grain)
     _write(opt["out"], emit_csv(curves))
     print(
         f"curves: {len(tau)} levels in [{lo:.6g}, {hi:.6g}], "

@@ -90,8 +90,6 @@ def neutral_tip_angle(n: int) -> float:
     for _ in range(3):
         # dR/dtheta = cot(theta/2)^2 / 2, positive away from theta = pi
         slope = 0.5 / math.tan(0.5 * theta) ** 2
-        if slope == 0.0:
-            break
         theta -= neutral_residual(n, theta) / slope
     if abs(neutral_residual(n, theta)) >= 1e-12:
         raise ValueError(f"neutrality root did not polish for n = {n}")

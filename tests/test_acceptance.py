@@ -117,8 +117,7 @@ def test_criterion_06_homogeneity(solved, capsys):
 def test_criterion_07_circle_growth_laws(solved, capsys):
     case, field, _ = solved("circle")
     tau = np.linspace(0.05, 0.85, 33)  # strictly before casing contact
-    ones = np.ones(case.mesh.n_nodes, dtype=np.int64)
-    curves = burn_curves(case.mesh, field.s, ones, 1.0, tau)
+    curves = burn_curves(case.mesh, field.s, case.labels, case.rate_ratio, tau)
     dP = np.gradient(curves.P_b, tau)[1:-1]  # central differences only
     dA = np.gradient(curves.A_p, tau)[1:-1]
     law = cylinder_laws(curves.P_b[0], curves.A_p[0], tau - tau[0])

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import inspect
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -25,10 +25,15 @@ def test_case_builds_clean(name):
         assert np.all(np.isfinite(case.exact))
         # boundary resampling sags nodes ~1e-6 inside the exact curve
         assert case.exact.min() >= -1e-5
-    if case.labels is not None:
-        assert set(np.unique(case.labels)) <= {1, 2}
     rate = np.broadcast_to(np.asarray(case.rate, dtype=float), (case.mesh.n_nodes,))
     assert np.all(rate > 0.0)
+    # propellant 1 burns at the slowest rate, propellant 2 rate_ratio times faster
+    slow = rate.min()
+    assert case.labels.shape == (case.mesh.n_nodes,)
+    np.testing.assert_array_equal(case.labels == 1, rate == slow)
+    np.testing.assert_array_equal(case.labels[case.labels != 1], 2)
+    np.testing.assert_array_equal(rate[case.labels == 2], slow * case.rate_ratio)
+    assert case.rate_ratio == rate.max() / slow
 
 
 def test_cases_are_fixed_configurations():
@@ -137,9 +142,42 @@ def test_scheme_cases_split_rates(name, fast_fraction):
     np.testing.assert_array_equal(case.rate[left], 1.0)
 
 
+_TINY = gen_rect(2, 2, 1.0, 1.0, markers={"left": Marker.IGNITION})
+
+
+def test_case_split_derives_from_the_rate():
+    assert {"labels", "rate_ratio"}.isdisjoint(f.name for f in fields(cases.Case))
+    uniform = cases.Case("uniform", _TINY, 2.5, None, depth=1.0)
+    np.testing.assert_array_equal(uniform.labels, np.ones(_TINY.n_nodes, dtype=np.int64))
+    assert uniform.rate_ratio == 1.0
+    rate = np.where(_TINY.nodes[:, 0] < 0.75, 4.0, 0.5)
+    split = cases.Case("split", _TINY, rate, None, depth=1.0)
+    np.testing.assert_array_equal(split.labels, np.where(rate == 0.5, 1, 2))
+    assert split.rate_ratio == 8.0
+
+
+# each input check of the case builders: the call and its ValueError message
+CASE_ERRORS = {
+    "slot level": (lambda: cases.slot_case("medium"), "slot level must be one of ['coarse', 'fine']"),
+    "scheme feature": (lambda: cases.scheme_case("bump", 0.0), "feature must be 'corner' or 'cusp'"),
+    "three rates": (
+        lambda: cases.Case("tri", _TINY, np.arange(1.0, 10.0) % 3.0 + 1.0, None, depth=1.0),
+        "case tri has more than two propellant rates",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASE_ERRORS))
+def test_case_input_errors(name):
+    build, message = CASE_ERRORS[name]
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == message
+
+
 def test_cases_compare_and_hash_by_identity():
-    mesh = gen_rect(2, 2, 1.0, 1.0, markers={"left": Marker.IGNITION})
-    case = cases.Case("tiny", mesh, 1.0, None, depth=1.0)
+    case = cases.Case("tiny", _TINY, 1.0, None, depth=1.0)
     copy = replace(case)
     assert case == case and case != copy
     assert len({case, copy, case}) == 2

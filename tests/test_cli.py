@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import importlib
 import os
 import re
@@ -19,6 +20,7 @@ import burnback
 from burnback import cli
 from burnback.cli import _SOLVER_FLAGS, RunSpec, main, parse_args
 from burnback.eikonal import SolverConfig
+from burnback.postproc import burn_curves, emit_csv
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 README = PYPROJECT.parent / "README.md"
@@ -182,6 +184,11 @@ def test_mesh_gen_info_round_trip(tmp_path, capsys):
     assert "1891 nodes" in out
     assert "IGNITION 31" in out
     assert "symmetry lines" in out
+    # the case itself reads the same, under its name
+    assert main(["mesh", "info", "--case", "rect"]) == 0
+    by_name = capsys.readouterr().out.splitlines()
+    assert by_name[0] == "rect: 1891 nodes, 3600 triangles"
+    assert by_name[1:] == out.splitlines()[2:]
 
 
 def test_mesh_info_missing_file_reports_module(tmp_path, capsys):
@@ -248,6 +255,18 @@ def test_curves_grain_length_adds_column(tmp_path):
     assert rows[0] == "tau,P_b,A_p,A_eq,A_b"
     data = np.loadtxt(rows[1:], delimiter=",")
     np.testing.assert_allclose(data[:, 4], 3.0 * data[:, 1], rtol=1e-12)
+
+
+def test_curves_weighs_a_two_propellant_case_by_its_rates(solved, tmp_path):
+    case, field, _ = solved("scheme-corner+5")
+    out = tmp_path / "curves.csv"
+    assert main(["curves", "--case", case.name, "--out", str(out)]) == 0
+    tau = np.linspace(0.05 * case.depth, 0.95 * case.depth, 33)
+    curves = burn_curves(case.mesh, field.s, case.labels, case.rate_ratio, tau)
+    text = out.read_text()
+    assert text == emit_csv(curves)
+    rows = [row.split(",") for row in text.splitlines()[1:]]
+    assert any(a_eq != p_b for _, p_b, _, a_eq in rows)
 
 
 @pytest.mark.parametrize("flag, value", [("--tau-min", "nan"), ("--tau-max", "nan"), ("--tau-max", "inf")])
@@ -331,6 +350,32 @@ def test_artifacts_are_byte_identical_across_reruns(tmp_path):
     assert sa.read_bytes() == sb.read_bytes()
 
 
+# each handler check not reached above: the argv, less --out, and its stderr line
+CLI_ERRORS = {
+    "unconverged solve": (
+        ["curves", "--case", "annulus", "--max-steps", "1"],
+        "cli.SolverError: case annulus did not converge within 1 steps",
+    ),
+    "tau order": (
+        ["curves", "--case", "rect", "--tau-min", "1.5", "--tau-max", "0.5"],
+        "cli.ValueError: curves needs tau-min < tau-max",
+    ),
+    "empty levels": (
+        ["contours", "--case", "rect", "--levels", " , "],
+        "cli.ValueError: --levels must hold at least one tau value",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_ERRORS))
+def test_cli_input_errors_exit_1(name, tmp_path, capsys):
+    argv, message = CLI_ERRORS[name]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == message + "\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- end-to-end
 
 
@@ -347,6 +392,21 @@ def test_verify_slot_passes_at_both_budgets(capsys):
 
     # refining 4x in nodes must strictly reduce the max error
     assert float(m2.group(1)) < float(m.group(1))
+
+
+def test_artifact_digests_tool_hashes_what_the_cli_writes(tmp_path):
+    tool = PYPROJECT.parent / "tools" / "artifact_digests.py"
+    src = str(Path(burnback.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, str(tool), "rect"], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    digests = dict(line.split(" ")[1:] for line in proc.stdout.splitlines())
+    assert list(digests) == ["mesh", "curves", "svg", "svg-no-mesh", "field", "svg-no-field"]
+    path = tmp_path / "curves.csv"
+    assert main(["curves", "--case", "rect", "--out", str(path)]) == 0
+    assert digests["curves"] == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.mark.skipif(

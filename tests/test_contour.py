@@ -144,6 +144,51 @@ def test_make_star_validates_ranges():
         make_star(5, 1.0, 0.5, 1.5, 1.0)
 
 
+def test_make_star_without_valley_arc_is_one_flank():
+    # eps = 1: the flank runs from the apex on the tip ray straight to
+    # the valley ray, which needs a tip wider than the sector
+    n, theta, d = 5, math.radians(100.0), 0.5
+    half = make_star(n, theta, 1.0, d, 1.0)
+    (flank,) = half.pieces
+    assert isinstance(flank, Line)
+    alpha = math.pi / n
+    apex_r = d * math.sin(0.5 * theta - alpha) / math.sin(0.5 * theta)
+    np.testing.assert_allclose(flank.start(), [apex_r * math.cos(alpha), apex_r * math.sin(alpha)], atol=1e-14)
+    np.testing.assert_allclose(flank.end(), [d, 0.0], atol=1e-14)
+    port = close_sector(half, n)
+    assert port.length() == pytest.approx(2 * n * flank.length())
+
+
+_LINE = Line((0.0, 0.0), (1.0, 0.0))
+
+# each input check of the contour module: the call and its ContourError message
+CONTOUR_ERRORS = {
+    "query columns": (lambda: _LINE.distance(np.zeros((2, 3))), "query points must be (2,) or (n, 2)"),
+    "query rank": (lambda: _LINE.distance(np.zeros((2, 2, 2))), "query points must be (2,) or (n, 2)"),
+    "arc radius": (lambda: Arc((0.0, 0.0), 0.0, 0.0, 1.0, 1), "arc radius must be positive"),
+    "arc sweep": (lambda: Arc((0.0, 0.0), 1.0, 0.0, 1.0, 0), "arc sweep must be +1 or -1"),
+    "arc center": (lambda: Arc((0.0, math.nan), 1.0, 0.0, 1.0, 1), "non-finite arc parameter"),
+    "arc angle": (lambda: Arc((0.0, 0.0), 1.0, 0.0, math.inf, 1), "non-finite arc parameter"),
+    "no pieces": (lambda: Contour(()), "contour needs at least one piece"),
+    "foreign piece": (lambda: Contour((_LINE, ((1.0, 0.0), (2.0, 0.0)))), "piece 1 is not a Line or Arc"),
+    "circle radius": (lambda: make_circle(0.0), "circle radius must be positive"),
+    "tip angle zero": (lambda: make_star(5, 0.0, 0.5, 0.5, 1.0), "tip_angle must be in (0, pi)"),
+    "tip angle pi": (lambda: make_star(5, math.pi, 0.5, 0.5, 1.0), "tip_angle must be in (0, pi)"),
+    "sector count": (
+        lambda: close_sector(make_star(5, math.radians(60.0), 0.6, 0.5, 1.0), 0),
+        "close_sector needs n >= 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONTOUR_ERRORS))
+def test_contour_input_errors(name):
+    build, message = CONTOUR_ERRORS[name]
+    with pytest.raises(ContourError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
 def test_close_sector_length_and_closure():
     half = make_star(5, math.radians(60.0), 0.6, 0.5, 1.0)
     port = close_sector(half, 5)

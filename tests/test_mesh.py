@@ -414,6 +414,43 @@ def test_every_mesh_is_checked_when_built_and_read_only(name):
     assert str(exc.value) == message
 
 
+_TRI = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+_TOP = [[0.0, 1.0], [1.0, 1.0]]
+
+# each input check not reached above: the call and its MeshError message
+MESH_ERRORS = {
+    "node columns": (lambda: Mesh([[0.0, 0.0, 0.0]] * 3, [[0, 1, 2]], [1, 0, 0]), "nodes must be an (n, 2) array"),
+    "triangle columns": (lambda: Mesh(_TRI, [[0, 1]], [1, 0, 0]), "triangles must be an (n, 3) array"),
+    "no triangles": (lambda: Mesh(_TRI, np.zeros((0, 3)), [1, 0, 0]), "mesh has no triangles"),
+    "unused node": (
+        lambda: Mesh(_TRI + [[1.0, 1.0]], [[0, 1, 2]], [1, 0, 0, 0]),
+        "nodes not referenced by any triangle: [3]",
+    ),
+    "stray symline": (
+        lambda: Mesh(_TRI, [[0, 1, 2]], [1, 0, 0], (SymmetryLine((0.0, 0.0), (1.0, 0.0)),), [-1, 0, -1]),
+        "node 1 carries a symmetry line reference but is not SYMMETRY",
+    ),
+    "one-point polyline": (lambda: gen_coons([[0.0, 0.0]], _TOP, 1, 1), "boundary polyline needs at least 2 points"),
+    "zero-length polyline": (
+        lambda: gen_coons([[0.5, 0.0], [0.5, 0.0]], _TOP, 1, 1),
+        "degenerate boundary polyline (zero length)",
+    ),
+    "coons counts": (
+        lambda: gen_coons([[0.0, 0.0], [1.0, 0.0]], _TOP, 1, 0),
+        "gen_coons needs n_transverse, n_longitudinal >= 1",
+    ),
+    "empty merge": (lambda: merge_meshes([]), "merge_meshes needs at least one mesh"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MESH_ERRORS))
+def test_mesh_input_errors(name):
+    build, message = MESH_ERRORS[name]
+    with pytest.raises(MeshError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
 def test_mesh_keeps_its_own_copy_of_the_arrays():
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     mesh = Mesh(nodes, [[0, 1, 2]], [1, 0, 0])

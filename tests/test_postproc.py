@@ -229,6 +229,33 @@ def test_error_field_rejects_zero_oracle(planar):
         error_field(mesh, s, np.zeros(mesh.n_nodes))
 
 
+def _curves(P_b, A_p):
+    tau = np.arange(len(P_b), dtype=np.float64)
+    return postproc.BurnCurves(tau=tau, P_b=np.array(P_b), A_p=np.array(A_p), A_eq=np.array(P_b))
+
+
+# each input check not reached above: the call on the planar field and
+# its ValueError message
+POSTPROC_ERRORS = {
+    "negative perimeter": (lambda mesh, s: _curves([1.0, -1e-300], [0.0, 1.0]), "negative perimeter"),
+    "shrinking port": (lambda mesh, s: _curves([1.0, 1.0], [1.0, 0.5]), "port area must be non-decreasing"),
+    "oracle length": (lambda mesh, s: error_field(mesh, s, s[:-1]), "oracle values must match the node count"),
+    "non-finite error": (
+        lambda mesh, s: error_field(mesh, np.where(s > 1.0, np.nan, s), mesh.nodes[:, 0]),
+        "non-finite error value",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POSTPROC_ERRORS))
+def test_postproc_input_errors(planar, name):
+    build, message = POSTPROC_ERRORS[name]
+    with pytest.raises(ValueError) as exc:
+        build(*planar)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == message
+
+
 # ------------------------------------------------------------------- emitters
 
 
@@ -254,6 +281,11 @@ def test_emit_csv_field_and_residuals(planar, radial):
     assert head == ["node", "x", "y", "s"]
     assert data.shape == (mesh.n_nodes, 4)
     np.testing.assert_allclose(data[:, 3], s, rtol=1e-11)
+    err = error_field(mesh, s + 0.02, mesh.nodes[:, 0]).values
+    head, data = parse_csv(emit_csv(s, mesh=mesh, err=err))
+    assert head == ["node", "x", "y", "s", "err"]
+    assert data.shape == (mesh.n_nodes, 5)
+    np.testing.assert_allclose(data[:, 4], err, rtol=1e-11)
 
     # the tenfold rate jump needs more than 3 iterations
     jump = lambda x, y: np.where(x > 1.0, 10.0, 1.0)  # noqa: E731

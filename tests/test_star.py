@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from burnback.star import (
+    BiStarDesign,
     bistar_design,
     bistar_interface,
     neutral_residual,
@@ -138,3 +139,42 @@ def test_bistar_interface_needs_two_samples():
     design = bistar_design(4, 1.0, 0.1, 0.5)
     with pytest.raises(ValueError):
         bistar_interface(design, 1)
+
+
+def test_neutral_tip_angle_bits_are_pinned():
+    # the Newton polish runs a fixed three steps; these are its results
+    bits = {
+        4: "0x1.f848ba2edbcf6p-2",
+        5: "0x1.162c76babf58dp-1",
+        6: "0x1.2b9c900b8c9e8p-1",
+        7: "0x1.3dbd1ee83ff68p-1",
+        8: "0x1.4d601d92081bep-1",
+    }
+    assert {n: neutral_tip_angle(n).hex() for n in bits} == bits
+
+
+# each input check of the design formulas: the call and its ValueError message
+STAR_ERRORS = {
+    "design radii": (
+        lambda: BiStarDesign(n=4, r_c=1.0, r_f=0.1, d=0.5, omega=0.3, f=1.5),
+        "radii must satisfy r_c = r_f + d + omega",
+    ),
+    "residual n": (lambda: neutral_residual(0, 1.0), "need n >= 1"),
+    "design n": (lambda: bistar_design(2, 1.0, 0.1, 0.5), "need n >= 3"),
+    "design r_f": (lambda: bistar_design(4, 1.0, 0.0, 0.5), "need positive r_f and d"),
+    "design d": (lambda: bistar_design(4, 1.0, 0.1, -0.5), "need positive r_f and d"),
+    "interface": (
+        # f = 0.5 is too slow for the fast front to meet the slow one
+        lambda: bistar_interface(BiStarDesign(n=4, r_c=1.0, r_f=0.1, d=0.5, omega=0.4, f=0.5), 5),
+        "inconsistent design: fronts do not intersect at y = 0.4",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STAR_ERRORS))
+def test_star_input_errors(name):
+    build, message = STAR_ERRORS[name]
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == message
