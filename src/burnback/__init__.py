@@ -36,7 +36,6 @@ from .mesh import (
     gen_rect,
     geom_cache,
     load_mesh,
-    merge_meshes,
     save_mesh,
 )
 from .postproc import (
@@ -92,7 +91,6 @@ __all__ = [
     "load_mesh",
     "make_circle",
     "make_star",
-    "merge_meshes",
     "neutral_tip_angle",
     "save_mesh",
     "solve",

@@ -10,13 +10,13 @@ star, and a two-region composite for the bipropellant star whose slow
 region burns as circles about the chamber center.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .contour import Arc, Contour, Line, close_sector, make_star
 from .eikonal import SolverConfig
-from .mesh import Marker, Mesh, gen_coons, gen_rect, merge_meshes
+from .mesh import Marker, Mesh, _grid_mesh, _loft, gen_coons, gen_rect
 from .star import bistar_design, bistar_interface, neutral_tip_angle
 
 
@@ -31,7 +31,8 @@ class Case:
     is None when no closed form exists (scheme smoke cases).  depth is
     the normalization length for relative errors, the largest
     penetration the front achieves.  config overrides solver defaults
-    where a geometry needs them.  Cases compare and hash by identity.
+    where a geometry needs them.  An array rate and exact are kept as
+    read-only float64 copies.  Cases compare and hash by identity.
     """
 
     name: str
@@ -43,6 +44,12 @@ class Case:
     config: SolverConfig | None = None
 
     def __post_init__(self):
+        for name in ("rate", "exact"):
+            value = getattr(self, name)
+            if value is not None and np.ndim(value):
+                array = np.array(value, dtype=np.float64)
+                array.flags.writeable = False
+                object.__setattr__(self, name, array)
         if len(np.unique(self.rate)) > 2:
             raise ValueError(f"case {self.name} has more than two propellant rates")
 
@@ -70,18 +77,13 @@ def _radius(mesh: Mesh) -> np.ndarray:
 
 
 def _welded_pair(nv: int, a: tuple, b: tuple) -> Mesh:
-    """Two Coons patches of nv transverse cells welded on a shared chord.
+    """Two lofted patches of nv transverse cells sharing a chord.
 
     a and b are each (inner, outer, longitudinal count).  The chord is
-    side1 of a and side0 of b, marked INTERIOR; every other side keeps
-    its gen_coons default.
+    a's last column and b's first, and stays INTERIOR; every other side
+    keeps its gen_coons default.
     """
-    return merge_meshes(
-        [
-            gen_coons(inner, outer, nv, nu, markers={seam: Marker.INTERIOR})
-            for (inner, outer, nu), seam in ((a, "side1"), (b, "side0"))
-        ]
-    )
+    return _grid_mesh([_loft(inner, outer, nv, nu) for inner, outer, nu in (a, b)])
 
 
 def rect_case() -> Case:
@@ -112,7 +114,7 @@ def annulus_case() -> Case:
 
 
 def circle_case() -> Case:
-    """Full annulus welded from four rotated quarter patches.
+    """Full annulus, a closed chain of four rotated quarter patches.
 
     The seams are interior, so the grain has no symmetry boundary at
     all; perimeter and port-area growth laws can be checked against the
@@ -121,19 +123,14 @@ def circle_case() -> Case:
     r_inner, r_outer = 1.0, 2.0
     inner = _arc_points((0.0, 0.0), r_inner, 0.0, 0.5 * np.pi, 512)
     outer = _arc_points((0.0, 0.0), r_outer, 0.0, 0.5 * np.pi, 512)
-    quarter = gen_coons(
-        inner,
-        outer,
-        28,
-        42,
-        markers={"side0": Marker.INTERIOR, "side1": Marker.INTERIOR},
-    )
+    quarter = _loft(inner, outer, 28, 42)
     # Exact 90-degree rotations keep seam coordinates bitwise mirrored.
     rot = np.array([[0.0, -1.0], [1.0, 0.0]])
     parts = [quarter]
     for _ in range(3):
-        parts.append(replace(parts[-1], nodes=parts[-1].nodes @ rot.T))
-    mesh = merge_meshes(parts)
+        grid, tris = parts[-1]
+        parts.append((grid @ rot.T, tris))
+    mesh = _grid_mesh(parts, closed=True)
     return Case("circle", mesh, 1.0, _radius(mesh) - r_inner, depth=r_outer - r_inner)
 
 

@@ -131,7 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="end-to-end accuracy checks")
     vers = ver.add_subparsers(dest="sub", required=True)
     slot = vers.add_parser("slot", help="slot error study vs the exact oracle")
-    slot.add_argument("--nodes", type=int, default=2500, help="target node budget")
+    slot.add_argument("--nodes", type=_positive_int, default=2500, help="target node budget")
     _add_dump(slot)
 
     return top

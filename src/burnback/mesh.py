@@ -3,8 +3,10 @@
 Containers, generators, text I/O, and the precomputed sparse operators
 and node heights consumed by the front solver.  A Mesh checks every
 mesh invariant when it is built and holds read-only arrays, so each
-mesh is valid however it was made: parsed, generated, welded, derived
-with dataclasses.replace, or built by hand.
+mesh is valid however it was made: parsed, generated, derived with
+dataclasses.replace, or built by hand.  The generators build chains of
+structured patches in which neighbouring patches share their seam
+column by construction, so no mesh is welded after the fact.
 
 Text format, line oriented, '#' starts a comment:
 
@@ -27,7 +29,6 @@ from operator import itemgetter
 
 import numpy as np
 from scipy.sparse import csr_array
-from scipy.sparse.csgraph import connected_components
 
 __all__ = [
     "Marker",
@@ -39,7 +40,6 @@ __all__ = [
     "save_mesh",
     "gen_rect",
     "gen_coons",
-    "merge_meshes",
     "geom_cache",
 ]
 
@@ -382,30 +382,72 @@ def _side_rule(defaults: dict, markers, kind: str) -> dict:
     return {**defaults, **(markers or {})}
 
 
-def _grid_mesh(nodes, tris, nu: int, nv: int, sides, rule) -> Mesh:
-    """Validated mesh of an (nu x nv) cell grid whose node (iu, iv) is
-    nodes[iv * (nu + 1) + iu].
+# the sides of a lofted chain in paint and bind order, and their default
+# markers: rows iv = 0 and nv are the inner and outer curves
+_COONS_SIDES = (("inner", 1, False), ("outer", 1, True), ("side0", 0, False), ("side1", 0, True))
+_COONS_RULE = {
+    "inner": Marker.IGNITION,
+    "outer": Marker.FREE,
+    "side0": Marker.SYMMETRY,
+    "side1": Marker.SYMMETRY,
+}
 
-    sides lists (name, axis, last) in paint and bind order: the nodes
-    with iu (axis 0) or iv (axis 1) at 0, or at nu or nv when last.
-    rule maps each name to a Marker.  Markers are painted with corner
-    priority; each SYMMETRY side then gets the line through its two end
-    nodes and binds its SYMMETRY nodes not yet bound, so a corner goes
-    to the first SYMMETRY side listed.
+
+def _grid_mesh(patches, rule=_COONS_RULE, sides=_COONS_SIDES, closed=False) -> Mesh:
+    """Validated mesh of a chain of structured patches.
+
+    Each patch is (grid, tris): grid holds the coordinates of node
+    (iv, iu) at grid[iv, iu], with the same nv + 1 rows in every patch,
+    and tris its triangles by local id iv * (nu + 1) + iu.  Patch k > 0
+    shares patch k - 1's last node column as its own first and keeps
+    the earlier coordinates; a closed chain also shares its last column
+    with patch 0's first.  Node ids run patch by patch in row-major
+    order, with the shared columns left out.
+
+    sides lists (name, axis, last) in paint and bind order: the chain's
+    row iv = 0 (axis 1), or nv when last, or its end column (axis 0),
+    patch 0's first or the last patch's last, which a closed chain does
+    not have.  rule maps each name to a Marker.  Markers are painted
+    with corner priority, so the seam columns stay INTERIOR but for
+    their row ends; each SYMMETRY side then gets the line through its
+    two end nodes and binds its SYMMETRY nodes not yet bound, so a
+    corner goes to the first SYMMETRY side listed.
     """
-    index = (np.tile(np.arange(nu + 1), nv + 1), np.repeat(np.arange(nv + 1), nu + 1))
-    masks = [index[axis] == ((nu, nv)[axis] if last else 0) for _, axis, last in sides]
-    markers = np.zeros(len(nodes), dtype=np.int64)
-    for (name, _, _), mask in zip(sides, masks):
-        m = int(rule[name])
-        markers[mask & (_MARKER_RANK[m] > _MARKER_RANK[markers])] = m
+    ids, parts, n = [], [], 0
+    for k, (grid, _) in enumerate(patches):
+        fresh = slice(int(k > 0), grid.shape[1] - (closed and k == len(patches) - 1))
+        part = grid[:, fresh]
+        idx = np.empty(grid.shape[:2], dtype=np.int64)
+        idx[:, fresh] = np.arange(n, n + part.size // 2).reshape(part.shape[:2])
+        if k:
+            idx[:, 0] = ids[-1][:, -1]
+        ids.append(idx)
+        parts.append(part.reshape(-1, 2))
+        n += len(parts[-1])
+    if closed:
+        ids[-1][:, -1] = ids[0][:, 0]
+        sides = [side for side in sides if side[1] == 1]
+    nodes = np.concatenate(parts)
+    tris = np.concatenate([idx.ravel()[tri] for idx, (_, tri) in zip(ids, patches)])
+
+    ends = {
+        (0, False): ids[0][:, 0],
+        (0, True): ids[-1][:, -1],
+        (1, False): np.concatenate([idx[0] for idx in ids]),
+        (1, True): np.concatenate([idx[-1] for idx in ids]),
+    }
+    markers = np.zeros(n, dtype=np.int64)
+    for name, axis, last in sides:
+        on, m = ends[axis, last], int(rule[name])
+        markers[on[_MARKER_RANK[m] > _MARKER_RANK[markers[on]]]] = m
     lines = []
-    symline = np.full(len(nodes), -1, dtype=np.int64)
-    for (name, _, _), mask in zip(sides, masks):
+    symline = np.full(n, -1, dtype=np.int64)
+    for name, axis, last in sides:
         if int(rule[name]) != Marker.SYMMETRY:
             continue
-        a, b = nodes[np.flatnonzero(mask)[[0, -1]]]
-        symline[mask & (markers == Marker.SYMMETRY) & (symline == -1)] = len(lines)
+        on = ends[axis, last]
+        a, b = nodes[on[[0, -1]]]
+        symline[on[(markers[on] == Marker.SYMMETRY) & (symline[on] == -1)]] = len(lines)
         lines.append(SymmetryLine(tuple(a), tuple(b - a)))
     return Mesh(nodes, tris, markers, lines, symline)
 
@@ -425,10 +467,9 @@ def gen_rect(nx: int, ny: int, width: float, height: float, markers=None) -> Mes
 
     xs = np.linspace(0.0, width, nx + 1)
     ys = np.linspace(0.0, height, ny + 1)
-    X, Y = np.meshgrid(xs, ys)
-    nodes = np.column_stack([X.ravel(), Y.ravel()])
+    grid = np.stack(np.meshgrid(xs, ys), axis=-1)
     sides = [("left", 0, False), ("right", 0, True), ("bottom", 1, False), ("top", 1, True)]
-    return _grid_mesh(nodes, _grid_triangles(nx, ny), nx, ny, sides, rule)
+    return _grid_mesh([(grid, _grid_triangles(nx, ny))], rule, sides)
 
 
 def _resample_polyline(poly: np.ndarray, n: int) -> np.ndarray:
@@ -450,37 +491,20 @@ def _resample_polyline(poly: np.ndarray, n: int) -> np.ndarray:
     return np.column_stack([np.interp(t, cum, poly[:, 0]), np.interp(t, cum, poly[:, 1])])
 
 
-def gen_coons(inner, outer, n_transverse: int, n_longitudinal: int, markers=None) -> Mesh:
-    """Transfinite patch between two open polylines.
+def _loft(inner, outer, nv: int, nu: int) -> tuple[np.ndarray, np.ndarray]:
+    """(grid, tris) patch of _grid_mesh ruled between two open polylines.
 
-    The two side boundaries are the straight chords joining matching
-    polyline endpoints, so the interpolant reduces to a ruled surface
-    between the arc-length-resampled inner and outer curves.  markers maps
-    inner/outer/side0/side1 to Marker values (defaults: inner IGNITION,
-    outer FREE, sides SYMMETRY).  side0 joins inner[0] to outer[0].
+    Row iv = 0 is inner and row nv is outer, each resampled to nu cells
+    by arc length; the triangles are turned counter-clockwise.
     """
-    if n_transverse < 1 or n_longitudinal < 1:
-        raise MeshError("gen_coons needs n_transverse, n_longitudinal >= 1")
-    defaults = {
-        "inner": Marker.IGNITION,
-        "outer": Marker.FREE,
-        "side0": Marker.SYMMETRY,
-        "side1": Marker.SYMMETRY,
-    }
-    rule = _side_rule(defaults, markers, "boundary")
-    if int(rule["inner"]) == Marker.SYMMETRY or int(rule["outer"]) == Marker.SYMMETRY:
-        raise MeshError("SYMMETRY is only supported on the straight side chords")
-
-    nu, nv = n_longitudinal, n_transverse
     ci = _resample_polyline(inner, nu)
     co = _resample_polyline(outer, nu)
     v = np.linspace(0.0, 1.0, nv + 1)
-    nodes = (1.0 - v)[:, None, None] * ci[None, :, :] + v[:, None, None] * co[None, :, :]
-    nodes = nodes.reshape(-1, 2)
+    grid = (1.0 - v)[:, None, None] * ci[None, :, :] + v[:, None, None] * co[None, :, :]
     tris = _grid_triangles(nu, nv)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        areas = _signed_areas(nodes, tris)
+        areas = _signed_areas(grid.reshape(-1, 2), tris)
     if np.isfinite(areas).all():  # else Mesh names the overflowed triangles
         if np.all(areas < 0.0):
             tris = tris[:, [0, 2, 1]]  # inner/outer orientation flips the loft
@@ -489,96 +513,25 @@ def gen_coons(inner, outer, n_transverse: int, n_longitudinal: int, markers=None
             cells = np.unique(np.flatnonzero(areas <= 0.0) // 2)
             where = [(int(c % nu), int(c // nu)) for c in cells[:10]]
             raise MeshError(f"degenerate Coons patch: non-positive cells (iu, iv) {where}")
-
-    # rows v = 0 and v = 1 are exactly ci and co, so side0 runs from
-    # inner[0] to outer[0] and side1 from inner[-1] to outer[-1]
-    sides = [("inner", 1, False), ("outer", 1, True), ("side0", 0, False), ("side1", 0, True)]
-    return _grid_mesh(nodes, tris, nu, nv, sides, rule)
+    return grid, tris
 
 
-# ---------------------------------------------------------------------------
-# welding
+def gen_coons(inner, outer, n_transverse: int, n_longitudinal: int, markers=None) -> Mesh:
+    """Transfinite patch between two open polylines.
 
-
-def _close_pairs(nodes: np.ndarray, tol: float) -> np.ndarray:
-    """Node id pairs (k, 2) within Euclidean distance tol of each other.
-
-    Nodes are binned into square cells of side 2 tol, so a close pair
-    sits in one cell or in two neighbouring ones even after rounding.
-    Cells are keyed column by column with one empty cell between
-    columns.  In key order each node is checked against the later nodes
-    of its own cell and the next cell up, then against the three cells
-    of the next column, so every pair is found once.  The keys fit in
-    int64 while the node spread is below ~1e9 tol.
+    The two side boundaries are the straight chords joining matching
+    polyline endpoints, so the interpolant reduces to a ruled surface
+    between the arc-length-resampled inner and outer curves: a one-patch
+    chain of _grid_mesh.  markers maps inner/outer/side0/side1 to Marker
+    values (defaults: inner IGNITION, outer FREE, sides SYMMETRY).
+    side0 joins inner[0] to outer[0].
     """
-    cell = ((nodes - nodes.min(axis=0)) / (2.0 * tol)).astype(np.int64)  # >= 0, so floored
-    width = cell[:, 1].max() + 2
-    key = cell[:, 0] * width + cell[:, 1]
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    pos = np.arange(len(key))
-    lo = np.concatenate([pos + 1, np.searchsorted(key, key + width - 1)])
-    hi = np.concatenate([np.searchsorted(key, key + 2), np.searchsorted(key, key + width + 2)])
-    count = hi - lo
-    # positions a < b in key order of each candidate pair
-    a = np.repeat(np.tile(pos, 2), count)
-    b = np.arange(len(a)) + np.repeat(lo - np.cumsum(count) + count, count)
-    i, j = order[a], order[b]
-    d = nodes[j] - nodes[i]
-    near = np.sqrt(d[:, 0] ** 2 + d[:, 1] ** 2) <= tol
-    return np.column_stack([i[near], j[near]])
-
-
-def merge_meshes(meshes) -> Mesh:
-    """Weld coincident nodes of several meshes into one mesh.
-
-    Coincident means within 1e-9 of the joint bounding box diagonal.
-    Markers of welded nodes combine with the usual corner priority.
-    Every input's symmetry lines are kept, in input order.
-    """
-    meshes = list(meshes)
-    if not meshes:
-        raise MeshError("merge_meshes needs at least one mesh")
-
-    nodes = np.concatenate([m.nodes for m in meshes], axis=0)
-    node_off = np.cumsum([0] + [m.n_nodes for m in meshes])
-    line_off = np.cumsum([0] + [len(m.symmetry_lines) for m in meshes])
-    tris = np.concatenate(
-        [m.triangles + node_off[i] for i, m in enumerate(meshes)], axis=0
-    )
-    markers = np.concatenate([m.node_markers for m in meshes])
-    symline = np.concatenate(
-        [np.where(m.node_symline >= 0, m.node_symline + line_off[i], -1) for i, m in enumerate(meshes)]
-    )
-    all_lines = [ln for m in meshes for ln in m.symmetry_lines]
-
-    tol = 1e-9 * max(_bbox_diag(nodes), 1e-300)
-
-    # Close pairs join components; components are labelled in order of
-    # their lowest node id, which is also the node each one keeps.
-    nn = len(nodes)
-    pairs = _close_pairs(nodes, tol)
-    close = csr_array((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(nn, nn))
-    _, new_id = connected_components(close, directed=False)
-    _, uniq = np.unique(new_id, return_index=True)
-
-    new_nodes = nodes[uniq]
-    new_tris = new_id[tris]
-
-    rank = _MARKER_RANK[markers]
-    best_rank = np.zeros(len(uniq), dtype=np.int64)
-    np.maximum.at(best_rank, new_id, rank)
-    rank_to_marker = np.empty(4, dtype=np.int64)
-    rank_to_marker[_MARKER_RANK] = np.arange(4)
-    new_markers = rank_to_marker[best_rank]
-
-    # a welded SYMMETRY node keeps the line of its lowest-id source
-    src = np.flatnonzero(symline >= 0)
-    target, first = np.unique(new_id[src], return_index=True)
-    new_symline = np.full(len(uniq), -1, dtype=np.int64)
-    new_symline[target] = symline[src[first]]
-    new_symline[new_markers != Marker.SYMMETRY] = -1
-    return Mesh(new_nodes, new_tris, new_markers, all_lines, new_symline)
+    if n_transverse < 1 or n_longitudinal < 1:
+        raise MeshError("gen_coons needs n_transverse, n_longitudinal >= 1")
+    rule = _side_rule(_COONS_RULE, markers, "boundary")
+    if int(rule["inner"]) == Marker.SYMMETRY or int(rule["outer"]) == Marker.SYMMETRY:
+        raise MeshError("SYMMETRY is only supported on the straight side chords")
+    return _grid_mesh([_loft(inner, outer, n_transverse, n_longitudinal)], rule)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import time
 
+import numpy as np
 import pytest
 
 from burnback.cases import Case, build_case
@@ -26,3 +27,14 @@ def solved():
         return case, field, time.perf_counter() - t0
 
     return _solved
+
+
+@pytest.fixture(scope="session")
+def boundary_nodes():
+    def _boundary_nodes(mesh) -> np.ndarray:
+        """Sorted ids of the nodes on an edge of exactly one triangle."""
+        edges = np.sort(mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+        uniq, count = np.unique(edges, axis=0, return_counts=True)
+        return np.unique(uniq[count == 1])
+
+    return _boundary_nodes

@@ -156,6 +156,30 @@ def test_case_split_derives_from_the_rate():
     assert split.rate_ratio == 8.0
 
 
+def test_case_keeps_read_only_float64_copies_of_its_arrays():
+    case = build_case("bistar")
+    for array in (case.rate, case.exact):
+        assert array.dtype == np.float64
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 7.0
+    assert case.rate_ratio == pytest.approx(1.592, abs=5e-4)
+    rate = np.where(_TINY.nodes[:, 0] < 0.75, 2, 1)  # integers, copied as floats
+    split = cases.Case("split", _TINY, rate, rate, depth=1.0)
+    rate[0] = 7
+    assert split.rate.dtype == split.exact.dtype == np.float64
+    assert split.rate[0] == split.exact[0] == 2.0
+    assert split.rate_ratio == 2.0
+
+
+@pytest.mark.parametrize("name", sorted(CASE_BUILDERS))
+def test_boundary_nodes_are_exactly_the_marked_nodes(name, boundary_nodes):
+    # an edge of one triangle bounds the grain; a seam left unwelded
+    # would leave such edges between INTERIOR nodes
+    mesh = build_case(name).mesh
+    marked = np.flatnonzero(mesh.node_markers != Marker.INTERIOR)
+    np.testing.assert_array_equal(boundary_nodes(mesh), marked)
+
+
 # each input check of the case builders: the call and its ValueError message
 CASE_ERRORS = {
     "slot level": (lambda: cases.slot_case("medium"), "slot level must be one of ['coarse', 'fine']"),

@@ -86,8 +86,10 @@ def test_usage_errors_exit_2():
         (["solve", "--case", "rect", "--out", "f.csv", "--residuals", ""], "--residuals"),
         (["curves", "--case", "rect", "--out", "c.csv", "--tau-count", "0"], "--tau-count"),
         (["contours", "--case", "rect", "--out", "c.svg", "--nlevels", "0"], "--nlevels"),
+        (["verify", "slot", "--nodes", "0"], "--nodes"),
+        (["verify", "slot", "--nodes", "-5"], "--nodes"),
     ],
-    ids=["out", "mesh", "residuals", "tau-count", "nlevels"],
+    ids=["out", "mesh", "residuals", "tau-count", "nlevels", "nodes-zero", "nodes-negative"],
 )
 def test_empty_paths_and_zero_counts_exit_2(argv, flag, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

@@ -16,7 +16,7 @@ from burnback.eikonal import (
     solve,
     triangle_gradients,
 )
-from burnback.mesh import Marker, Mesh, gen_coons, gen_rect, geom_cache, merge_meshes
+from burnback.mesh import Marker, Mesh, gen_coons, gen_rect, geom_cache
 
 
 def rect_left_ignition(nx=20, ny=10, width=2.0, height=1.0):
@@ -411,11 +411,14 @@ def test_solve_needs_ignition_or_pins():
 
 
 def test_solve_names_a_node_no_held_node_reaches():
-    # two unwelded rectangles, ignition only on the first
+    # two rectangles side by side, ignition only on the first
     lit = rect_left_ignition(4, 2)
     dark = gen_rect(4, 2, 2.0, 1.0)
-    apart = Mesh(dark.nodes + [5.0, 0.0], dark.triangles, dark.node_markers)
-    mesh = merge_meshes([lit, apart])
+    mesh = Mesh(
+        np.concatenate([lit.nodes, dark.nodes + [5.0, 0.0]]),
+        np.concatenate([lit.triangles, dark.triangles + lit.n_nodes]),
+        np.concatenate([lit.node_markers, dark.node_markers]),
+    )
     with pytest.raises(SolverError, match=f"node {lit.n_nodes} is not connected"):
         solve(mesh, 1.0)
 

@@ -1,4 +1,4 @@
-"""Mesh generation, serialization, merging, and geometry cache."""
+"""Mesh generation, patch chains, serialization, and geometry cache."""
 
 from __future__ import annotations
 
@@ -15,12 +15,13 @@ from burnback.mesh import (
     Mesh,
     MeshError,
     SymmetryLine,
-    _close_pairs,
+    _grid_mesh,
+    _grid_triangles,
+    _loft,
     gen_coons,
     gen_rect,
     geom_cache,
     load_mesh,
-    merge_meshes,
     save_mesh,
 )
 
@@ -359,11 +360,12 @@ def _straight_patch(width: float, height: float):
     return gen_coons(inner, inner + [0.0, height], 1, 1)
 
 
-def _weld_sliver(dx: float):
-    # a unit square and a triangle on its right side whose first two
-    # nodes lie dx apart: at dx = 1e-10 they weld and it collapses
-    sliver = Mesh([[1.0, 0.0], [1.0 + dx, 0.0], [1.0, 1.0]], [[0, 1, 2]], [0, 0, 0])
-    return merge_meshes([gen_rect(1, 1, 1.0, 1.0), sliver])
+def _square_chain(x1: float):
+    # unit squares on x in [0, 1] and [1, x1] sharing the column x = 1;
+    # at x1 = 0 the second folds back over the first and turns clockwise
+    tris = _grid_triangles(1, 1)
+    grids = [np.stack(np.meshgrid([a, b], [0.0, 1.0]), axis=-1) for a, b in ((0.0, 1.0), (1.0, x1))]
+    return _grid_mesh([(grid, tris) for grid in grids])
 
 
 _SYM_RECT = gen_rect(4, 3, 1.0, 1.0, markers={"bottom": Marker.SYMMETRY})
@@ -390,9 +392,9 @@ BUILDS = {
         lambda bad: _straight_patch(1e154, 1e300) if bad else _straight_patch(1.0, 1.0),
         "triangle area overflows float64: triangles [0, 1]",
     ),
-    "merge_meshes": (
-        lambda bad: _weld_sliver(1e-10 if bad else 0.5),
-        "non-positive triangle area (clockwise or degenerate): triangles [2]",
+    "chain": (
+        lambda bad: _square_chain(0.0 if bad else 2.0),
+        "non-positive triangle area (clockwise or degenerate): triangles [2, 3]",
     ),
 }
 
@@ -439,7 +441,6 @@ MESH_ERRORS = {
         lambda: gen_coons([[0.0, 0.0], [1.0, 0.0]], _TOP, 1, 0),
         "gen_coons needs n_transverse, n_longitudinal >= 1",
     ),
-    "empty merge": (lambda: merge_meshes([]), "merge_meshes needs at least one mesh"),
 }
 
 
@@ -524,89 +525,57 @@ def test_validate_rejects_nonmanifold_edge():
         Mesh(nodes[:3], doubled, np.zeros(3, dtype=np.int64))
 
 
-# ------------------------------------------------------------------- merging
+# ------------------------------------------------------------ patch chains
 
 
-def test_merge_meshes_welds_shared_edge():
-    left = gen_rect(4, 3, 1.0, 1.0)
-    right = gen_rect(4, 3, 1.0, 1.0)
-    right = type(right)(
-        right.nodes + np.array([1.0, 0.0]),
-        right.triangles,
-        right.node_markers,
-        right.symmetry_lines,
-        right.node_symline,
-    )
-    merged = merge_meshes([left, right])
-    assert merged.nodes.shape[0] == 2 * 5 * 4 - 4
-    assert merged.triangles.shape[0] == 2 * 24
-    assert total_area(merged) == pytest.approx(2.0, rel=1e-12)
+def _rect_patch(x0: float, x1: float, nu: int, nv: int):
+    xs, ys = np.linspace(x0, x1, nu + 1), np.linspace(0.0, 1.0, nv + 1)
+    return np.stack(np.meshgrid(xs, ys), axis=-1), _grid_triangles(nu, nv)
 
 
-def shifted(mesh, dx):
-    lines = [SymmetryLine((ln.point[0] + dx, ln.point[1]), ln.direction) for ln in mesh.symmetry_lines]
-    return Mesh(mesh.nodes + [dx, 0.0], mesh.triangles, mesh.node_markers, lines, mesh.node_symline)
+def test_grid_chain_shares_seam_column():
+    left = _rect_patch(0.0, 1.0, 4, 3)
+    grid, tris = _rect_patch(1.0, 2.0, 4, 3)
+    grid[:, 0, 0] += 1e-12  # the earlier patch's coordinates are kept
+    mesh = _grid_mesh([left, (grid, tris)])
+    assert mesh.n_nodes == 2 * 5 * 4 - 4
+    assert mesh.n_triangles == 2 * 24
+    assert total_area(mesh) == pytest.approx(2.0, rel=1e-12)
+    # row-major patch by patch: 5 nodes per row, then 4 without the seam
+    np.testing.assert_array_equal(mesh.nodes[:20], left[0].reshape(-1, 2))
+    np.testing.assert_array_equal(mesh.nodes[20:], grid[:, 1:].reshape(-1, 2))
+    assert mesh.triangles[24].tolist() == [4, 20, 24]
 
 
-def test_combine_markers_rank_order():
-    # a welded node takes the stronger of its two markers, whichever side
-    # of the seam carries it: ignition beats symmetry beats free beats interior
-    order = [Marker.INTERIOR, Marker.FREE, Marker.SYMMETRY, Marker.IGNITION]
-    for i, low in enumerate(order):
-        for high in order[i:]:
-            for a, b in ((low, high), (high, low)):
-                left = gen_rect(2, 2, 1.0, 1.0, markers={"right": a})
-                right = shifted(gen_rect(2, 2, 1.0, 1.0, markers={"left": b}), 1.0)
-                merged = merge_meshes([left, right])
-                mid = np.flatnonzero(np.all(merged.nodes == [1.0, 0.5], axis=1))
-                assert len(mid) == 1
-                assert merged.node_markers[mid[0]] == high
-                if high == Marker.SYMMETRY:
-                    line = merged.symmetry_lines[merged.node_symline[mid[0]]]
-                    assert line.point[0] == 1.0 and line.direction == (0.0, 1.0)
+def test_open_chain_keeps_side0_then_side1_symmetry_line():
+    patches = [_rect_patch(0.0, 1.0, 3, 2), _rect_patch(1.0, 3.0, 2, 2)]
+    mesh = _grid_mesh(patches)
+    assert [(ln.point, ln.direction) for ln in mesh.symmetry_lines] == [
+        ((0.0, 0.0), (0.0, 1.0)),
+        ((3.0, 0.0), (0.0, 1.0)),
+    ]
+    # rows of 4 then 2 nodes: the inner row is IGNITION, the outer FREE
+    # but for its SYMMETRY corners, and the seam column x = 1 (ids 3, 7
+    # and 11) is INTERIOR between its row ends
+    assert mesh.node_markers.tolist() == [1, 1, 1, 1, 3, 0, 0, 0, 3, 2, 2, 2, 1, 1, 0, 3, 2, 3]
+    assert mesh.node_symline.tolist() == [-1] * 4 + [0, -1, -1, -1, 0] + [-1] * 6 + [1, -1, 1]
 
 
-def test_close_pairs_match_brute_force():
-    # many exact duplicates and shared x coordinates, plus near misses
-    rng = np.random.default_rng(2)
-    scattered = rng.random((300, 2)).round(1)
-    scattered[::7, 1] += 5e-10
-    scattered[::11, 1] += 2e-9
-    # one long run of equal x, as along a straight seam, welded pairwise
-    y = np.linspace(0.0, 1.0, 400)
-    column = np.column_stack([np.full(800, 0.5), np.concatenate([y, y + 5e-10])])
-    column[::9, 0] += 2e-9
-    tol = 1e-9
-    for pts in (scattered, column):
-        dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
-        want = set(zip(*np.nonzero(np.triu(dist <= tol, 1))))
-        got = _close_pairs(pts, tol)
-        assert len(got) == len(want) > 100
-        assert set(map(tuple, np.sort(got, axis=1))) == want
-
-
-def test_merge_meshes_combines_markers_by_rank():
-    a = gen_rect(2, 2, 1.0, 1.0, markers={"right": Marker.IGNITION})
-    b = gen_rect(2, 2, 1.0, 1.0, markers={"left": Marker.FREE})
-    b = type(b)(
-        b.nodes + np.array([1.0, 0.0]),
-        b.triangles,
-        b.node_markers,
-        b.symmetry_lines,
-        b.node_symline,
-    )
-    merged = merge_meshes([a, b])
-    seam = np.isclose(merged.nodes[:, 0], 1.0)
-    assert np.all(merged.node_markers[seam] == Marker.IGNITION)
-
-
-def test_merge_meshes_welds_only_the_seam_at_large_coordinates():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        rect = gen_rect(100, 1, 1e155, 1e153, markers={"bottom": Marker.SYMMETRY})
-        merged = merge_meshes([rect, shifted(rect, 1e155)])
-    assert merged.n_nodes == 2 * 202 - 2
-    assert len(merged.symmetry_lines) == 2  # one per input, kept apart
+def test_closed_ring_of_four_patches_has_no_boundary_edge_on_a_seam(boundary_nodes):
+    quarter = _loft(arc(1.0, 0.0, 0.5 * np.pi, 40), arc(2.0, 0.0, 0.5 * np.pi, 40), 3, 6)
+    rot = np.array([[0.0, -1.0], [1.0, 0.0]])
+    ring = [(quarter[0] @ np.linalg.matrix_power(rot, k).T, quarter[1]) for k in range(4)]
+    mesh = _grid_mesh(ring, closed=True)
+    assert mesh.n_nodes == 4 * 4 * 6
+    assert mesh.symmetry_lines == ()
+    on = boundary_nodes(mesh)
+    assert len(on) == 2 * 4 * 6  # the inner and outer circles only
+    np.testing.assert_array_equal(on, np.flatnonzero(mesh.node_markers != Marker.INTERIOR))
+    # left open, the last column is 4 nodes of its own, and both it and
+    # patch 0's first column, 2 more nodes between the row ends, bound it
+    opened = _grid_mesh(ring)
+    assert opened.n_nodes == mesh.n_nodes + 4
+    assert len(boundary_nodes(opened)) == len(on) + 4 + 2
 
 
 # ------------------------------------------------------------ geometry cache
