@@ -14,7 +14,6 @@ from .contour import (
     Contour,
     ContourError,
     Line,
-    close_sector,
     cylinder_laws,
     make_circle,
     make_star,
@@ -80,7 +79,6 @@ __all__ = [
     "bistar_interface",
     "build_case",
     "burn_curves",
-    "close_sector",
     "cylinder_laws",
     "emit_csv",
     "emit_svg",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contour import Arc, Contour, Line, close_sector, make_star
+from .contour import Arc, Contour, Line, make_star
 from .eikonal import SolverConfig
 from .mesh import Marker, Mesh, _grid_mesh, _loft, gen_coons, gen_rect
 from .star import bistar_design, bistar_interface, neutral_tip_angle
@@ -30,9 +30,11 @@ class Case:
     burn_curves weighs the equivalent area by, derive from it.  exact
     is None when no closed form exists (scheme smoke cases).  depth is
     the normalization length for relative errors, the largest
-    penetration the front achieves.  config overrides solver defaults
-    where a geometry needs them.  An array rate and exact are kept as
-    read-only float64 copies.  Cases compare and hash by identity.
+    penetration the front achieves.  port, when given, is the port
+    outline that bounds the mesh.  config overrides solver defaults
+    where a geometry needs them.  An array rate or exact holds one value
+    per mesh node and is kept as a read-only float64 copy.  Cases
+    compare and hash by identity.
     """
 
     name: str
@@ -48,6 +50,11 @@ class Case:
             value = getattr(self, name)
             if value is not None and np.ndim(value):
                 array = np.array(value, dtype=np.float64)
+                if array.shape != (self.mesh.n_nodes,):
+                    raise ValueError(
+                        f"case {self.name} has {array.size} {name} values "
+                        f"for {self.mesh.n_nodes} mesh nodes"
+                    )
                 array.flags.writeable = False
                 object.__setattr__(self, name, array)
         if len(np.unique(self.rate)) > 2:
@@ -176,8 +183,8 @@ def star_case() -> Case:
     """
     n, eps, casing_radius = 5, 0.6, 1.0
     theta = 2.0 * neutral_tip_angle(n)
-    half = make_star(n, theta, eps, 0.5, casing_radius)
-    flank, valley_arc = half.pieces
+    port = make_star(n, theta, eps, 0.5, casing_radius)
+    flank, valley_arc = port.pieces
     alpha, beta = np.pi / n, (1.0 - eps) * (np.pi / n)
     seam = 0.5 * (alpha + beta)
     casing_a = _arc_points((0.0, 0.0), casing_radius, alpha, seam, 512)
@@ -185,7 +192,6 @@ def star_case() -> Case:
     mesh = _welded_pair(
         80, (flank.points(512), casing_a, 70), (valley_arc.points(512), casing_b, 50)
     )
-    port = close_sector(half, n)
     exact = port.distance(mesh.nodes)
     # Half-strength dissipation: the tip-ray ridge smears with eps and
     # the default setting leaves too much of it at this node budget.

@@ -20,7 +20,7 @@ from .cases import CASE_BUILDERS, Case, build_case
 from .contour import ContourError
 from .eikonal import ArrivalField, SolverConfig, SolverError, solve
 from .mesh import Marker, Mesh, MeshError, geom_cache, load_mesh, save_mesh
-from .postproc import burn_curves, emit_csv, emit_svg
+from .postproc import burn_curves, emit_csv, emit_svg, error_field
 from .star import bistar_design, bistar_interface, neutral_tip_angle
 
 __all__ = ["RunSpec", "parse_args", "run", "main"]
@@ -327,7 +327,7 @@ def _cmd_verify_slot(opt: dict) -> int:
     threshold = 0.01 if level == "coarse" else 0.005
     case = build_case(f"slot-{level}")
     res = _solve_case(case, opt)
-    err = float(np.abs(res.s - case.exact).max() / case.depth)
+    err = error_field(case.mesh, res.s, case.exact).max_abs
     ok = err < threshold
     print(
         f"slot {level}: {case.mesh.n_nodes} nodes, max normalized error "

@@ -26,7 +26,6 @@ __all__ = [
     "Contour",
     "make_circle",
     "make_star",
-    "close_sector",
     "CylinderState",
     "cylinder_laws",
 ]
@@ -217,8 +216,10 @@ def make_star(n: int, tip_angle: float, eps: float, valley_depth: float, casing_
     a fraction (1 - eps) of the half-sector; the straight flank leaves
     its end at angle tip_angle/2 to the tip ray and stops at the sharp
     propellant apex on that ray.  Traversal runs apex -> valley so the
-    propellant stays on the left; reflect and rotate with close_sector
-    for the full port contour.
+    propellant stays on the left.  The outline is the port of the
+    meshed half-sector, and its distance is exact there: by reflection
+    across the two rays, no point of the sector is nearer to another
+    tip's or valley's copy of the outline.
     """
     if n < 3:
         raise ContourError("star needs n >= 3")
@@ -243,42 +244,6 @@ def make_star(n: int, tip_angle: float, eps: float, valley_depth: float, casing_
     if eps == 1.0:
         return Contour((flank,))
     return Contour((flank, Arc((0.0, 0.0), valley_depth, beta, 0.0, -1)))
-
-
-def _mirror_x(piece):
-    if isinstance(piece, Line):
-        return Line((piece.p1[0], -piece.p1[1]), (piece.p0[0], -piece.p0[1]))
-    return Arc((piece.center[0], -piece.center[1]), piece.radius, -piece.a1, -piece.a0, piece.sweep)
-
-
-def _rotate(piece, angle: float):
-    c, s = math.cos(angle), math.sin(angle)
-
-    def rot(p):
-        return (c * p[0] - s * p[1], s * p[0] + c * p[1])
-
-    if isinstance(piece, Line):
-        return Line(rot(piece.p0), rot(piece.p1))
-    return Arc(rot(piece.center), piece.radius, piece.a0 + angle, piece.a1 + angle, piece.sweep)
-
-
-def close_sector(half: Contour, n: int) -> Contour:
-    """Full closed contour from a half-sector outline.
-
-    Expects the outline to start on the tip ray (angle pi/n) and end on
-    the valley ray (angle 0), as make_star emits.  The outline is
-    mirrored across the valley ray and the doubled sector is rotated n
-    times; endpoint matching is inherited from the construction.
-    """
-    if n < 1:
-        raise ContourError("close_sector needs n >= 1")
-    # mirror across y = 0 reverses traversal, so append mirrors reversed
-    doubled = list(half.pieces) + [_mirror_x(p) for p in reversed(half.pieces)]
-    pieces = []
-    for k in range(n):
-        ang = -2.0 * math.pi * k / n
-        pieces.extend(_rotate(p, ang) for p in doubled)
-    return Contour(tuple(pieces), closed=True)
 
 
 # ---------------------------------------------------------------------------

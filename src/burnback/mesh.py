@@ -621,12 +621,7 @@ def _fan_operators(mesh: Mesh, grad: csr_array, corner_angle, edge_len3, mirror)
     tris, mk = mesh.triangles, mesh.node_markers
     nn, nt = mesh.n_nodes, mesh.n_triangles
     pair_keys = np.repeat(tris, 3, axis=1).ravel() * nn + np.tile(tris, 3).ravel()
-    # np.unique(pair_keys, return_inverse=True), at half its cost here
-    order = np.argsort(pair_keys)
-    first = np.concatenate([[True], np.diff(pair_keys[order]) != 0])
-    inv = np.empty(len(order), dtype=np.intp)
-    inv[order] = np.cumsum(first) - 1
-    keys = pair_keys[order][first]
+    keys, inv = np.unique(pair_keys, return_inverse=True)
     row, indices = keys // nn, (keys % nn).astype(np.int32)
     indptr = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=nn))]).astype(np.int32)
 

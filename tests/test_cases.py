@@ -180,6 +180,29 @@ def test_boundary_nodes_are_exactly_the_marked_nodes(name, boundary_nodes):
     np.testing.assert_array_equal(boundary_nodes(mesh), marked)
 
 
+@pytest.mark.parametrize("name", sorted(n for n in CASE_BUILDERS if build_case(n).port is not None))
+def test_port_piece_ends_are_mesh_nodes(name):
+    # the port is the outline that bounds the mesh, so every piece ends
+    # on a node
+    case = build_case(name)
+    for piece in case.port.pieces:
+        for end in (piece.start(), piece.end()):
+            assert np.any(np.all(case.mesh.nodes == end, axis=1)), (piece, end)
+
+
+def test_star_oracle_is_the_distance_to_the_nearest_image_of_the_half_outline():
+    # the full port is the 2n images of the half outline; by reflection
+    # across the rays, no image is nearer to a node than the outline is
+    case, n = build_case("star"), 5
+    images = []
+    for mirror in (1.0, -1.0):
+        nodes = case.mesh.nodes * [1.0, mirror]
+        for k in range(n):
+            c, s = np.cos(2.0 * np.pi * k / n), np.sin(2.0 * np.pi * k / n)
+            images.append(case.port.distance(nodes @ np.array([[c, -s], [s, c]])))
+    np.testing.assert_array_equal(np.min(images, axis=0), case.exact)
+
+
 # each input check of the case builders: the call and its ValueError message
 CASE_ERRORS = {
     "slot level": (lambda: cases.slot_case("medium"), "slot level must be one of ['coarse', 'fine']"),
@@ -187,6 +210,18 @@ CASE_ERRORS = {
     "three rates": (
         lambda: cases.Case("tri", _TINY, np.arange(1.0, 10.0) % 3.0 + 1.0, None, depth=1.0),
         "case tri has more than two propellant rates",
+    ),
+    "rate length": (
+        lambda: cases.Case("t", _TINY, np.ones(3), np.zeros(5), depth=1.0),
+        "case t has 3 rate values for 9 mesh nodes",
+    ),
+    "exact length": (
+        lambda: cases.Case("t", _TINY, 1.0, np.zeros(5), depth=1.0),
+        "case t has 5 exact values for 9 mesh nodes",
+    ),
+    "exact length one": (
+        lambda: cases.Case("t", _TINY, np.ones(9), np.zeros(1), depth=1.0),
+        "case t has 1 exact values for 9 mesh nodes",
     ),
 }
 

@@ -14,7 +14,6 @@ from burnback.contour import (
     Contour,
     ContourError,
     Line,
-    close_sector,
     cylinder_laws,
     make_circle,
     make_star,
@@ -155,8 +154,6 @@ def test_make_star_without_valley_arc_is_one_flank():
     apex_r = d * math.sin(0.5 * theta - alpha) / math.sin(0.5 * theta)
     np.testing.assert_allclose(flank.start(), [apex_r * math.cos(alpha), apex_r * math.sin(alpha)], atol=1e-14)
     np.testing.assert_allclose(flank.end(), [d, 0.0], atol=1e-14)
-    port = close_sector(half, n)
-    assert port.length() == pytest.approx(2 * n * flank.length())
 
 
 _LINE = Line((0.0, 0.0), (1.0, 0.0))
@@ -174,10 +171,6 @@ CONTOUR_ERRORS = {
     "circle radius": (lambda: make_circle(0.0), "circle radius must be positive"),
     "tip angle zero": (lambda: make_star(5, 0.0, 0.5, 0.5, 1.0), "tip_angle must be in (0, pi)"),
     "tip angle pi": (lambda: make_star(5, math.pi, 0.5, 0.5, 1.0), "tip_angle must be in (0, pi)"),
-    "sector count": (
-        lambda: close_sector(make_star(5, math.radians(60.0), 0.6, 0.5, 1.0), 0),
-        "close_sector needs n >= 1",
-    ),
 }
 
 
@@ -187,21 +180,6 @@ def test_contour_input_errors(name):
     with pytest.raises(ContourError) as exc:
         build()
     assert str(exc.value) == message
-
-
-def test_close_sector_length_and_closure():
-    half = make_star(5, math.radians(60.0), 0.6, 0.5, 1.0)
-    port = close_sector(half, 5)
-    assert port.closed
-    assert port.length() == pytest.approx(10.0 * half.length())
-    assert len(port.pieces) == 10 * len(half.pieces)
-    # n-fold symmetry of the distance field
-    rng = np.random.default_rng(3)
-    pts = rng.uniform(-1.0, 1.0, size=(50, 2))
-    rot = 2.0 * math.pi / 5
-    c, s = math.cos(rot), math.sin(rot)
-    turned = pts @ np.array([[c, s], [-s, c]])
-    np.testing.assert_allclose(port.distance(turned), port.distance(pts), atol=1e-12)
 
 
 # ------------------------------------------------------------- perimeter law
