@@ -2,19 +2,19 @@
 
 The registry holds fixed configurations: every dimension and mesh
 count is a constant of its builder, so a case name names one mesh.
-Each builder returns a Case bundling a mesh, node recession rates and,
-where the geometry admits one, the closed-form arrival field used to
-measure solver error: planar for the rectangle, radial for the annulus
-and the circle port, distance to the port contour for the slot and the
-star, and a two-region composite for the bipropellant star whose slow
-region burns as circles about the chamber center.
+Each builder returns a Case bundling a mesh, node recession rates and
+the port outline that bounds the mesh.  Under a uniform rate the exact
+arrival field that measures solver error is the port's distance over
+the rate, so the Case derives it; only the bipropellant star passes its
+own, a two-region composite whose slow region burns as circles about
+the chamber center, and the scheme smoke cases have no oracle.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .contour import Arc, Contour, Line, make_star
+from .contour import Arc, Contour, Line, make_circle, make_star
 from .eikonal import SolverConfig
 from .mesh import Marker, Mesh, _grid_mesh, _loft, gen_coons, gen_rect
 from .star import bistar_design, bistar_interface, neutral_tip_angle
@@ -24,31 +24,36 @@ from .star import bistar_design, bistar_interface, neutral_tip_angle
 class Case:
     """A meshed grain plus everything a benchmark run needs.
 
-    rate is the recession rate, one value or one per node, and holds
-    at most two propellants: propellant 1 burns at the slowest rate and
-    propellant 2 at the other.  labels and rate_ratio, the split that
-    burn_curves weighs the equivalent area by, derive from it.  exact
-    is None when no closed form exists (scheme smoke cases).  depth is
-    the normalization length for relative errors, the largest
-    penetration the front achieves.  port, when given, is the port
-    outline that bounds the mesh.  config overrides solver defaults
-    where a geometry needs them.  An array rate or exact holds one value
-    per mesh node and is kept as a read-only float64 copy.  Cases
-    compare and hash by identity.
+    rate is the positive recession rate, one value or one per node,
+    and holds at most two propellants: propellant 1 burns at the slowest
+    rate and propellant 2 at the other.  labels and rate_ratio, the
+    split that burn_curves weighs the equivalent area by, derive from
+    it.  port, when given, is the port outline that bounds the mesh.
+    exact, the arrival field errors are measured against, defaults to
+    the port's distance over a uniform rate and is None without a closed
+    form (scheme smoke cases); depth, its maximum, normalizes relative
+    errors.  config overrides solver defaults where a geometry needs
+    them.  An array rate and exact hold one value per mesh node and are
+    kept as read-only float64 copies.  Cases compare and hash by identity.
     """
 
     name: str
     mesh: Mesh
     rate: float | np.ndarray
-    exact: np.ndarray | None
-    depth: float
     port: Contour | None = None
+    exact: np.ndarray | None = None
     config: SolverConfig | None = None
 
     def __post_init__(self):
+        rate = np.asarray(self.rate)
+        if not np.all((rate > 0.0) & (rate < np.inf)):
+            raise ValueError(f"case {self.name} has a rate that is not positive and finite")
+        if self.exact is None and self.port is not None and self.rate_ratio == 1.0:
+            exact = self.port.distance(self.mesh.nodes) / np.max(self.rate)
+            object.__setattr__(self, "exact", exact)
         for name in ("rate", "exact"):
             value = getattr(self, name)
-            if value is not None and np.ndim(value):
+            if value is not None and (name == "exact" or np.ndim(value)):
                 array = np.array(value, dtype=np.float64)
                 if array.shape != (self.mesh.n_nodes,):
                     raise ValueError(
@@ -59,6 +64,11 @@ class Case:
                 object.__setattr__(self, name, array)
         if len(np.unique(self.rate)) > 2:
             raise ValueError(f"case {self.name} has more than two propellant rates")
+
+    @property
+    def depth(self) -> float | None:
+        """Largest exact arrival time, or None without an oracle."""
+        return None if self.exact is None else float(self.exact.max())
 
     @property
     def labels(self) -> np.ndarray:
@@ -79,10 +89,6 @@ def _arc_points(center, radius: float, a0: float, a1: float, n: int) -> np.ndarr
     )
 
 
-def _radius(mesh: Mesh) -> np.ndarray:
-    return np.sqrt(mesh.nodes[:, 0] ** 2 + mesh.nodes[:, 1] ** 2)
-
-
 def _welded_pair(nv: int, a: tuple, b: tuple) -> Mesh:
     """Two lofted patches of nv transverse cells sharing a chord.
 
@@ -95,20 +101,9 @@ def _welded_pair(nv: int, a: tuple, b: tuple) -> Mesh:
 
 def rect_case() -> Case:
     """Planar front: ignition on the left edge, outflow on the right."""
-    width = 2.0
-    mesh = gen_rect(
-        60,
-        30,
-        width,
-        1.0,
-        markers={
-            "left": Marker.IGNITION,
-            "right": Marker.FREE,
-            "bottom": Marker.SYMMETRY,
-            "top": Marker.SYMMETRY,
-        },
-    )
-    return Case("rect", mesh, 1.0, mesh.nodes[:, 0].copy(), depth=width)
+    sides = {"left": Marker.IGNITION, "bottom": Marker.SYMMETRY, "top": Marker.SYMMETRY}
+    mesh = gen_rect(60, 30, 2.0, 1.0, markers=sides)
+    return Case("rect", mesh, 1.0, port=Contour((Line((0.0, 1.0), (0.0, 0.0)),)))
 
 
 def annulus_case() -> Case:
@@ -117,7 +112,8 @@ def annulus_case() -> Case:
     inner = _arc_points((0.0, 0.0), r_inner, 0.0, 0.5 * np.pi, 512)
     outer = _arc_points((0.0, 0.0), r_outer, 0.0, 0.5 * np.pi, 512)
     mesh = gen_coons(inner, outer, 56, 84)
-    return Case("annulus", mesh, 1.0, _radius(mesh) - r_inner, depth=r_outer - r_inner)
+    port = Contour((Arc((0.0, 0.0), r_inner, 0.5 * np.pi, 0.0, -1),))
+    return Case("annulus", mesh, 1.0, port=port)
 
 
 def circle_case() -> Case:
@@ -138,7 +134,7 @@ def circle_case() -> Case:
         grid, tris = parts[-1]
         parts.append((grid @ rot.T, tris))
     mesh = _grid_mesh(parts, closed=True)
-    return Case("circle", mesh, 1.0, _radius(mesh) - r_inner, depth=r_outer - r_inner)
+    return Case("circle", mesh, 1.0, port=make_circle(r_inner))
 
 
 # Slot block per level: transverse count, then longitudinal counts of the
@@ -159,16 +155,13 @@ def slot_case(level: str) -> Case:
     except KeyError:
         raise ValueError(f"slot level must be one of {sorted(_SLOT_GRIDS)}") from None
     rf, length, w, h = 0.25, 2.0, 1.25, 3.25
-    cap = _arc_points((0.0, length), rf, 0.5 * np.pi, 0.0, 256)
-    wall = np.array([[rf, length], [rf, 0.0]])
-    top, right = np.array([[0.0, h], [w, h]]), np.array([[w, h], [w, 0.0]])
-    mesh = _welded_pair(nv, (cap, top, n_cap), (wall, right, n_wall))
     port = Contour(
         (Arc((0.0, length), rf, 0.5 * np.pi, 0.0, -1), Line((rf, length), (rf, 0.0)))
     )
-    exact = port.distance(mesh.nodes)
-    depth = np.hypot(w, h - length) - rf  # farthest corner from the cap center
-    return Case(f"slot-{level}", mesh, 1.0, exact, depth=depth, port=port)
+    cap, wall = port.pieces
+    top, right = np.array([[0.0, h], [w, h]]), np.array([[w, h], [w, 0.0]])
+    mesh = _welded_pair(nv, (cap.points(256), top, n_cap), (wall.points(1), right, n_wall))
+    return Case(f"slot-{level}", mesh, 1.0, port=port)
 
 
 def star_case() -> Case:
@@ -192,13 +185,10 @@ def star_case() -> Case:
     mesh = _welded_pair(
         80, (flank.points(512), casing_a, 70), (valley_arc.points(512), casing_b, 50)
     )
-    exact = port.distance(mesh.nodes)
     # Half-strength dissipation: the tip-ray ridge smears with eps and
     # the default setting leaves too much of it at this node budget.
     config = SolverConfig(dissipation_scale=0.125)
-    return Case(
-        "star", mesh, 1.0, exact, depth=float(exact.max()), port=port, config=config
-    )
+    return Case("star", mesh, 1.0, port=port, config=config)
 
 
 def bistar_case() -> Case:
@@ -236,14 +226,14 @@ def bistar_case() -> Case:
     )
     # The interface radius at each polar angle decides the propellant.
     face = bistar_interface(design, 4096)
-    r = _radius(mesh)
+    r = np.sqrt(mesh.nodes[:, 0] ** 2 + mesh.nodes[:, 1] ** 2)
     gamma = np.arctan2(mesh.nodes[:, 1], mesh.nodes[:, 0])
     fast = r < np.interp(gamma, face.theta1, face.r1)
     rate = np.where(fast, design.f, 1.0)
     exact = np.where(
         fast, port.distance(mesh.nodes) / design.f, r - (fillet_radius + slot_depth)
     )
-    return Case("bistar", mesh, rate, exact, depth=design.omega, port=port)
+    return Case("bistar", mesh, rate, port=port, exact=exact)
 
 
 def scheme_case(feature: str, tilt_deg: float) -> Case:
@@ -269,7 +259,7 @@ def scheme_case(feature: str, tilt_deg: float) -> Case:
     left = u[0] * rel[:, 1] - u[1] * rel[:, 0] > 0.0
     rate = np.where(left, 1.0, 3.0)
     name = f"scheme-{feature}{'+' if tilt_deg >= 0 else ''}{tilt_deg:g}"
-    return Case(name, mesh, rate, None, depth=1.0)
+    return Case(name, mesh, rate)
 
 
 CASE_BUILDERS = {

@@ -236,17 +236,21 @@ def _cmd_solve(opt: dict) -> int:
 
 def _cmd_curves(opt: dict) -> int:
     case = build_case(opt["case"])
-    lo = opt["tau_min"] if opt.get("tau_min") is not None else 0.05 * case.depth
-    hi = opt["tau_max"] if opt.get("tau_max") is not None else 0.95 * case.depth
+    lo, hi = opt.get("tau_min"), opt.get("tau_max")
     for flag, tau in (("--tau-min", lo), ("--tau-max", hi)):
-        if not math.isfinite(tau):
+        if tau is not None and not math.isfinite(tau):
             raise ValueError(f"{flag} value {tau} is not a finite tau")
     grain = opt.get("grain_length")
     if grain is not None and not (math.isfinite(grain) and grain > 0.0):
         raise ValueError(f"--grain-length value {grain} is not a positive finite length")
+    res = _solve_case(case, opt) if case.depth is None and None in (lo, hi) else None
+    depth = case.depth if res is None else float(res.s.max())
+    lo = 0.05 * depth if lo is None else lo
+    hi = 0.95 * depth if hi is None else hi
     if not lo < hi:
         raise ValueError("curves needs tau-min < tau-max")
-    res = _solve_case(case, opt)
+    if res is None:
+        res = _solve_case(case, opt)
     tau = np.linspace(lo, hi, opt["tau_count"])
     curves = burn_curves(case.mesh, res.s, case.labels, case.rate_ratio, tau, grain_length=grain)
     _write(opt["out"], emit_csv(curves))
@@ -269,14 +273,16 @@ def _finite_tau(token: str) -> float:
 
 def _cmd_contours(opt: dict) -> int:
     case = build_case(opt["case"])
+    levels = None
     if opt.get("levels"):
         levels = [_finite_tau(tok.strip()) for tok in opt["levels"].split(",") if tok.strip()]
         if not levels:
             raise ValueError("--levels must hold at least one tau value")
-    else:
-        k = np.arange(1, opt["nlevels"] + 1)
-        levels = list(case.depth * k / (opt["nlevels"] + 1.0))
     res = _solve_case(case, opt)
+    if levels is None:
+        depth = case.depth if case.depth is not None else float(res.s.max())
+        k = np.arange(1, opt["nlevels"] + 1)
+        levels = list(depth * k / (opt["nlevels"] + 1.0))
     svg = emit_svg(
         case.mesh, res.s, levels=levels, contour=case.port, show_mesh=not opt["no_mesh"]
     )

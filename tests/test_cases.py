@@ -10,6 +10,7 @@ import pytest
 
 from burnback import cases
 from burnback.cases import CASE_BUILDERS, build_case
+from burnback.contour import Contour, Line
 from burnback.mesh import Marker, gen_rect
 from burnback.star import bistar_design
 
@@ -19,8 +20,8 @@ def test_case_builds_clean(name):
     case = build_case(name)
     assert case.name == name
     replace(case.mesh)  # checks the mesh again
-    assert case.depth > 0.0
     if case.exact is not None:
+        assert case.depth > 0.0
         assert case.exact.shape == (case.mesh.n_nodes,)
         assert np.all(np.isfinite(case.exact))
         # boundary resampling sags nodes ~1e-6 inside the exact curve
@@ -56,16 +57,32 @@ def test_build_case_rejects_unknown_name():
         build_case("nope")
 
 
+@pytest.mark.parametrize("name", sorted(CASE_BUILDERS))
+def test_single_rate_oracle_is_the_port_distance_over_the_rate(name):
+    case = build_case(name)
+    if case.port is not None and case.rate_ratio == 1.0:
+        want = case.port.distance(case.mesh.nodes) / case.rate
+        np.testing.assert_array_equal(case.exact, want)
+    if name.startswith("scheme-"):
+        assert case.port is None and case.exact is None and case.depth is None
+    else:
+        assert case.depth == case.exact.max()
+
+
 def test_rect_case_oracle_is_planar():
     case = build_case("rect")
-    np.testing.assert_array_equal(case.exact, case.mesh.nodes[:, 0])
+    x = case.mesh.nodes[:, 0]
+    np.testing.assert_allclose(case.exact, x, rtol=0.0, atol=1e-16)
+    off = case.mesh.node_markers != Marker.IGNITION
+    np.testing.assert_array_equal(case.exact[off], x[off])
     assert case.depth == 2.0
 
 
 def test_annulus_case_oracle_is_radial():
     case = build_case("annulus")
     r = np.hypot(case.mesh.nodes[:, 0], case.mesh.nodes[:, 1])
-    np.testing.assert_allclose(case.exact, r - 1.0, atol=1e-12)
+    np.testing.assert_allclose(case.exact, np.abs(r - 1.0), rtol=0.0, atol=1e-12)
+    assert case.depth == 1.0
     # two symmetry rays bound the quarter
     assert len(case.mesh.symmetry_lines) == 2
 
@@ -77,6 +94,8 @@ def test_circle_case_has_no_symmetry_boundary():
     r = np.hypot(case.mesh.nodes[:, 0], case.mesh.nodes[:, 1])
     np.testing.assert_allclose(r[markers == Marker.IGNITION], 1.0, rtol=1e-5)
     np.testing.assert_allclose(r[markers == Marker.FREE], 2.0, rtol=1e-5)
+    np.testing.assert_allclose(case.exact, np.abs(r - 1.0), rtol=0.0, atol=1e-12)
+    assert case.depth == 1.0
 
 
 def test_slot_case_oracle_hand_values():
@@ -146,14 +165,28 @@ _TINY = gen_rect(2, 2, 1.0, 1.0, markers={"left": Marker.IGNITION})
 
 
 def test_case_split_derives_from_the_rate():
-    assert {"labels", "rate_ratio"}.isdisjoint(f.name for f in fields(cases.Case))
-    uniform = cases.Case("uniform", _TINY, 2.5, None, depth=1.0)
+    assert {"labels", "rate_ratio", "depth"}.isdisjoint(f.name for f in fields(cases.Case))
+    uniform = cases.Case("uniform", _TINY, 2.5)
     np.testing.assert_array_equal(uniform.labels, np.ones(_TINY.n_nodes, dtype=np.int64))
     assert uniform.rate_ratio == 1.0
     rate = np.where(_TINY.nodes[:, 0] < 0.75, 4.0, 0.5)
-    split = cases.Case("split", _TINY, rate, None, depth=1.0)
+    split = cases.Case("split", _TINY, rate)
     np.testing.assert_array_equal(split.labels, np.where(rate == 0.5, 1, 2))
     assert split.rate_ratio == 8.0
+
+
+def test_case_derives_its_oracle_from_the_port():
+    port = Contour((Line((0.0, 1.0), (0.0, 0.0)),))
+    x = _TINY.nodes[:, 0]
+    for rate in (2.5, np.full(_TINY.n_nodes, 2.5)):
+        case = cases.Case("t", _TINY, rate, port=port)
+        np.testing.assert_array_equal(case.exact, x / 2.5)
+        assert case.depth == 0.4
+    given = cases.Case("t", _TINY, 1.0, port=port, exact=2.0 * x)
+    np.testing.assert_array_equal(given.exact, 2.0 * x)
+    # two rates: no single-rate oracle, so no depth
+    split = cases.Case("t", _TINY, np.where(x < 0.75, 1.0, 2.0), port=port)
+    assert split.exact is None and split.depth is None
 
 
 def test_case_keeps_read_only_float64_copies_of_its_arrays():
@@ -164,7 +197,7 @@ def test_case_keeps_read_only_float64_copies_of_its_arrays():
             array[0] = 7.0
     assert case.rate_ratio == pytest.approx(1.592, abs=5e-4)
     rate = np.where(_TINY.nodes[:, 0] < 0.75, 2, 1)  # integers, copied as floats
-    split = cases.Case("split", _TINY, rate, rate, depth=1.0)
+    split = cases.Case("split", _TINY, rate, exact=rate)
     rate[0] = 7
     assert split.rate.dtype == split.exact.dtype == np.float64
     assert split.rate[0] == split.exact[0] == 2.0
@@ -183,11 +216,14 @@ def test_boundary_nodes_are_exactly_the_marked_nodes(name, boundary_nodes):
 @pytest.mark.parametrize("name", sorted(n for n in CASE_BUILDERS if build_case(n).port is not None))
 def test_port_piece_ends_are_mesh_nodes(name):
     # the port is the outline that bounds the mesh, so every piece ends
-    # on a node
+    # on a node; a closed port's last end is its first start, to within
+    # the contour closure tolerance (circle: sin(-2 pi) is 2.4e-16)
     case = build_case(name)
-    for piece in case.port.pieces:
-        for end in (piece.start(), piece.end()):
-            assert np.any(np.all(case.mesh.nodes == end, axis=1)), (piece, end)
+    ends = [end for piece in case.port.pieces for end in (piece.start(), piece.end())]
+    if case.port.closed:
+        ends.pop()
+    for end in ends:
+        assert np.any(np.all(case.mesh.nodes == end, axis=1)), end
 
 
 def test_star_oracle_is_the_distance_to_the_nearest_image_of_the_half_outline():
@@ -208,19 +244,27 @@ CASE_ERRORS = {
     "slot level": (lambda: cases.slot_case("medium"), "slot level must be one of ['coarse', 'fine']"),
     "scheme feature": (lambda: cases.scheme_case("bump", 0.0), "feature must be 'corner' or 'cusp'"),
     "three rates": (
-        lambda: cases.Case("tri", _TINY, np.arange(1.0, 10.0) % 3.0 + 1.0, None, depth=1.0),
+        lambda: cases.Case("tri", _TINY, np.arange(1.0, 10.0) % 3.0 + 1.0),
         "case tri has more than two propellant rates",
     ),
+    "rate not positive": (
+        lambda: cases.Case("t", _TINY, 0.0, port=Contour((Line((0.0, 1.0), (0.0, 0.0)),))),
+        "case t has a rate that is not positive and finite",
+    ),
     "rate length": (
-        lambda: cases.Case("t", _TINY, np.ones(3), np.zeros(5), depth=1.0),
+        lambda: cases.Case("t", _TINY, np.ones(3), exact=np.zeros(5)),
         "case t has 3 rate values for 9 mesh nodes",
     ),
     "exact length": (
-        lambda: cases.Case("t", _TINY, 1.0, np.zeros(5), depth=1.0),
+        lambda: cases.Case("t", _TINY, 1.0, exact=np.zeros(5)),
         "case t has 5 exact values for 9 mesh nodes",
     ),
     "exact length one": (
-        lambda: cases.Case("t", _TINY, np.ones(9), np.zeros(1), depth=1.0),
+        lambda: cases.Case("t", _TINY, np.ones(9), exact=np.zeros(1)),
+        "case t has 1 exact values for 9 mesh nodes",
+    ),
+    "exact scalar": (
+        lambda: cases.Case("t", _TINY, 1.0, exact=0.5),
         "case t has 1 exact values for 9 mesh nodes",
     ),
 }
@@ -236,7 +280,7 @@ def test_case_input_errors(name):
 
 
 def test_cases_compare_and_hash_by_identity():
-    case = cases.Case("tiny", _TINY, 1.0, None, depth=1.0)
+    case = cases.Case("tiny", _TINY, 1.0)
     copy = replace(case)
     assert case == case and case != copy
     assert len({case, copy, case}) == 2

@@ -20,7 +20,7 @@ import burnback
 from burnback import cli
 from burnback.cli import _SOLVER_FLAGS, RunSpec, main, parse_args
 from burnback.eikonal import SolverConfig
-from burnback.postproc import burn_curves, emit_csv
+from burnback.postproc import burn_curves, emit_csv, emit_svg
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 README = PYPROJECT.parent / "README.md"
@@ -263,7 +263,9 @@ def test_curves_weighs_a_two_propellant_case_by_its_rates(solved, tmp_path):
     case, field, _ = solved("scheme-corner+5")
     out = tmp_path / "curves.csv"
     assert main(["curves", "--case", case.name, "--out", str(out)]) == 0
-    tau = np.linspace(0.05 * case.depth, 0.95 * case.depth, 33)
+    # no oracle, so the default range scales with the solved field
+    assert case.depth is None and field.s.max() == pytest.approx(1.0425, abs=1e-4)
+    tau = np.linspace(0.05 * field.s.max(), 0.95 * field.s.max(), 33)
     curves = burn_curves(case.mesh, field.s, case.labels, case.rate_ratio, tau)
     text = out.read_text()
     assert text == emit_csv(curves)
@@ -271,11 +273,26 @@ def test_curves_weighs_a_two_propellant_case_by_its_rates(solved, tmp_path):
     assert any(a_eq != p_b for _, p_b, _, a_eq in rows)
 
 
+def _no_tau_solve(case, opt):
+    raise AssertionError("the tau range is checked before the solve")
+
+
+# scheme-corner+5 has no oracle, so its default range needs the solve
 @pytest.mark.parametrize("flag, value", [("--tau-min", "nan"), ("--tau-max", "nan"), ("--tau-max", "inf")])
-def test_curves_rejects_nonfinite_tau_bound(tmp_path, capsys, flag, value):
+def test_curves_rejects_nonfinite_tau_bound(tmp_path, capsys, monkeypatch, flag, value):
+    monkeypatch.setattr(cli, "_solve_case", _no_tau_solve)
     out = tmp_path / "curves.csv"
-    assert main(["curves", "--case", "rect", "--out", str(out), flag, value]) == 1
+    assert main(["curves", "--case", "scheme-corner+5", "--out", str(out), flag, value]) == 1
     assert capsys.readouterr().err.startswith(f"cli.ValueError: {flag} value {value} is not a finite tau")
+    assert not out.exists()
+
+
+def test_curves_checks_a_given_tau_order_before_the_solve(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_solve_case", _no_tau_solve)
+    out = tmp_path / "curves.csv"
+    argv = ["curves", "--case", "scheme-corner+5", "--out", str(out), "--tau-min", "0.5", "--tau-max", "0.25"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "cli.ValueError: curves needs tau-min < tau-max\n"
     assert not out.exists()
 
 
@@ -304,6 +321,14 @@ def test_contours_level_count(tmp_path):
     svg = out.read_text()
     assert svg.count('<g class="isochrone"') == 2
     assert 'data-tau="0.5"' in svg
+
+
+def test_contours_default_levels_scale_with_the_solved_field_without_an_oracle(solved, tmp_path):
+    case, field, _ = solved("scheme-cusp-15")
+    out = tmp_path / "iso.svg"
+    assert main(["contours", "--case", case.name, "--out", str(out)]) == 0
+    levels = list(field.s.max() * np.arange(1, 9) / 9.0)
+    assert out.read_text() == emit_svg(case.mesh, field.s, levels=levels)
 
 
 def test_contours_rejects_nonfinite_level(tmp_path, capsys, monkeypatch):

@@ -464,8 +464,9 @@ def assert_same_polylines(got, want):
 def test_chainer_matches_the_reference_walk_on_every_case(solved, name):
     case, field, _ = solved(name)
     table = postproc._unique_edges(case.mesh.triangles)
-    cli_levels = case.depth * np.arange(1, 9) / 9.0
-    curve_levels = np.linspace(0.05 * case.depth, 0.95 * case.depth, 33)
+    depth = case.depth if case.depth is not None else field.s.max()  # as the CLI takes it
+    cli_levels = depth * np.arange(1, 9) / 9.0
+    curve_levels = np.linspace(0.05 * depth, 0.95 * depth, 33)
     for tau in np.concatenate([cli_levels, curve_levels]):
         got = postproc._isocontour(case.mesh, field.s, tau, table)
         assert got
