@@ -89,16 +89,6 @@ def _arc_points(center, radius: float, a0: float, a1: float, n: int) -> np.ndarr
     )
 
 
-def _welded_pair(nv: int, a: tuple, b: tuple) -> Mesh:
-    """Two lofted patches of nv transverse cells sharing a chord.
-
-    a and b are each (inner, outer, longitudinal count).  The chord is
-    a's last column and b's first, and stays INTERIOR; every other side
-    keeps its gen_coons default.
-    """
-    return _grid_mesh([_loft(inner, outer, nv, nu) for inner, outer, nu in (a, b)])
-
-
 def rect_case() -> Case:
     """Planar front: ignition on the left edge, outflow on the right."""
     sides = {"left": Marker.IGNITION, "bottom": Marker.SYMMETRY, "top": Marker.SYMMETRY}
@@ -160,7 +150,9 @@ def slot_case(level: str) -> Case:
     )
     cap, wall = port.pieces
     top, right = np.array([[0.0, h], [w, h]]), np.array([[w, h], [w, 0.0]])
-    mesh = _welded_pair(nv, (cap.points(256), top, n_cap), (wall.points(1), right, n_wall))
+    mesh = _grid_mesh(
+        [_loft(cap.points(256), top, nv, n_cap), _loft(wall.points(1), right, nv, n_wall)]
+    )
     return Case(f"slot-{level}", mesh, 1.0, port=port)
 
 
@@ -182,8 +174,8 @@ def star_case() -> Case:
     seam = 0.5 * (alpha + beta)
     casing_a = _arc_points((0.0, 0.0), casing_radius, alpha, seam, 512)
     casing_b = _arc_points((0.0, 0.0), casing_radius, seam, 0.0, 512)
-    mesh = _welded_pair(
-        80, (flank.points(512), casing_a, 70), (valley_arc.points(512), casing_b, 50)
+    mesh = _grid_mesh(
+        [_loft(flank.points(512), casing_a, 80, 70), _loft(valley_arc.points(512), casing_b, 80, 50)]
     )
     # Half-strength dissipation: the tip-ray ridge smears with eps and
     # the default setting leaves too much of it at this node budget.
@@ -217,7 +209,7 @@ def bistar_case() -> Case:
     fillet = _arc_points(tip, fillet_radius, 0.5 * np.pi, 0.0, 256)
     casing_w = _arc_points((0.0, 0.0), casing_radius, alpha, seam, 512)
     casing_c = _arc_points((0.0, 0.0), casing_radius, seam, 0.0, 512)
-    mesh = _welded_pair(56, (wall, casing_w, 44), (fillet, casing_c, 28))
+    mesh = _grid_mesh([_loft(wall, casing_w, 56, 44), _loft(fillet, casing_c, 56, 28)])
     port = Contour(
         (
             Line(tuple(wall0), tuple(wall1)),

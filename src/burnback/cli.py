@@ -2,16 +2,19 @@
 
 Configuration is flags-only so every run can be reproduced by quoting
 its command line; --dump-spec on any subcommand prints the resolved
-RunSpec first for archival.  Exit codes: 0 success, 1 numeric failure
-(non-convergence or a verification threshold breach; also any module
-error, reported to stderr as module.ExceptionName), 2 usage (also an
-empty path and a level count below 1).
+options first for archival.  Each subcommand is an argparse subparser
+whose handler takes the options dict; mesh info and solve read their
+grain as a Case, from the registry or from a mesh file.  Exit codes:
+0 success, 1 numeric failure (non-convergence or a verification
+threshold breach; also any module error, reported to stderr as
+module.ExceptionName), 2 usage (also an empty path and a level count
+below 1).
 """
 
 import argparse
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,30 +22,14 @@ import numpy as np
 from .cases import CASE_BUILDERS, Case, build_case
 from .contour import ContourError
 from .eikonal import ArrivalField, SolverConfig, SolverError, solve
-from .mesh import Marker, Mesh, MeshError, geom_cache, load_mesh, save_mesh
+from .mesh import Marker, MeshError, geom_cache, load_mesh, save_mesh
 from .postproc import burn_curves, emit_csv, emit_svg, error_field
 from .star import bistar_design, bistar_interface, neutral_tip_angle
 
-__all__ = ["RunSpec", "parse_args", "run", "main"]
+__all__ = ["main"]
 
 # one --flag per SolverConfig field, typed by the field's default
 _SOLVER_FLAGS = tuple(f.name for f in fields(SolverConfig))
-
-
-@dataclass(frozen=True)
-class RunSpec:
-    """One resolved invocation: a single subcommand plus its options."""
-
-    subcommand: str
-    options: dict
-
-    def __post_init__(self):
-        if not self.subcommand:
-            raise ValueError("RunSpec needs a subcommand")
-        for key in ("out", "mesh", "residuals"):
-            if key in self.options and self.options[key] is not None:
-                if not str(self.options[key]):
-                    raise ValueError(f"--{key.replace('_', '-')} must not be empty")
 
 
 def _positive_int(text: str) -> int:
@@ -51,8 +38,16 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
-def _add_dump(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dump-spec", action="store_true", help="print the resolved RunSpec")
+def _path(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
+
+
+def _leaf(p: argparse.ArgumentParser, handler) -> None:
+    """Give a leaf subcommand its --dump-spec flag and its handler."""
+    p.add_argument("--dump-spec", action="store_true", help="print the resolved options")
+    p.set_defaults(handler=handler)
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
@@ -72,52 +67,52 @@ def _build_parser() -> argparse.ArgumentParser:
     pms = pm.add_subparsers(dest="sub", required=True)
     gen = pms.add_parser("gen", help="write a registry case mesh as text")
     gen.add_argument("--case", required=True, choices=cases)
-    gen.add_argument("--out", required=True)
-    _add_dump(gen)
+    gen.add_argument("--out", required=True, type=_path)
+    _leaf(gen, _cmd_mesh_gen)
     info = pms.add_parser("info", help="print mesh statistics")
     src = info.add_mutually_exclusive_group(required=True)
-    src.add_argument("--mesh")
+    src.add_argument("--mesh", type=_path)
     src.add_argument("--case", choices=cases)
-    _add_dump(info)
+    _leaf(info, _cmd_mesh_info)
 
     slv = sub.add_parser("solve", help="relax an arrival-time field")
     src = slv.add_mutually_exclusive_group(required=True)
-    src.add_argument("--mesh")
+    src.add_argument("--mesh", type=_path)
     src.add_argument("--case", choices=cases)
     slv.add_argument("--rate", type=float, default=None, help="uniform recession rate")
-    slv.add_argument("--out", required=True, help="field CSV node,x,y,s")
-    slv.add_argument("--residuals", default=None, help="history CSV step,dt,max_residual")
+    slv.add_argument("--out", required=True, type=_path, help="field CSV node,x,y,s")
+    slv.add_argument("--residuals", type=_path, help="history CSV step,dt,max_residual")
     _add_solver_flags(slv)
-    _add_dump(slv)
+    _leaf(slv, _cmd_solve)
 
     crv = sub.add_parser("curves", help="perimeter/area burn curves of a case")
     crv.add_argument("--case", required=True, choices=cases)
-    crv.add_argument("--out", required=True, help="CSV tau,P_b,A_p,A_eq[,A_b]")
+    crv.add_argument("--out", required=True, type=_path, help="CSV tau,P_b,A_p,A_eq[,A_b]")
     crv.add_argument("--tau-min", type=float, default=None)
     crv.add_argument("--tau-max", type=float, default=None)
     crv.add_argument("--tau-count", type=_positive_int, default=33)
     crv.add_argument("--grain-length", type=float, default=None)
     _add_solver_flags(crv)
-    _add_dump(crv)
+    _leaf(crv, _cmd_curves)
 
     ctr = sub.add_parser("contours", help="SVG isochrones of a case")
     ctr.add_argument("--case", required=True, choices=cases)
-    ctr.add_argument("--out", required=True, help="SVG path")
+    ctr.add_argument("--out", required=True, type=_path, help="SVG path")
     ctr.add_argument("--levels", default=None, help="comma-separated tau values")
     ctr.add_argument("--nlevels", type=_positive_int, default=8)
     ctr.add_argument("--no-mesh", action="store_true", help="omit the mesh underlay")
     _add_solver_flags(ctr)
-    _add_dump(ctr)
+    _leaf(ctr, _cmd_contours)
 
     st = sub.add_parser("star", help="star grain design formulas")
     sts = st.add_subparsers(dest="sub", required=True)
     neu = sts.add_parser("neutral", help="tip semi-angle of a neutral star")
     neu.add_argument("--n", type=int, required=True, help="number of tips")
-    _add_dump(neu)
+    _leaf(neu, _cmd_star_neutral)
 
     bi = sub.add_parser("bistar", help="sliverless two-propellant star design")
     bis = bi.add_subparsers(dest="sub", required=True)
-    for name in ("design", "interface"):
+    for name, handler in (("design", _cmd_bistar_design), ("interface", _cmd_bistar_interface)):
         p = bis.add_parser(name)
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--rc", type=float, required=True, help="casing radius")
@@ -125,27 +120,15 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--d", type=float, required=True, help="slot depth")
         if name == "interface":
             p.add_argument("--samples", type=int, default=256)
-            p.add_argument("--out", required=True, help="CSV y,r1,theta1,r2,theta2")
-        _add_dump(p)
+            p.add_argument("--out", required=True, type=_path, help="CSV y,r1,theta1,r2,theta2")
+        _leaf(p, handler)
 
     ver = sub.add_parser("verify", help="end-to-end accuracy checks")
     vers = ver.add_subparsers(dest="sub", required=True)
-    slot = vers.add_parser("slot", help="slot error study vs the exact oracle")
-    slot.add_argument("--nodes", type=_positive_int, default=2500, help="target node budget")
-    _add_dump(slot)
+    slot = vers.add_parser("slot", help="slot error study vs the exact oracle, both levels")
+    _leaf(slot, _cmd_verify_slot)
 
     return top
-
-
-def parse_args(argv) -> RunSpec:
-    parser = _build_parser()
-    options = vars(parser.parse_args(list(argv)))
-    cmd = options.pop("cmd")
-    subname = options.pop("sub", None)
-    try:
-        return RunSpec(f"{cmd}-{subname}" if subname else cmd, options)
-    except ValueError as exc:  # an empty path: a usage error like argparse's own
-        parser.error(str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +155,13 @@ def _solve_case(case: Case, opt: dict) -> ArrivalField:
     return res
 
 
+def _grain(opt: dict) -> Case:
+    """The --case registry case, or the --mesh file as a case of rate 1."""
+    if opt["mesh"] is None:
+        return build_case(opt["case"])
+    return Case(opt["mesh"], load_mesh(Path(opt["mesh"]).read_text(encoding="utf-8")), 1.0)
+
+
 def _cmd_mesh_gen(opt: dict) -> int:
     case = build_case(opt["case"])
     _write(opt["out"], save_mesh(case.mesh))
@@ -182,18 +172,12 @@ def _cmd_mesh_gen(opt: dict) -> int:
     return 0
 
 
-def _load_mesh_arg(opt: dict) -> tuple[Mesh, str]:
-    if opt.get("mesh") is not None:
-        return load_mesh(Path(opt["mesh"]).read_text(encoding="utf-8")), opt["mesh"]
-    case = build_case(opt["case"])
-    return case.mesh, case.name
-
-
 def _cmd_mesh_info(opt: dict) -> int:
-    mesh, label = _load_mesh_arg(opt)
+    case = _grain(opt)
+    mesh = case.mesh
     cache = geom_cache(mesh)
     lo, hi = mesh.nodes.min(axis=0), mesh.nodes.max(axis=0)
-    print(f"{label}: {mesh.n_nodes} nodes, {mesh.n_triangles} triangles")
+    print(f"{case.name}: {mesh.n_nodes} nodes, {mesh.n_triangles} triangles")
     print(
         f"bbox [{lo[0]:.6g}, {hi[0]:.6g}] x [{lo[1]:.6g}, {hi[1]:.6g}], "
         f"{len(mesh.symmetry_lines)} symmetry lines"
@@ -208,21 +192,14 @@ def _cmd_mesh_info(opt: dict) -> int:
 
 
 def _cmd_solve(opt: dict) -> int:
-    rate = opt.get("rate")
+    rate = opt["rate"]
     if rate is not None and not (math.isfinite(rate) and rate > 0.0):
         raise ValueError(f"--rate value {rate} is not a positive finite rate")
-    if opt.get("mesh") is not None:
-        mesh = load_mesh(Path(opt["mesh"]).read_text(encoding="utf-8"))
-        rate = 1.0 if rate is None else rate
-        config = _merged_config(opt, None)
-    else:
-        case = build_case(opt["case"])
-        mesh = case.mesh
-        rate = case.rate if rate is None else rate
-        config = _merged_config(opt, case.config)
-    res = solve(mesh, rate, config=config)
-    _write(opt["out"], emit_csv(res.s, mesh=mesh))
-    if opt.get("residuals"):
+    case = _grain(opt)
+    rate = case.rate if rate is None else rate
+    res = solve(case.mesh, rate, config=_merged_config(opt, case.config))
+    _write(opt["out"], emit_csv(res.s, mesh=case.mesh))
+    if opt["residuals"] is not None:
         _write(opt["residuals"], emit_csv(res))
     print(
         f"solve: {res.n_steps} steps, converged={res.converged}, "
@@ -255,7 +232,7 @@ def _cmd_curves(opt: dict) -> int:
     curves = burn_curves(case.mesh, res.s, case.labels, case.rate_ratio, tau, grain_length=grain)
     _write(opt["out"], emit_csv(curves))
     print(
-        f"curves: {len(tau)} levels in [{lo:.6g}, {hi:.6g}], "
+        f"curves: {len(tau)} levels in [{tau[0]:.6g}, {tau[-1]:.6g}], "
         f"P_b in [{curves.P_b.min():.6g}, {curves.P_b.max():.6g}], wrote {opt['out']}"
     )
     return 0
@@ -324,43 +301,20 @@ def _cmd_bistar_interface(opt: dict) -> int:
     return 0
 
 
-# Node budgets at or above this switch the slot study to its fine level.
-_SLOT_FINE_NODES = 6000
-
-
 def _cmd_verify_slot(opt: dict) -> int:
-    level = "coarse" if opt["nodes"] < _SLOT_FINE_NODES else "fine"
-    threshold = 0.01 if level == "coarse" else 0.005
-    case = build_case(f"slot-{level}")
-    res = _solve_case(case, opt)
-    err = error_field(case.mesh, res.s, case.exact).max_abs
-    ok = err < threshold
-    print(
-        f"slot {level}: {case.mesh.n_nodes} nodes, max normalized error "
-        f"{100.0 * err:.4f}% vs threshold {100.0 * threshold:g}%: "
-        f"{'PASS' if ok else 'FAIL'}"
-    )
-    return 0 if ok else 1
-
-
-_HANDLERS = {
-    "mesh-gen": _cmd_mesh_gen,
-    "mesh-info": _cmd_mesh_info,
-    "solve": _cmd_solve,
-    "curves": _cmd_curves,
-    "contours": _cmd_contours,
-    "star-neutral": _cmd_star_neutral,
-    "bistar-design": _cmd_bistar_design,
-    "bistar-interface": _cmd_bistar_interface,
-    "verify-slot": _cmd_verify_slot,
-}
-
-
-def run(spec: RunSpec) -> int:
-    """Execute one RunSpec; numeric failures return 1 instead of raising."""
-    if spec.options.get("dump_spec"):
-        print(spec)
-    return _HANDLERS[spec.subcommand](spec.options)
+    failed = False
+    for level, threshold in (("coarse", 0.01), ("fine", 0.005)):
+        case = build_case(f"slot-{level}")
+        res = _solve_case(case, opt)
+        err = error_field(case.mesh, res.s, case.exact).max_abs
+        ok = err < threshold
+        failed |= not ok
+        print(
+            f"slot {level}: {case.mesh.n_nodes} nodes, max normalized error "
+            f"{100.0 * err:.4f}% vs threshold {100.0 * threshold:g}%: "
+            f"{'PASS' if ok else 'FAIL'}"
+        )
+    return 1 if failed else 0
 
 
 def _origin_module(exc: BaseException) -> str:
@@ -378,11 +332,14 @@ def _origin_module(exc: BaseException) -> str:
 
 def main(argv=None) -> int:
     try:
-        spec = parse_args(sys.argv[1:] if argv is None else argv)
+        opt = vars(_build_parser().parse_args(argv))
     except SystemExit as exc:  # argparse usage error (2) or --help (0)
         return int(exc.code or 0)
+    handler = opt.pop("handler")
+    if opt["dump_spec"]:
+        print(opt)
     try:
-        return run(spec)
+        return handler(opt)
     except (MeshError, ContourError, SolverError, ValueError, OSError) as exc:
         print(f"{_origin_module(exc)}.{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

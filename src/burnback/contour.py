@@ -131,9 +131,6 @@ class Arc:
     def end(self) -> np.ndarray:
         return self._point(self.a1)
 
-    def length(self) -> float:
-        return self.radius * self.span()
-
     def points(self, n: int) -> np.ndarray:
         ang = self.a0 + self.sweep * np.linspace(0.0, self.span(), n + 1)
         return np.column_stack(
@@ -184,9 +181,6 @@ class Contour:
             gap = np.linalg.norm(self.pieces[-1].end() - self.pieces[0].start())
             if gap > _TOL:
                 raise ContourError(f"closed contour does not close (gap {gap:.3g})")
-
-    def length(self) -> float:
-        return sum(piece.length() for piece in self.pieces)
 
     def distance(self, points):
         pts, single = _as_points(points)

@@ -12,13 +12,15 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import burnback
 from burnback import cli
-from burnback.cli import _SOLVER_FLAGS, RunSpec, main, parse_args
+from burnback.cases import CASE_BUILDERS, build_case
+from burnback.cli import _SOLVER_FLAGS, _build_parser, main
 from burnback.eikonal import SolverConfig
 from burnback.postproc import burn_curves, emit_csv, emit_svg
 
@@ -30,20 +32,22 @@ README = PYPROJECT.parent / "README.md"
 
 
 def test_parse_args_fuses_nested_subcommands():
-    spec = parse_args(["star", "neutral", "--n", "6"])
-    assert spec.subcommand == "star-neutral"
-    assert spec.options["n"] == 6
-    assert spec.options["dump_spec"] is False
+    # the nested pair picks one handler
+    opt = vars(_build_parser().parse_args(["star", "neutral", "--n", "6"]))
+    assert opt["handler"] is cli._cmd_star_neutral
+    assert opt["n"] == 6
+    assert opt["dump_spec"] is False
 
 
 def test_parse_args_solve_defaults():
-    spec = parse_args(["solve", "--case", "rect", "--out", "field.csv"])
-    assert spec.subcommand == "solve"
-    assert spec.options["case"] == "rect"
-    assert spec.options["mesh"] is None
-    assert spec.options["rate"] is None
-    assert spec.options["out"] == "field.csv"
-    assert spec.options["max_steps"] is None
+    opt = vars(_build_parser().parse_args(["solve", "--case", "rect", "--out", "field.csv"]))
+    assert opt["handler"] is cli._cmd_solve
+    assert opt["case"] == "rect"
+    assert opt["mesh"] is None
+    assert opt["rate"] is None
+    assert opt["out"] == "field.csv"
+    assert opt["residuals"] is None
+    assert opt["max_steps"] is None
 
 
 @pytest.mark.parametrize("cmd", ["solve", "curves", "contours"])
@@ -52,9 +56,9 @@ def test_every_solver_config_field_has_a_flag(cmd):
     for f in dataclasses.fields(SolverConfig):
         assert f.name in _SOLVER_FLAGS
         flag = "--" + f.name.replace("_", "-")
-        spec = parse_args([cmd, "--case", "rect", "--out", "x", flag, str(f.default)])
-        assert spec.options[f.name] == f.default
-        assert type(spec.options[f.name]) is type(f.default)
+        opt = vars(_build_parser().parse_args([cmd, "--case", "rect", "--out", "x", flag, str(f.default)]))
+        assert opt[f.name] == f.default
+        assert type(opt[f.name]) is type(f.default)
 
 
 @pytest.mark.parametrize("flag", ["--cfl-safety", "--quiet-steps"])
@@ -64,14 +68,9 @@ def test_fixed_solver_constants_have_no_flag(flag, capsys):
     assert flag in capsys.readouterr().err
 
 
-def test_runspec_validation():
-    with pytest.raises(ValueError):
-        RunSpec("", {})
-    with pytest.raises(ValueError):
-        RunSpec("solve", {"out": ""})
-
-
 def test_usage_errors_exit_2():
+    assert main([]) == 2  # no subcommand
+    assert main(["mesh"]) == 2  # no nested subcommand
     assert main(["bogus"]) == 2
     assert main(["star", "neutral"]) == 2  # --n is required
     assert main(["mesh", "info", "--mesh", "a", "--case", "rect"]) == 2
@@ -86,10 +85,8 @@ def test_usage_errors_exit_2():
         (["solve", "--case", "rect", "--out", "f.csv", "--residuals", ""], "--residuals"),
         (["curves", "--case", "rect", "--out", "c.csv", "--tau-count", "0"], "--tau-count"),
         (["contours", "--case", "rect", "--out", "c.svg", "--nlevels", "0"], "--nlevels"),
-        (["verify", "slot", "--nodes", "0"], "--nodes"),
-        (["verify", "slot", "--nodes", "-5"], "--nodes"),
     ],
-    ids=["out", "mesh", "residuals", "tau-count", "nlevels", "nodes-zero", "nodes-negative"],
+    ids=["out", "mesh", "residuals", "tau-count", "nlevels"],
 )
 def test_empty_paths_and_zero_counts_exit_2(argv, flag, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -160,19 +157,31 @@ def test_readme_cli_examples_print_what_the_readme_shows(capsys):
     assert [command for command, *_ in runs] == [
         "star neutral --n 5",
         "bistar design --n 4 --rc 1.0 --rf 0.1 --d 0.5",
-        "verify slot --nodes 2500",
-        "verify slot --nodes 10000",
+        "verify slot",
     ]
     for command, *expected in runs:
         assert main(shlex.split(command)) == 0, command
         assert capsys.readouterr().out.splitlines() == expected, command
 
 
-def test_dump_spec_prints_resolved_runspec(capsys):
+def test_readme_sh_commands_exit_0(tmp_path, monkeypatch):
+    # each `burnback ...` line of the README's meshing-and-solving block,
+    # in order, so later lines read the files earlier ones write
+    text = README.read_text(encoding="utf-8")
+    block = text.split("Meshing, solving, and artifact emission:\n\n```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    assert len(lines) == 6 and all(line.startswith("burnback ") for line in lines)
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, line
+
+
+def test_dump_spec_prints_resolved_options(capsys):
     assert main(["star", "neutral", "--n", "5", "--dump-spec"]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("RunSpec(")
-    assert "star-neutral" in out
+    assert capsys.readouterr().out.splitlines() == [
+        "{'cmd': 'star', 'sub': 'neutral', 'n': 5, 'dump_spec': True}",
+        "n = 5: theta/2 = 31.13 deg",
+    ]
 
 
 # ------------------------------------------------------------ mesh and solve
@@ -218,6 +227,27 @@ def test_solve_from_mesh_file_writes_field_and_residuals(tmp_path, capsys):
     assert hist.read_text().splitlines()[0] == "step,dt,max_residual"
 
 
+SINGLE_RATE = [name for name in sorted(CASE_BUILDERS) if build_case(name).rate_ratio == 1.0]
+
+
+@pytest.mark.parametrize("name", SINGLE_RATE)
+def test_solve_from_a_generated_mesh_file_matches_the_case(name, tmp_path):
+    # a mesh file reads as a case of rate 1 with default solver settings,
+    # so the case's own settings are passed as flags
+    path, by_mesh, by_case = tmp_path / "case.mesh", tmp_path / "m.csv", tmp_path / "c.csv"
+    assert main(["mesh", "gen", "--case", name, "--out", str(path)]) == 0
+    config = build_case(name).config or SolverConfig()
+    flags = [
+        arg
+        for f in dataclasses.fields(SolverConfig)
+        if getattr(config, f.name) != f.default
+        for arg in ("--" + f.name.replace("_", "-"), repr(getattr(config, f.name)))
+    ]
+    assert main(["solve", "--mesh", str(path), "--out", str(by_mesh), *flags]) == 0
+    assert main(["solve", "--case", name, "--out", str(by_case)]) == 0
+    assert by_mesh.read_bytes() == by_case.read_bytes()
+
+
 def test_solve_nonconvergence_exits_1(tmp_path, capsys):
     out = tmp_path / "field.csv"
     argv = ["solve", "--case", "annulus", "--out", str(out), "--max-steps", "1"]
@@ -257,6 +287,15 @@ def test_curves_grain_length_adds_column(tmp_path):
     assert rows[0] == "tau,P_b,A_p,A_eq,A_b"
     data = np.loadtxt(rows[1:], delimiter=",")
     np.testing.assert_allclose(data[:, 4], 3.0 * data[:, 1], rtol=1e-12)
+
+
+def test_curves_summary_names_the_levels_it_sampled(tmp_path, capsys):
+    # rect's default range is [0.1, 1.9]; one level samples only its start
+    out = tmp_path / "curves.csv"
+    for count, span in (("1", "[0.1, 0.1]"), ("2", "[0.1, 1.9]"), ("5", "[0.1, 1.9]")):
+        assert main(["curves", "--case", "rect", "--out", str(out), "--tau-count", count]) == 0
+        assert capsys.readouterr().out.startswith(f"curves: {count} levels in {span}, P_b in [")
+        assert len(out.read_text().splitlines()) == 1 + int(count)
 
 
 def test_curves_weighs_a_two_propellant_case_by_its_rates(solved, tmp_path):
@@ -407,18 +446,23 @@ def test_cli_input_errors_exit_1(name, tmp_path, capsys):
 
 
 def test_verify_slot_passes_at_both_budgets(capsys):
-    assert main(["verify", "slot", "--nodes", "2500"]) == 0
-    coarse = capsys.readouterr().out
-    m = re.search(r"max normalized error ([0-9.]+)% vs threshold 1%: PASS", coarse)
+    assert main(["verify", "slot"]) == 0
+    coarse, fine = capsys.readouterr().out.splitlines()
+    m = re.fullmatch(r"slot coarse: \d+ nodes, max normalized error ([0-9.]+)% vs threshold 1%: PASS", coarse)
     assert m, coarse
-
-    assert main(["verify", "slot", "--nodes", "10000"]) == 0
-    fine = capsys.readouterr().out
-    m2 = re.search(r"max normalized error ([0-9.]+)% vs threshold 0\.5%: PASS", fine)
+    m2 = re.fullmatch(r"slot fine: \d+ nodes, max normalized error ([0-9.]+)% vs threshold 0\.5%: PASS", fine)
     assert m2, fine
 
     # refining 4x in nodes must strictly reduce the max error
     assert float(m2.group(1)) < float(m.group(1))
+
+
+def test_verify_slot_fails_when_either_level_fails(monkeypatch, capsys):
+    # 0.6% passes the coarse level's 1% and fails the fine level's 0.5%
+    monkeypatch.setattr(cli, "_solve_case", lambda case, opt: SimpleNamespace(s=None))
+    monkeypatch.setattr(cli, "error_field", lambda mesh, s, exact: SimpleNamespace(max_abs=0.006))
+    assert main(["verify", "slot"]) == 1
+    assert [line.rsplit(": ", 1)[1] for line in capsys.readouterr().out.splitlines()] == ["PASS", "FAIL"]
 
 
 def test_artifact_digests_tool_hashes_what_the_cli_writes(tmp_path):
