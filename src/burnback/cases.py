@@ -32,9 +32,10 @@ class Case:
     exact, the arrival field errors are measured against, defaults to
     the port's distance over a uniform rate and is None without a closed
     form (scheme smoke cases); depth, its maximum, normalizes relative
-    errors.  config overrides solver defaults where a geometry needs
-    them.  An array rate and exact hold one value per mesh node and are
-    kept as read-only float64 copies.  Cases compare and hash by identity.
+    errors.  config holds the solver settings, the defaults unless a
+    geometry needs others.  An array rate and exact hold one value per
+    mesh node and are kept as read-only float64 copies.  Cases compare
+    and hash by identity.
     """
 
     name: str
@@ -42,7 +43,7 @@ class Case:
     rate: float | np.ndarray
     port: Contour | None = None
     exact: np.ndarray | None = None
-    config: SolverConfig | None = None
+    config: SolverConfig = SolverConfig()
 
     def __post_init__(self):
         rate = np.asarray(self.rate)

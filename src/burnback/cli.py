@@ -3,8 +3,8 @@
 Configuration is flags-only so every run can be reproduced by quoting
 its command line; --dump-spec on any subcommand prints the resolved
 options first for archival.  Each subcommand is an argparse subparser
-whose handler takes the options dict; mesh info and solve read their
-grain as a Case, from the registry or from a mesh file.  Exit codes:
+whose handler takes the options dict; every subcommand that reads a
+grain takes a registry --case or a --mesh file of rate 1.  Exit codes:
 0 success, 1 numeric failure (non-convergence or a verification
 threshold breach; also any module error, reported to stderr as
 module.ExceptionName), 2 usage (also an empty path and a level count
@@ -50,6 +50,13 @@ def _leaf(p: argparse.ArgumentParser, handler) -> None:
     p.set_defaults(handler=handler)
 
 
+def _add_grain(p: argparse.ArgumentParser) -> None:
+    """The grain a subcommand reads: a registry --case or a --mesh file."""
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--mesh", type=_path)
+    g.add_argument("--case", choices=sorted(CASE_BUILDERS))
+
+
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("solver overrides")
     for f in fields(SolverConfig):
@@ -61,32 +68,27 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="burnback", description="2D grain burnback analysis toolkit"
     )
     sub = top.add_subparsers(dest="cmd", required=True)
-    cases = sorted(CASE_BUILDERS)
 
     pm = sub.add_parser("mesh", help="generate or inspect meshes")
     pms = pm.add_subparsers(dest="sub", required=True)
     gen = pms.add_parser("gen", help="write a registry case mesh as text")
-    gen.add_argument("--case", required=True, choices=cases)
+    gen.add_argument("--case", required=True, choices=sorted(CASE_BUILDERS))
     gen.add_argument("--out", required=True, type=_path)
     _leaf(gen, _cmd_mesh_gen)
     info = pms.add_parser("info", help="print mesh statistics")
-    src = info.add_mutually_exclusive_group(required=True)
-    src.add_argument("--mesh", type=_path)
-    src.add_argument("--case", choices=cases)
+    _add_grain(info)
     _leaf(info, _cmd_mesh_info)
 
     slv = sub.add_parser("solve", help="relax an arrival-time field")
-    src = slv.add_mutually_exclusive_group(required=True)
-    src.add_argument("--mesh", type=_path)
-    src.add_argument("--case", choices=cases)
+    _add_grain(slv)
     slv.add_argument("--rate", type=float, default=None, help="uniform recession rate")
     slv.add_argument("--out", required=True, type=_path, help="field CSV node,x,y,s")
     slv.add_argument("--residuals", type=_path, help="history CSV step,dt,max_residual")
     _add_solver_flags(slv)
     _leaf(slv, _cmd_solve)
 
-    crv = sub.add_parser("curves", help="perimeter/area burn curves of a case")
-    crv.add_argument("--case", required=True, choices=cases)
+    crv = sub.add_parser("curves", help="perimeter/area burn curves of a grain")
+    _add_grain(crv)
     crv.add_argument("--out", required=True, type=_path, help="CSV tau,P_b,A_p,A_eq[,A_b]")
     crv.add_argument("--tau-min", type=float, default=None)
     crv.add_argument("--tau-max", type=float, default=None)
@@ -95,8 +97,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_solver_flags(crv)
     _leaf(crv, _cmd_curves)
 
-    ctr = sub.add_parser("contours", help="SVG isochrones of a case")
-    ctr.add_argument("--case", required=True, choices=cases)
+    ctr = sub.add_parser("contours", help="SVG isochrones of a grain")
+    _add_grain(ctr)
     ctr.add_argument("--out", required=True, type=_path, help="SVG path")
     ctr.add_argument("--levels", default=None, help="comma-separated tau values")
     ctr.add_argument("--nlevels", type=_positive_int, default=8)
@@ -139,11 +141,8 @@ def _write(path: str, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-def _merged_config(opt: dict, base: SolverConfig | None) -> SolverConfig | None:
-    given = {k: opt[k] for k in _SOLVER_FLAGS if opt.get(k) is not None}
-    if not given:
-        return base
-    return replace(base, **given) if base is not None else SolverConfig(**given)
+def _merged_config(opt: dict, base: SolverConfig) -> SolverConfig:
+    return replace(base, **{k: opt[k] for k in _SOLVER_FLAGS if opt.get(k) is not None})
 
 
 def _solve_case(case: Case, opt: dict) -> ArrivalField:
@@ -156,10 +155,16 @@ def _solve_case(case: Case, opt: dict) -> ArrivalField:
 
 
 def _grain(opt: dict) -> Case:
-    """The --case registry case, or the --mesh file as a case of rate 1."""
+    """The --case registry case or the --mesh file at rate 1, re-rated to
+    solve --rate if given (checked first; a port re-derives the oracle)."""
+    rate = opt.get("rate")
+    if rate is not None and not (math.isfinite(rate) and rate > 0.0):
+        raise ValueError(f"--rate value {rate} is not a positive finite rate")
     if opt["mesh"] is None:
-        return build_case(opt["case"])
-    return Case(opt["mesh"], load_mesh(Path(opt["mesh"]).read_text(encoding="utf-8")), 1.0)
+        case = build_case(opt["case"])
+    else:
+        case = Case(opt["mesh"], load_mesh(Path(opt["mesh"]).read_text(encoding="utf-8")), 1.0)
+    return case if rate is None else replace(case, rate=rate, exact=None)
 
 
 def _cmd_mesh_gen(opt: dict) -> int:
@@ -192,12 +197,8 @@ def _cmd_mesh_info(opt: dict) -> int:
 
 
 def _cmd_solve(opt: dict) -> int:
-    rate = opt["rate"]
-    if rate is not None and not (math.isfinite(rate) and rate > 0.0):
-        raise ValueError(f"--rate value {rate} is not a positive finite rate")
     case = _grain(opt)
-    rate = case.rate if rate is None else rate
-    res = solve(case.mesh, rate, config=_merged_config(opt, case.config))
+    res = solve(case.mesh, case.rate, config=_merged_config(opt, case.config))
     _write(opt["out"], emit_csv(res.s, mesh=case.mesh))
     if opt["residuals"] is not None:
         _write(opt["residuals"], emit_csv(res))
@@ -212,7 +213,7 @@ def _cmd_solve(opt: dict) -> int:
 
 
 def _cmd_curves(opt: dict) -> int:
-    case = build_case(opt["case"])
+    case = _grain(opt)
     lo, hi = opt.get("tau_min"), opt.get("tau_max")
     for flag, tau in (("--tau-min", lo), ("--tau-max", hi)):
         if tau is not None and not math.isfinite(tau):
@@ -249,9 +250,9 @@ def _finite_tau(token: str) -> float:
 
 
 def _cmd_contours(opt: dict) -> int:
-    case = build_case(opt["case"])
+    case = _grain(opt)
     levels = None
-    if opt.get("levels"):
+    if opt["levels"] is not None:
         levels = [_finite_tau(tok.strip()) for tok in opt["levels"].split(",") if tok.strip()]
         if not levels:
             raise ValueError("--levels must hold at least one tau value")

@@ -41,11 +41,9 @@ class ContourError(ValueError):
 
 def _as_points(p) -> np.ndarray:
     pts = np.asarray(p, dtype=np.float64)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
     if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ContourError("query points must be (2,) or (n, 2)")
-    return pts, single
+        raise ContourError("query points must be (n, 2)")
+    return pts
 
 
 @dataclass(frozen=True)
@@ -77,13 +75,12 @@ class Line:
         return (1.0 - t) * self.start() + t * self.end()
 
     def distance(self, points) -> np.ndarray:
-        pts, single = _as_points(points)
+        pts = _as_points(points)
         a, b = self.start(), self.end()
         ab = b - a
         t = np.clip(((pts - a) @ ab) / (ab @ ab), 0.0, 1.0)
         d = pts - (a + t[:, None] * ab)
-        out = np.sqrt(d[:, 0] ** 2 + d[:, 1] ** 2)
-        return float(out[0]) if single else out
+        return np.sqrt(d[:, 0] ** 2 + d[:, 1] ** 2)
 
 
 @dataclass(frozen=True)
@@ -141,7 +138,7 @@ class Arc:
         )
 
     def distance(self, points) -> np.ndarray:
-        pts, single = _as_points(points)
+        pts = _as_points(points)
         d = pts - np.asarray(self.center)
         rho = np.sqrt(d[:, 0] ** 2 + d[:, 1] ** 2)
         phi = np.arctan2(d[:, 1], d[:, 0])
@@ -151,8 +148,7 @@ class Arc:
             np.hypot(pts[:, 0] - self.start()[0], pts[:, 1] - self.start()[1]),
             np.hypot(pts[:, 0] - self.end()[0], pts[:, 1] - self.end()[1]),
         )
-        out = np.where(rel <= self.span(), radial, ends)
-        return float(out[0]) if single else out
+        return np.where(rel <= self.span(), radial, ends)
 
 
 @dataclass(frozen=True)
@@ -183,11 +179,8 @@ class Contour:
                 raise ContourError(f"closed contour does not close (gap {gap:.3g})")
 
     def distance(self, points):
-        pts, single = _as_points(points)
-        best = self.pieces[0].distance(pts)
-        for piece in self.pieces[1:]:
-            best = np.minimum(best, piece.distance(pts))
-        return float(best[0]) if single else best
+        pts = _as_points(points)
+        return np.min([piece.distance(pts) for piece in self.pieces], axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -102,7 +102,7 @@ class SolverError(RuntimeError):
     """Solver blow-up or unusable input."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     """Solver parameters; each field is a CLI flag of the same name.
 
@@ -267,7 +267,7 @@ class _System:
 def solve(
     mesh: Mesh,
     rate,
-    config: SolverConfig | None = None,
+    config: SolverConfig = SolverConfig(),
     cache: GeomCache | None = None,
 ) -> ArrivalField:
     """Pseudo-transient continuation to the steady state, from graph distances.
@@ -277,7 +277,6 @@ def solve(
     held.  If max_steps iterations are spent first, the partial field is
     returned with converged=False.
     """
-    config = config or SolverConfig()
     if cache is None:
         cache = geom_cache(mesh)
     rate = as_rate_field(mesh, rate)

@@ -66,6 +66,14 @@ class ErrorField:
     mean_abs: float
 
 
+def _per_node(mesh: Mesh, values, name: str) -> np.ndarray:
+    """values as a float64 array, checked to hold one value per mesh node."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape != (mesh.n_nodes,):
+        raise ValueError(f"{name} has {values.size} values for {mesh.n_nodes} mesh nodes")
+    return values
+
+
 def _unique_edges(tri: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Undirected edges as sorted node-id pairs, and the (nt, 3) edge ids
     of each triangle's sides 01, 12 and 20."""
@@ -157,15 +165,14 @@ def burn_curves(
     exact area of {s < tau} under linear interpolation.  Every tau
     must be finite, and grain_length positive and finite.
     """
+    s = _per_node(mesh, s, "field")
     tau_grid = np.asarray(tau_grid, dtype=np.float64)
     if not np.all(np.isfinite(tau_grid)):
         bad = float(tau_grid[np.argmax(~np.isfinite(tau_grid))])
         raise ValueError(f"tau grid value {bad} is not finite")
     if grain_length is not None and not (math.isfinite(grain_length) and grain_length > 0.0):
         raise ValueError(f"grain_length = {grain_length} must be positive and finite")
-    labels = np.asarray(rate_labels, dtype=np.int64)
-    if labels.shape != (mesh.n_nodes,):
-        raise ValueError("rate_labels must give one label per node")
+    labels = _per_node(mesh, rate_labels, "rate_labels")
     if not np.all((labels == 1) | (labels == 2)):
         raise ValueError("rate_labels must be 1 or 2")
     if f < 1.0:
@@ -204,13 +211,11 @@ def burn_curves(
 def error_field(mesh: Mesh, s: np.ndarray, exact: np.ndarray) -> ErrorField:
     """Node error against the exact per-node values, normalized by the
     peak exact depth."""
-    exact = np.asarray(exact, dtype=np.float64)
-    if exact.shape != (mesh.n_nodes,):
-        raise ValueError("oracle values must match the node count")
+    s, exact = _per_node(mesh, s, "field"), _per_node(mesh, exact, "oracle")
     depth = float(np.abs(exact).max())
     if depth == 0.0:
         raise ValueError("oracle field is identically zero")
-    e = (np.asarray(s, dtype=np.float64) - exact) / depth
+    e = (s - exact) / depth
     if not np.all(np.isfinite(e)):
         raise ValueError("non-finite error value")
     return ErrorField(values=e, max_abs=float(np.abs(e).max()), mean_abs=float(np.abs(e).mean()))
@@ -246,11 +251,10 @@ def emit_csv(obj, mesh: Mesh | None = None, err: np.ndarray | None = None) -> st
         for k, (dt, r) in enumerate(zip(obj.dt_history, obj.residual_history), start=1):
             rows.append(f"{k},{_g(dt)},{_g(r)}")
         return "\n".join(rows) + "\n"
-    s = np.asarray(obj, dtype=np.float64)
-    if mesh is None or s.shape != (mesh.n_nodes,):
-        raise ValueError("field CSV needs a mesh and one value per node")
-    if err is not None and np.shape(err) != (mesh.n_nodes,):
-        raise ValueError("field CSV err needs one value per node")
+    if mesh is None:
+        raise ValueError("field CSV needs a mesh")
+    s = _per_node(mesh, obj, "field")
+    err = None if err is None else _per_node(mesh, err, "err")
     rows = ["node,x,y,s" + (",err" if err is not None else "")]
     for i in range(mesh.n_nodes):
         row = f"{i},{_g(mesh.nodes[i, 0])},{_g(mesh.nodes[i, 1])},{_g(s[i])}"
@@ -307,6 +311,7 @@ def emit_svg(
     levels = [float(tau) for tau in levels]
     if levels and s is None:
         raise ValueError("isochrone levels need a field")
+    s = None if s is None else _per_node(mesh, s, "field")
     bad = [tau for tau in levels if not math.isfinite(tau)]
     if bad:
         raise ValueError(f"isochrone level {bad[0]} is not finite")

@@ -11,6 +11,7 @@ import pytest
 from burnback import cases
 from burnback.cases import CASE_BUILDERS, build_case
 from burnback.contour import Contour, Line
+from burnback.eikonal import SolverConfig
 from burnback.mesh import Marker, gen_rect
 from burnback.star import bistar_design
 
@@ -35,6 +36,9 @@ def test_case_builds_clean(name):
     np.testing.assert_array_equal(case.labels[case.labels != 1], 2)
     np.testing.assert_array_equal(rate[case.labels == 2], slow * case.rate_ratio)
     assert case.rate_ratio == rate.max() / slow
+    # every case carries its solver settings, the defaults where it needs no others
+    assert isinstance(case.config, SolverConfig)
+    assert case.config == SolverConfig() or name == "star"
 
 
 def test_cases_are_fixed_configurations():
@@ -100,8 +104,8 @@ def test_circle_case_has_no_symmetry_boundary():
 
 def test_slot_case_oracle_hand_values():
     case = build_case("slot-coarse")
-    assert case.port.distance((1.0, 1.0)) == pytest.approx(0.75)
-    assert case.port.distance((0.0, 3.0)) == pytest.approx(0.75)  # above the cap
+    assert case.port.distance([(1.0, 1.0)]) == pytest.approx([0.75])
+    assert case.port.distance([(0.0, 3.0)]) == pytest.approx([0.75])  # above the cap
     assert case.depth == pytest.approx(np.hypot(1.25, 1.25) - 0.25)
 
 
@@ -115,7 +119,7 @@ def test_slot_levels_hit_their_node_budgets():
 def test_star_case_mesh_budget_and_overrides():
     case = build_case("star")
     assert case.mesh.n_nodes <= 10_000
-    assert case.config is not None and case.config.dissipation_scale == 0.125
+    assert case.config.dissipation_scale == 0.125
     # the flank-valley junction must be a mesh vertex
     beta = 0.4 * np.pi / 5.0
     v = 0.5 * np.array([np.cos(beta), np.sin(beta)])

@@ -74,6 +74,9 @@ def test_usage_errors_exit_2():
     assert main(["bogus"]) == 2
     assert main(["star", "neutral"]) == 2  # --n is required
     assert main(["mesh", "info", "--mesh", "a", "--case", "rect"]) == 2
+    # every grain-reading subcommand takes exactly one of --mesh and --case
+    assert main(["curves", "--mesh", "a", "--case", "rect", "--out", "x"]) == 2
+    assert main(["contours", "--out", "x"]) == 2
     assert main(["--help"]) == 0
 
 
@@ -82,11 +85,12 @@ def test_usage_errors_exit_2():
     [
         (["solve", "--case", "rect", "--out", ""], "--out"),
         (["mesh", "info", "--mesh", ""], "--mesh"),
+        (["curves", "--mesh", "", "--out", "c.csv"], "--mesh"),
         (["solve", "--case", "rect", "--out", "f.csv", "--residuals", ""], "--residuals"),
         (["curves", "--case", "rect", "--out", "c.csv", "--tau-count", "0"], "--tau-count"),
         (["contours", "--case", "rect", "--out", "c.svg", "--nlevels", "0"], "--nlevels"),
     ],
-    ids=["out", "mesh", "residuals", "tau-count", "nlevels"],
+    ids=["out", "mesh", "curves-mesh", "residuals", "tau-count", "nlevels"],
 )
 def test_empty_paths_and_zero_counts_exit_2(argv, flag, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -170,7 +174,7 @@ def test_readme_sh_commands_exit_0(tmp_path, monkeypatch):
     text = README.read_text(encoding="utf-8")
     block = text.split("Meshing, solving, and artifact emission:\n\n```sh\n", 1)[1].split("```", 1)[0]
     lines = block.splitlines()
-    assert len(lines) == 6 and all(line.startswith("burnback ") for line in lines)
+    assert len(lines) == 7 and all(line.startswith("burnback ") for line in lines)
     monkeypatch.chdir(tmp_path)
     for line in lines:
         assert main(shlex.split(line)[1:]) == 0, line
@@ -230,22 +234,63 @@ def test_solve_from_mesh_file_writes_field_and_residuals(tmp_path, capsys):
 SINGLE_RATE = [name for name in sorted(CASE_BUILDERS) if build_case(name).rate_ratio == 1.0]
 
 
-@pytest.mark.parametrize("name", SINGLE_RATE)
-def test_solve_from_a_generated_mesh_file_matches_the_case(name, tmp_path):
-    # a mesh file reads as a case of rate 1 with default solver settings,
-    # so the case's own settings are passed as flags
-    path, by_mesh, by_case = tmp_path / "case.mesh", tmp_path / "m.csv", tmp_path / "c.csv"
+def _generated_mesh(name, tmp_path):
+    """The `mesh gen` file of a case, and the solver flags of the case's
+    own settings: a mesh file reads as a case of rate 1 with default
+    solver settings, so star needs its --dissipation-scale 0.125."""
+    path = tmp_path / "case.mesh"
     assert main(["mesh", "gen", "--case", name, "--out", str(path)]) == 0
-    config = build_case(name).config or SolverConfig()
+    config = build_case(name).config
     flags = [
         arg
         for f in dataclasses.fields(SolverConfig)
         if getattr(config, f.name) != f.default
         for arg in ("--" + f.name.replace("_", "-"), repr(getattr(config, f.name)))
     ]
-    assert main(["solve", "--mesh", str(path), "--out", str(by_mesh), *flags]) == 0
+    return str(path), flags
+
+
+@pytest.mark.parametrize("name", SINGLE_RATE)
+def test_solve_from_a_generated_mesh_file_matches_the_case(name, tmp_path):
+    path, flags = _generated_mesh(name, tmp_path)
+    by_mesh, by_case = tmp_path / "m.csv", tmp_path / "c.csv"
+    assert main(["solve", "--mesh", path, "--out", str(by_mesh), *flags]) == 0
     assert main(["solve", "--case", name, "--out", str(by_case)]) == 0
     assert by_mesh.read_bytes() == by_case.read_bytes()
+
+
+@pytest.mark.parametrize("name", SINGLE_RATE)
+def test_curves_from_a_generated_mesh_file_match_the_case(name, tmp_path):
+    path, flags = _generated_mesh(name, tmp_path)
+    by_mesh, by_case = tmp_path / "m.csv", tmp_path / "c.csv"
+    span = ["--tau-min", "0.1", "--tau-max", "0.4", "--tau-count", "5"]
+    assert main(["curves", "--mesh", path, "--out", str(by_mesh), *span, *flags]) == 0
+    assert main(["curves", "--case", name, "--out", str(by_case), *span]) == 0
+    assert by_mesh.read_bytes() == by_case.read_bytes()
+
+
+@pytest.mark.parametrize("name", SINGLE_RATE)
+def test_contours_from_a_generated_mesh_file_match_the_case_less_its_port(name, tmp_path):
+    # a mesh file has no port, so only the port outline is missing
+    path, flags = _generated_mesh(name, tmp_path)
+    by_mesh, by_case = tmp_path / "m.svg", tmp_path / "c.svg"
+    assert main(["contours", "--mesh", path, "--out", str(by_mesh), "--levels", "0.1,0.3", *flags]) == 0
+    assert main(["contours", "--case", name, "--out", str(by_case), "--levels", "0.1,0.3"]) == 0
+    lines = by_case.read_text().splitlines(keepends=True)
+    port = [line for line in lines if line.startswith("<path") and 'stroke="#d62728"' in line]
+    assert len(port) == 1
+    assert by_mesh.read_text() == "".join(line for line in lines if line not in port)
+
+
+@pytest.mark.parametrize("name", SINGLE_RATE)
+def test_curves_of_a_mesh_file_span_the_solved_field_by_default(name, solved, tmp_path):
+    # a mesh file has no oracle, so its default range is 5-95% of the solved max
+    case, field, _ = solved(name)
+    path, flags = _generated_mesh(name, tmp_path)
+    out = tmp_path / "m.csv"
+    assert main(["curves", "--mesh", path, "--out", str(out), "--tau-count", "3", *flags]) == 0
+    tau = np.linspace(0.05 * field.s.max(), 0.95 * field.s.max(), 3)
+    assert out.read_text() == emit_csv(burn_curves(case.mesh, field.s, case.labels, 1.0, tau))
 
 
 def test_solve_nonconvergence_exits_1(tmp_path, capsys):
@@ -396,6 +441,13 @@ def test_solve_checks_rate_before_the_solve(tmp_path, capsys, monkeypatch, value
     assert not out.exists()
 
 
+def test_solve_rate_rebuilds_the_grain_at_that_rate():
+    # one uniform rate on the two-propellant case: its port gives the oracle
+    case = cli._grain({"case": "bistar", "mesh": None, "rate": 2.0})
+    assert case.rate == 2.0 and case.rate_ratio == 1.0
+    np.testing.assert_array_equal(case.exact, case.port.distance(case.mesh.nodes) / 2.0)
+
+
 def test_mesh_info_names_the_line_of_an_oversized_id(tmp_path, capsys):
     path = tmp_path / "big.mesh"
     path.write_text("1 3 0\n0 0 1\n1 0 0\n0 1 0\n0 1 99999999999999999999999\n")
@@ -428,6 +480,10 @@ CLI_ERRORS = {
     ),
     "empty levels": (
         ["contours", "--case", "rect", "--levels", " , "],
+        "cli.ValueError: --levels must hold at least one tau value",
+    ),
+    "empty levels string": (
+        ["contours", "--case", "rect", "--levels", ""],
         "cli.ValueError: --levels must hold at least one tau value",
     ),
 }

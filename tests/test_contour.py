@@ -39,9 +39,9 @@ def slot():
 
 def test_line_distance_hand_values():
     seg = Line((0.0, 0.0), (2.0, 0.0))
-    assert seg.distance((0.5, 3.0)) == pytest.approx(3.0)
-    assert seg.distance((-3.0, 4.0)) == pytest.approx(5.0)  # clamps to p0
-    assert seg.distance((3.0, 0.0)) == pytest.approx(1.0)  # clamps to p1
+    assert seg.distance([(0.5, 3.0)]) == pytest.approx([3.0])
+    assert seg.distance([(-3.0, 4.0)]) == pytest.approx([5.0])  # clamps to p0
+    assert seg.distance([(3.0, 0.0)]) == pytest.approx([1.0])  # clamps to p1
     np.testing.assert_allclose(
         seg.distance(np.array([[1.0, -2.0], [2.0, 0.0]])), [2.0, 0.0]
     )
@@ -57,10 +57,10 @@ def test_line_rejects_degenerate_input():
 def test_arc_distance_radial_inside_span_endpoint_outside():
     quarter = Arc((0.0, 0.0), 1.0, 0.0, 0.5 * math.pi, 1)
     assert quarter.span() == pytest.approx(0.5 * math.pi)
-    assert quarter.distance((2.0, 0.0)) == pytest.approx(1.0)
-    assert quarter.distance((3.0 / math.sqrt(2),) * 2) == pytest.approx(2.0)
+    assert quarter.distance([(2.0, 0.0)]) == pytest.approx([1.0])
+    assert quarter.distance([(3.0 / math.sqrt(2),) * 2]) == pytest.approx([2.0])
     # behind the start angle the nearest point is the start endpoint
-    assert quarter.distance((0.0, -1.0)) == pytest.approx(math.sqrt(2.0))
+    assert quarter.distance([(0.0, -1.0)]) == pytest.approx([math.sqrt(2.0)])
 
 
 def test_arc_full_circle_span():
@@ -81,8 +81,8 @@ def test_closed_contour_must_close():
 
 
 def test_contour_distance_is_min_over_pieces(slot):
-    assert slot.distance((0.0, 1.0)) == pytest.approx(0.5)
-    assert slot.distance((0.0, 3.5)) == pytest.approx(1.0)
+    assert slot.distance([(0.0, 1.0)]) == pytest.approx([0.5])
+    assert slot.distance([(0.0, 3.5)]) == pytest.approx([1.0])
 
 
 def test_contour_distance_matches_dense_sampling(slot):
@@ -106,8 +106,8 @@ def test_contour_distance_matches_dense_sampling(slot):
 def test_make_circle_distance_exact():
     ring = make_circle(2.0)
     assert ring.closed
-    assert ring.distance((3.0, 0.0)) == pytest.approx(1.0)
-    assert ring.distance((0.0, 0.0)) == pytest.approx(2.0)
+    assert ring.distance([(3.0, 0.0)]) == pytest.approx([1.0])
+    assert ring.distance([(0.0, 0.0)]) == pytest.approx([2.0])
     pts = np.vstack([piece.points(4096) for piece in ring.pieces])
     assert np.hypot(*np.diff(pts, axis=0).T).sum() == pytest.approx(4.0 * math.pi, rel=1e-6)
 
@@ -163,8 +163,9 @@ _LINE = Line((0.0, 0.0), (1.0, 0.0))
 
 # each input check of the contour module: the call and its ContourError message
 CONTOUR_ERRORS = {
-    "query columns": (lambda: _LINE.distance(np.zeros((2, 3))), "query points must be (2,) or (n, 2)"),
-    "query rank": (lambda: _LINE.distance(np.zeros((2, 2, 2))), "query points must be (2,) or (n, 2)"),
+    "query columns": (lambda: _LINE.distance(np.zeros((2, 3))), "query points must be (n, 2)"),
+    "query rank": (lambda: _LINE.distance(np.zeros((2, 2, 2))), "query points must be (n, 2)"),
+    "single point": (lambda: _LINE.distance((0.5, 0.5)), "query points must be (n, 2)"),
     "arc radius": (lambda: Arc((0.0, 0.0), 0.0, 0.0, 1.0, 1), "arc radius must be positive"),
     "arc sweep": (lambda: Arc((0.0, 0.0), 1.0, 0.0, 1.0, 0), "arc sweep must be +1 or -1"),
     "arc center": (lambda: Arc((0.0, math.nan), 1.0, 0.0, 1.0, 1), "non-finite arc parameter"),
@@ -211,10 +212,10 @@ def test_line_distance_bounds(ax, ay, bx, by, px, py):
     if math.hypot(bx - ax, by - ay) < 1e-6:
         return
     seg = Line((ax, ay), (bx, by))
-    d = seg.distance((px, py))
+    (d,) = seg.distance([(px, py)])
     ends = min(math.hypot(px - ax, py - ay), math.hypot(px - bx, py - by))
     assert 0.0 <= d <= ends + 1e-9
-    assert seg.distance((ax, ay)) <= 1e-12
+    assert seg.distance([(ax, ay)])[0] <= 1e-12
 
 
 @settings(max_examples=30, deadline=None)

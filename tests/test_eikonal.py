@@ -303,7 +303,7 @@ def test_jacobian_matches_central_differences(name, at):
     # the rows of slot-coarse have a tied L_i.
     case = build_case(name)
     mesh = case.mesh
-    system = system_for(mesh, case.rate, scale=case.config.dissipation_scale if case.config else 0.25)
+    system = system_for(mesh, case.rate, scale=case.config.dissipation_scale)
     assert (mesh.node_markers == Marker.SYMMETRY).any()
     held = np.flatnonzero(mesh.node_markers == Marker.IGNITION)
     s = system.warm_start()
@@ -465,7 +465,7 @@ def test_registry_cases_converge_within_eight_iterations(solved, name):
     assert field.converged and field.n_steps <= 8
     if field.n_steps:
         # the history ends on the residual of the field returned
-        system = system_for(case.mesh, case.rate, case.config.dissipation_scale if case.config else 0.25)
+        system = system_for(case.mesh, case.rate, case.config.dissipation_scale)
         assert field.residual_history[-1] == system.evaluate(field.s).max_residual
 
 

@@ -239,7 +239,7 @@ def _curves(P_b, A_p):
 POSTPROC_ERRORS = {
     "negative perimeter": (lambda mesh, s: _curves([1.0, -1e-300], [0.0, 1.0]), "negative perimeter"),
     "shrinking port": (lambda mesh, s: _curves([1.0, 1.0], [1.0, 0.5]), "port area must be non-decreasing"),
-    "oracle length": (lambda mesh, s: error_field(mesh, s, s[:-1]), "oracle values must match the node count"),
+    "oracle length": (lambda mesh, s: error_field(mesh, s, s[:-1]), "oracle has 230 values for 231 mesh nodes"),
     "non-finite error": (
         lambda mesh, s: error_field(mesh, np.where(s > 1.0, np.nan, s), mesh.nodes[:, 0]),
         "non-finite error value",
@@ -254,6 +254,27 @@ def test_postproc_input_errors(planar, name):
         build(*planar)
     assert type(exc.value) is ValueError
     assert str(exc.value) == message
+
+
+# each function that reads a field, called on a field of the given length
+FIELD_READERS = {
+    "burn_curves": lambda mesh, s: mono_curves(mesh, s, [0.5, 1.0]),
+    "emit_svg": lambda mesh, s: emit_svg(mesh, s, levels=(0.5,)),
+    "error_field": lambda mesh, s: error_field(mesh, s, mesh.nodes[:, 0]),
+    "emit_csv": lambda mesh, s: emit_csv(s, mesh=mesh),
+}
+
+
+@pytest.mark.parametrize("size", [1, 233, 228], ids=["one value", "two long", "three short"])
+@pytest.mark.parametrize("name", sorted(FIELD_READERS))
+def test_a_field_of_the_wrong_length_is_named(planar, name, size):
+    # unchecked, a short field fails deep in indexing or broadcasting and
+    # a long or one-value field yields numbers for nodes that do not exist
+    mesh, s = planar
+    with pytest.raises(ValueError) as exc:
+        FIELD_READERS[name](mesh, np.resize(s, size))
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == f"field has {size} values for 231 mesh nodes"
 
 
 # ------------------------------------------------------------------- emitters
