@@ -19,6 +19,8 @@ from .eikonal import SolverConfig
 from .mesh import Marker, Mesh, _grid_mesh, _loft, gen_coons, gen_rect
 from .star import bistar_design, bistar_interface, neutral_tip_angle
 
+__all__ = ["Case", "CASE_BUILDERS", "build_case"]
+
 
 @dataclass(frozen=True, eq=False)
 class Case:

@@ -4,7 +4,9 @@ Configuration is flags-only so every run can be reproduced by quoting
 its command line; --dump-spec on any subcommand prints the resolved
 options first for archival.  Each subcommand is an argparse subparser
 whose handler takes the options dict; every subcommand that reads a
-grain takes a registry --case or a --mesh file of rate 1.  Exit codes:
+grain takes a registry --case or a --mesh file of rate 1.  Each one that
+solves takes one flag per SolverConfig field, --dissipation-scale; the
+solver's tolerance and iteration bound are fixed.  Exit codes:
 0 success, 1 numeric failure (non-convergence or a verification
 threshold breach; also any module error, reported to stderr as
 module.ExceptionName), 2 usage (also an empty path and a level count
@@ -207,7 +209,7 @@ def _cmd_solve(opt: dict) -> int:
         f"s in [{res.s.min():.6g}, {res.s.max():.6g}], wrote {opt['out']}"
     )
     if not res.converged:
-        print("solver did not reach convergence_tol within max_steps", file=sys.stderr)
+        print(f"case {case.name} did not converge within {res.n_steps} steps", file=sys.stderr)
         return 1
     return 0
 

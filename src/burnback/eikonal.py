@@ -48,12 +48,13 @@ divided by 4, which falls back on pseudo-transient continuation.  After
 an accepted step c becomes min(2 c max(r_prev / r, 1), 1e10) by
 switched evolution/relaxation (Mulder & van Leer, JCP 59, 1985), and
 the last iterations converge quadratically.  Once r is below
-convergence_tol, up to two chord steps with the last factor polish the
+_TOL = 1e-6, up to two chord steps with the last factor polish the
 field, each kept only if it lowers r.  The iteration starts from graph
 distances: Dijkstra over the mesh edges weighted
 len * 2 / (rate_a + rate_b), from the held nodes at zero.
 solve stops once max |Hcal| over the nodes not held falls below
-convergence_tol, or after max_steps iterations, rejected ones included.
+_TOL, or after _MAX_STEPS = 1 000 000 iterations, rejected ones
+included.  Hcal is dimensionless, so one tolerance fits every grain.
 
 A and D share one sparsity pattern, each node's one-ring plus the
 diagonal, and so does J.  Each iteration fills J's values into that
@@ -96,6 +97,10 @@ _CFL_MAX = 1e10
 _HALVINGS = 4
 # chord steps with the last factor once the residual is below tolerance
 _CHORD_STEPS = 2
+# max |Hcal| over the nodes not held below which a field is converged
+_TOL = 1e-6
+# iterations, rejected ones included, after which solve gives up
+_MAX_STEPS = 1_000_000
 
 
 class SolverError(RuntimeError):
@@ -108,21 +113,12 @@ class SolverConfig:
 
     dissipation_scale sets eps_i and with it the discrete fixed point:
     smaller values smear curved fronts less; kept a power of two so the
-    scaling stays exact in floating point.  solve stops once
-    max |Hcal| over the nodes not held falls below convergence_tol, or
-    after max_steps iterations.  An iteration is one factorization and
-    the trials along its direction, at most five; a rejected one counts.
+    scaling stays exact in floating point.
     """
 
-    convergence_tol: float = 1e-6
-    max_steps: int = 1_000_000
     dissipation_scale: float = 0.25
 
     def __post_init__(self):
-        if not (np.isfinite(self.convergence_tol) and self.convergence_tol > 0.0):
-            raise ValueError("convergence_tol must be positive and finite")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
         if not 0.0 < self.dissipation_scale <= 1.0:
             raise ValueError("dissipation_scale must be in (0, 1]")
 
@@ -139,11 +135,10 @@ class ArrivalField:
 def as_rate_field(mesh: Mesh, rate) -> np.ndarray:
     """Per-node recession rate from a scalar, array, or callable(x, y)."""
     if callable(rate):
-        values = np.asarray(rate(mesh.nodes[:, 0], mesh.nodes[:, 1]), dtype=np.float64)
-    else:
-        values = np.asarray(rate, dtype=np.float64)
-        if values.ndim == 0:
-            values = np.full(mesh.n_nodes, float(values))
+        rate = rate(mesh.nodes[:, 0], mesh.nodes[:, 1])
+    values = np.asarray(rate, dtype=np.float64)
+    if values.ndim == 0:
+        values = np.full(mesh.n_nodes, float(values))
     if values.shape != (mesh.n_nodes,):
         raise SolverError("rate field shape does not match the node count")
     if not np.all(np.isfinite(values)) or np.any(values <= 0.0):
@@ -273,9 +268,10 @@ def solve(
     """Pseudo-transient continuation to the steady state, from graph distances.
 
     The IGNITION nodes are held at s = 0 and no other node is held.
-    Converged means max |Hcal| < convergence_tol over the nodes not
-    held.  If max_steps iterations are spent first, the partial field is
-    returned with converged=False.
+    Converged means max |Hcal| < _TOL over the nodes not held.  If
+    _MAX_STEPS iterations are spent first, the partial field is returned
+    with converged=False.  An iteration is one factorization and the
+    trials along its direction, at most five; a rejected one counts.
     """
     if cache is None:
         cache = geom_cache(mesh)
@@ -287,7 +283,7 @@ def solve(
     c = _CFL_MAX
     lu = None
     residuals, dts = [], []
-    while state.max_residual >= config.convergence_tol and len(residuals) < config.max_steps:
+    while state.max_residual >= _TOL and len(residuals) < _MAX_STEPS:
         matrix, dt = system.matrix(state, c)
         lu = None  # never hold two factors at once
         lu = splu(matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1, options=dict(SymmetricMode=True))
@@ -307,7 +303,7 @@ def solve(
         residuals.append(state.max_residual)
         dts.append(dt)
 
-    if lu is not None and state.max_residual < config.convergence_tol:
+    if lu is not None and state.max_residual < _TOL:
         # polish with the last factor, within its evaluation budget; the
         # history ends on the field returned
         for _ in range(min(_CHORD_STEPS, _HALVINGS - k)):
@@ -323,6 +319,6 @@ def solve(
         s=state.s,
         residual_history=np.asarray(residuals),
         dt_history=np.asarray(dts),
-        converged=state.max_residual < config.convergence_tol,
+        converged=state.max_residual < _TOL,
         n_steps=len(residuals),
     )

@@ -48,8 +48,7 @@ class BurnCurves:
     A_b: np.ndarray | None = None
 
     def __post_init__(self):
-        if np.any(np.diff(self.tau) <= 0.0):
-            raise ValueError("tau grid must be strictly increasing")
+        _tau_grid(self.tau)
         if np.any(self.P_b < 0.0):
             raise ValueError("negative perimeter")
         scale = float(np.abs(self.A_p).max()) if len(self.A_p) else 0.0
@@ -64,6 +63,20 @@ class ErrorField:
     values: np.ndarray
     max_abs: float
     mean_abs: float
+
+
+def _tau_grid(tau) -> np.ndarray:
+    """tau as a float64 array, checked to be 1-D, finite and strictly increasing."""
+    tau = np.asarray(tau, dtype=np.float64)
+    if tau.ndim != 1:
+        raise ValueError(f"tau grid must be one-dimensional, not {tau.ndim}-D")
+    if not np.all(np.isfinite(tau)):
+        raise ValueError(f"tau grid value {tau[np.argmax(~np.isfinite(tau))]} is not finite")
+    down = np.flatnonzero(np.diff(tau) <= 0.0)
+    if len(down):
+        k = int(down[0]) + 1
+        raise ValueError(f"tau grid must be strictly increasing: tau[{k}] = {tau[k]} follows {tau[k - 1]}")
+    return tau
 
 
 def _per_node(mesh: Mesh, values, name: str) -> np.ndarray:
@@ -161,22 +174,21 @@ def burn_curves(
     rate_labels assigns each node to propellant 1 or 2 (all ones for a
     monopropellant); a triangle belongs to the propellant owning the
     majority of its nodes, and each isochrone segment reports to its
-    host triangle's propellant.  A_eq = P_1 + f * P_2.  A_p is the
-    exact area of {s < tau} under linear interpolation.  Every tau
-    must be finite, and grain_length positive and finite.
+    host triangle's propellant.  A_eq = P_1 + f * P_2, with f finite
+    and >= 1.  A_p is the exact area of {s < tau} under linear
+    interpolation.  tau_grid must be 1-D, finite and strictly
+    increasing, and grain_length positive and finite; every input is
+    checked before the first level is cut.
     """
     s = _per_node(mesh, s, "field")
-    tau_grid = np.asarray(tau_grid, dtype=np.float64)
-    if not np.all(np.isfinite(tau_grid)):
-        bad = float(tau_grid[np.argmax(~np.isfinite(tau_grid))])
-        raise ValueError(f"tau grid value {bad} is not finite")
+    tau_grid = _tau_grid(tau_grid)
     if grain_length is not None and not (math.isfinite(grain_length) and grain_length > 0.0):
         raise ValueError(f"grain_length = {grain_length} must be positive and finite")
     labels = _per_node(mesh, rate_labels, "rate_labels")
     if not np.all((labels == 1) | (labels == 2)):
         raise ValueError("rate_labels must be 1 or 2")
-    if f < 1.0:
-        raise ValueError("rate ratio f must be >= 1")
+    if not (math.isfinite(f) and f >= 1.0):
+        raise ValueError(f"rate ratio f = {f} must be finite and >= 1")
     tri_label = np.where((labels[mesh.triangles] == 1).sum(axis=1) >= 2, 1, 2)
 
     areas = np.abs(_signed_areas(mesh.nodes, mesh.triangles))

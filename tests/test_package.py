@@ -1,7 +1,8 @@
-"""Package surface: every exported name exists."""
+"""Package surface: every exported name exists and is declared once."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -21,6 +22,20 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+def test_package_exports_join_the_module_exports():
+    # every module but the command line declares its public names in its
+    # own __all__; the package joins them in module order and spells none
+    modules = [importlib.import_module(m) for m in MODULES[1:] if m != "burnback.cli"]
+    joined = [n for module in modules for n in module.__all__]
+    assert len(modules) == 6
+    assert burnback.__all__ == joined
+    assert len(set(joined)) == len(joined)
+    tree = ast.parse(Path(burnback.__file__).read_text(encoding="utf-8"))
+    spelled = {getattr(n, "id", None) or getattr(n, "name", None) for n in ast.walk(tree)}
+    spelled |= {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)}
+    assert spelled.isdisjoint(joined)
 
 
 def test_import_leaves_scipy_optimize_and_spatial_unloaded():

@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from burnback import postproc
+from burnback import eikonal, postproc
 from burnback.cases import CASE_BUILDERS
 from burnback.contour import make_circle
-from burnback.eikonal import SolverConfig, solve
+from burnback.eikonal import solve
 from burnback.mesh import Marker, gen_coons, gen_rect
 from burnback.postproc import (
     _g,
@@ -244,6 +244,27 @@ POSTPROC_ERRORS = {
         lambda mesh, s: error_field(mesh, np.where(s > 1.0, np.nan, s), mesh.nodes[:, 0]),
         "non-finite error value",
     ),
+    "scalar tau": (lambda mesh, s: mono_curves(mesh, s, 0.5), "tau grid must be one-dimensional, not 0-D"),
+    "2-D tau grid": (
+        lambda mesh, s: mono_curves(mesh, s, [[0.5, 1.0], [1.5, 1.8]]),
+        "tau grid must be one-dimensional, not 2-D",
+    ),
+    "decreasing tau grid": (
+        lambda mesh, s: mono_curves(mesh, s, [0.5, 1.5, 1.0]),
+        "tau grid must be strictly increasing: tau[2] = 1.0 follows 1.5",
+    ),
+    "repeated tau": (
+        lambda mesh, s: mono_curves(mesh, s, [0.5, 0.5]),
+        "tau grid must be strictly increasing: tau[1] = 0.5 follows 0.5",
+    ),
+    "nan rate ratio": (
+        lambda mesh, s: burn_curves(mesh, s, np.ones(mesh.n_nodes), np.nan, [0.5]),
+        "rate ratio f = nan must be finite and >= 1",
+    ),
+    "infinite rate ratio": (
+        lambda mesh, s: burn_curves(mesh, s, np.ones(mesh.n_nodes), np.inf, [0.5]),
+        "rate ratio f = inf must be finite and >= 1",
+    ),
 }
 
 
@@ -296,7 +317,7 @@ def test_emit_csv_burn_curves_round_trip(planar):
     np.testing.assert_allclose(data[:, 2], curves.A_p, rtol=1e-11)
 
 
-def test_emit_csv_field_and_residuals(planar, radial):
+def test_emit_csv_field_and_residuals(planar, radial, monkeypatch):
     mesh, s = planar
     head, data = parse_csv(emit_csv(s, mesh=mesh))
     assert head == ["node", "x", "y", "s"]
@@ -310,7 +331,8 @@ def test_emit_csv_field_and_residuals(planar, radial):
 
     # the tenfold rate jump needs more than 3 iterations
     jump = lambda x, y: np.where(x > 1.0, 10.0, 1.0)  # noqa: E731
-    field = solve(radial[0], jump, config=SolverConfig(max_steps=3))
+    monkeypatch.setattr(eikonal, "_MAX_STEPS", 3)
+    field = solve(radial[0], jump)
     assert not field.converged
     head, data = parse_csv(emit_csv(field))
     assert head == ["step", "dt", "max_residual"]
