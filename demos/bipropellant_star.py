@@ -37,12 +37,7 @@ def main() -> None:
 
     face = bistar_interface(design, 256)
     face_csv = OUT / "bistar_interface.csv"
-    rows = ["y,r1,theta1,r2,theta2"]
-    rows += [
-        ",".join(f"{v:.12g}" for v in vals)
-        for vals in zip(face.y, face.r1, face.theta1, face.r2, face.theta2)
-    ]
-    face_csv.write_text("\n".join(rows) + "\n")
+    face_csv.write_text(emit_csv(face))
     print(f"interface polyline: {face_csv.name}")
 
     case = build_case("bistar")

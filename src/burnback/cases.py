@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contour import Arc, Contour, Line, make_circle, make_star
-from .eikonal import SolverConfig
-from .mesh import Marker, Mesh, _grid_mesh, _loft, gen_coons, gen_rect
+from .eikonal import SolverConfig, as_rate_field
+from .mesh import Marker, Mesh, _grid_mesh, _loft, _per_node, gen_coons, gen_rect
 from .star import bistar_design, bistar_interface, neutral_tip_angle
 
 __all__ = ["Case", "CASE_BUILDERS", "build_case"]
@@ -26,18 +26,19 @@ __all__ = ["Case", "CASE_BUILDERS", "build_case"]
 class Case:
     """A meshed grain plus everything a benchmark run needs.
 
-    rate is the positive recession rate, one value or one per node,
-    and holds at most two propellants: propellant 1 burns at the slowest
-    rate and propellant 2 at the other.  labels and rate_ratio, the
-    split that burn_curves weighs the equivalent area by, derive from
-    it.  port, when given, is the port outline that bounds the mesh.
-    exact, the arrival field errors are measured against, defaults to
-    the port's distance over a uniform rate and is None without a closed
-    form (scheme smoke cases); depth, its maximum, normalizes relative
-    errors.  config holds the solver settings, the defaults unless a
-    geometry needs others.  An array rate and exact hold one value per
-    mesh node and are kept as read-only float64 copies.  Cases compare
-    and hash by identity.
+    rate is the positive recession rate, given in any form solve takes
+    (one value, one per node, or a callable(x, y) returning either) and
+    stored as as_rate_field's per-node array.  It holds at most two
+    propellants: propellant 1 burns at the slowest rate and propellant 2
+    at the other.  labels and rate_ratio, the split that burn_curves
+    weighs the equivalent area by, derive from it.  port, when given, is
+    the port outline that bounds the mesh.  exact, the arrival field
+    errors are measured against, defaults to the port's distance over a
+    uniform rate and is None without a closed form (scheme smoke cases);
+    depth, its maximum, normalizes relative errors.  config holds the
+    solver settings, the defaults unless a geometry needs others.  rate
+    and exact hold one value per mesh node and are kept as read-only
+    float64 copies.  Cases compare and hash by identity.
     """
 
     name: str
@@ -48,24 +49,17 @@ class Case:
     config: SolverConfig = SolverConfig()
 
     def __post_init__(self):
-        rate = np.asarray(self.rate)
-        if not np.all((rate > 0.0) & (rate < np.inf)):
-            raise ValueError(f"case {self.name} has a rate that is not positive and finite")
-        if self.exact is None and self.port is not None and self.rate_ratio == 1.0:
-            exact = self.port.distance(self.mesh.nodes) / np.max(self.rate)
+        rate = np.array(as_rate_field(self.mesh, self.rate))
+        rate.flags.writeable = False
+        object.__setattr__(self, "rate", rate)
+        exact = self.exact
+        if exact is None and self.port is not None and self.rate_ratio == 1.0:
+            exact = self.port.distance(self.mesh.nodes) / rate
+        if exact is not None:
+            exact = np.array(_per_node(self.mesh, exact, f"case {self.name} exact"))
+            exact.flags.writeable = False
             object.__setattr__(self, "exact", exact)
-        for name in ("rate", "exact"):
-            value = getattr(self, name)
-            if value is not None and (name == "exact" or np.ndim(value)):
-                array = np.array(value, dtype=np.float64)
-                if array.shape != (self.mesh.n_nodes,):
-                    raise ValueError(
-                        f"case {self.name} has {array.size} {name} values "
-                        f"for {self.mesh.n_nodes} mesh nodes"
-                    )
-                array.flags.writeable = False
-                object.__setattr__(self, name, array)
-        if len(np.unique(self.rate)) > 2:
+        if len(np.unique(rate)) > 2:
             raise ValueError(f"case {self.name} has more than two propellant rates")
 
     @property
@@ -76,13 +70,12 @@ class Case:
     @property
     def labels(self) -> np.ndarray:
         """Propellant of each node: 1 where the rate is the slowest, 2 elsewhere."""
-        rate = np.broadcast_to(self.rate, (self.mesh.n_nodes,))
-        return np.where(rate == rate.min(), 1, 2)
+        return np.where(self.rate == self.rate.min(), 1, 2)
 
     @property
     def rate_ratio(self) -> float:
         """Fastest over slowest rate: A_eq = P_1 + rate_ratio * P_2."""
-        return float(np.max(self.rate) / np.min(self.rate))
+        return float(self.rate.max() / self.rate.min())
 
 
 def _arc_points(center, radius: float, a0: float, a1: float, n: int) -> np.ndarray:

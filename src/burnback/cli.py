@@ -296,10 +296,7 @@ def _cmd_bistar_design(opt: dict) -> int:
 def _cmd_bistar_interface(opt: dict) -> int:
     design = bistar_design(opt["n"], opt["rc"], opt["rf"], opt["d"])
     face = bistar_interface(design, opt["samples"])
-    rows = ["y,r1,theta1,r2,theta2"]
-    for vals in zip(face.y, face.r1, face.theta1, face.r2, face.theta2):
-        rows.append(",".join(f"{v:.12g}" for v in vals))
-    _write(opt["out"], "\n".join(rows) + "\n")
+    _write(opt["out"], emit_csv(face))
     print(f"interface: {len(face.y)} samples, f = {design.f:.3f}, wrote {opt['out']}")
     return 0
 

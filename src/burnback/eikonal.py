@@ -79,7 +79,7 @@ from scipy.sparse import csc_array, csr_array
 from scipy.sparse.csgraph import dijkstra
 from scipy.sparse.linalg import splu
 
-from .mesh import GeomCache, Marker, Mesh, _gradient_operator, geom_cache
+from .mesh import GeomCache, Marker, Mesh, _gradient_operator, _per_node, geom_cache
 
 __all__ = [
     "SolverConfig",
@@ -133,14 +133,14 @@ class ArrivalField:
 
 
 def as_rate_field(mesh: Mesh, rate) -> np.ndarray:
-    """Per-node recession rate from a scalar, array, or callable(x, y)."""
+    """Per-node recession rate from a scalar, array, or callable(x, y)
+    returning either.  An array of the wrong length raises ValueError, a
+    value that is not positive and finite SolverError naming its node."""
     if callable(rate):
         rate = rate(mesh.nodes[:, 0], mesh.nodes[:, 1])
-    values = np.asarray(rate, dtype=np.float64)
-    if values.ndim == 0:
-        values = np.full(mesh.n_nodes, float(values))
-    if values.shape != (mesh.n_nodes,):
-        raise SolverError("rate field shape does not match the node count")
+    if np.ndim(rate) == 0:
+        rate = np.full(mesh.n_nodes, rate, dtype=np.float64)
+    values = _per_node(mesh, rate, "rate")
     if not np.all(np.isfinite(values)) or np.any(values <= 0.0):
         bad = int(np.argmax(~(np.isfinite(values) & (values > 0.0))))
         raise SolverError(f"rate must be positive and finite (node {bad})")

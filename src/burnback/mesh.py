@@ -107,15 +107,22 @@ class Mesh:
     node_symline: np.ndarray | None = None
 
     def __post_init__(self):
-        for name, dtype in (
-            ("nodes", np.float64),
-            ("triangles", np.int64),
-            ("node_markers", np.int64),
-            ("node_symline", np.int64),
+        for name, dtype, what in (
+            ("nodes", np.float64, None),
+            ("triangles", np.int64, "triangle {} has node id"),
+            ("node_markers", np.int64, "node {} has marker"),
+            ("node_symline", np.int64, "node {} has symline index"),
         ):
             value = getattr(self, name)
             if value is None:  # node_symline: no node on a line
                 value = np.full(self.nodes.shape[:1], -1)
+            # int64 must hold each float exactly: no fraction, NaN or overflow
+            raw = np.atleast_1d(value)
+            if what and raw.dtype.kind == "f":
+                bad = np.argwhere(~(np.abs(raw) < 2.0**63) | (raw != np.trunc(raw)))
+                if len(bad):
+                    at = tuple(bad[0])
+                    raise MeshError(f"{what.format(at[0])} {raw[at]}, not a 64-bit integer")
             array = np.array(value, dtype=dtype, order="C")
             array.flags.writeable = False
             object.__setattr__(self, name, array)
@@ -215,6 +222,14 @@ def _signed_areas(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
 def _bbox_diag(nodes: np.ndarray) -> float:
     span = nodes.max(axis=0) - nodes.min(axis=0)
     return math.hypot(*span)  # squaring the span overflows past ~1.3e154
+
+
+def _per_node(mesh: Mesh, values, name: str) -> np.ndarray:
+    """values as a float64 array, checked to hold one value per mesh node."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape != (mesh.n_nodes,):
+        raise ValueError(f"{name} has {values.size} values for {mesh.n_nodes} mesh nodes")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -666,8 +681,6 @@ def geom_cache(mesh: Mesh) -> GeomCache:
     opp = _opposite_edges(p)
     edge_len3 = np.sqrt(opp[:, :, 0] ** 2 + opp[:, :, 1] ** 2)
     tri_min_h = 2.0 * _signed_areas(nodes, tris) / edge_len3.max(axis=1)
-    node_min_height = np.full(nn, np.inf)
-    np.minimum.at(node_min_height, flat, np.repeat(tri_min_h, 3))
 
     order = np.argsort(flat, kind="stable")
     owner = flat[order]
@@ -675,6 +688,7 @@ def geom_cache(mesh: Mesh) -> GeomCache:
     node_ptr = np.concatenate([[0], np.cumsum(degree)])
     fan = np.full((degree.max(), nn), nt, dtype=np.int32)
     fan[np.arange(3 * nt) - node_ptr[owner], owner] = order // 3
+    node_min_height = np.append(tri_min_h, np.inf)[fan].min(axis=0)
 
     sym_nodes = np.flatnonzero(mesh.node_markers == Marker.SYMMETRY)
     directions = np.array([line.direction for line in mesh.symmetry_lines]).reshape(-1, 2)

@@ -11,13 +11,14 @@ and structure for downstream tooling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .contour import Contour, Line
 from .eikonal import ArrivalField
-from .mesh import Mesh, _signed_areas
+from .mesh import Mesh, _per_node, _signed_areas
+from .star import InterfacePolyline
 
 __all__ = [
     "BurnCurves",
@@ -77,14 +78,6 @@ def _tau_grid(tau) -> np.ndarray:
         k = int(down[0]) + 1
         raise ValueError(f"tau grid must be strictly increasing: tau[{k}] = {tau[k]} follows {tau[k - 1]}")
     return tau
-
-
-def _per_node(mesh: Mesh, values, name: str) -> np.ndarray:
-    """values as a float64 array, checked to hold one value per mesh node."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.shape != (mesh.n_nodes,):
-        raise ValueError(f"{name} has {values.size} values for {mesh.n_nodes} mesh nodes")
-    return values
 
 
 def _unique_edges(tri: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -242,21 +235,17 @@ def _g(x: float) -> str:
 
 
 def emit_csv(obj, mesh: Mesh | None = None, err: np.ndarray | None = None) -> str:
-    """Fixed-header CSV text for the three artifact kinds.
+    """Fixed-header CSV text for the four artifact kinds.
 
-    BurnCurves -> `tau,P_b,A_p,A_eq[,A_b]`; an ArrivalField ->
-    residual history `step,dt,max_residual`; a per-node array together
-    with mesh -> `node,x,y,s[,err]`.
+    BurnCurves -> `tau,P_b,A_p,A_eq[,A_b]` and an InterfacePolyline ->
+    `y,r1,theta1,r2,theta2`, one column per array field that is set; an
+    ArrivalField -> residual history `step,dt,max_residual`; a per-node
+    array together with mesh -> `node,x,y,s[,err]`.
     """
-    if isinstance(obj, BurnCurves):
-        cols = [obj.tau, obj.P_b, obj.A_p, obj.A_eq]
-        head = "tau,P_b,A_p,A_eq"
-        if obj.A_b is not None:
-            cols.append(obj.A_b)
-            head += ",A_b"
-        rows = [head]
-        for vals in zip(*cols):
-            rows.append(",".join(_g(v) for v in vals))
+    if isinstance(obj, (BurnCurves, InterfacePolyline)):
+        cols = {f.name: getattr(obj, f.name) for f in fields(obj) if getattr(obj, f.name) is not None}
+        rows = [",".join(cols)]
+        rows += [",".join(map(_g, vals)) for vals in zip(*cols.values())]
         return "\n".join(rows) + "\n"
     if isinstance(obj, ArrivalField):
         rows = ["step,dt,max_residual"]

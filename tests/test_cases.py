@@ -11,7 +11,7 @@ import pytest
 from burnback import cases
 from burnback.cases import CASE_BUILDERS, build_case
 from burnback.contour import Contour, Line
-from burnback.eikonal import SolverConfig
+from burnback.eikonal import SolverConfig, SolverError, as_rate_field
 from burnback.mesh import Marker, gen_rect
 from burnback.star import bistar_design
 
@@ -27,8 +27,8 @@ def test_case_builds_clean(name):
         assert np.all(np.isfinite(case.exact))
         # boundary resampling sags nodes ~1e-6 inside the exact curve
         assert case.exact.min() >= -1e-5
-    rate = np.broadcast_to(np.asarray(case.rate, dtype=float), (case.mesh.n_nodes,))
-    assert np.all(rate > 0.0)
+    rate = case.rate
+    assert rate.shape == (case.mesh.n_nodes,) and np.all(rate > 0.0)
     # propellant 1 burns at the slowest rate, propellant 2 rate_ratio times faster
     slow = rate.min()
     assert case.labels.shape == (case.mesh.n_nodes,)
@@ -243,44 +243,76 @@ def test_star_oracle_is_the_distance_to_the_nearest_image_of_the_half_outline():
     np.testing.assert_array_equal(np.min(images, axis=0), case.exact)
 
 
-# each input check of the case builders: the call and its ValueError message
+# each input check of the case builders: the call, its error class and message
 CASE_ERRORS = {
-    "slot level": (lambda: cases.slot_case("medium"), "slot level must be one of ['coarse', 'fine']"),
-    "scheme feature": (lambda: cases.scheme_case("bump", 0.0), "feature must be 'corner' or 'cusp'"),
+    "slot level": (
+        lambda: cases.slot_case("medium"), ValueError, "slot level must be one of ['coarse', 'fine']"
+    ),
+    "scheme feature": (
+        lambda: cases.scheme_case("bump", 0.0), ValueError, "feature must be 'corner' or 'cusp'"
+    ),
     "three rates": (
         lambda: cases.Case("tri", _TINY, np.arange(1.0, 10.0) % 3.0 + 1.0),
+        ValueError,
         "case tri has more than two propellant rates",
     ),
+    # the rate goes through as_rate_field, which names the node
     "rate not positive": (
         lambda: cases.Case("t", _TINY, 0.0, port=Contour((Line((0.0, 1.0), (0.0, 0.0)),))),
-        "case t has a rate that is not positive and finite",
+        SolverError,
+        "rate must be positive and finite (node 0)",
     ),
     "rate length": (
         lambda: cases.Case("t", _TINY, np.ones(3), exact=np.zeros(5)),
-        "case t has 3 rate values for 9 mesh nodes",
+        ValueError,
+        "rate has 3 values for 9 mesh nodes",
     ),
     "exact length": (
         lambda: cases.Case("t", _TINY, 1.0, exact=np.zeros(5)),
-        "case t has 5 exact values for 9 mesh nodes",
+        ValueError,
+        "case t exact has 5 values for 9 mesh nodes",
     ),
     "exact length one": (
         lambda: cases.Case("t", _TINY, np.ones(9), exact=np.zeros(1)),
-        "case t has 1 exact values for 9 mesh nodes",
+        ValueError,
+        "case t exact has 1 values for 9 mesh nodes",
     ),
     "exact scalar": (
         lambda: cases.Case("t", _TINY, 1.0, exact=0.5),
-        "case t has 1 exact values for 9 mesh nodes",
+        ValueError,
+        "case t exact has 1 values for 9 mesh nodes",
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CASE_ERRORS))
 def test_case_input_errors(name):
-    build, message = CASE_ERRORS[name]
-    with pytest.raises(ValueError) as exc:
+    build, error, message = CASE_ERRORS[name]
+    with pytest.raises(error) as exc:
         build()
-    assert type(exc.value) is ValueError
+    assert type(exc.value) is error
     assert str(exc.value) == message
+
+
+def test_a_case_stores_the_per_node_rate_of_as_rate_field():
+    def rate(x, y):
+        return np.where(x < 0.75, 1.0, 2.0) + 0.0 * y
+
+    for given in (rate, 2.0, rate(*_TINY.nodes.T)):
+        case = cases.Case("t", _TINY, given)
+        np.testing.assert_array_equal(case.rate, as_rate_field(_TINY, given))
+        assert case.rate.dtype == np.float64 and not case.rate.flags.writeable
+    assert cases.Case("t", _TINY, rate).rate_ratio == 2.0
+
+
+def test_a_case_with_a_non_positive_rate_names_the_node():
+    rate = np.ones(_TINY.n_nodes)
+    for value in (0.0, -1.0, np.nan, np.inf):
+        rate[4] = value
+        with pytest.raises(SolverError, match=r"^rate must be positive and finite \(node 4\)$"):
+            cases.Case("t", _TINY, rate)
+        with pytest.raises(SolverError, match=r"\(node 4\)$"):
+            cases.Case("t", _TINY, lambda x, y: rate.copy())
 
 
 def test_cases_compare_and_hash_by_identity():

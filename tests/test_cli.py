@@ -444,7 +444,8 @@ def test_solve_checks_rate_before_the_solve(tmp_path, capsys, monkeypatch, value
 def test_solve_rate_rebuilds_the_grain_at_that_rate():
     # one uniform rate on the two-propellant case: its port gives the oracle
     case = cli._grain({"case": "bistar", "mesh": None, "rate": 2.0})
-    assert case.rate == 2.0 and case.rate_ratio == 1.0
+    np.testing.assert_array_equal(case.rate, np.full(case.mesh.n_nodes, 2.0))
+    assert case.rate_ratio == 1.0
     np.testing.assert_array_equal(case.exact, case.port.distance(case.mesh.nodes) / 2.0)
 
 

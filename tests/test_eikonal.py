@@ -56,8 +56,9 @@ def test_as_rate_field_rejects_bad_values():
     mesh = rect_left_ignition(4, 2)
     with pytest.raises(SolverError, match="node 0"):
         as_rate_field(mesh, -1.0)
-    with pytest.raises(SolverError, match="shape"):
+    with pytest.raises(ValueError, match=f"^rate has 3 values for {mesh.n_nodes} mesh nodes$") as exc:
         as_rate_field(mesh, np.ones(3))
+    assert type(exc.value) is ValueError
     bad = np.ones(mesh.n_nodes)
     bad[7] = np.nan
     with pytest.raises(SolverError, match="node 7"):

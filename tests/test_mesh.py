@@ -432,6 +432,32 @@ MESH_ERRORS = {
         lambda: Mesh(_TRI, [[0, 1, 2]], [1, 0, 0], (SymmetryLine((0.0, 0.0), (1.0, 0.0)),), [-1, 0, -1]),
         "node 1 carries a symmetry line reference but is not SYMMETRY",
     ),
+    # int64 arrays given as floats must hold integers exactly, not be truncated
+    "fractional node id": (
+        lambda: Mesh(_TRI, [[0, 1, 2.7]], [1, 0, 0]),
+        "triangle 0 has node id 2.7, not a 64-bit integer",
+    ),
+    "nan node id": (
+        lambda: Mesh(_TRI + [[1.0, 1.0]], [[0, 1, 2], [1, 3, np.nan]], [1, 0, 0, 0]),
+        "triangle 1 has node id nan, not a 64-bit integer",
+    ),
+    "oversized node id": (
+        lambda: Mesh(_TRI, [[0, 1, 1e19]], [1, 0, 0]),
+        "triangle 0 has node id 1e+19, not a 64-bit integer",
+    ),
+    "fractional marker": (
+        lambda: Mesh(_TRI, [[0, 1, 2]], [1, 0, 2.9]),
+        "node 2 has marker 2.9, not a 64-bit integer",
+    ),
+    "nan marker": (lambda: Mesh(_TRI, [[0, 1, 2]], [1, np.nan, 0]), "node 1 has marker nan, not a 64-bit integer"),
+    "fractional symline": (
+        lambda: Mesh(_TRI, [[0, 1, 2]], [1, 3, 0], (SymmetryLine((0.0, 0.0), (1.0, 0.0)),), [-1, 0.5, -1]),
+        "node 1 has symline index 0.5, not a 64-bit integer",
+    ),
+    "infinite symline": (
+        lambda: Mesh(_TRI, [[0, 1, 2]], [1, 0, 0], (), [-1, -1, np.inf]),
+        "node 2 has symline index inf, not a 64-bit integer",
+    ),
     "one-point polyline": (lambda: gen_coons([[0.0, 0.0]], _TOP, 1, 1), "boundary polyline needs at least 2 points"),
     "zero-length polyline": (
         lambda: gen_coons([[0.5, 0.0], [0.5, 0.0]], _TOP, 1, 1),
@@ -450,6 +476,12 @@ def test_mesh_input_errors(name):
     with pytest.raises(MeshError) as exc:
         build()
     assert str(exc.value) == message
+
+
+def test_mesh_takes_integral_floats_as_ids():
+    mesh = Mesh(_TRI, [[0.0, 1.0, 2.0]], [1.0, 0.0, 0.0], (), [-1.0, -1.0, -1.0])
+    assert mesh.triangles.dtype == mesh.node_markers.dtype == mesh.node_symline.dtype == np.int64
+    assert mesh.triangles.tolist() == [[0, 1, 2]] and mesh.node_markers.tolist() == [1, 0, 0]
 
 
 def test_mesh_keeps_its_own_copy_of_the_arrays():
@@ -617,6 +649,17 @@ def test_geom_cache_min_heights_positive_and_bounded():
     assert np.all(cache.node_min_height > 0.0)
     edge = mesh.nodes[mesh.triangles[:, [1, 2, 0]]] - mesh.nodes[mesh.triangles]
     assert np.all(cache.node_min_height <= np.sqrt((edge**2).sum(axis=2)).max())
+
+
+def test_geom_cache_min_height_is_the_least_over_the_node_fan():
+    mesh = gen_coons(arc(1.0, 0.0, 1.2, 40), arc(2.0, 0.0, 1.2, 40), 7, 11)
+    p = mesh.nodes[mesh.triangles]
+    u, v = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    longest = np.sqrt(((p[:, [1, 2, 0]] - p) ** 2).sum(axis=2)).max(axis=1)
+    tri_h = (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]) / longest
+    want = np.full(mesh.n_nodes, np.inf)
+    np.minimum.at(want, mesh.triangles.ravel(), np.repeat(tri_h, 3))
+    np.testing.assert_array_equal(geom_cache(mesh).node_min_height, want)
 
 
 def test_geom_cache_gradient_of_linear_field_is_exact():
