@@ -185,10 +185,7 @@ def _cmd_mesh_info(opt: dict) -> int:
     cache = geom_cache(mesh)
     lo, hi = mesh.nodes.min(axis=0), mesh.nodes.max(axis=0)
     print(f"{case.name}: {mesh.n_nodes} nodes, {mesh.n_triangles} triangles")
-    print(
-        f"bbox [{lo[0]:.6g}, {hi[0]:.6g}] x [{lo[1]:.6g}, {hi[1]:.6g}], "
-        f"{len(mesh.symmetry_lines)} symmetry lines"
-    )
+    print(f"bbox [{lo[0]:.6g}, {hi[0]:.6g}] x [{lo[1]:.6g}, {hi[1]:.6g}]")
     counts = ", ".join(
         f"{m.name} {int((mesh.node_markers == m).sum())}" for m in Marker
     )

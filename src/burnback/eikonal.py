@@ -66,8 +66,9 @@ fields stay bitwise deterministic, and doubling the rate doubles J and
 
 Boundary handling: SYMMETRY and FREE nodes see half a fan, so
 geom_cache doubles their rows of D, and it projects the mean gradient
-rows of each SYMMETRY node onto its mirror line.  solve holds exactly
-the IGNITION nodes, at s = 0, by leaving them out of the system.
+rows of each SYMMETRY node onto its mirror line, the line of the node's
+boundary edges to SYMMETRY neighbours (see mesh.Mesh).  solve holds
+exactly the IGNITION nodes, at s = 0, by leaving them out of the system.
 """
 
 from __future__ import annotations

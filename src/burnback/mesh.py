@@ -10,10 +10,12 @@ column by construction, so no mesh is welded after the fact.
 
 Text format, line oriented, '#' starts a comment:
 
-    ntri nnode nsym        record counts, non-negative integers
-    px py dx dy            one line per symmetry line (point, unit direction)
-    x y marker [symline]   one line per node; symline only for marker 3
-    i0 i1 i2               one line per triangle, 0-based node ids, CCW
+    ntri nnode     record counts, non-negative integers
+    x y marker     one line per node
+    i0 i1 i2       one line per triangle, 0-based node ids, CCW
+
+A SYMMETRY node's mirror line is not stored: it comes from the node's
+boundary edges to SYMMETRY neighbours (see Mesh).
 
 Floats are written with 17 significant digits so save/load round-trips
 exactly.
@@ -22,6 +24,7 @@ exactly.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import IntEnum
 from itertools import chain
@@ -32,7 +35,6 @@ from scipy.sparse import csr_array
 
 __all__ = [
     "Marker",
-    "SymmetryLine",
     "Mesh",
     "MeshError",
     "GeomCache",
@@ -60,29 +62,6 @@ class Marker(IntEnum):
 _MARKER_RANK = np.array([0, 3, 1, 2])  # indexed by marker value
 
 
-@dataclass(frozen=True)
-class SymmetryLine:
-    """Mirror line given by a point and a unit direction."""
-
-    point: tuple[float, float]
-    direction: tuple[float, float]
-
-    def __post_init__(self):
-        p = (float(self.point[0]), float(self.point[1]))
-        d = (float(self.direction[0]), float(self.direction[1]))
-        if not all(map(math.isfinite, p)):
-            raise MeshError("symmetry line point must be finite")
-        if not all(map(math.isfinite, d)):
-            raise MeshError("symmetry line direction must be finite")
-        if d == (0.0, 0.0):
-            raise MeshError("symmetry line needs a nonzero direction")
-        n = math.sqrt(d[0] * d[0] + d[1] * d[1])
-        if not 0.0 < n < math.inf:  # the squares under- or overflowed
-            n = math.hypot(*d)
-        object.__setattr__(self, "point", p)
-        object.__setattr__(self, "direction", (d[0] / n, d[1] / n))
-
-
 @dataclass(frozen=True, eq=False)
 class Mesh:
     """Triangulated cross-section with per-node boundary markers.
@@ -90,43 +69,46 @@ class Mesh:
     nodes          (nn, 2) float64 coordinates
     triangles      (nt, 3) int64 node ids, counter-clockwise
     node_markers   (nn,) int64 values from Marker
-    symmetry_lines tuple of SymmetryLine
-    node_symline   (nn,) int64 index into symmetry_lines, -1 where unused
 
-    The arrays are read-only copies of the arguments.  Construction
-    checks every mesh invariant and raises MeshError naming the
-    offending node or triangle; derive a changed mesh with
-    dataclasses.replace, which checks it again.  Meshes compare and
-    hash by identity.
+    A SYMMETRY node mirrors the field across the line of its boundary
+    edges to SYMMETRY neighbours.  Each such edge is directed along the
+    boundary, with the mesh on its left, and the node's mirror direction
+    is the normalised sum of its edges: the direction of a straight
+    side, and at a corner of two mirror sides the chord between the
+    node's two SYMMETRY neighbours.  No collinearity is checked: a node
+    on a curved side mirrors along its local chord.  Every SYMMETRY node
+    needs such an edge.
+
+    The arrays are read-only copies of the arguments; ids and markers
+    given as anything but integers are taken only when each element is
+    a real number that int64 holds exactly.  Construction checks every
+    mesh invariant and raises MeshError naming the offending node or
+    triangle; derive a changed mesh with dataclasses.replace, which
+    checks it again.  Meshes compare and hash by identity.
     """
 
     nodes: np.ndarray
     triangles: np.ndarray
     node_markers: np.ndarray
-    symmetry_lines: tuple = ()
-    node_symline: np.ndarray | None = None
 
     def __post_init__(self):
         for name, dtype, what in (
             ("nodes", np.float64, None),
             ("triangles", np.int64, "triangle {} has node id"),
             ("node_markers", np.int64, "node {} has marker"),
-            ("node_symline", np.int64, "node {} has symline index"),
         ):
             value = getattr(self, name)
-            if value is None:  # node_symline: no node on a line
-                value = np.full(self.nodes.shape[:1], -1)
-            # int64 must hold each float exactly: no fraction, NaN or overflow
-            raw = np.atleast_1d(value)
-            if what and raw.dtype.kind == "f":
-                bad = np.argwhere(~(np.abs(raw) < 2.0**63) | (raw != np.trunc(raw)))
-                if len(bad):
-                    at = tuple(bad[0])
-                    raise MeshError(f"{what.format(at[0])} {raw[at]}, not a 64-bit integer")
+            if what and np.asarray(value).dtype.kind not in "bi":
+                # check each element as given: a cast would truncate a
+                # fraction, wrap NaN or a huge int, or parse a string
+                raw = np.atleast_1d(np.array(value, dtype=object))
+                bad = next((i for i, v in enumerate(raw.flat) if not _is_int64(v)), None)
+                if bad is not None:
+                    at = np.unravel_index(bad, raw.shape)
+                    raise MeshError(f"{what.format(at[0])} {raw[at]!r}, not a 64-bit integer")
             array = np.array(value, dtype=dtype, order="C")
             array.flags.writeable = False
             object.__setattr__(self, name, array)
-        object.__setattr__(self, "symmetry_lines", tuple(self.symmetry_lines))
 
         nodes, tris = self.nodes, self.triangles
         if nodes.ndim != 2 or nodes.shape[1] != 2:
@@ -161,47 +143,24 @@ class Mesh:
         if not used.all():
             raise MeshError(f"nodes not referenced by any triangle: {np.flatnonzero(~used)[:10].tolist()}")
 
-        for name in ("node_markers", "node_symline"):
-            if getattr(self, name).shape != (nn,):
-                raise MeshError(f"{name} length does not match nodes")
         mk = self.node_markers
+        if mk.shape != (nn,):
+            raise MeshError("node_markers length does not match nodes")
         if np.any((mk < 0) | (mk > 3)):
             raise MeshError(f"invalid marker value at node {int(np.argmax((mk < 0) | (mk > 3)))}")
-
-        sl = self.node_symline
-        nsym = len(self.symmetry_lines)
-        is_sym = mk == Marker.SYMMETRY
-        if np.any(is_sym & ((sl < 0) | (sl >= nsym))):
-            bad = int(np.argmax(is_sym & ((sl < 0) | (sl >= nsym))))
-            raise MeshError(f"SYMMETRY node {bad} has no valid symmetry line reference")
-        if np.any(~is_sym & (sl != -1)):
-            bad = int(np.argmax(~is_sym & (sl != -1)))
-            raise MeshError(f"node {bad} carries a symmetry line reference but is not SYMMETRY")
-
-        # Symmetry nodes must sit on their line to within 1e-9 of the mesh size.
-        tol = 1e-9 * max(_bbox_diag(nodes), 1e-300)
-        for k, line in enumerate(self.symmetry_lines):
-            pick = is_sym & (sl == k)
-            if not pick.any():
-                continue
-            p = np.asarray(line.point)
-            d = np.asarray(line.direction)
-            r = nodes[pick] - p
-            off = np.abs(r[:, 0] * d[1] - r[:, 1] * d[0])
-            if off.max() > tol:
-                bad = int(np.flatnonzero(pick)[int(np.argmax(off))])
-                raise MeshError(f"SYMMETRY node {bad} lies off symmetry line {k} by {off.max():.3e}")
 
         # Orientation-consistent and edge-manifold: every directed edge at
         # most once.  Three triangles on one edge must repeat one of its two
         # directions, so this also rejects non-manifold edges.
-        de = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-        keys = np.sort(de[:, 0] * nn + de[:, 1])
+        keys = _edge_keys(tris, nn)
         if np.any(keys[1:] == keys[:-1]):
             raise MeshError(
                 "duplicated directed edge (inconsistent orientation, doubled triangle "
                 "or edge on more than two triangles)"
             )
+        lone = (mk == Marker.SYMMETRY) & ~_mirror_directions(nodes, mk, keys).any(axis=1)
+        if lone.any():
+            raise MeshError(f"SYMMETRY node {int(np.argmax(lone))} has no SYMMETRY boundary neighbour")
 
     @property
     def n_nodes(self) -> int:
@@ -219,9 +178,39 @@ def _signed_areas(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
 
 
-def _bbox_diag(nodes: np.ndarray) -> float:
-    span = nodes.max(axis=0) - nodes.min(axis=0)
-    return math.hypot(*span)  # squaring the span overflows past ~1.3e154
+def _is_int64(value) -> bool:
+    """value is a real number that int64 holds exactly."""
+    return isinstance(value, numbers.Real) and -(2**63) <= value < 2**63 and value == int(value)
+
+
+def _edge_keys(tris: np.ndarray, nn: int) -> np.ndarray:
+    """Sorted keys a * nn + b of the directed edges a -> b of the triangles."""
+    edges = tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    return np.sort(edges[:, 0] * nn + edges[:, 1])
+
+
+def _mirror_directions(nodes: np.ndarray, markers: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """(nn, 2) unit mirror direction of each SYMMETRY node (see Mesh),
+    zero elsewhere and at a SYMMETRY node with no SYMMETRY boundary
+    neighbour.
+
+    keys are the mesh's _edge_keys.  A directed edge a -> b lies on the
+    boundary when b -> a is absent, and then runs with the mesh on its
+    left, so the edges of one straight side all point the same way.
+    """
+    nn = len(nodes)
+    a, b = np.divmod(keys, nn)
+    sym = markers == Marker.SYMMETRY
+    pick = sym[a] & sym[b]
+    a, b = a[pick], b[pick]
+    back = b * nn + a
+    pick = keys[np.minimum(np.searchsorted(keys, back), len(keys) - 1)] != back
+    a, b = a[pick], b[pick]
+    edge = np.tile(nodes[b] - nodes[a], (2, 1))
+    ends = np.concatenate([a, b])
+    total = np.column_stack([np.bincount(ends, weights=edge[:, k], minlength=nn) for k in (0, 1)])
+    norm = np.hypot(total[:, 0], total[:, 1])[:, None]
+    return np.divide(total, norm, out=np.zeros((nn, 2)), where=norm > 0.0)
 
 
 def _per_node(mesh: Mesh, values, name: str) -> np.ndarray:
@@ -242,19 +231,9 @@ def _fmt(x: float) -> str:
 
 def save_mesh(mesh: Mesh) -> str:
     """Serialize to the canonical text format at full precision."""
-    out = [f"{mesh.n_triangles} {mesh.n_nodes} {len(mesh.symmetry_lines)}"]
-    for line in mesh.symmetry_lines:
-        out.append(
-            f"{_fmt(line.point[0])} {_fmt(line.point[1])} "
-            f"{_fmt(line.direction[0])} {_fmt(line.direction[1])}"
-        )
-    for i in range(mesh.n_nodes):
-        x, y = mesh.nodes[i]
-        m = int(mesh.node_markers[i])
-        rec = f"{_fmt(x)} {_fmt(y)} {m}"
-        if m == Marker.SYMMETRY:
-            rec += f" {int(mesh.node_symline[i])}"
-        out.append(rec)
+    out = [f"{mesh.n_triangles} {mesh.n_nodes}"]
+    for (x, y), m in zip(mesh.nodes, mesh.node_markers):
+        out.append(f"{_fmt(x)} {_fmt(y)} {m}")
     for t in mesh.triangles:
         out.append(f"{t[0]} {t[1]} {t[2]}")
     return "\n".join(out) + "\n"
@@ -288,30 +267,20 @@ def _raise_first(line_no, *faults: tuple[int, str]) -> None:
         raise MeshError(f"line {line_no[at]}: {msg}")
 
 
-def _node_block(recs: list, line_no) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Coordinates, markers and symline indices of the node records."""
-    width = np.fromiter(map(len, recs), np.int64, len(recs))
-    end = _first((width != 3) & (width != 4))
+def _node_block(recs: list, line_no) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates and markers of the node records."""
+    end = _first(np.fromiter(map(len, recs), np.int64, len(recs)) != 3)
     # each column is read up to the first bad token of the ones before it
     cols = list(zip(*recs[:end])) or [()] * 3
     x = _numbers(cols[0], float, np.float64)
     y = _numbers(cols[1][: len(x)], float, np.float64)
     markers = _numbers(cols[2][: len(y)], int, np.int64)
-    m = len(markers)
-    four, sym = width[:m] == 4, markers == Marker.SYMMETRY
-    given = np.flatnonzero(four)
-    index = _numbers([recs[i][3] for i in given.tolist()], int, np.int64)
     _raise_first(
         line_no,
-        (end, "node record needs 'x y marker [symline]'"),
-        (m, "bad number in node record"),
-        (_first(four & ~sym), "symline given for a non-SYMMETRY node"),
-        (_first(sym & ~four), "SYMMETRY node missing its symline index"),
-        (given[len(index)] if len(index) < len(given) else m, "bad symline index"),
+        (end, "node record needs 'x y marker'"),
+        (len(markers), "bad number in node record"),
     )
-    symline = np.full(m, -1, dtype=np.int64)
-    symline[given] = index
-    return np.column_stack([x, y]), markers, symline
+    return np.column_stack([x, y]), markers
 
 
 def _triangle_block(recs: list, line_no) -> np.ndarray:
@@ -339,38 +308,25 @@ def load_mesh(text: str) -> Mesh:
     if not recs:
         raise MeshError("empty mesh document")
 
-    if len(recs[0]) != 3:
-        raise MeshError(f"line {line_no[0]}: header must be 'ntri nnode nsym'")
+    if len(recs[0]) != 2:
+        raise MeshError(f"line {line_no[0]}: header must be 'ntri nnode'")
     try:
-        ntri, nnode, nsym = map(int, recs[0])
+        ntri, nnode = map(int, recs[0])
     except ValueError:
-        raise MeshError(f"line {line_no[0]}: header must hold three integers") from None
-    if min(ntri, nnode, nsym) < 0:
+        raise MeshError(f"line {line_no[0]}: header must hold two integers") from None
+    if min(ntri, nnode) < 0:
         raise MeshError(f"line {line_no[0]}: header counts must be non-negative")
 
-    lines = []
-    for ln, rec in zip(line_no[1 : 1 + nsym], recs[1 : 1 + nsym]):
-        if len(rec) != 4:
-            raise MeshError(f"line {ln}: symmetry line needs 'px py dx dy'")
-        try:
-            px, py, dx, dy = map(float, rec)
-        except ValueError:
-            raise MeshError(f"line {ln}: bad number in symmetry line") from None
-        try:
-            lines.append(SymmetryLine((px, py), (dx, dy)))
-        except MeshError as exc:
-            raise MeshError(f"line {ln}: {exc}") from None
-
     # a block that runs past the last record is reported after its records
-    a, b, c = 1 + nsym, 1 + nsym + nnode, 1 + nsym + nnode + ntri
-    nodes, markers, symline = _node_block(recs[a:b], line_no[a:b])
+    b, c = 1 + nnode, 1 + nnode + ntri
+    nodes, markers = _node_block(recs[1:b], line_no[1:b])
     tris = _triangle_block(recs[b:c], line_no[b:c])
     if c > len(recs):
         raise MeshError("unexpected end of mesh document")
     if c < len(recs):
         raise MeshError(f"line {line_no[c]}: trailing records beyond declared counts")
 
-    return Mesh(nodes, tris, markers, lines, symline)
+    return Mesh(nodes, tris, markers)
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +353,8 @@ def _side_rule(defaults: dict, markers, kind: str) -> dict:
     return {**defaults, **(markers or {})}
 
 
-# the sides of a lofted chain in paint and bind order, and their default
-# markers: rows iv = 0 and nv are the inner and outer curves
+# the sides of a lofted chain and their default markers: rows iv = 0 and
+# nv are the inner and outer curves
 _COONS_SIDES = (("inner", 1, False), ("outer", 1, True), ("side0", 0, False), ("side1", 0, True))
 _COONS_RULE = {
     "inner": Marker.IGNITION,
@@ -419,14 +375,11 @@ def _grid_mesh(patches, rule=_COONS_RULE, sides=_COONS_SIDES, closed=False) -> M
     with patch 0's first.  Node ids run patch by patch in row-major
     order, with the shared columns left out.
 
-    sides lists (name, axis, last) in paint and bind order: the chain's
-    row iv = 0 (axis 1), or nv when last, or its end column (axis 0),
-    patch 0's first or the last patch's last, which a closed chain does
-    not have.  rule maps each name to a Marker.  Markers are painted
-    with corner priority, so the seam columns stay INTERIOR but for
-    their row ends; each SYMMETRY side then gets the line through its
-    two end nodes and binds its SYMMETRY nodes not yet bound, so a
-    corner goes to the first SYMMETRY side listed.
+    sides lists (name, axis, last): the chain's row iv = 0 (axis 1), or
+    nv when last, or its end column (axis 0), patch 0's first or the
+    last patch's last, which a closed chain does not have.  rule maps
+    each name to a Marker.  Markers are painted with corner priority, so
+    the seam columns stay INTERIOR but for their row ends.
     """
     ids, parts, n = [], [], 0
     for k, (grid, _) in enumerate(patches):
@@ -455,16 +408,7 @@ def _grid_mesh(patches, rule=_COONS_RULE, sides=_COONS_SIDES, closed=False) -> M
     for name, axis, last in sides:
         on, m = ends[axis, last], int(rule[name])
         markers[on[_MARKER_RANK[m] > _MARKER_RANK[markers[on]]]] = m
-    lines = []
-    symline = np.full(n, -1, dtype=np.int64)
-    for name, axis, last in sides:
-        if int(rule[name]) != Marker.SYMMETRY:
-            continue
-        on = ends[axis, last]
-        a, b = nodes[on[[0, -1]]]
-        symline[on[(markers[on] == Marker.SYMMETRY) & (symline[on] == -1)]] = len(lines)
-        lines.append(SymmetryLine(tuple(a), tuple(b - a)))
-    return Mesh(nodes, tris, markers, lines, symline)
+    return Mesh(nodes, tris, markers)
 
 
 def gen_rect(nx: int, ny: int, width: float, height: float, markers=None) -> Mesh:
@@ -539,7 +483,9 @@ def gen_coons(inner, outer, n_transverse: int, n_longitudinal: int, markers=None
     between the arc-length-resampled inner and outer curves: a one-patch
     chain of _grid_mesh.  markers maps inner/outer/side0/side1 to Marker
     values (defaults: inner IGNITION, outer FREE, sides SYMMETRY).
-    side0 joins inner[0] to outer[0].
+    side0 joins inner[0] to outer[0].  A SYMMETRY side next to an
+    IGNITION inner curve needs n_transverse >= 2: with one cell, the
+    side's outer corner has no SYMMETRY neighbour, and Mesh rejects it.
     """
     if n_transverse < 1 or n_longitudinal < 1:
         raise MeshError("gen_coons needs n_transverse, n_longitudinal >= 1")
@@ -568,7 +514,7 @@ class GeomCache:
                     y component of node i's mean gradient, the incident
                     triangle gradients weighted by corner angle over the
                     node's angle sum; the two rows of a SYMMETRY node are
-                    projected onto its mirror line
+                    projected onto its mirror direction (see Mesh)
     edge_diss       (nn, nn) CSR: the dissipation D.  Off the diagonal,
                     the tan(angle/2) / len fan weights of every edge at
                     its row node, summed over the flanking triangles, with
@@ -690,10 +636,7 @@ def geom_cache(mesh: Mesh) -> GeomCache:
     fan[np.arange(3 * nt) - node_ptr[owner], owner] = order // 3
     node_min_height = np.append(tri_min_h, np.inf)[fan].min(axis=0)
 
-    sym_nodes = np.flatnonzero(mesh.node_markers == Marker.SYMMETRY)
-    directions = np.array([line.direction for line in mesh.symmetry_lines]).reshape(-1, 2)
-    mirror = np.zeros((nn, 2))
-    mirror[sym_nodes] = directions[mesh.node_symline[sym_nodes]]
+    mirror = _mirror_directions(nodes, mesh.node_markers, _edge_keys(tris, nn))
     mean_grad, edge_diss = _fan_operators(mesh, grad, corner_angle, edge_len3, mirror)
 
     return GeomCache(

@@ -100,13 +100,7 @@ def test_criterion_06_homogeneity(solved, capsys):
     case, base, _ = solved("annulus")
     fast = solve(case.mesh, 2.0)
     rate_dev = float(np.abs(2.0 * fast.s - base.s).max() / base.s.max())
-    big = Mesh(
-        3.0 * case.mesh.nodes,
-        case.mesh.triangles,
-        case.mesh.node_markers,
-        case.mesh.symmetry_lines,
-        case.mesh.node_symline,
-    )
+    big = Mesh(3.0 * case.mesh.nodes, case.mesh.triangles, case.mesh.node_markers)
     scaled = solve(big, 1.0)
     scale_dev = float(np.abs(scaled.s - 3.0 * base.s).max() / (3.0 * base.s.max()))
     ok = rate_dev < 1e-9 and scale_dev < 1e-9

@@ -12,7 +12,7 @@ from burnback import cases
 from burnback.cases import CASE_BUILDERS, build_case
 from burnback.contour import Contour, Line
 from burnback.eikonal import SolverConfig, SolverError, as_rate_field
-from burnback.mesh import Marker, gen_rect
+from burnback.mesh import Marker, _edge_keys, _mirror_directions, gen_rect
 from burnback.star import bistar_design
 
 
@@ -87,8 +87,26 @@ def test_annulus_case_oracle_is_radial():
     r = np.hypot(case.mesh.nodes[:, 0], case.mesh.nodes[:, 1])
     np.testing.assert_allclose(case.exact, np.abs(r - 1.0), rtol=0.0, atol=1e-12)
     assert case.depth == 1.0
-    # two symmetry rays bound the quarter
-    assert len(case.mesh.symmetry_lines) == 2
+
+
+@pytest.mark.parametrize("name", ["annulus", "bistar", "rect", "slot-coarse", "slot-fine", "star"])
+def test_mirror_directions_follow_the_builders_side_chords(name):
+    # Each builder's two mirror sides start at the port's two ends.  The
+    # rect's run along x; every other one runs from its port end out to
+    # the casing on the ray from the origin, so its chord is parallel to
+    # that end point.
+    case = build_case(name)
+    mesh = case.mesh
+    ends = np.array([case.port.pieces[0].start(), case.port.pieces[-1].end()])
+    chord = np.array([[1.0, 0.0]] * 2) if name == "rect" else ends / np.hypot(*ends.T)[:, None]
+    sym = np.flatnonzero(mesh.node_markers == Marker.SYMMETRY)
+    rel = mesh.nodes[sym, None, :] - ends
+    off = np.abs(rel[..., 0] * chord[:, 1] - rel[..., 1] * chord[:, 0])
+    side = off.argmin(axis=1)
+    assert off.min(axis=1).max() < 1e-15 and set(side) == {0, 1}
+    d = _mirror_directions(mesh.nodes, mesh.node_markers, _edge_keys(mesh.triangles, mesh.n_nodes))[sym]
+    sine = np.abs(d[:, 0] * chord[side, 1] - d[:, 1] * chord[side, 0])
+    assert sine.max() <= 1e-14
 
 
 def test_circle_case_has_no_symmetry_boundary():

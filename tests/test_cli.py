@@ -207,7 +207,7 @@ def test_mesh_gen_info_round_trip(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "1891 nodes" in out
     assert "IGNITION 31" in out
-    assert "symmetry lines" in out
+    assert "bbox [0, 2] x [0, 1]" in out
     # the case itself reads the same, under its name
     assert main(["mesh", "info", "--case", "rect"]) == 0
     by_name = capsys.readouterr().out.splitlines()
@@ -451,7 +451,7 @@ def test_solve_rate_rebuilds_the_grain_at_that_rate():
 
 def test_mesh_info_names_the_line_of_an_oversized_id(tmp_path, capsys):
     path = tmp_path / "big.mesh"
-    path.write_text("1 3 0\n0 0 1\n1 0 0\n0 1 0\n0 1 99999999999999999999999\n")
+    path.write_text("1 3\n0 0 1\n1 0 0\n0 1 0\n0 1 99999999999999999999999\n")
     assert main(["mesh", "info", "--mesh", str(path)]) == 1
     err = capsys.readouterr().err
     assert err == "mesh.MeshError: line 5: bad node id in triangle record\n"

@@ -169,7 +169,7 @@ def with_ignition(mesh, ids):
     """A copy of mesh with the nodes ids marked IGNITION as well."""
     markers = mesh.node_markers.copy()
     markers[ids] = Marker.IGNITION
-    return Mesh(mesh.nodes, mesh.triangles, markers, mesh.symmetry_lines, mesh.node_symline)
+    return Mesh(mesh.nodes, mesh.triangles, markers)
 
 
 def pseudo_time_step(system, s, c):
@@ -230,7 +230,8 @@ def test_step_exact_planar_field_is_a_fixed_point():
 def reference_residual(mesh, rate, s, scale):
     """Hcal written node by node from the mesh geometry, without the
     operators of GeomCache: the angle-weighted mean of the triangle
-    gradients (mirror-projected), L_i as the largest incident gradient
+    gradients (projected on a SYMMETRY node's boundary edges to SYMMETRY
+    neighbours), L_i as the largest incident gradient
     floored at 1/max(rate), and the tan(angle/2) edge sum less its
     response to the mean gradient's linear field, doubled on half fans."""
     nodes, tris, mk = mesh.nodes, mesh.triangles, mesh.node_markers
@@ -238,10 +239,11 @@ def reference_residual(mesh, rate, s, scale):
     hcal = np.empty(mesh.n_nodes)
     for i in range(mesh.n_nodes):
         mean, angles, L = np.zeros(2), 0.0, 0.0
-        diss, bias = 0.0, np.zeros(2)
+        diss, bias, ring = 0.0, np.zeros(2), []
         half = 2.0 if mk[i] in (Marker.SYMMETRY, Marker.FREE) else 1.0
         for t, k in zip(*np.nonzero(tris == i)):
             j1, j2 = tris[t, (k + 1) % 3], tris[t, (k + 2) % 3]
+            ring += [j1, j2]
             e1, e2 = nodes[j1] - nodes[i], nodes[j2] - nodes[i]
             angle = np.arccos(e1 @ e2 / np.sqrt((e1 @ e1) * (e2 @ e2)))
             mean += angle * grads[t]
@@ -253,7 +255,11 @@ def reference_residual(mesh, rate, s, scale):
                 bias += w * e
         mean /= angles
         if mk[i] == Marker.SYMMETRY:
-            d = np.asarray(mesh.symmetry_lines[mesh.node_symline[i]].direction)
+            # an edge in one fan triangle only is a boundary edge; turn
+            # each to the side of the first and take their mean line
+            edges = [nodes[j] - nodes[i] for j in set(ring) if ring.count(j) == 1 and mk[j] == Marker.SYMMETRY]
+            d = sum(e if e @ edges[0] >= 0.0 else -e for e in edges)
+            d = d / np.sqrt(d @ d)
             mean = (mean @ d) * d
         eps = scale * rate[i] ** 2 * max(L, 1.0 / rate.max()) / np.pi
         hcal[i] = 1.0 - rate[i] * np.sqrt(mean @ mean) + eps * (diss - mean @ bias)
@@ -391,13 +397,7 @@ def test_solve_rate_doubling_halves_arrival_bitwise():
 
 def test_solve_coordinate_scaling_scales_arrival():
     mesh = quarter_annulus(8, 12)
-    big = Mesh(
-        3.0 * mesh.nodes,
-        mesh.triangles,
-        mesh.node_markers,
-        mesh.symmetry_lines,
-        mesh.node_symline,
-    )
+    big = Mesh(3.0 * mesh.nodes, mesh.triangles, mesh.node_markers)
     base = solve(mesh, 1.0)
     scaled = solve(big, 1.0)
     np.testing.assert_allclose(scaled.s, 3.0 * base.s, rtol=1e-9, atol=1e-12)

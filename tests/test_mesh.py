@@ -10,14 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from burnback.cases import CASE_BUILDERS, build_case
 from burnback.mesh import (
     Marker,
     Mesh,
     MeshError,
-    SymmetryLine,
+    _edge_keys,
     _grid_mesh,
     _grid_triangles,
     _loft,
+    _mirror_directions,
     gen_coons,
     gen_rect,
     geom_cache,
@@ -35,6 +37,11 @@ def total_area(mesh) -> float:
 def arc(radius: float, a0: float, a1: float, n: int) -> np.ndarray:
     t = np.linspace(a0, a1, n)
     return radius * np.column_stack([np.cos(t), np.sin(t)])
+
+
+def mirrors(mesh) -> np.ndarray:
+    """(nn, 2) mirror direction of each node, zero off SYMMETRY nodes."""
+    return _mirror_directions(mesh.nodes, mesh.node_markers, _edge_keys(mesh.triangles, mesh.n_nodes))
 
 
 # ---------------------------------------------------------------- structured
@@ -71,10 +78,10 @@ def test_gen_rect_corner_takes_higher_priority_marker():
         np.isclose(mesh.nodes[:, 0], 0.0) & np.isclose(mesh.nodes[:, 1], 0.0)
     )
     assert mesh.node_markers[origin[0]] == Marker.IGNITION
-    # the rest of the bottom edge keeps its symmetry tag and line id
+    # the rest of the bottom edge keeps its symmetry tag and mirrors along x
     bottom = np.isclose(mesh.nodes[:, 1], 0.0) & (mesh.nodes[:, 0] > 1e-9)
     assert np.all(mesh.node_markers[bottom] == Marker.SYMMETRY)
-    assert np.all(mesh.node_symline[bottom] >= 0)
+    np.testing.assert_array_equal(mirrors(mesh)[bottom], [[1.0, 0.0]] * 4)
 
 
 def test_gen_rect_rejects_bad_arguments():
@@ -97,8 +104,8 @@ def test_gen_coons_quarter_annulus():
     assert np.sum(mesh.node_markers == Marker.FREE) == 31 - 2
     sym = mesh.node_markers == Marker.SYMMETRY
     assert np.sum(sym) == 2 * (11 - 1)
-    assert len(mesh.symmetry_lines) == 2
-    assert np.all(mesh.node_symline[sym] >= 0)
+    # each side mirrors along its axis: x for side0, y for side1
+    np.testing.assert_allclose(np.abs(mirrors(mesh)[sym]), [[1.0, 0.0], [0.0, 1.0]] * 10, atol=1e-15)
 
 
 def test_gen_coons_accepts_either_orientation():
@@ -109,18 +116,18 @@ def test_gen_coons_accepts_either_orientation():
     replace(flipped)  # checks the mesh again
 
 
-def test_gen_rect_symmetry_sides_bind_corners_in_side_order():
+def test_gen_rect_symmetry_corner_mirrors_along_the_chord_of_its_neighbours():
     sym = dict.fromkeys(("left", "right", "bottom", "top"), Marker.SYMMETRY)
     mesh = gen_rect(3, 2, 1, 1, markers=sym)
-    assert [(ln.point, ln.direction) for ln in mesh.symmetry_lines] == [
-        ((0.0, 0.0), (0.0, 1.0)),
-        ((1.0, 0.0), (0.0, 1.0)),
-        ((0.0, 0.0), (1.0, 0.0)),
-        ((0.0, 1.0), (1.0, 0.0)),
-    ]
-    # node (iu, iv) is 4 iv + iu; a corner goes to the first of its two
-    # sides in left, right, bottom, top order
-    assert mesh.node_symline.tolist() == [0, 2, 2, 1, 0, -1, -1, 1, 0, 3, 3, 1]
+    # node (iu, iv) is 4 iv + iu.  Each boundary node mirrors along the
+    # chord from its previous to its next neighbour on the counter-
+    # clockwise boundary: a side node along its side, a corner across it
+    ring = [0, 1, 2, 3, 7, 11, 10, 9, 8, 4]
+    chord = mesh.nodes[np.roll(ring, -1)] - mesh.nodes[np.roll(ring, 1)]
+    want = np.zeros((12, 2))
+    want[ring] = chord / np.hypot(*chord.T)[:, None]
+    np.testing.assert_allclose(mirrors(mesh), want, rtol=0.0, atol=1e-15)
+    assert want[0].tolist() == pytest.approx([2 / 13**0.5, -3 / 13**0.5])
 
 
 def test_gen_coons_side_chords_run_from_inner_to_outer_in_a_flipped_loft():
@@ -129,12 +136,12 @@ def test_gen_coons_side_chords_run_from_inner_to_outer_in_a_flipped_loft():
     mesh = gen_coons(inner, outer, 3, 5)
     # this loft is clockwise, so each cell's two triangles were reversed
     assert mesh.triangles[:2].tolist() == [[0, 7, 1], [0, 6, 7]]
-    for line, a, b in zip(mesh.symmetry_lines, inner[[0, -1]], outer[[0, -1]]):
-        assert line.point == tuple(a)
-        assert line.direction == pytest.approx(tuple((b - a) / np.hypot(*(b - a))), abs=1e-15)
-    # node (iu, iv) is 6 iv + iu; the inner corners stay IGNITION
-    assert mesh.node_symline[0::6].tolist() == [-1, 0, 0, 0]
-    assert mesh.node_symline[5::6].tolist() == [-1, 1, 1, 1]
+    # node (iu, iv) is 6 iv + iu; the inner corners stay IGNITION, and
+    # the rest of columns 0 and 5 mirror along their side chords
+    assert mesh.node_markers[[0, 5]].tolist() == [Marker.IGNITION] * 2
+    for col, a, b in zip((0, 5), inner[[0, -1]], outer[[0, -1]]):
+        side = mirrors(mesh)[col + 6 :: 6]
+        np.testing.assert_allclose(np.abs(side @ ((b - a) / np.hypot(*(b - a)))), 1.0, rtol=0.0, atol=1e-15)
 
 
 def test_gen_coons_rejects_symmetry_on_longitudinal_boundaries():
@@ -168,14 +175,15 @@ def test_gen_rect_area_identity(nx, ny, width, height):
 # ------------------------------------------------------------- serialization
 
 
-def test_save_load_round_trip_is_exact():
-    mesh = gen_rect(5, 3, 1.5, 0.7, markers={"left": Marker.IGNITION, "bottom": Marker.SYMMETRY})
+@pytest.mark.parametrize("name", sorted(CASE_BUILDERS))
+def test_save_load_round_trip_is_exact(name):
+    mesh = build_case(name).mesh
     text = save_mesh(mesh)
     again = load_mesh(text)
     np.testing.assert_array_equal(mesh.nodes, again.nodes)
     np.testing.assert_array_equal(mesh.triangles, again.triangles)
     np.testing.assert_array_equal(mesh.node_markers, again.node_markers)
-    np.testing.assert_array_equal(mesh.node_symline, again.node_symline)
+    np.testing.assert_array_equal(mirrors(mesh), mirrors(again))
     assert save_mesh(again) == text
 
 
@@ -194,14 +202,13 @@ def test_load_mesh_rejects_trailing_records():
 
 
 # save_mesh of a 2x1 block with an ignition left side and a symmetry
-# bottom: header on line 1, the symmetry line on line 2, nodes on lines
-# 3-8 (nodes 1 and 2 SYMMETRY), triangles on lines 9-12.
+# bottom: header on line 1, nodes on lines 2-7 (nodes 1 and 2 SYMMETRY),
+# triangles on lines 8-11.
 DOC = [
-    "4 6 1",
-    "0 0 1 0",
+    "4 6",
     "0 0 1",
-    "0.5 0 3 0",
-    "1 0 3 0",
+    "0.5 0 3",
+    "1 0 3",
     "0 1 1",
     "0.5 1 2",
     "1 1 2",
@@ -226,56 +233,46 @@ def edited(edits: dict, padded: bool) -> str:
 # (edits, message, line the message names); "{}" in a message stands for
 # that line, which moves down by 2 in the padded document
 LOAD_ERRORS = {
-    "header-width": ({1: "4 6"}, "line {}: header must be 'ntri nnode nsym'", 1),
-    "header-long": ({1: "4 6 1 0"}, "line {}: header must be 'ntri nnode nsym'", 1),
-    "header-word": ({1: "4 6 x"}, "line {}: header must hold three integers", 1),
-    "header-float": ({1: "4 6 1.0"}, "line {}: header must hold three integers", 1),
-    "symline-width": ({2: "0 0 1"}, "line {}: symmetry line needs 'px py dx dy'", 2),
-    "symline-number": ({2: "0 0 1 x"}, "line {}: bad number in symmetry line", 2),
-    "node-short": ({3: "0 0"}, "line {}: node record needs 'x y marker [symline]'", 3),
-    "node-long": ({3: "0 0 1 0 0"}, "line {}: node record needs 'x y marker [symline]'", 3),
-    "node-x": ({3: "x 0 1"}, "line {}: bad number in node record", 3),
-    "node-y": ({6: "0 y 1"}, "line {}: bad number in node record", 6),
-    "node-marker": ({3: "0 0 1.5"}, "line {}: bad number in node record", 3),
-    "node-extra-symline": ({3: "0 0 1 0"}, "line {}: symline given for a non-SYMMETRY node", 3),
-    "node-bad-symline": ({4: "0.5 0 3 x"}, "line {}: bad symline index", 4),
-    "node-no-symline": ({5: "1 0 3"}, "line {}: SYMMETRY node missing its symline index", 5),
-    "tri-short": ({9: "0 1"}, "line {}: triangle record needs 'i0 i1 i2'", 9),
-    "tri-long": ({12: "1 5 4 0"}, "line {}: triangle record needs 'i0 i1 i2'", 12),
-    "tri-id": ({10: "0 4 x"}, "line {}: bad node id in triangle record", 10),
-    "trailing": ({13: "0 1 2"}, "line {}: trailing records beyond declared counts", 13),
+    "header-width": ({1: "4"}, "line {}: header must be 'ntri nnode'", 1),
+    "header-long": ({1: "4 6 1 0"}, "line {}: header must be 'ntri nnode'", 1),
+    "header-word": ({1: "4 x"}, "line {}: header must hold two integers", 1),
+    "header-float": ({1: "4 6.0"}, "line {}: header must hold two integers", 1),
+    "node-short": ({2: "0 0"}, "line {}: node record needs 'x y marker'", 2),
+    "node-long": ({2: "0 0 1 0 0"}, "line {}: node record needs 'x y marker'", 2),
+    "node-x": ({2: "x 0 1"}, "line {}: bad number in node record", 2),
+    "node-y": ({5: "0 y 1"}, "line {}: bad number in node record", 5),
+    "node-marker": ({2: "0 0 1.5"}, "line {}: bad number in node record", 2),
+    # a symline token of the older format is one field too many
+    "node-extra-symline": ({2: "0 0 1 0"}, "line {}: node record needs 'x y marker'", 2),
+    "node-bad-symline": ({3: "0.5 0 3 x"}, "line {}: node record needs 'x y marker'", 3),
+    "tri-short": ({8: "0 1"}, "line {}: triangle record needs 'i0 i1 i2'", 8),
+    "tri-long": ({11: "1 5 4 0"}, "line {}: triangle record needs 'i0 i1 i2'", 11),
+    "tri-id": ({9: "0 4 x"}, "line {}: bad node id in triangle record", 9),
+    "trailing": ({12: "0 1 2"}, "line {}: trailing records beyond declared counts", 12),
     # a wrong header count shifts the blocks, and the error names the
     # first record that no longer fits
-    "nnode-high": ({1: "4 7 1"}, "unexpected end of mesh document", None),
-    "nnode-low": ({1: "4 5 1"}, "line {}: trailing records beyond declared counts", 12),
-    "ntri-high": ({1: "5 6 1"}, "unexpected end of mesh document", None),
-    "ntri-low": ({1: "3 6 1"}, "line {}: trailing records beyond declared counts", 12),
-    "nsym-high": ({1: "4 6 2"}, "line {}: symmetry line needs 'px py dx dy'", 3),
-    "nsym-low": ({1: "4 6 0"}, "line {}: symline given for a non-SYMMETRY node", 2),
-    "nnode-into-tris": (
-        {1: "4 7 1", 9: "0 1 3"}, "line {}: SYMMETRY node missing its symline index", 9
-    ),
-    # within a record: width, then numbers, then the symline token
-    "width-before-number": ({3: "0 0 x 0 0"}, "line {}: node record needs 'x y marker [symline]'", 3),
-    "number-before-symline": ({4: "x 0 3"}, "line {}: bad number in node record", 4),
-    "extra-before-bad-symline": ({3: "0 0 1 x"}, "line {}: symline given for a non-SYMMETRY node", 3),
+    "nnode-high": ({1: "4 7"}, "unexpected end of mesh document", None),
+    "nnode-low": ({1: "4 5"}, "line {}: trailing records beyond declared counts", 11),
+    "ntri-high": ({1: "5 6"}, "unexpected end of mesh document", None),
+    "ntri-low": ({1: "3 6"}, "line {}: trailing records beyond declared counts", 11),
+    # the older format's header, 'ntri nnode nsym', fails at line 1
+    "nsym-high": ({1: "4 6 2"}, "line {}: header must be 'ntri nnode'", 1),
+    "nsym-low": ({1: "4 6 0"}, "line {}: header must be 'ntri nnode'", 1),
+    "nnode-into-tris": ({1: "4 7", 8: "0 1 4.5"}, "line {}: bad number in node record", 8),
+    # within a record: width, then numbers
+    "width-before-number": ({2: "0 0 x 0 0"}, "line {}: node record needs 'x y marker'", 2),
     # across records: the earliest line, whatever the kind
-    "number-before-width": ({8: "1 1", 3: "x 0 1"}, "line {}: bad number in node record", 3),
-    "marker-before-y": ({6: "0 y 1", 4: "0.5 0 q 0"}, "line {}: bad number in node record", 4),
-    "bad-before-extra-symline": ({5: "1 0 3 x", 6: "0 1 1 0"}, "line {}: bad symline index", 5),
-    "missing-before-extra-symline": (
-        {4: "0.5 0 3", 6: "0 1 1 0"}, "line {}: SYMMETRY node missing its symline index", 4
-    ),
-    "node-before-tri": ({11: "1 2", 7: "0.5 1 3"}, "line {}: SYMMETRY node missing its symline index", 7),
-    "tri-id-before-width": ({12: "1 5", 9: "0 1 x"}, "line {}: bad node id in triangle record", 9),
-    "tri-width-before-id": ({10: "0 4", 12: "1 x 4"}, "line {}: triangle record needs 'i0 i1 i2'", 10),
+    "number-before-width": ({7: "1 1", 2: "x 0 1"}, "line {}: bad number in node record", 2),
+    "marker-before-y": ({5: "0 y 1", 3: "0.5 0 q"}, "line {}: bad number in node record", 3),
+    "node-before-tri": ({10: "1 2", 6: "0.5 1"}, "line {}: node record needs 'x y marker'", 6),
+    "tri-id-before-width": ({11: "1 5", 8: "0 1 x"}, "line {}: bad node id in triangle record", 8),
+    "tri-width-before-id": ({9: "0 4", 11: "1 x 4"}, "line {}: triangle record needs 'i0 i1 i2'", 9),
     # well-formed records that break a mesh invariant
-    "marker-value": ({3: "0 0 7"}, "invalid marker value at node 0", None),
-    "tri-range": ({9: "0 1 6"}, "triangle 0 references a node outside 0..5", None),
-    "symline-range": ({4: "0.5 0 3 1"}, "SYMMETRY node 1 has no valid symmetry line reference", None),
-    "off-line": ({4: "0.5 0.25 3 0"}, "SYMMETRY node 1 lies off symmetry line 0 by 2.500e-01", None),
+    "marker-value": ({2: "0 0 7"}, "invalid marker value at node 0", None),
+    "tri-range": ({8: "0 1 6"}, "triangle 0 references a node outside 0..5", None),
+    "lone-symmetry": ({4: "1 0 2"}, "SYMMETRY node 1 has no SYMMETRY boundary neighbour", None),
     "clockwise": (
-        {9: "0 4 1"}, "non-positive triangle area (clockwise or degenerate): triangles [0]", None
+        {8: "0 4 1"}, "non-positive triangle area (clockwise or degenerate): triangles [0]", None
     ),
 }
 
@@ -299,19 +296,13 @@ def test_load_mesh_empty_document(text):
 # faults that escaped as numpy errors, bare OverflowErrors or wrong
 # messages, or loaded silently
 NEW_ERRORS = {
-    "ntri-negative": ({1: "-1 6 1"}, "line 1: header counts must be non-negative"),
-    "nnode-negative": ({1: "4 -6 1"}, "line 1: header counts must be non-negative"),
-    "nsym-negative": ({1: "4 6 -1"}, "line 1: header counts must be non-negative"),
-    "ntri-huge": ({1: "99999999999999999999 6 1"}, "unexpected end of mesh document"),
-    "tri-id-huge": ({9: "0 1 99999999999999999999999"}, "line 9: bad node id in triangle record"),
-    "marker-huge": ({3: "0 0 99999999999999999999"}, "line 3: bad number in node record"),
-    "symline-huge": ({4: "0.5 0 3 -99999999999999999999"}, "line 4: bad symline index"),
-    "point-nan": ({2: "nan 0 1 0"}, "line 2: symmetry line point must be finite"),
-    "direction-nan": ({2: "0 0 nan 0"}, "line 2: symmetry line direction must be finite"),
-    "direction-inf": ({2: "0 0 1e400 0"}, "line 2: symmetry line direction must be finite"),
-    "direction-zero": ({2: "0 0 0 0"}, "line 2: symmetry line needs a nonzero direction"),
-    "node-nan": ({3: "nan 0 1"}, "non-finite coordinate at node 0"),
-    "node-inf": ({7: "0.5 1e400 2"}, "non-finite coordinate at node 4"),
+    "ntri-negative": ({1: "-1 6"}, "line 1: header counts must be non-negative"),
+    "nnode-negative": ({1: "4 -6"}, "line 1: header counts must be non-negative"),
+    "ntri-huge": ({1: "99999999999999999999 6"}, "unexpected end of mesh document"),
+    "tri-id-huge": ({8: "0 1 99999999999999999999999"}, "line 8: bad node id in triangle record"),
+    "marker-huge": ({2: "0 0 99999999999999999999"}, "line 2: bad number in node record"),
+    "node-nan": ({2: "nan 0 1"}, "non-finite coordinate at node 0"),
+    "node-inf": ({6: "0.5 1e400 2"}, "non-finite coordinate at node 4"),
 }
 
 
@@ -324,9 +315,12 @@ def test_load_mesh_names_bad_counts_and_numbers(name):
 
 
 def test_symmetry_line_direction_is_normalised_at_any_scale():
-    for scale in (1e-200, 1.0, 1e200):
-        line = SymmetryLine((0.0, 0.0), (3.0 * scale, -4.0 * scale))
-        assert line.direction == pytest.approx((0.6, -0.8), rel=1e-15)
+    # the hypotenuse of a 3-4-5 triangle is its mirror side; at 1e-160 the
+    # squared edge lengths are subnormal
+    for scale in (1e-160, 1.0, 1e150):
+        mesh = Mesh(scale * np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]]), [[0, 1, 2]], [1, 3, 3])
+        d = mirrors(mesh)
+        assert d[1].tolist() == d[2].tolist() == pytest.approx([-0.6, 0.8], rel=1e-15)
 
 
 _DRAWN = st.one_of(
@@ -355,20 +349,23 @@ def test_load_mesh_raises_only_mesh_error(data):
     assert isinstance(mesh, Mesh)
 
 
+# two rows of cells, so that each SYMMETRY side has a SYMMETRY node
+# next to its outer corner
 def _straight_patch(width: float, height: float):
     inner = np.array([[0.0, 0.0], [width, 0.0]])
-    return gen_coons(inner, inner + [0.0, height], 1, 1)
+    return gen_coons(inner, inner + [0.0, height], 2, 1)
 
 
 def _square_chain(x1: float):
     # unit squares on x in [0, 1] and [1, x1] sharing the column x = 1;
     # at x1 = 0 the second folds back over the first and turns clockwise
-    tris = _grid_triangles(1, 1)
-    grids = [np.stack(np.meshgrid([a, b], [0.0, 1.0]), axis=-1) for a, b in ((0.0, 1.0), (1.0, x1))]
+    tris = _grid_triangles(1, 2)
+    grids = [np.stack(np.meshgrid([a, b], [0.0, 0.5, 1.0]), axis=-1) for a, b in ((0.0, 1.0), (1.0, x1))]
     return _grid_mesh([(grid, tris) for grid in grids])
 
 
 _SYM_RECT = gen_rect(4, 3, 1.0, 1.0, markers={"bottom": Marker.SYMMETRY})
+_LONE_SYM = np.where(np.arange(20) == 6, Marker.SYMMETRY, _SYM_RECT.node_markers)  # node 6 is interior
 
 # each way to make a mesh: build(bad) and the MeshError that bad input raises
 BUILDS = {
@@ -377,12 +374,12 @@ BUILDS = {
         "non-positive triangle area (clockwise or degenerate): triangles [0]",
     ),
     "replace": (
-        lambda bad: replace(_SYM_RECT, node_symline=np.full(20, -1) if bad else _SYM_RECT.node_symline),
-        "SYMMETRY node 0 has no valid symmetry line reference",
+        lambda bad: replace(_SYM_RECT, node_markers=_LONE_SYM if bad else _SYM_RECT.node_markers),
+        "SYMMETRY node 6 has no SYMMETRY boundary neighbour",
     ),
     "load_mesh": (
-        lambda bad: load_mesh(edited({4: "0.5 0.25 3 0"} if bad else {}, False)),
-        "SYMMETRY node 1 lies off symmetry line 0 by 2.500e-01",
+        lambda bad: load_mesh(edited({4: "1 0 2"} if bad else {}, False)),
+        "SYMMETRY node 1 has no SYMMETRY boundary neighbour",
     ),
     "gen_rect": (
         lambda bad: gen_rect(2, 2, 1e200 if bad else 1.0, 1e200 if bad else 1.0),
@@ -390,11 +387,11 @@ BUILDS = {
     ),
     "gen_coons": (
         lambda bad: _straight_patch(1e154, 1e300) if bad else _straight_patch(1.0, 1.0),
-        "triangle area overflows float64: triangles [0, 1]",
+        "triangle area overflows float64: triangles [0, 1, 2, 3]",
     ),
     "chain": (
         lambda bad: _square_chain(0.0 if bad else 2.0),
-        "non-positive triangle area (clockwise or degenerate): triangles [2, 3]",
+        "non-positive triangle area (clockwise or degenerate): triangles [4, 5, 6, 7]",
     ),
 }
 
@@ -403,8 +400,7 @@ BUILDS = {
 def test_every_mesh_is_checked_when_built_and_read_only(name):
     build, message = BUILDS[name]
     mesh = build(False)
-    assert isinstance(mesh.symmetry_lines, tuple)
-    for array in (mesh.nodes, mesh.triangles, mesh.node_markers, mesh.node_symline):
+    for array in (mesh.nodes, mesh.triangles, mesh.node_markers):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
     with pytest.raises(FrozenInstanceError):
@@ -428,11 +424,9 @@ MESH_ERRORS = {
         lambda: Mesh(_TRI + [[1.0, 1.0]], [[0, 1, 2]], [1, 0, 0, 0]),
         "nodes not referenced by any triangle: [3]",
     ),
-    "stray symline": (
-        lambda: Mesh(_TRI, [[0, 1, 2]], [1, 0, 0], (SymmetryLine((0.0, 0.0), (1.0, 0.0)),), [-1, 0, -1]),
-        "node 1 carries a symmetry line reference but is not SYMMETRY",
-    ),
-    # int64 arrays given as floats must hold integers exactly, not be truncated
+    "lone SYMMETRY node": (lambda: Mesh(_TRI, [[0, 1, 2]], [1, 3, 0]), "SYMMETRY node 1 has no SYMMETRY boundary neighbour"),
+    # ids and markers must be real numbers that int64 holds exactly, not
+    # be truncated, overflow or be parsed from strings
     "fractional node id": (
         lambda: Mesh(_TRI, [[0, 1, 2.7]], [1, 0, 0]),
         "triangle 0 has node id 2.7, not a 64-bit integer",
@@ -450,14 +444,16 @@ MESH_ERRORS = {
         "node 2 has marker 2.9, not a 64-bit integer",
     ),
     "nan marker": (lambda: Mesh(_TRI, [[0, 1, 2]], [1, np.nan, 0]), "node 1 has marker nan, not a 64-bit integer"),
-    "fractional symline": (
-        lambda: Mesh(_TRI, [[0, 1, 2]], [1, 3, 0], (SymmetryLine((0.0, 0.0), (1.0, 0.0)),), [-1, 0.5, -1]),
-        "node 1 has symline index 0.5, not a 64-bit integer",
+    "huge node id": (
+        lambda: Mesh(_TRI, [[0, 1, 2**70]], [1, 0, 0]),
+        "triangle 0 has node id 1180591620717411303424, not a 64-bit integer",
     ),
-    "infinite symline": (
-        lambda: Mesh(_TRI, [[0, 1, 2]], [1, 0, 0], (), [-1, -1, np.inf]),
-        "node 2 has symline index inf, not a 64-bit integer",
+    "huge marker": (
+        lambda: Mesh(_TRI, [[0, 1, 2]], [1, 0, 2**70]),
+        "node 2 has marker 1180591620717411303424, not a 64-bit integer",
     ),
+    "string node id": (lambda: Mesh(_TRI, [[0, 1, "2"]], [1, 0, 0]), "triangle 0 has node id '2', not a 64-bit integer"),
+    "string marker": (lambda: Mesh(_TRI, [[0, 1, 2]], [1, 0, "0"]), "node 2 has marker '0', not a 64-bit integer"),
     "one-point polyline": (lambda: gen_coons([[0.0, 0.0]], _TOP, 1, 1), "boundary polyline needs at least 2 points"),
     "zero-length polyline": (
         lambda: gen_coons([[0.5, 0.0], [0.5, 0.0]], _TOP, 1, 1),
@@ -479,8 +475,8 @@ def test_mesh_input_errors(name):
 
 
 def test_mesh_takes_integral_floats_as_ids():
-    mesh = Mesh(_TRI, [[0.0, 1.0, 2.0]], [1.0, 0.0, 0.0], (), [-1.0, -1.0, -1.0])
-    assert mesh.triangles.dtype == mesh.node_markers.dtype == mesh.node_symline.dtype == np.int64
+    mesh = Mesh(_TRI, [[0.0, 1.0, 2.0]], [1.0, 0.0, 0.0])
+    assert mesh.triangles.dtype == mesh.node_markers.dtype == np.int64
     assert mesh.triangles.tolist() == [[0, 1, 2]] and mesh.node_markers.tolist() == [1, 0, 0]
 
 
@@ -489,15 +485,12 @@ def test_mesh_keeps_its_own_copy_of_the_arrays():
     mesh = Mesh(nodes, [[0, 1, 2]], [1, 0, 0])
     nodes[1, 0] = -1.0  # would make the triangle clockwise
     assert mesh.nodes[1, 0] == 1.0
-    assert mesh.node_symline.tolist() == [-1, -1, -1]
 
 
 def test_mesh_names_array_length_mismatches():
     tri = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
     with pytest.raises(MeshError, match="^node_markers length does not match nodes$"):
         Mesh(tri, [[0, 1, 2]], [1, 0])
-    with pytest.raises(MeshError, match="^node_symline length does not match nodes$"):
-        Mesh(tri, [[0, 1, 2]], [1, 0, 0], (), [-1, -1])
 
 
 @pytest.mark.parametrize("reverse", [False, True], ids=["ccw", "cw"])
@@ -537,16 +530,6 @@ def test_validate_rejects_overflowing_triangle_areas():
             Mesh([[0.0, 0.0], [1e200, 1e200], [1e200, 2e200]], [[0, 1, 2]], [0, 0, 0])  # inf - inf
 
 
-def test_validate_symmetry_tolerance_survives_large_coordinates():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        mesh = gen_rect(100, 1, 1e155, 1e153, markers={"bottom": Marker.SYMMETRY})
-        nodes = mesh.nodes.copy()
-        nodes[50, 1] += 1e150
-        with pytest.raises(MeshError, match="SYMMETRY node 50 lies off symmetry line 0"):
-            replace(mesh, nodes=nodes)
-
-
 def test_validate_rejects_nonmanifold_edge():
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [1.5, 1.0]])
     tris = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]])
@@ -582,15 +565,14 @@ def test_grid_chain_shares_seam_column():
 def test_open_chain_keeps_side0_then_side1_symmetry_line():
     patches = [_rect_patch(0.0, 1.0, 3, 2), _rect_patch(1.0, 3.0, 2, 2)]
     mesh = _grid_mesh(patches)
-    assert [(ln.point, ln.direction) for ln in mesh.symmetry_lines] == [
-        ((0.0, 0.0), (0.0, 1.0)),
-        ((3.0, 0.0), (0.0, 1.0)),
-    ]
     # rows of 4 then 2 nodes: the inner row is IGNITION, the outer FREE
     # but for its SYMMETRY corners, and the seam column x = 1 (ids 3, 7
     # and 11) is INTERIOR between its row ends
     assert mesh.node_markers.tolist() == [1, 1, 1, 1, 3, 0, 0, 0, 3, 2, 2, 2, 1, 1, 0, 3, 2, 3]
-    assert mesh.node_symline.tolist() == [-1] * 4 + [0, -1, -1, -1, 0] + [-1] * 6 + [1, -1, 1]
+    # the counter-clockwise boundary runs down side0 (x = 0) and up side1
+    want = np.zeros((18, 2))
+    want[[4, 8]], want[[15, 17]] = (0.0, -1.0), (0.0, 1.0)
+    np.testing.assert_array_equal(mirrors(mesh), want)
 
 
 def test_closed_ring_of_four_patches_has_no_boundary_edge_on_a_seam(boundary_nodes):
@@ -599,7 +581,7 @@ def test_closed_ring_of_four_patches_has_no_boundary_edge_on_a_seam(boundary_nod
     ring = [(quarter[0] @ np.linalg.matrix_power(rot, k).T, quarter[1]) for k in range(4)]
     mesh = _grid_mesh(ring, closed=True)
     assert mesh.n_nodes == 4 * 4 * 6
-    assert mesh.symmetry_lines == ()
+    assert not np.any(mesh.node_markers == Marker.SYMMETRY)
     on = boundary_nodes(mesh)
     assert len(on) == 2 * 4 * 6  # the inner and outer circles only
     np.testing.assert_array_equal(on, np.flatnonzero(mesh.node_markers != Marker.INTERIOR))
@@ -700,14 +682,19 @@ def test_geom_cache_fan_table_lists_incident_triangles(mesh):
     np.testing.assert_array_equal(norm[cache.fan].max(axis=0), fans)
 
 
-def test_geom_cache_names_symmetry_node_without_a_line():
+def test_mesh_names_symmetry_node_without_a_symmetry_neighbour():
     mesh = gen_rect(4, 3, 1.0, 1.0, markers={"bottom": Marker.SYMMETRY})
-    symline = mesh.node_symline.copy()
-    symline[2] = -1  # no such mesh reaches geom_cache: building it fails
-    with pytest.raises(MeshError, match="SYMMETRY node 2 "):
-        replace(mesh, node_symline=symline)
-    # with the line in place, the bottom nodes' mean gradient keeps only
-    # its component along the line: their y rows are zero
+    markers = mesh.node_markers.copy()
+    markers[[0, 1, 3, 4]] = Marker.FREE  # all but node 2 of the bottom
+    with pytest.raises(MeshError, match="^SYMMETRY node 2 has no SYMMETRY boundary neighbour$"):
+        replace(mesh, node_markers=markers)
+    # an edge inside the mesh does not count, even between SYMMETRY nodes
+    loft = gen_coons(arc(1.0, 0.0, 1.2, 30), arc(2.0, 0.0, 1.2, 30), 4, 6)
+    inside = np.where(loft.node_markers == Marker.INTERIOR, Marker.SYMMETRY, loft.node_markers)
+    with pytest.raises(MeshError, match="^SYMMETRY node 8 has no SYMMETRY boundary neighbour$"):
+        replace(loft, node_markers=inside)
+    # with the side intact, the bottom nodes' mean gradient keeps only
+    # its component along the side: their y rows are zero
     cache = geom_cache(mesh)
     sym = np.flatnonzero(mesh.node_markers == Marker.SYMMETRY)
     assert len(sym) == 5
@@ -723,8 +710,8 @@ def test_load_mesh_line_numbers_count_comments_and_blank_lines():
     doc[-1] = "0 1 x"
     with pytest.raises(MeshError, match=f"line {len(doc)}: bad node id"):
         load_mesh("\n".join(doc))
-    doc[5] = doc[5].split()[0] + " 0.0 3"
-    with pytest.raises(MeshError, match="line 6: SYMMETRY node missing its symline index"):
+    doc[5] = doc[5].split()[0] + " 0.0 3 0"
+    with pytest.raises(MeshError, match="line 6: node record needs 'x y marker'"):
         load_mesh("\n".join(doc))
 
 

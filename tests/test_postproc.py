@@ -537,7 +537,10 @@ def meshed_fields(draw):
         t = np.linspace(0.0, 0.5 * np.pi, draw(st.integers(2, 9)))
         ring = np.column_stack([np.cos(t), np.sin(t)])
         outer = draw(st.sampled_from([1.5, 2.0, 3.0])) * ring
-        mesh = gen_coons(ring, outer, draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+        # the chainer reads no marker; FREE sides keep one-row lofts valid,
+        # where a SYMMETRY side would have no SYMMETRY edge
+        free = {"side0": Marker.FREE, "side1": Marker.FREE}
+        mesh = gen_coons(ring, outer, draw(st.integers(1, 5)), draw(st.integers(1, 5)), markers=free)
     # small integers tie many nodes; arbitrary floats tie none
     value = st.one_of(st.integers(-3, 3).map(float), st.floats(-2.0, 2.0, allow_nan=False))
     s = np.array(draw(st.lists(value, min_size=mesh.n_nodes, max_size=mesh.n_nodes)))
