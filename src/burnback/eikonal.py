@@ -66,9 +66,10 @@ fields stay bitwise deterministic, and doubling the rate doubles J and
 
 Boundary handling: SYMMETRY and FREE nodes see half a fan, so
 geom_cache doubles their rows of D, and it projects the mean gradient
-rows of each SYMMETRY node onto its mirror line, the line of the node's
-boundary edges to SYMMETRY neighbours (see mesh.Mesh).  solve holds
-exactly the IGNITION nodes, at s = 0, by leaving them out of the system.
+rows of each SYMMETRY node onto the direction mesh.mirror of its mirror
+line, the line of the node's boundary edges to SYMMETRY neighbours (see
+mesh.Mesh).  solve holds exactly the IGNITION nodes, at s = 0, by
+leaving them out of the system.
 """
 
 from __future__ import annotations
@@ -80,14 +81,13 @@ from scipy.sparse import csc_array, csr_array
 from scipy.sparse.csgraph import dijkstra
 from scipy.sparse.linalg import splu
 
-from .mesh import GeomCache, Marker, Mesh, _gradient_operator, _per_node, geom_cache
+from .mesh import GeomCache, Marker, Mesh, _per_node, geom_cache
 
 __all__ = [
     "SolverConfig",
     "ArrivalField",
     "SolverError",
     "as_rate_field",
-    "triangle_gradients",
     "solve",
 ]
 
@@ -146,12 +146,6 @@ def as_rate_field(mesh: Mesh, rate) -> np.ndarray:
         bad = int(np.argmax(~(np.isfinite(values) & (values > 0.0))))
         raise SolverError(f"rate must be positive and finite (node {bad})")
     return values
-
-
-def triangle_gradients(mesh: Mesh, s: np.ndarray) -> np.ndarray:
-    """Exact gradient of the linear interpolant on every triangle."""
-    g = _gradient_operator(mesh) @ np.asarray(s, dtype=np.float64)
-    return g.reshape(2, -1).T.copy()
 
 
 @dataclass
@@ -245,9 +239,8 @@ class _System:
         t = st.tri[i]
         w = self.scale * self.rate2[i] * st.acc[i] / np.pi / st.L[i]
         hat = cache.grad.data.reshape(2, nt, 3)
-        corners = cache.grad.indices[: 3 * nt].reshape(nt, 3)
         dL = (w * st.g[t])[:, None] * hat[0, t] + (w * st.g[nt + t])[:, None] * hat[1, t]
-        J[np.searchsorted(self.keys, i[:, None] * nn + corners[t])] += dL
+        J[np.searchsorted(self.keys, i[:, None] * nn + self.mesh.triangles[t])] += dL
         return J
 
     def matrix(self, st: _State, c: float) -> tuple[csc_array, float]:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 from itertools import chain
 from operator import itemgetter
@@ -69,6 +69,9 @@ class Mesh:
     nodes          (nn, 2) float64 coordinates
     triangles      (nt, 3) int64 node ids, counter-clockwise
     node_markers   (nn,) int64 values from Marker
+    areas          (nt,) positive triangle areas
+    mirror         (nn, 2) unit mirror direction of each SYMMETRY node,
+                   zero elsewhere
 
     A SYMMETRY node mirrors the field across the line of its boundary
     edges to SYMMETRY neighbours.  Each such edge is directed along the
@@ -79,17 +82,21 @@ class Mesh:
     on a curved side mirrors along its local chord.  Every SYMMETRY node
     needs such an edge.
 
-    The arrays are read-only copies of the arguments; ids and markers
-    given as anything but integers are taken only when each element is
-    a real number that int64 holds exactly.  Construction checks every
-    mesh invariant and raises MeshError naming the offending node or
-    triangle; derive a changed mesh with dataclasses.replace, which
-    checks it again.  Meshes compare and hash by identity.
+    The first three arrays are read-only copies of the arguments; ids
+    and markers given as anything but integers are taken only when each
+    element is a real number that int64 holds exactly.  Construction
+    checks every mesh invariant and raises MeshError naming the
+    offending node or triangle; areas and mirror are the read-only
+    results of those checks, not arguments.  Derive a changed mesh with
+    dataclasses.replace, which checks it again and recomputes both.
+    Meshes compare and hash by identity.
     """
 
     nodes: np.ndarray
     triangles: np.ndarray
     node_markers: np.ndarray
+    areas: np.ndarray = field(init=False, repr=False)
+    mirror: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         for name, dtype, what in (
@@ -152,15 +159,21 @@ class Mesh:
         # Orientation-consistent and edge-manifold: every directed edge at
         # most once.  Three triangles on one edge must repeat one of its two
         # directions, so this also rejects non-manifold edges.
-        keys = _edge_keys(tris, nn)
+        edges = tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+        keys = np.sort(edges[:, 0] * nn + edges[:, 1])
         if np.any(keys[1:] == keys[:-1]):
             raise MeshError(
                 "duplicated directed edge (inconsistent orientation, doubled triangle "
                 "or edge on more than two triangles)"
             )
-        lone = (mk == Marker.SYMMETRY) & ~_mirror_directions(nodes, mk, keys).any(axis=1)
+        mirror = _mirror_directions(nodes, mk, keys)
+        lone = (mk == Marker.SYMMETRY) & ~mirror.any(axis=1)
         if lone.any():
             raise MeshError(f"SYMMETRY node {int(np.argmax(lone))} has no SYMMETRY boundary neighbour")
+
+        for name, array in (("areas", areas), ("mirror", mirror)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @property
     def n_nodes(self) -> int:
@@ -183,20 +196,15 @@ def _is_int64(value) -> bool:
     return isinstance(value, numbers.Real) and -(2**63) <= value < 2**63 and value == int(value)
 
 
-def _edge_keys(tris: np.ndarray, nn: int) -> np.ndarray:
-    """Sorted keys a * nn + b of the directed edges a -> b of the triangles."""
-    edges = tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-    return np.sort(edges[:, 0] * nn + edges[:, 1])
-
-
 def _mirror_directions(nodes: np.ndarray, markers: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """(nn, 2) unit mirror direction of each SYMMETRY node (see Mesh),
     zero elsewhere and at a SYMMETRY node with no SYMMETRY boundary
     neighbour.
 
-    keys are the mesh's _edge_keys.  A directed edge a -> b lies on the
-    boundary when b -> a is absent, and then runs with the mesh on its
-    left, so the edges of one straight side all point the same way.
+    keys are the sorted keys a * nn + b of the mesh's directed edges
+    a -> b.  A directed edge a -> b lies on the boundary when b -> a is
+    absent, and then runs with the mesh on its left, so the edges of one
+    straight side all point the same way.
     """
     nn = len(nodes)
     a, b = np.divmod(keys, nn)
@@ -216,6 +224,8 @@ def _mirror_directions(nodes: np.ndarray, markers: np.ndarray, keys: np.ndarray)
 def _per_node(mesh: Mesh, values, name: str) -> np.ndarray:
     """values as a float64 array, checked to hold one value per mesh node."""
     values = np.asarray(values, dtype=np.float64)
+    if values.ndim > 1:
+        raise ValueError(f"{name} has shape {values.shape}, not ({mesh.n_nodes},): one value per mesh node")
     if values.shape != (mesh.n_nodes,):
         raise ValueError(f"{name} has {values.size} values for {mesh.n_nodes} mesh nodes")
     return values
@@ -505,8 +515,9 @@ class GeomCache:
 
     grad            (2 nt, nn) CSR: row t holds the x gradients of the
                     three linear hat functions of triangle t, row nt + t
-                    their y gradients, so grad @ s holds the x and then
-                    the y component of every triangle gradient
+                    their y gradients, each row's three entries in the
+                    order of mesh.triangles[t], so grad @ s holds the x
+                    and then the y component of every triangle gradient
     fan             (k_max, nn) int: column i lists the triangles at node
                     i, padded with the id nt up to the largest node
                     degree k_max
@@ -531,7 +542,8 @@ class GeomCache:
     Index arrays are int32.  Both halves of mean_grad and edge_diss
     share one sparsity pattern, the one-ring of each node plus the
     diagonal, with sorted columns, so the solver fills its Jacobian into
-    that pattern from their data arrays.
+    that pattern from their data arrays.  The triangle areas and mirror
+    directions come from the Mesh, which keeps them from its checks.
     """
 
     grad: csr_array
@@ -555,31 +567,16 @@ def _opposite_edges(p: np.ndarray) -> np.ndarray:
     return p[:, [2, 0, 1], :] - p[:, [1, 2, 0], :]
 
 
-def _gradient_operator(mesh: Mesh) -> csr_array:
-    """The grad operator of GeomCache."""
-    nodes, tris = mesh.nodes, mesh.triangles
-    nt = mesh.n_triangles
-    # grad of the hat function at corner k: perpendicular of the opposite
-    # edge over twice the area (valid for CCW triangles).
-    opp = _opposite_edges(nodes[tris])
-    two_area = 2.0 * _signed_areas(nodes, tris)[:, None]
-    hat = np.concatenate([-opp[:, :, 1] / two_area, opp[:, :, 0] / two_area])  # x rows, y rows
-    indices = np.tile(tris.ravel(), 2).astype(np.int32)
-    indptr = np.arange(0, 6 * nt + 1, 3, dtype=np.int32)
-    return csr_array((hat.ravel(), indices, indptr), shape=(2 * nt, mesh.n_nodes))
-
-
-def _fan_operators(mesh: Mesh, grad: csr_array, corner_angle, edge_len3, mirror):
+def _fan_operators(mesh: Mesh, grad: csr_array, corner_angle, edge_len3):
     """The mean_grad and edge_diss operators of GeomCache.
 
     Corner pair (a, b) of triangle t couples node tris[t, a] to node
     tris[t, b]; the pairs of all triangles, a == b included, make the
     shared pattern.  Corner a weighs its edge to corner b by
     tan(angle_a/2) over the edge's length (the edge opposite the third
-    corner 3 - a - b).  mirror holds the unit mirror direction of each
-    SYMMETRY node and zeros elsewhere.
+    corner 3 - a - b).
     """
-    tris, mk = mesh.triangles, mesh.node_markers
+    tris, mk, mirror = mesh.triangles, mesh.node_markers, mesh.mirror
     nn, nt = mesh.n_nodes, mesh.n_triangles
     pair_keys = np.repeat(tris, 3, axis=1).ravel() * nn + np.tile(tris, 3).ravel()
     keys, inv = np.unique(pair_keys, return_inverse=True)
@@ -621,12 +618,17 @@ def geom_cache(mesh: Mesh) -> GeomCache:
     nn, nt = mesh.n_nodes, mesh.n_triangles
     flat = tris.ravel()
 
-    grad = _gradient_operator(mesh)
     p = nodes[tris]  # (nt, 3, 2)
     corner_angle = _corner_angles(p)
     opp = _opposite_edges(p)
     edge_len3 = np.sqrt(opp[:, :, 0] ** 2 + opp[:, :, 1] ** 2)
-    tri_min_h = 2.0 * _signed_areas(nodes, tris) / edge_len3.max(axis=1)
+    tri_min_h = 2.0 * mesh.areas / edge_len3.max(axis=1)
+    # grad of the hat function at corner k: perpendicular of the opposite
+    # edge over twice the area (valid for CCW triangles)
+    two_area = 2.0 * mesh.areas[:, None]
+    hat = np.concatenate([-opp[:, :, 1] / two_area, opp[:, :, 0] / two_area])  # x rows, y rows
+    indptr = np.arange(0, 6 * nt + 1, 3, dtype=np.int32)
+    grad = csr_array((hat.ravel(), np.tile(flat, 2).astype(np.int32), indptr), shape=(2 * nt, nn))
 
     order = np.argsort(flat, kind="stable")
     owner = flat[order]
@@ -636,8 +638,7 @@ def geom_cache(mesh: Mesh) -> GeomCache:
     fan[np.arange(3 * nt) - node_ptr[owner], owner] = order // 3
     node_min_height = np.append(tri_min_h, np.inf)[fan].min(axis=0)
 
-    mirror = _mirror_directions(nodes, mesh.node_markers, _edge_keys(tris, nn))
-    mean_grad, edge_diss = _fan_operators(mesh, grad, corner_angle, edge_len3, mirror)
+    mean_grad, edge_diss = _fan_operators(mesh, grad, corner_angle, edge_len3)
 
     return GeomCache(
         grad=grad,

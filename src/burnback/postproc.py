@@ -17,7 +17,7 @@ import numpy as np
 
 from .contour import Contour, Line
 from .eikonal import ArrivalField
-from .mesh import Mesh, _per_node, _signed_areas
+from .mesh import Mesh, _per_node
 from .star import InterfacePolyline
 
 __all__ = [
@@ -39,7 +39,8 @@ class BurnCurves:
 
     A_eq is the rate-weighted equivalent perimeter P_1 + f*P_2 (equal
     to P_b for a monopropellant); A_b = P_b * grain_length when a
-    grain length is supplied.
+    grain length is supplied.  Every column that is set holds one value
+    per tau.
     """
 
     tau: np.ndarray
@@ -49,7 +50,11 @@ class BurnCurves:
     A_b: np.ndarray | None = None
 
     def __post_init__(self):
-        _tau_grid(self.tau)
+        tau = _tau_grid(self.tau)
+        for name in ("P_b", "A_p", "A_eq", "A_b"):
+            column = getattr(self, name)
+            if column is not None and np.shape(column) != tau.shape:
+                raise ValueError(f"{name} has shape {np.shape(column)}, not {tau.shape}: one value per tau")
         if np.any(self.P_b < 0.0):
             raise ValueError("negative perimeter")
         scale = float(np.abs(self.A_p).max()) if len(self.A_p) else 0.0
@@ -184,8 +189,6 @@ def burn_curves(
         raise ValueError(f"rate ratio f = {f} must be finite and >= 1")
     tri_label = np.where((labels[mesh.triangles] == 1).sum(axis=1) >= 2, 1, 2)
 
-    areas = np.abs(_signed_areas(mesh.nodes, mesh.triangles))
-
     P_b = np.empty(len(tau_grid))
     A_p = np.empty(len(tau_grid))
     A_eq = np.empty(len(tau_grid))
@@ -205,8 +208,8 @@ def burn_curves(
         rows = np.arange(len(hosts))
         va, vb, vc = vt[rows, lone], vt[rows, (lone + 1) % 3], vt[rows, (lone + 2) % 3]
         frac = (va / (va - vb)) * (va / (va - vc))
-        burned_area = np.where(nburned == 3, areas, 0.0)
-        burned_area[hosts] = areas[hosts] * np.where(nburned[hosts] == 1, frac, 1.0 - frac)
+        burned_area = np.where(nburned == 3, mesh.areas, 0.0)
+        burned_area[hosts] = mesh.areas[hosts] * np.where(nburned[hosts] == 1, frac, 1.0 - frac)
         A_p[k] = float(burned_area.sum())
 
     A_b = P_b * grain_length if grain_length is not None else None

@@ -12,7 +12,7 @@ from burnback import cases
 from burnback.cases import CASE_BUILDERS, build_case
 from burnback.contour import Contour, Line
 from burnback.eikonal import SolverConfig, SolverError, as_rate_field
-from burnback.mesh import Marker, _edge_keys, _mirror_directions, gen_rect
+from burnback.mesh import Marker, gen_rect
 from burnback.star import bistar_design
 
 
@@ -104,7 +104,7 @@ def test_mirror_directions_follow_the_builders_side_chords(name):
     off = np.abs(rel[..., 0] * chord[:, 1] - rel[..., 1] * chord[:, 0])
     side = off.argmin(axis=1)
     assert off.min(axis=1).max() < 1e-15 and set(side) == {0, 1}
-    d = _mirror_directions(mesh.nodes, mesh.node_markers, _edge_keys(mesh.triangles, mesh.n_nodes))[sym]
+    d = mesh.mirror[sym]
     sine = np.abs(d[:, 0] * chord[side, 1] - d[:, 1] * chord[side, 0])
     assert sine.max() <= 1e-14
 

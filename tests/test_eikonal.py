@@ -14,7 +14,6 @@ from burnback.eikonal import (
     _System,
     as_rate_field,
     solve,
-    triangle_gradients,
 )
 from burnback.mesh import Marker, Mesh, gen_coons, gen_rect, geom_cache
 
@@ -65,15 +64,6 @@ def test_as_rate_field_rejects_bad_values():
         as_rate_field(mesh, bad)
 
 
-def test_triangle_gradients_linear_field_exact():
-    mesh = rect_left_ignition(7, 5)
-    s = 3.0 * mesh.nodes[:, 0] + 4.0 * mesh.nodes[:, 1] - 7.0
-    grad = triangle_gradients(mesh, s)
-    np.testing.assert_allclose(grad[:, 0], 3.0, atol=1e-12)
-    np.testing.assert_allclose(grad[:, 1], 4.0, atol=1e-12)
-    np.testing.assert_allclose(triangle_gradients(mesh, np.ones(mesh.n_nodes)), 0.0, atol=1e-15)
-
-
 # --------------------------------------------------------- solver operators
 
 
@@ -94,6 +84,7 @@ def test_gradient_operators_reproduce_linear_field():
     g = cache.grad @ s
     np.testing.assert_allclose(g[: mesh.n_triangles], 3.0, atol=1e-12)
     np.testing.assert_allclose(g[mesh.n_triangles :], -2.0, atol=1e-12)
+    np.testing.assert_allclose(cache.grad @ np.ones(mesh.n_nodes), 0.0, atol=1e-15)
 
 
 def test_mean_grad_reproduces_linear_field():

@@ -15,11 +15,9 @@ from burnback.mesh import (
     Marker,
     Mesh,
     MeshError,
-    _edge_keys,
     _grid_mesh,
     _grid_triangles,
     _loft,
-    _mirror_directions,
     gen_coons,
     gen_rect,
     geom_cache,
@@ -37,11 +35,6 @@ def total_area(mesh) -> float:
 def arc(radius: float, a0: float, a1: float, n: int) -> np.ndarray:
     t = np.linspace(a0, a1, n)
     return radius * np.column_stack([np.cos(t), np.sin(t)])
-
-
-def mirrors(mesh) -> np.ndarray:
-    """(nn, 2) mirror direction of each node, zero off SYMMETRY nodes."""
-    return _mirror_directions(mesh.nodes, mesh.node_markers, _edge_keys(mesh.triangles, mesh.n_nodes))
 
 
 # ---------------------------------------------------------------- structured
@@ -81,7 +74,7 @@ def test_gen_rect_corner_takes_higher_priority_marker():
     # the rest of the bottom edge keeps its symmetry tag and mirrors along x
     bottom = np.isclose(mesh.nodes[:, 1], 0.0) & (mesh.nodes[:, 0] > 1e-9)
     assert np.all(mesh.node_markers[bottom] == Marker.SYMMETRY)
-    np.testing.assert_array_equal(mirrors(mesh)[bottom], [[1.0, 0.0]] * 4)
+    np.testing.assert_array_equal(mesh.mirror[bottom], [[1.0, 0.0]] * 4)
 
 
 def test_gen_rect_rejects_bad_arguments():
@@ -105,7 +98,7 @@ def test_gen_coons_quarter_annulus():
     sym = mesh.node_markers == Marker.SYMMETRY
     assert np.sum(sym) == 2 * (11 - 1)
     # each side mirrors along its axis: x for side0, y for side1
-    np.testing.assert_allclose(np.abs(mirrors(mesh)[sym]), [[1.0, 0.0], [0.0, 1.0]] * 10, atol=1e-15)
+    np.testing.assert_allclose(np.abs(mesh.mirror[sym]), [[1.0, 0.0], [0.0, 1.0]] * 10, atol=1e-15)
 
 
 def test_gen_coons_accepts_either_orientation():
@@ -126,7 +119,7 @@ def test_gen_rect_symmetry_corner_mirrors_along_the_chord_of_its_neighbours():
     chord = mesh.nodes[np.roll(ring, -1)] - mesh.nodes[np.roll(ring, 1)]
     want = np.zeros((12, 2))
     want[ring] = chord / np.hypot(*chord.T)[:, None]
-    np.testing.assert_allclose(mirrors(mesh), want, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(mesh.mirror, want, rtol=0.0, atol=1e-15)
     assert want[0].tolist() == pytest.approx([2 / 13**0.5, -3 / 13**0.5])
 
 
@@ -140,7 +133,7 @@ def test_gen_coons_side_chords_run_from_inner_to_outer_in_a_flipped_loft():
     # the rest of columns 0 and 5 mirror along their side chords
     assert mesh.node_markers[[0, 5]].tolist() == [Marker.IGNITION] * 2
     for col, a, b in zip((0, 5), inner[[0, -1]], outer[[0, -1]]):
-        side = mirrors(mesh)[col + 6 :: 6]
+        side = mesh.mirror[col + 6 :: 6]
         np.testing.assert_allclose(np.abs(side @ ((b - a) / np.hypot(*(b - a)))), 1.0, rtol=0.0, atol=1e-15)
 
 
@@ -183,7 +176,7 @@ def test_save_load_round_trip_is_exact(name):
     np.testing.assert_array_equal(mesh.nodes, again.nodes)
     np.testing.assert_array_equal(mesh.triangles, again.triangles)
     np.testing.assert_array_equal(mesh.node_markers, again.node_markers)
-    np.testing.assert_array_equal(mirrors(mesh), mirrors(again))
+    np.testing.assert_array_equal(mesh.mirror, again.mirror)
     assert save_mesh(again) == text
 
 
@@ -319,7 +312,7 @@ def test_symmetry_line_direction_is_normalised_at_any_scale():
     # squared edge lengths are subnormal
     for scale in (1e-160, 1.0, 1e150):
         mesh = Mesh(scale * np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]]), [[0, 1, 2]], [1, 3, 3])
-        d = mirrors(mesh)
+        d = mesh.mirror
         assert d[1].tolist() == d[2].tolist() == pytest.approx([-0.6, 0.8], rel=1e-15)
 
 
@@ -400,11 +393,12 @@ BUILDS = {
 def test_every_mesh_is_checked_when_built_and_read_only(name):
     build, message = BUILDS[name]
     mesh = build(False)
-    for array in (mesh.nodes, mesh.triangles, mesh.node_markers):
+    for array in (mesh.nodes, mesh.triangles, mesh.node_markers, mesh.areas, mesh.mirror):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
-    with pytest.raises(FrozenInstanceError):
-        mesh.nodes = mesh.nodes.copy()
+    for name in ("nodes", "areas"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(mesh, name, getattr(mesh, name).copy())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(MeshError) as exc:
@@ -485,6 +479,13 @@ def test_mesh_keeps_its_own_copy_of_the_arrays():
     mesh = Mesh(nodes, [[0, 1, 2]], [1, 0, 0])
     nodes[1, 0] = -1.0  # would make the triangle clockwise
     assert mesh.nodes[1, 0] == 1.0
+    # areas and mirror are derived, not given, and replace derives them anew
+    assert mesh.areas.tolist() == [0.5] and not mesh.mirror.any()
+    with pytest.raises(ValueError, match="init=False"):
+        replace(mesh, areas=np.ones(1))
+    wider = replace(mesh, nodes=[[0.0, 0.0], [2.0, 0.0], [0.0, 1.0]], node_markers=[1, 3, 3])
+    assert wider.areas.tolist() == [1.0] and mesh.areas.tolist() == [0.5]
+    np.testing.assert_allclose(wider.mirror, [[0.0, 0.0]] + [[-2.0 / 5**0.5, 1.0 / 5**0.5]] * 2, rtol=1e-15)
 
 
 def test_mesh_names_array_length_mismatches():
@@ -572,7 +573,7 @@ def test_open_chain_keeps_side0_then_side1_symmetry_line():
     # the counter-clockwise boundary runs down side0 (x = 0) and up side1
     want = np.zeros((18, 2))
     want[[4, 8]], want[[15, 17]] = (0.0, -1.0), (0.0, 1.0)
-    np.testing.assert_array_equal(mirrors(mesh), want)
+    np.testing.assert_array_equal(mesh.mirror, want)
 
 
 def test_closed_ring_of_four_patches_has_no_boundary_edge_on_a_seam(boundary_nodes):

@@ -1,4 +1,5 @@
-"""Package surface: every exported name exists and is declared once."""
+"""Package surface: every exported name exists and is declared once, and
+the README's library example runs."""
 
 from __future__ import annotations
 
@@ -46,3 +47,16 @@ def test_import_leaves_scipy_optimize_and_spatial_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_readme_library_block_runs():
+    # the README's `## Library` example, run as written
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text(encoding="utf-8").split("## Library\n\n```python\n", 1)[1].split("```", 1)[0]
+    names = {}
+    exec(block, names)
+    mesh, field = names["mesh"], names["field"]
+    assert field.converged
+    assert names["gx"].shape == names["gy"].shape == (mesh.n_triangles,)
+    assert names["curves"].P_b.shape == (19,) and names["svg"].startswith("<?xml")
+    assert names["err"].max_abs < 0.01

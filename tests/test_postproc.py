@@ -239,6 +239,13 @@ def _curves(P_b, A_p):
 POSTPROC_ERRORS = {
     "negative perimeter": (lambda mesh, s: _curves([1.0, -1e-300], [0.0, 1.0]), "negative perimeter"),
     "shrinking port": (lambda mesh, s: _curves([1.0, 1.0], [1.0, 0.5]), "port area must be non-decreasing"),
+    # unchecked, emit_csv would write one row, as zip stops at the shortest
+    "short column": (
+        lambda mesh, s: postproc.BurnCurves(
+            tau=np.arange(3.0), P_b=np.array([1.0]), A_p=np.arange(3.0), A_eq=np.ones(3)
+        ),
+        "P_b has shape (1,), not (3,): one value per tau",
+    ),
     "oracle length": (lambda mesh, s: error_field(mesh, s, s[:-1]), "oracle has 230 values for 231 mesh nodes"),
     "non-finite error": (
         lambda mesh, s: error_field(mesh, np.where(s > 1.0, np.nan, s), mesh.nodes[:, 0]),
@@ -286,16 +293,22 @@ FIELD_READERS = {
 }
 
 
-@pytest.mark.parametrize("size", [1, 233, 228], ids=["one value", "two long", "three short"])
+@pytest.mark.parametrize(
+    "size", [1, 233, 228, (231, 1)], ids=["one value", "two long", "three short", "a column"]
+)
 @pytest.mark.parametrize("name", sorted(FIELD_READERS))
 def test_a_field_of_the_wrong_length_is_named(planar, name, size):
     # unchecked, a short field fails deep in indexing or broadcasting and
-    # a long or one-value field yields numbers for nodes that do not exist
+    # a long or one-value field yields numbers for nodes that do not exist;
+    # a column holds one value per node, so its shape is named instead
     mesh, s = planar
     with pytest.raises(ValueError) as exc:
         FIELD_READERS[name](mesh, np.resize(s, size))
     assert type(exc.value) is ValueError
-    assert str(exc.value) == f"field has {size} values for 231 mesh nodes"
+    if np.ndim(size):
+        assert str(exc.value) == "field has shape (231, 1), not (231,): one value per mesh node"
+    else:
+        assert str(exc.value) == f"field has {size} values for 231 mesh nodes"
 
 
 # ------------------------------------------------------------------- emitters
