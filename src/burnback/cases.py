@@ -78,13 +78,6 @@ class Case:
         return float(self.rate.max() / self.rate.min())
 
 
-def _arc_points(center, radius: float, a0: float, a1: float, n: int) -> np.ndarray:
-    t = np.linspace(a0, a1, n + 1)
-    return np.column_stack(
-        [center[0] + radius * np.cos(t), center[1] + radius * np.sin(t)]
-    )
-
-
 def rect_case() -> Case:
     """Planar front: ignition on the left edge, outflow on the right."""
     sides = {"left": Marker.IGNITION, "bottom": Marker.SYMMETRY, "top": Marker.SYMMETRY}
@@ -95,8 +88,8 @@ def rect_case() -> Case:
 def annulus_case() -> Case:
     """Radial front on a quarter annulus bounded by two symmetry rays."""
     r_inner, r_outer = 1.0, 2.0
-    inner = _arc_points((0.0, 0.0), r_inner, 0.0, 0.5 * np.pi, 512)
-    outer = _arc_points((0.0, 0.0), r_outer, 0.0, 0.5 * np.pi, 512)
+    inner = Arc((0.0, 0.0), r_inner, 0.0, 0.5 * np.pi, 1).points(512)
+    outer = Arc((0.0, 0.0), r_outer, 0.0, 0.5 * np.pi, 1).points(512)
     mesh = gen_coons(inner, outer, 56, 84)
     port = Contour((Arc((0.0, 0.0), r_inner, 0.5 * np.pi, 0.0, -1),))
     return Case("annulus", mesh, 1.0, port=port)
@@ -110,8 +103,8 @@ def circle_case() -> Case:
     whole circumference.
     """
     r_inner, r_outer = 1.0, 2.0
-    inner = _arc_points((0.0, 0.0), r_inner, 0.0, 0.5 * np.pi, 512)
-    outer = _arc_points((0.0, 0.0), r_outer, 0.0, 0.5 * np.pi, 512)
+    inner = Arc((0.0, 0.0), r_inner, 0.0, 0.5 * np.pi, 1).points(512)
+    outer = Arc((0.0, 0.0), r_outer, 0.0, 0.5 * np.pi, 1).points(512)
     quarter = _loft(inner, outer, 28, 42)
     # Exact 90-degree rotations keep seam coordinates bitwise mirrored.
     rot = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -168,8 +161,8 @@ def star_case() -> Case:
     flank, valley_arc = port.pieces
     alpha, beta = np.pi / n, (1.0 - eps) * (np.pi / n)
     seam = 0.5 * (alpha + beta)
-    casing_a = _arc_points((0.0, 0.0), casing_radius, alpha, seam, 512)
-    casing_b = _arc_points((0.0, 0.0), casing_radius, seam, 0.0, 512)
+    casing_a = Arc((0.0, 0.0), casing_radius, alpha, seam, -1).points(512)
+    casing_b = Arc((0.0, 0.0), casing_radius, seam, 0.0, -1).points(512)
     mesh = _grid_mesh(
         [_loft(flank.points(512), casing_a, 80, 70), _loft(valley_arc.points(512), casing_b, 80, 50)]
     )
@@ -202,16 +195,11 @@ def bistar_case() -> Case:
     wall0 = np.array([fillet_radius / np.tan(alpha), fillet_radius])
     wall1 = np.array([slot_depth, fillet_radius])
     wall = np.linspace(wall0, wall1, 513)
-    fillet = _arc_points(tip, fillet_radius, 0.5 * np.pi, 0.0, 256)
-    casing_w = _arc_points((0.0, 0.0), casing_radius, alpha, seam, 512)
-    casing_c = _arc_points((0.0, 0.0), casing_radius, seam, 0.0, 512)
-    mesh = _grid_mesh([_loft(wall, casing_w, 56, 44), _loft(fillet, casing_c, 56, 28)])
-    port = Contour(
-        (
-            Line(tuple(wall0), tuple(wall1)),
-            Arc(tuple(tip), fillet_radius, 0.5 * np.pi, 0.0, -1),
-        )
-    )
+    fillet = Arc(tuple(tip), fillet_radius, 0.5 * np.pi, 0.0, -1)
+    casing_w = Arc((0.0, 0.0), casing_radius, alpha, seam, -1).points(512)
+    casing_c = Arc((0.0, 0.0), casing_radius, seam, 0.0, -1).points(512)
+    mesh = _grid_mesh([_loft(wall, casing_w, 56, 44), _loft(fillet.points(256), casing_c, 56, 28)])
+    port = Contour((Line(tuple(wall0), tuple(wall1)), fillet))
     # The interface radius at each polar angle decides the propellant.
     face = bistar_interface(design, 4096)
     r = np.sqrt(mesh.nodes[:, 0] ** 2 + mesh.nodes[:, 1] ** 2)

@@ -107,7 +107,7 @@ class Arc:
             raise ContourError("arc radius must be positive")
         if self.sweep not in (-1, 1):
             raise ContourError("arc sweep must be +1 or -1")
-        if not all(map(math.isfinite, (*self.center, self.a0, self.a1))):
+        if not all(map(math.isfinite, (*self.center, self.radius, self.a0, self.a1))):
             raise ContourError("non-finite arc parameter")
 
     def span(self) -> float:

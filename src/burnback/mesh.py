@@ -28,7 +28,6 @@ import numbers
 from dataclasses import dataclass, field
 from enum import IntEnum
 from itertools import chain
-from operator import itemgetter
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -249,14 +248,10 @@ def save_mesh(mesh: Mesh) -> str:
     return "\n".join(out) + "\n"
 
 
-def _first(bad: np.ndarray) -> int:
-    """Index of the first True in bad; len(bad) when there is none."""
-    return int(np.argmax(bad)) if bad.any() else len(bad)
-
-
-def _numbers(tokens: tuple | list, conv, dtype) -> np.ndarray:
-    """tokens converted by conv into dtype, cut short at the first token
-    that conv rejects or dtype cannot hold."""
+def _numbers(tokens: list, conv) -> np.ndarray:
+    """tokens converted by conv (float or int) into float64 or int64, cut
+    short at the first token that conv rejects or the dtype cannot hold."""
+    dtype = np.dtype(conv).type
     try:
         return np.fromiter(map(conv, tokens), dtype, len(tokens))
     except (ValueError, OverflowError):
@@ -269,40 +264,21 @@ def _numbers(tokens: tuple | list, conv, dtype) -> np.ndarray:
         return np.array(good, dtype)
 
 
-def _raise_first(line_no, *faults: tuple[int, str]) -> None:
-    """Raise the (record index, message) fault of the earliest record, the
-    first listed on a tie; an index of len(line_no) means no fault."""
-    at, msg = min(faults, key=itemgetter(0))
-    if at < len(line_no):
-        raise MeshError(f"line {line_no[at]}: {msg}")
-
-
-def _node_block(recs: list, line_no) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinates and markers of the node records."""
-    end = _first(np.fromiter(map(len, recs), np.int64, len(recs)) != 3)
-    # each column is read up to the first bad token of the ones before it
-    cols = list(zip(*recs[:end])) or [()] * 3
-    x = _numbers(cols[0], float, np.float64)
-    y = _numbers(cols[1][: len(x)], float, np.float64)
-    markers = _numbers(cols[2][: len(y)], int, np.int64)
-    _raise_first(
-        line_no,
-        (end, "node record needs 'x y marker'"),
-        (len(markers), "bad number in node record"),
-    )
-    return np.column_stack([x, y]), markers
-
-
-def _triangle_block(recs: list, line_no) -> np.ndarray:
-    """(n, 3) node ids of the triangle records."""
-    end = _first(np.fromiter(map(len, recs), np.int64, len(recs)) != 3)
-    ids = _numbers(list(chain.from_iterable(recs[:end])), int, np.int64)
-    _raise_first(
-        line_no,
-        (end, "triangle record needs 'i0 i1 i2'"),
-        (len(ids) // 3, "bad node id in triangle record"),
-    )
-    return ids.reshape(-1, 3)
+def _records(recs: list, line_no, convs, need: str, bad: str) -> list[np.ndarray]:
+    """The columns of a block of 3-token records, column k read by
+    convs[k]; raises MeshError naming the line of the earliest faulty
+    record, with need for a record of the wrong width and bad for a
+    token that does not read."""
+    end = next((n for n, rec in enumerate(recs) if len(rec) != 3), len(recs))
+    flat = list(chain.from_iterable(recs[:end]))
+    cols, n = [], end
+    for k, conv in enumerate(convs):
+        # each column is read up to the first bad token of the ones before it
+        cols.append(_numbers(flat[k : 3 * n : 3], conv))
+        n = len(cols[-1])
+    if n < len(recs):
+        raise MeshError(f"line {line_no[n]}: {bad if n < end else need}")
+    return cols
 
 
 def load_mesh(text: str) -> Mesh:
@@ -329,14 +305,18 @@ def load_mesh(text: str) -> Mesh:
 
     # a block that runs past the last record is reported after its records
     b, c = 1 + nnode, 1 + nnode + ntri
-    nodes, markers = _node_block(recs[1:b], line_no[1:b])
-    tris = _triangle_block(recs[b:c], line_no[b:c])
+    x, y, markers = _records(
+        recs[1:b], line_no[1:b], (float, float, int), "node record needs 'x y marker'", "bad number in node record"
+    )
+    ids = _records(
+        recs[b:c], line_no[b:c], (int,) * 3, "triangle record needs 'i0 i1 i2'", "bad node id in triangle record"
+    )
     if c > len(recs):
         raise MeshError("unexpected end of mesh document")
     if c < len(recs):
         raise MeshError(f"line {line_no[c]}: trailing records beyond declared counts")
 
-    return Mesh(nodes, tris, markers)
+    return Mesh(np.column_stack([x, y]), np.column_stack(ids), markers)
 
 
 # ---------------------------------------------------------------------------
@@ -356,11 +336,17 @@ def _grid_triangles(nx: int, ny: int) -> np.ndarray:
 
 
 def _side_rule(defaults: dict, markers, kind: str) -> dict:
-    """defaults updated by markers, each of whose keys must name a side."""
-    for key in markers or ():
+    """defaults updated by markers, each of whose keys must name a side
+    and each of whose values must be a Marker value."""
+    rule = dict(defaults)
+    for key, value in (markers or {}).items():
         if key not in defaults:
             raise MeshError(f"unknown {kind} name {key!r}")
-    return {**defaults, **(markers or {})}
+        try:
+            rule[key] = Marker(value)
+        except ValueError:
+            raise MeshError(f"{kind} {key!r} has marker {value!r}, not a Marker value") from None
+    return rule
 
 
 # the sides of a lofted chain and their default markers: rows iv = 0 and
@@ -416,7 +402,7 @@ def _grid_mesh(patches, rule=_COONS_RULE, sides=_COONS_SIDES, closed=False) -> M
     }
     markers = np.zeros(n, dtype=np.int64)
     for name, axis, last in sides:
-        on, m = ends[axis, last], int(rule[name])
+        on, m = ends[axis, last], rule[name]
         markers[on[_MARKER_RANK[m] > _MARKER_RANK[markers[on]]]] = m
     return Mesh(nodes, tris, markers)
 
@@ -429,8 +415,8 @@ def gen_rect(nx: int, ny: int, width: float, height: float, markers=None) -> Mes
     """
     if nx < 1 or ny < 1:
         raise MeshError("gen_rect needs nx, ny >= 1")
-    if width <= 0 or height <= 0:
-        raise MeshError("gen_rect needs positive width and height")
+    if not (width > 0 and height > 0 and math.isfinite(width) and math.isfinite(height)):
+        raise MeshError("gen_rect needs positive, finite width and height")
     defaults = {"left": Marker.FREE, "right": Marker.FREE, "bottom": Marker.FREE, "top": Marker.FREE}
     rule = _side_rule(defaults, markers, "side")
 
@@ -500,7 +486,7 @@ def gen_coons(inner, outer, n_transverse: int, n_longitudinal: int, markers=None
     if n_transverse < 1 or n_longitudinal < 1:
         raise MeshError("gen_coons needs n_transverse, n_longitudinal >= 1")
     rule = _side_rule(_COONS_RULE, markers, "boundary")
-    if int(rule["inner"]) == Marker.SYMMETRY or int(rule["outer"]) == Marker.SYMMETRY:
+    if Marker.SYMMETRY in (rule["inner"], rule["outer"]):
         raise MeshError("SYMMETRY is only supported on the straight side chords")
     return _grid_mesh([_loft(inner, outer, n_transverse, n_longitudinal)], rule)
 

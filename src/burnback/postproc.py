@@ -40,7 +40,8 @@ class BurnCurves:
     A_eq is the rate-weighted equivalent perimeter P_1 + f*P_2 (equal
     to P_b for a monopropellant); A_b = P_b * grain_length when a
     grain length is supplied.  Every column that is set holds one value
-    per tau.
+    per tau; tau and the set columns may be given as any array-likes
+    and are kept as read-only float64 copies.
     """
 
     tau: np.ndarray
@@ -50,11 +51,16 @@ class BurnCurves:
     A_b: np.ndarray | None = None
 
     def __post_init__(self):
-        tau = _tau_grid(self.tau)
-        for name in ("P_b", "A_p", "A_eq", "A_b"):
+        object.__setattr__(self, "tau", _tau_grid(self.tau))
+        for name in ("tau", "P_b", "A_p", "A_eq", "A_b"):
             column = getattr(self, name)
-            if column is not None and np.shape(column) != tau.shape:
-                raise ValueError(f"{name} has shape {np.shape(column)}, not {tau.shape}: one value per tau")
+            if column is None:
+                continue
+            if np.shape(column) != self.tau.shape:
+                raise ValueError(f"{name} has shape {np.shape(column)}, not {self.tau.shape}: one value per tau")
+            column = np.array(column, dtype=np.float64)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
         if np.any(self.P_b < 0.0):
             raise ValueError("negative perimeter")
         scale = float(np.abs(self.A_p).max()) if len(self.A_p) else 0.0

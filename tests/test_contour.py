@@ -170,9 +170,12 @@ CONTOUR_ERRORS = {
     "arc sweep": (lambda: Arc((0.0, 0.0), 1.0, 0.0, 1.0, 0), "arc sweep must be +1 or -1"),
     "arc center": (lambda: Arc((0.0, math.nan), 1.0, 0.0, 1.0, 1), "non-finite arc parameter"),
     "arc angle": (lambda: Arc((0.0, 0.0), 1.0, 0.0, math.inf, 1), "non-finite arc parameter"),
+    "arc radius inf": (lambda: Arc((0.0, 0.0), math.inf, 0.0, 1.0, 1), "non-finite arc parameter"),
     "no pieces": (lambda: Contour(()), "contour needs at least one piece"),
     "foreign piece": (lambda: Contour((_LINE, ((1.0, 0.0), (2.0, 0.0)))), "piece 1 is not a Line or Arc"),
     "circle radius": (lambda: make_circle(0.0), "circle radius must be positive"),
+    # named before the closure check warns on an infinite gap
+    "circle radius inf": (lambda: make_circle(math.inf), "non-finite arc parameter"),
     "tip angle zero": (lambda: make_star(5, 0.0, 0.5, 0.5, 1.0), "tip_angle must be in (0, pi)"),
     "tip angle pi": (lambda: make_star(5, math.pi, 0.5, 0.5, 1.0), "tip_angle must be in (0, pi)"),
 }

@@ -342,6 +342,92 @@ def test_load_mesh_raises_only_mesh_error(data):
     assert isinstance(mesh, Mesh)
 
 
+def _int64(token: str) -> int:
+    value = int(token)
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"{token} overflows int64")
+    return value
+
+
+def reference_load(text: str) -> Mesh | str:
+    """The mesh of a document, or the text of its MeshError, read one
+    record and then one token at a time: the first fault met wins."""
+    recs = [(ln, raw.split("#")[0].split()) for ln, raw in enumerate(text.splitlines(), 1)]
+    recs = [(ln, rec) for ln, rec in recs if rec]
+    if not recs:
+        return "empty mesh document"
+    (ln, header), body = recs[0], recs[1:]
+    if len(header) != 2:
+        return f"line {ln}: header must be 'ntri nnode'"
+    try:
+        ntri, nnode = int(header[0]), int(header[1])
+    except ValueError:
+        return f"line {ln}: header must hold two integers"
+    if ntri < 0 or nnode < 0:
+        return f"line {ln}: header counts must be non-negative"
+    blocks = [
+        (body[:nnode], (float, float, _int64), "node record needs 'x y marker'", "bad number in node record"),
+        (body[nnode : nnode + ntri], (_int64,) * 3, "triangle record needs 'i0 i1 i2'", "bad node id in triangle record"),
+    ]
+    rows = []
+    for block, convs, need, bad in blocks:
+        rows.append([])
+        for ln, rec in block:
+            if len(rec) != 3:
+                return f"line {ln}: {need}"
+            try:
+                rows[-1].append([conv(tok) for conv, tok in zip(convs, rec)])
+            except ValueError:
+                return f"line {ln}: {bad}"
+    if nnode + ntri > len(body):
+        return "unexpected end of mesh document"
+    if nnode + ntri < len(body):
+        return f"line {body[nnode + ntri][0]}: trailing records beyond declared counts"
+    nodes, tris = rows
+    xy = np.reshape([rec[:2] for rec in nodes], (-1, 2))
+    try:
+        return Mesh(xy, np.reshape(tris, (-1, 3)), [rec[2] for rec in nodes])
+    except MeshError as exc:
+        return str(exc)
+
+
+def _corrupt(data, recs: list) -> None:
+    """Apply one drawn corruption to the records of a document in place."""
+    r = data.draw(st.integers(0, len(recs) - 1), label="record")
+    kind = data.draw(st.sampled_from(["token", "shorten", "lengthen", "count"]), label="kind")
+    if kind == "token" and recs[r]:
+        k = data.draw(st.integers(0, len(recs[r]) - 1), label="token")
+        recs[r][k] = data.draw(st.sampled_from(["x", "1.5", "1e400", "1" + "0" * 24]), label="text")
+    elif kind == "shorten":
+        recs[r] = recs[r][:-1]
+    elif kind == "lengthen":
+        recs[r].append("0")
+    elif kind == "count":
+        k = data.draw(st.integers(0, 1), label="count")
+        if k < len(recs[0]) and recs[0][k].isdigit():
+            recs[0][k] = str(int(recs[0][k]) + data.draw(st.sampled_from([-1, 1]), label="by"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_load_mesh_matches_a_record_by_record_reader(data):
+    recs = [ln.split() for ln in DOC]
+    for _ in range(data.draw(st.integers(1, 2), label="corruptions")):
+        _corrupt(data, recs)
+    text = "\n".join(map(" ".join, recs))
+    if data.draw(st.booleans(), label="padded"):
+        text = "# a mesh\n\n" + "\n".join(f"{ln}  # note" for ln in text.splitlines())
+    expected = reference_load(text)
+    try:
+        mesh = load_mesh(text)
+    except MeshError as exc:
+        assert str(exc) == expected
+        return
+    assert isinstance(expected, Mesh)
+    for name in ("nodes", "triangles", "node_markers"):
+        np.testing.assert_array_equal(getattr(mesh, name), getattr(expected, name))
+
+
 # two rows of cells, so that each SYMMETRY side has a SYMMETRY node
 # next to its outer corner
 def _straight_patch(width: float, height: float):
@@ -457,6 +543,31 @@ MESH_ERRORS = {
         lambda: gen_coons([[0.0, 0.0], [1.0, 0.0]], _TOP, 1, 0),
         "gen_coons needs n_transverse, n_longitudinal >= 1",
     ),
+    # a side's marker must be a Marker value, not one cast to it
+    "rect marker 9": (lambda: gen_rect(2, 3, 1.0, 1.0, markers={"left": 9}), "side 'left' has marker 9, not a Marker value"),
+    "rect marker 1.5": (
+        lambda: gen_rect(2, 3, 1.0, 1.0, markers={"left": 1.5}),
+        "side 'left' has marker 1.5, not a Marker value",
+    ),
+    "rect marker '1'": (
+        lambda: gen_rect(2, 3, 1.0, 1.0, markers={"left": "1"}),
+        "side 'left' has marker '1', not a Marker value",
+    ),
+    "coons marker 9": (
+        lambda: gen_coons([[0.0, 0.0], [1.0, 0.0]], _TOP, 2, 1, markers={"outer": 9}),
+        "boundary 'outer' has marker 9, not a Marker value",
+    ),
+    "coons marker 1.5": (
+        lambda: gen_coons([[0.0, 0.0], [1.0, 0.0]], _TOP, 2, 1, markers={"outer": 1.5}),
+        "boundary 'outer' has marker 1.5, not a Marker value",
+    ),
+    "coons marker '1'": (
+        lambda: gen_coons([[0.0, 0.0], [1.0, 0.0]], _TOP, 2, 1, markers={"outer": "1"}),
+        "boundary 'outer' has marker '1', not a Marker value",
+    ),
+    # named by the argument check, before linspace would warn
+    "rect infinite width": (lambda: gen_rect(2, 3, np.inf, 1.0), "gen_rect needs positive, finite width and height"),
+    "rect nan height": (lambda: gen_rect(2, 3, 1.0, np.nan), "gen_rect needs positive, finite width and height"),
 }
 
 

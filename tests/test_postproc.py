@@ -284,6 +284,22 @@ def test_postproc_input_errors(planar, name):
     assert str(exc.value) == message
 
 
+def test_burn_curves_take_array_likes_and_keep_read_only_copies():
+    curves = postproc.BurnCurves(tau=[0, 1, 2], P_b=[1.0, 1.0, 1.0], A_p=[0, 1, 2], A_eq=[1, 1, 1])
+    assert curves.A_b is None
+    A_p = np.arange(3.0)
+    again = postproc.BurnCurves(tau=curves.tau, P_b=curves.P_b, A_p=A_p, A_eq=curves.A_eq, A_b=[2, 2, 2])
+    expected = {"tau": [0, 1, 2], "P_b": [1, 1, 1], "A_p": [0, 1, 2], "A_eq": [1, 1, 1]}
+    for c in (curves, again):
+        for name, values in expected.items():
+            column = getattr(c, name)
+            assert column.dtype == np.float64 and not column.flags.writeable
+            assert column.tolist() == values
+    assert again.A_b.tolist() == [2.0, 2.0, 2.0] and not again.A_b.flags.writeable
+    A_p[0] = 5.0
+    assert again.A_p[0] == 0.0
+
+
 # each function that reads a field, called on a field of the given length
 FIELD_READERS = {
     "burn_curves": lambda mesh, s: mono_curves(mesh, s, [0.5, 1.0]),
