@@ -37,8 +37,8 @@ class Case:
     uniform rate and is None without a closed form (scheme smoke cases);
     depth, its maximum, normalizes relative errors.  config holds the
     solver settings, the defaults unless a geometry needs others.  rate
-    and exact hold one value per mesh node and are kept as read-only
-    float64 copies.  Cases compare and hash by identity.
+    and exact hold one finite value per mesh node and are kept as
+    read-only float64 copies.  Cases compare and hash by identity.
     """
 
     name: str
@@ -57,6 +57,9 @@ class Case:
             exact = self.port.distance(self.mesh.nodes) / rate
         if exact is not None:
             exact = np.array(_per_node(self.mesh, exact, f"case {self.name} exact"))
+            finite = np.isfinite(exact)
+            if not finite.all():
+                raise ValueError(f"case {self.name} exact is not finite at node {int(np.argmin(finite))}")
             exact.flags.writeable = False
             object.__setattr__(self, "exact", exact)
         if len(np.unique(rate)) > 2:

@@ -5,8 +5,8 @@ its command line; --dump-spec on any subcommand prints the resolved
 options first for archival.  Each subcommand is an argparse subparser
 whose handler takes the options dict; every subcommand that reads a
 grain takes a registry --case or a --mesh file of rate 1.  Each one that
-solves takes one flag per SolverConfig field, --dissipation-scale; the
-solver's tolerance and iteration bound are fixed.  Exit codes:
+solves takes --dissipation-scale, applied to the grain with solve --rate;
+the solver's tolerance and iteration bound are fixed.  Exit codes:
 0 success, 1 numeric failure (non-convergence or a verification
 threshold breach; also any module error, reported to stderr as
 module.ExceptionName), 2 usage (also an empty path and a level count
@@ -16,22 +16,19 @@ below 1).
 import argparse
 import math
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .cases import CASE_BUILDERS, Case, build_case
 from .contour import ContourError
-from .eikonal import ArrivalField, SolverConfig, SolverError, solve
+from .eikonal import ArrivalField, SolverError, solve
 from .mesh import Marker, MeshError, geom_cache, load_mesh, save_mesh
 from .postproc import burn_curves, emit_csv, emit_svg, error_field
 from .star import bistar_design, bistar_interface, neutral_tip_angle
 
 __all__ = ["main"]
-
-# one --flag per SolverConfig field, typed by the field's default
-_SOLVER_FLAGS = tuple(f.name for f in fields(SolverConfig))
 
 
 def _positive_int(text: str) -> int:
@@ -61,8 +58,7 @@ def _add_grain(p: argparse.ArgumentParser) -> None:
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("solver overrides")
-    for f in fields(SolverConfig):
-        g.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=None)
+    g.add_argument("--dissipation-scale", type=float, default=None)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -143,12 +139,8 @@ def _write(path: str, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-def _merged_config(opt: dict, base: SolverConfig) -> SolverConfig:
-    return replace(base, **{k: opt[k] for k in _SOLVER_FLAGS if opt.get(k) is not None})
-
-
-def _solve_case(case: Case, opt: dict) -> ArrivalField:
-    res = solve(case.mesh, case.rate, config=_merged_config(opt, case.config))
+def _solve_case(case: Case) -> ArrivalField:
+    res = solve(case.mesh, case.rate, config=case.config)
     if not res.converged:
         raise SolverError(
             f"case {case.name} did not converge within {res.n_steps} steps"
@@ -158,15 +150,19 @@ def _solve_case(case: Case, opt: dict) -> ArrivalField:
 
 def _grain(opt: dict) -> Case:
     """The --case registry case or the --mesh file at rate 1, re-rated to
-    solve --rate if given (checked first; a port re-derives the oracle)."""
-    rate = opt.get("rate")
+    solve --rate if given (checked first; a port re-derives the oracle)
+    and solved at --dissipation-scale if given (its config checks it)."""
+    rate, scale = opt.get("rate"), opt.get("dissipation_scale")
     if rate is not None and not (math.isfinite(rate) and rate > 0.0):
         raise ValueError(f"--rate value {rate} is not a positive finite rate")
     if opt["mesh"] is None:
         case = build_case(opt["case"])
     else:
         case = Case(opt["mesh"], load_mesh(Path(opt["mesh"]).read_text(encoding="utf-8")), 1.0)
-    return case if rate is None else replace(case, rate=rate, exact=None)
+    over = {} if rate is None else {"rate": rate, "exact": None}
+    if scale is not None:
+        over["config"] = replace(case.config, dissipation_scale=scale)
+    return replace(case, **over) if over else case
 
 
 def _cmd_mesh_gen(opt: dict) -> int:
@@ -197,7 +193,7 @@ def _cmd_mesh_info(opt: dict) -> int:
 
 def _cmd_solve(opt: dict) -> int:
     case = _grain(opt)
-    res = solve(case.mesh, case.rate, config=_merged_config(opt, case.config))
+    res = solve(case.mesh, case.rate, config=case.config)
     _write(opt["out"], emit_csv(res.s, mesh=case.mesh))
     if opt["residuals"] is not None:
         _write(opt["residuals"], emit_csv(res))
@@ -220,14 +216,14 @@ def _cmd_curves(opt: dict) -> int:
     grain = opt.get("grain_length")
     if grain is not None and not (math.isfinite(grain) and grain > 0.0):
         raise ValueError(f"--grain-length value {grain} is not a positive finite length")
-    res = _solve_case(case, opt) if case.depth is None and None in (lo, hi) else None
+    res = _solve_case(case) if case.depth is None and None in (lo, hi) else None
     depth = case.depth if res is None else float(res.s.max())
     lo = 0.05 * depth if lo is None else lo
     hi = 0.95 * depth if hi is None else hi
     if not lo < hi:
         raise ValueError("curves needs tau-min < tau-max")
     if res is None:
-        res = _solve_case(case, opt)
+        res = _solve_case(case)
     tau = np.linspace(lo, hi, opt["tau_count"])
     curves = burn_curves(case.mesh, res.s, case.labels, case.rate_ratio, tau, grain_length=grain)
     _write(opt["out"], emit_csv(curves))
@@ -255,7 +251,7 @@ def _cmd_contours(opt: dict) -> int:
         levels = [_finite_tau(tok.strip()) for tok in opt["levels"].split(",") if tok.strip()]
         if not levels:
             raise ValueError("--levels must hold at least one tau value")
-    res = _solve_case(case, opt)
+    res = _solve_case(case)
     if levels is None:
         depth = case.depth if case.depth is not None else float(res.s.max())
         k = np.arange(1, opt["nlevels"] + 1)
@@ -302,7 +298,7 @@ def _cmd_verify_slot(opt: dict) -> int:
     failed = False
     for level, threshold in (("coarse", 0.01), ("fine", 0.005)):
         case = build_case(f"slot-{level}")
-        res = _solve_case(case, opt)
+        res = _solve_case(case)
         err = error_field(case.mesh, res.s, case.exact).max_abs
         ok = err < threshold
         failed |= not ok

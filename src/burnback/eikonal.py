@@ -110,7 +110,7 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Solver parameters; each field is a CLI flag of the same name.
+    """Solver parameters; the CLI sets dissipation_scale by --dissipation-scale.
 
     dissipation_scale sets eps_i and with it the discrete fixed point:
     smaller values smear curved fronts less; kept a power of two so the
@@ -121,7 +121,7 @@ class SolverConfig:
 
     def __post_init__(self):
         if not 0.0 < self.dissipation_scale <= 1.0:
-            raise ValueError("dissipation_scale must be in (0, 1]")
+            raise ValueError(f"dissipation_scale = {self.dissipation_scale} must be in (0, 1]")
 
 
 @dataclass

@@ -230,8 +230,9 @@ def error_field(mesh: Mesh, s: np.ndarray, exact: np.ndarray) -> ErrorField:
     if depth == 0.0:
         raise ValueError("oracle field is identically zero")
     e = (s - exact) / depth
-    if not np.all(np.isfinite(e)):
-        raise ValueError("non-finite error value")
+    finite = np.isfinite(e)
+    if not finite.all():
+        raise ValueError(f"non-finite error value at node {int(np.argmin(finite))}")
     return ErrorField(values=e, max_abs=float(np.abs(e).max()), mean_abs=float(np.abs(e).mean()))
 
 
@@ -252,25 +253,19 @@ def emit_csv(obj, mesh: Mesh | None = None, err: np.ndarray | None = None) -> st
     array together with mesh -> `node,x,y,s[,err]`.
     """
     if isinstance(obj, (BurnCurves, InterfacePolyline)):
-        cols = {f.name: getattr(obj, f.name) for f in fields(obj) if getattr(obj, f.name) is not None}
-        rows = [",".join(cols)]
-        rows += [",".join(map(_g, vals)) for vals in zip(*cols.values())]
-        return "\n".join(rows) + "\n"
-    if isinstance(obj, ArrivalField):
-        rows = ["step,dt,max_residual"]
-        for k, (dt, r) in enumerate(zip(obj.dt_history, obj.residual_history), start=1):
-            rows.append(f"{k},{_g(dt)},{_g(r)}")
-        return "\n".join(rows) + "\n"
-    if mesh is None:
+        cols = {f.name: getattr(obj, f.name) for f in fields(obj)}
+    elif isinstance(obj, ArrivalField):
+        steps = np.arange(1, len(obj.dt_history) + 1)
+        cols = {"step": steps, "dt": obj.dt_history, "max_residual": obj.residual_history}
+    elif mesh is None:
         raise ValueError("field CSV needs a mesh")
-    s = _per_node(mesh, obj, "field")
-    err = None if err is None else _per_node(mesh, err, "err")
-    rows = ["node,x,y,s" + (",err" if err is not None else "")]
-    for i in range(mesh.n_nodes):
-        row = f"{i},{_g(mesh.nodes[i, 0])},{_g(mesh.nodes[i, 1])},{_g(s[i])}"
-        if err is not None:
-            row += f",{_g(err[i])}"
-        rows.append(row)
+    else:
+        s = _per_node(mesh, obj, "field")
+        err = None if err is None else _per_node(mesh, err, "err")
+        x, y = mesh.nodes.T
+        cols = {"node": np.arange(mesh.n_nodes), "x": x, "y": y, "s": s, "err": err}
+    cols = {k: np.asarray(v).tolist() for k, v in cols.items() if v is not None}
+    rows = [",".join(cols)] + [",".join(map(_g, vals)) for vals in zip(*cols.values())]
     return "\n".join(rows) + "\n"
 
 

@@ -300,6 +300,12 @@ CASE_ERRORS = {
         ValueError,
         "case t exact has 1 values for 9 mesh nodes",
     ),
+    # a non-finite oracle would leave depth nan for curves to trip on later
+    "exact not finite": (
+        lambda: cases.Case("t", _TINY, 1.0, exact=np.r_[np.zeros(4), np.nan, np.inf, np.zeros(3)]),
+        ValueError,
+        "case t exact is not finite at node 4",
+    ),
 }
 
 

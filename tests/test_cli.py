@@ -20,8 +20,8 @@ import pytest
 import burnback
 from burnback import cli, eikonal
 from burnback.cases import CASE_BUILDERS, build_case
-from burnback.cli import _SOLVER_FLAGS, _build_parser, main
-from burnback.eikonal import SolverConfig
+from burnback.cli import _build_parser, main
+from burnback.eikonal import SolverConfig, solve
 from burnback.postproc import burn_curves, emit_csv, emit_svg
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -54,7 +54,6 @@ def test_parse_args_solve_defaults():
 def test_every_solver_config_field_has_a_flag(cmd):
     # a SolverConfig knob that no flag can set fails here
     for f in dataclasses.fields(SolverConfig):
-        assert f.name in _SOLVER_FLAGS
         flag = "--" + f.name.replace("_", "-")
         opt = vars(_build_parser().parse_args([cmd, "--case", "rect", "--out", "x", flag, str(f.default)]))
         assert opt[f.name] == f.default
@@ -357,7 +356,7 @@ def test_curves_weighs_a_two_propellant_case_by_its_rates(solved, tmp_path):
     assert any(a_eq != p_b for _, p_b, _, a_eq in rows)
 
 
-def _no_tau_solve(case, opt):
+def _no_tau_solve(case):
     raise AssertionError("the tau range is checked before the solve")
 
 
@@ -382,7 +381,7 @@ def test_curves_checks_a_given_tau_order_before_the_solve(tmp_path, capsys, monk
 
 @pytest.mark.parametrize("value", ["nan", "inf", "0", "-2"])
 def test_curves_rejects_bad_grain_length(tmp_path, capsys, monkeypatch, value):
-    def no_solve(case, opt):
+    def no_solve(case):
         raise AssertionError("the grain length is checked before the solve")
 
     monkeypatch.setattr(cli, "_solve_case", no_solve)
@@ -416,7 +415,7 @@ def test_contours_default_levels_scale_with_the_solved_field_without_an_oracle(s
 
 
 def test_contours_rejects_nonfinite_level(tmp_path, capsys, monkeypatch):
-    def no_solve(case, opt):
+    def no_solve(case):
         raise AssertionError("the levels are checked before the solve")
 
     monkeypatch.setattr(cli, "_solve_case", no_solve)
@@ -439,6 +438,28 @@ def test_solve_checks_rate_before_the_solve(tmp_path, capsys, monkeypatch, value
     err = capsys.readouterr().err
     assert err == f"cli.ValueError: --rate value {float(value)} is not a positive finite rate\n"
     assert not out.exists()
+
+
+def test_dissipation_scale_overrides_the_case_setting(tmp_path, capsys, monkeypatch):
+    # star's own setting and rect's default both give way to the flag
+    star, rect = build_case("star"), build_case("rect")
+    assert star.config == SolverConfig(0.125) and rect.config == SolverConfig()
+    out = tmp_path / "field.csv"
+    for case, value, config in ((star, "0.25", SolverConfig()), (rect, "0.125", SolverConfig(0.125))):
+        assert main(["solve", "--case", case.name, "--out", str(out), "--dissipation-scale", value]) == 0
+        assert out.read_text() == emit_csv(solve(case.mesh, case.rate, config=config).s, mesh=case.mesh)
+    out.unlink()
+    capsys.readouterr()
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the dissipation scale is checked before the solve")
+
+    monkeypatch.setattr(cli, "solve", no_solve)
+    for value in ("0", "nan", "2"):
+        assert main(["solve", "--case", "rect", "--out", str(out), "--dissipation-scale", value]) == 1
+        err = capsys.readouterr().err
+        assert err == f"eikonal.ValueError: dissipation_scale = {float(value)} must be in (0, 1]\n"
+        assert not out.exists()
 
 
 def test_solve_rate_rebuilds_the_grain_at_that_rate():
@@ -487,6 +508,16 @@ CLI_ERRORS = {
         ["contours", "--case", "rect", "--levels", ""],
         "cli.ValueError: --levels must hold at least one tau value",
     ),
+    # the grain is read, and its dissipation scale set, before the flags
+    # that only curves or contours take are checked
+    "dissipation scale before tau order": (
+        ["curves", "--case", "rect", "--tau-min", "1.5", "--tau-max", "0.5", "--dissipation-scale", "0"],
+        "eikonal.ValueError: dissipation_scale = 0.0 must be in (0, 1]",
+    ),
+    "dissipation scale before levels": (
+        ["contours", "--case", "rect", "--levels", "nan", "--dissipation-scale", "nan"],
+        "eikonal.ValueError: dissipation_scale = nan must be in (0, 1]",
+    ),
 }
 
 
@@ -519,7 +550,7 @@ def test_verify_slot_passes_at_both_budgets(capsys):
 
 def test_verify_slot_fails_when_either_level_fails(monkeypatch, capsys):
     # 0.6% passes the coarse level's 1% and fails the fine level's 0.5%
-    monkeypatch.setattr(cli, "_solve_case", lambda case, opt: SimpleNamespace(s=None))
+    monkeypatch.setattr(cli, "_solve_case", lambda case: SimpleNamespace(s=None))
     monkeypatch.setattr(cli, "error_field", lambda mesh, s, exact: SimpleNamespace(max_abs=0.006))
     assert main(["verify", "slot"]) == 1
     assert [line.rsplit(": ", 1)[1] for line in capsys.readouterr().out.splitlines()] == ["PASS", "FAIL"]
@@ -534,10 +565,13 @@ def test_artifact_digests_tool_hashes_what_the_cli_writes(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     digests = dict(line.split(" ")[1:] for line in proc.stdout.splitlines())
-    assert list(digests) == ["mesh", "curves", "svg", "svg-no-mesh", "field", "svg-no-field"]
+    assert list(digests) == ["mesh", "curves", "svg", "svg-no-mesh", "field", "residuals", "svg-no-field"]
     path = tmp_path / "curves.csv"
     assert main(["curves", "--case", "rect", "--out", str(path)]) == 0
     assert digests["curves"] == hashlib.sha256(path.read_bytes()).hexdigest()
+    field, residuals = tmp_path / "field.csv", tmp_path / "residuals.csv"
+    assert main(["solve", "--case", "rect", "--out", str(field), "--residuals", str(residuals)]) == 0
+    assert digests["residuals"] == hashlib.sha256(residuals.read_bytes()).hexdigest()
 
 
 @pytest.mark.skipif(

@@ -365,8 +365,9 @@ def test_step_field_stays_nonnegative_while_marching(monkeypatch):
 
 def test_solver_config_validation():
     for bad in (0.0, -0.25, 2.0, np.nan, np.inf):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             SolverConfig(dissipation_scale=bad)
+        assert str(exc.value) == f"dissipation_scale = {bad} must be in (0, 1]"
 
 
 # ----------------------------------------------------------------- full solve

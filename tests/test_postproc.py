@@ -249,7 +249,7 @@ POSTPROC_ERRORS = {
     "oracle length": (lambda mesh, s: error_field(mesh, s, s[:-1]), "oracle has 230 values for 231 mesh nodes"),
     "non-finite error": (
         lambda mesh, s: error_field(mesh, np.where(s > 1.0, np.nan, s), mesh.nodes[:, 0]),
-        "non-finite error value",
+        "non-finite error value at node 11",
     ),
     "scalar tau": (lambda mesh, s: mono_curves(mesh, s, 0.5), "tau grid must be one-dimensional, not 0-D"),
     "2-D tau grid": (

@@ -7,6 +7,7 @@ One line per artifact, `<case> <artifact> <sha256>`:
 - `svg`, `svg-no-mesh`: the `contours` SVG at its default 8 levels,
   with the mesh underlay and without it;
 - `field`: the `solve` field CSV;
+- `residuals`: the residual history CSV that the same `solve` writes;
 - `svg-no-field`: `emit_svg` of the mesh and port with no field.
 
 Every artifact but the field-less SVG is written by `cli.main`, so the
@@ -46,13 +47,17 @@ def _sha(data: bytes) -> str:
 def case_digests(name: str, workdir: Path) -> list[tuple[str, str]]:
     """(artifact, sha256) pairs of one case, in the order listed above."""
     out = []
+    residuals = workdir / f"{name}.residuals"
     for artifact, command in COMMANDS.items():
         path = workdir / f"{name}.{artifact}"
+        if artifact == "field":
+            command = [*command, "--residuals", str(residuals)]
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli_main([*command, "--case", name, "--out", str(path)])
         if code != 0:
             sys.exit(f"{' '.join(command)} --case {name} exited {code}")
         out.append((artifact, _sha(path.read_bytes())))
+    out.append(("residuals", _sha(residuals.read_bytes())))
     case = build_case(name)
     svg = emit_svg(case.mesh, contour=case.port)
     out.append(("svg-no-field", _sha(svg.encode("utf-8"))))
