@@ -57,9 +57,6 @@ class Case:
             exact = self.port.distance(self.mesh.nodes) / rate
         if exact is not None:
             exact = np.array(_per_node(self.mesh, exact, f"case {self.name} exact"))
-            finite = np.isfinite(exact)
-            if not finite.all():
-                raise ValueError(f"case {self.name} exact is not finite at node {int(np.argmin(finite))}")
             exact.flags.writeable = False
             object.__setattr__(self, "exact", exact)
         if len(np.unique(rate)) > 2:

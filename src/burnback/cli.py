@@ -333,7 +333,7 @@ def main(argv=None) -> int:
         print(opt)
     try:
         return handler(opt)
-    except (MeshError, ContourError, SolverError, ValueError, OSError) as exc:
+    except (MeshError, ContourError, SolverError, ValueError, ArithmeticError, OSError) as exc:
         print(f"{_origin_module(exc)}.{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -6,16 +6,12 @@ Euclidean distance to the initial contour.  Taking the minimum over
 pieces trims caustics and inserts rarefaction arcs implicitly, which is
 why the oracle here is a distance field and not an offset-curve
 constructor; offset contours for display are level sets of this field.
-
-The closed-form perimeter law of a regular convex front lives here
-too: it gains 2*pi of perimeter per unit burn depth.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -26,8 +22,6 @@ __all__ = [
     "Contour",
     "make_circle",
     "make_star",
-    "CylinderState",
-    "cylinder_laws",
 ]
 
 # endpoint continuity and closure tolerance, absolute in model units
@@ -231,23 +225,3 @@ def make_star(n: int, tip_angle: float, eps: float, valley_depth: float, casing_
     if eps == 1.0:
         return Contour((flank,))
     return Contour((flank, Arc((0.0, 0.0), valley_depth, beta, 0.0, -1)))
-
-
-# ---------------------------------------------------------------------------
-# perimeter law of a regular convex front
-
-
-class CylinderState(NamedTuple):
-    P_b: float
-    A_p: float
-
-
-def cylinder_laws(P0: float, Ap0: float, y: float) -> CylinderState:
-    """Perimeter and port area of a regular convex section at burn depth y.
-
-    P_b = P0 + 2*pi*y independently of the section shape; A_p is its
-    exact integral.  Valid until a concave radius of curvature is
-    exhausted, which is the caller's lookout.
-    """
-    return CylinderState(P0 + _TWO_PI * y, Ap0 + P0 * y + math.pi * y * y)
-

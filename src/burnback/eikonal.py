@@ -135,16 +135,15 @@ class ArrivalField:
 
 def as_rate_field(mesh: Mesh, rate) -> np.ndarray:
     """Per-node recession rate from a scalar, array, or callable(x, y)
-    returning either.  An array of the wrong length raises ValueError, a
-    value that is not positive and finite SolverError naming its node."""
+    returning either.  A wrong length or non-finite value raises
+    ValueError, a value that is not positive SolverError naming its node."""
     if callable(rate):
         rate = rate(mesh.nodes[:, 0], mesh.nodes[:, 1])
     if np.ndim(rate) == 0:
         rate = np.full(mesh.n_nodes, rate, dtype=np.float64)
     values = _per_node(mesh, rate, "rate")
-    if not np.all(np.isfinite(values)) or np.any(values <= 0.0):
-        bad = int(np.argmax(~(np.isfinite(values) & (values > 0.0))))
-        raise SolverError(f"rate must be positive and finite (node {bad})")
+    if np.any(values <= 0.0):
+        raise SolverError(f"rate must be positive and finite (node {int(np.argmax(values <= 0.0))})")
     return values
 
 

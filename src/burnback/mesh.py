@@ -221,12 +221,14 @@ def _mirror_directions(nodes: np.ndarray, markers: np.ndarray, keys: np.ndarray)
 
 
 def _per_node(mesh: Mesh, values, name: str) -> np.ndarray:
-    """values as a float64 array, checked to hold one value per mesh node."""
+    """values as a float64 array, checked to hold one finite value per mesh node."""
     values = np.asarray(values, dtype=np.float64)
     if values.ndim > 1:
         raise ValueError(f"{name} has shape {values.shape}, not ({mesh.n_nodes},): one value per mesh node")
     if values.shape != (mesh.n_nodes,):
         raise ValueError(f"{name} has {values.size} values for {mesh.n_nodes} mesh nodes")
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} is not finite at node {int(np.argmin(np.isfinite(values)))}")
     return values
 
 

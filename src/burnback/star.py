@@ -4,16 +4,16 @@ A star tip angle can be chosen so the perimeter lost at the tip cusps
 exactly cancels the growth of the regular arcs and valley corners; the
 residual of that balance and its root live here.  The bipropellant
 variant splits the sector into a slow propellant around the casing and
-a fast one in the valley slot, with the rate ratio f picked so both
-fronts reach the casing at the same instant, leaving no sliver.  The
-propellant-propellant interface then follows from intersecting the two
-cylindrical fronts at equal pseudotime.
+a fast one in the valley slot; a BiStarDesign derives its web and the
+rate ratio f that brings both fronts to the casing at the same instant,
+leaving no sliver.  The propellant-propellant interface then follows
+from intersecting the two cylindrical fronts at equal pseudotime.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,16 +29,38 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BiStarDesign:
+    """Sliverless two-propellant star: web omega and rate ratio f.
+
+    The slow front starts at radius r_f + d around the chamber center
+    and the fast one at radius r_f around the slot center, offset by d;
+    both reach the casing corner together when omega = r_c - r_f - d and
+    f = (sqrt(r_c^2 - 2 r_c d cos(pi/n) + d^2) - r_f) / omega.  They are
+    derived from the checked inputs, also by dataclasses.replace.
+    """
+
     n: int
     r_c: float
     r_f: float
     d: float
-    omega: float
-    f: float
+    omega: float = field(init=False)
+    f: float = field(init=False)
 
     def __post_init__(self):
-        if abs(self.r_c - (self.r_f + self.d + self.omega)) > 1e-12 * max(1.0, self.r_c):
-            raise ValueError("radii must satisfy r_c = r_f + d + omega")
+        n, r_c, r_f, d = self.n, self.r_c, self.r_f, self.d
+        if n < 3:
+            raise ValueError("need n >= 3")
+        for name, value in (("r_c", r_c), ("r_f", r_f), ("d", d)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} = {value} is not finite")
+        if not (r_f > 0.0 and d > 0.0):
+            raise ValueError("need positive r_f and d")
+        omega = r_c - r_f - d
+        if omega <= 0.0:
+            raise ValueError("no web: need r_f + d < r_c")
+        # f >= 1 always: f < 1 would need cos(pi/n) > 1, so no guard here
+        f = (math.sqrt(r_c**2 - 2.0 * r_c * d * math.cos(math.pi / n) + d**2) - r_f) / omega
+        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "f", f)
 
 
 @dataclass(frozen=True)
@@ -97,26 +119,8 @@ def neutral_tip_angle(n: int) -> float:
 
 
 def bistar_design(n: int, r_c: float, r_f: float, d: float) -> BiStarDesign:
-    """Sliverless two-propellant star: web and required rate ratio.
-
-    The slow front starts at radius r_f + d around the chamber center
-    and the fast front at radius r_f around the slot center, offset by
-    d.  Requiring both to reach the casing corner simultaneously fixes
-    f = (sqrt(r_c^2 - 2 r_c d cos(pi/n) + d^2) - r_f) / omega.
-    """
-    if n < 3:
-        raise ValueError("need n >= 3")
-    for name, value in (("r_c", r_c), ("r_f", r_f), ("d", d)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} = {value} is not finite")
-    if not (r_f > 0.0 and d > 0.0):
-        raise ValueError("need positive r_f and d")
-    omega = r_c - r_f - d
-    if omega <= 0.0:
-        raise ValueError("no web: need r_f + d < r_c")
-    # f >= 1 always: f < 1 would need cos(pi/n) > 1, so no guard here
-    f = (math.sqrt(r_c**2 - 2.0 * r_c * d * math.cos(math.pi / n) + d**2) - r_f) / omega
-    return BiStarDesign(n=n, r_c=r_c, r_f=r_f, d=d, omega=omega, f=f)
+    """The BiStarDesign of these inputs: its web omega and rate ratio f."""
+    return BiStarDesign(n, r_c, r_f, d)
 
 
 def bistar_interface(design: BiStarDesign, n_samples: int) -> InterfacePolyline:
@@ -135,7 +139,7 @@ def bistar_interface(design: BiStarDesign, n_samples: int) -> InterfacePolyline:
     cos_t1 = (r1**2 + design.d**2 - r2**2) / (2.0 * r1 * design.d)
     if np.any(np.abs(cos_t1) > 1.0 + 1e-12):
         bad = float(y[np.argmax(np.abs(cos_t1))])
-        raise ValueError(f"inconsistent design: fronts do not intersect at y = {bad:.6g}")
+        raise ValueError(f"fronts do not intersect at y = {bad:.6g}")
     theta1 = np.arccos(np.clip(cos_t1, -1.0, 1.0))
     theta2 = np.arctan2(r1 * np.sin(theta1), r1 * np.cos(theta1) - design.d)
     return InterfacePolyline(y=y, r1=r1, theta1=theta1, r2=r2, theta2=theta2)

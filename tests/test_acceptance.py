@@ -12,7 +12,6 @@ import time
 
 import numpy as np
 
-from burnback.contour import cylinder_laws
 from burnback.eikonal import solve
 from burnback.mesh import Marker, Mesh, geom_cache
 from burnback.postproc import burn_curves, emit_svg, error_field
@@ -114,8 +113,8 @@ def test_criterion_07_circle_growth_laws(solved, capsys):
     curves = burn_curves(case.mesh, field.s, case.labels, case.rate_ratio, tau)
     dP = np.gradient(curves.P_b, tau)[1:-1]  # central differences only
     dA = np.gradient(curves.A_p, tau)[1:-1]
-    law = cylinder_laws(curves.P_b[0], curves.A_p[0], tau - tau[0])
-    perim_dev = float(np.abs(dP / np.gradient(law.P_b, tau)[1:-1] - 1.0).max())
+    # a regular convex front gains 2*pi of perimeter per unit burn depth
+    perim_dev = float(np.abs(dP / (2.0 * np.pi) - 1.0).max())
     area_dev = float(np.abs(dA / curves.P_b[1:-1] - 1.0).max())
     ok = perim_dev < 0.02 and area_dev < 0.02
     report(

@@ -161,6 +161,28 @@ def test_bistar_rejects_nonfinite_radius(tmp_path, capsys, sub, value):
     assert not out.exists()
 
 
+# arguments too large for a float: the command and its one stderr line
+OVERFLOWS = {
+    "bistar radius": (
+        ["bistar", "design", "--n", "4", "--rc", "1e200", "--rf", "0.1", "--d", "0.5"],
+        "star.OverflowError: (34, 'Numerical result out of range')",
+    ),
+    "star tip count": (
+        ["star", "neutral", "--n", "1" + "0" * 309],
+        "star.OverflowError: int too large to convert to float",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOWS))
+def test_an_overflow_is_one_error_line(name, capsys):
+    argv, message = OVERFLOWS[name]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n"
+    assert captured.out == ""
+
+
 def test_readme_cli_examples_print_what_the_readme_shows(capsys):
     # each `$ burnback ...` line of the README's text block, followed by
     # the lines it prints

@@ -1,4 +1,4 @@
-"""Exact port contours: distance oracles, canonical shapes, the perimeter law."""
+"""Exact port contours: distance oracles and canonical shapes."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from burnback.contour import (
     Contour,
     ContourError,
     Line,
-    cylinder_laws,
     make_circle,
     make_star,
 )
@@ -187,20 +186,6 @@ def test_contour_input_errors(name):
     with pytest.raises(ContourError) as exc:
         build()
     assert str(exc.value) == message
-
-
-# ------------------------------------------------------------- perimeter law
-
-
-def test_cylinder_laws_consistency():
-    P0, Ap0 = 6.0, 2.5
-    for y in (0.0, 0.1, 0.7):
-        P, A = cylinder_laws(P0, Ap0, y)
-        assert P == pytest.approx(P0 + 2.0 * math.pi * y)
-        # the area law integrates the perimeter law exactly
-        h = 1e-3
-        dA = (cylinder_laws(P0, Ap0, y + h).A_p - cylinder_laws(P0, Ap0, y - h).A_p) / (2.0 * h)
-        assert dA == pytest.approx(P, rel=1e-9)
 
 
 # ----------------------------------------------------------------- invariants

@@ -5,8 +5,10 @@ from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +18,7 @@ import pytest
 import burnback
 
 MODULES = ["burnback"] + [f"burnback.{m.name}" for m in pkgutil.iter_modules(burnback.__path__)]
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -37,6 +40,28 @@ def test_package_exports_join_the_module_exports():
     spelled = {getattr(n, "id", None) or getattr(n, "name", None) for n in ast.walk(tree)}
     spelled |= {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)}
     assert spelled.isdisjoint(joined)
+
+
+def test_every_exported_function_has_a_caller_outside_tests():
+    # a public function that only its own unit test calls is dead weight;
+    # classes are exempt, as a type is used without being called
+    texts = {
+        path.resolve(): path.read_text(encoding="utf-8")
+        for top in ("src", "demos", "tools", "perfbench")
+        for path in (ROOT / top).rglob("*.py")
+        if "tests" not in path.relative_to(ROOT).parts
+    }
+    texts[ROOT / "README.md"] = (ROOT / "README.md").read_text(encoding="utf-8")
+    uncalled = []
+    for name in burnback.__all__:
+        obj = getattr(burnback, name)
+        if not inspect.isfunction(obj):
+            continue
+        own = Path(inspect.getfile(obj)).resolve()
+        call = re.compile(rf"\b{name}\(")
+        if not any(call.search(text) for path, text in texts.items() if path != own):
+            uncalled.append(name)
+    assert uncalled == []
 
 
 def test_import_leaves_scipy_optimize_and_spatial_unloaded():

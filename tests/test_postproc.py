@@ -234,6 +234,14 @@ def _curves(P_b, A_p):
     return postproc.BurnCurves(tau=tau, P_b=np.array(P_b), A_p=np.array(A_p), A_eq=np.array(P_b))
 
 
+def _overflowing_error(mesh, s):
+    # finite inputs whose difference overflows at node 11
+    s, exact = s.copy(), mesh.nodes[:, 0].copy()
+    s[11], exact[11] = 1e308, -1e308
+    with np.errstate(over="ignore"):
+        return error_field(mesh, s, exact)
+
+
 # each input check not reached above: the call on the planar field and
 # its ValueError message
 POSTPROC_ERRORS = {
@@ -249,7 +257,12 @@ POSTPROC_ERRORS = {
     "oracle length": (lambda mesh, s: error_field(mesh, s, s[:-1]), "oracle has 230 values for 231 mesh nodes"),
     "non-finite error": (
         lambda mesh, s: error_field(mesh, np.where(s > 1.0, np.nan, s), mesh.nodes[:, 0]),
-        "non-finite error value at node 11",
+        "field is not finite at node 11",
+    ),
+    "overflowing error": (_overflowing_error, "non-finite error value at node 11"),
+    "non-finite err column": (
+        lambda mesh, s: emit_csv(s, mesh=mesh, err=np.where(s > 1.0, np.inf, 0.0)),
+        "err is not finite at node 11",
     ),
     "scalar tau": (lambda mesh, s: mono_curves(mesh, s, 0.5), "tau grid must be one-dimensional, not 0-D"),
     "2-D tau grid": (
@@ -325,6 +338,18 @@ def test_a_field_of_the_wrong_length_is_named(planar, name, size):
         assert str(exc.value) == "field has shape (231, 1), not (231,): one value per mesh node"
     else:
         assert str(exc.value) == f"field has {size} values for 231 mesh nodes"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", sorted(FIELD_READERS))
+def test_a_non_finite_field_is_named(planar, name, bad):
+    # unchecked, a nan field gives nan curves and a CSV row ending in nan
+    mesh, s = planar
+    s[100] = bad
+    with pytest.raises(ValueError) as exc:
+        FIELD_READERS[name](mesh, s)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == "field is not finite at node 100"
 
 
 # ------------------------------------------------------------------- emitters

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -93,6 +94,26 @@ def test_bistar_design_rejects_nonfinite_input(name, bad):
         bistar_design(4, **args)
 
 
+def test_a_design_derives_its_web_and_rate_ratio():
+    # built directly or through bistar_design, a design holds the same
+    # bits in all six fields; omega and f are results, not arguments
+    design = BiStarDesign(4, 1.0, 0.1, 0.5)
+    assert design == bistar_design(4, 1.0, 0.1, 0.5)
+    assert design.f.hex() == "0x1.978f6c0f8ec37p+0"
+    assert design.omega == 1.0 - 0.1 - 0.5
+    for derived in ("omega", "f"):
+        with pytest.raises(TypeError):
+            BiStarDesign(4, 1.0, 0.1, 0.5, **{derived: 0.4})
+
+
+def test_replacing_an_input_derives_the_design_again():
+    design = replace(bistar_design(4, 1.0, 0.1, 0.5), d=0.4)
+    assert design.omega == 0.5
+    assert design.f == bistar_design(4, 1.0, 0.1, 0.4).f != bistar_design(4, 1.0, 0.1, 0.5).f
+    with pytest.raises(ValueError, match=r"^no web: need r_f \+ d < r_c$"):
+        replace(design, d=0.9)
+
+
 def test_bistar_interface_endpoints():
     design = bistar_design(4, 1.0, 0.1, 0.5)
     face = bistar_interface(design, 512)
@@ -153,20 +174,24 @@ def test_neutral_tip_angle_bits_are_pinned():
     assert {n: neutral_tip_angle(n).hex() for n in bits} == bits
 
 
+# each input check of a bipropellant design: the arguments of
+# bistar_design, and so of BiStarDesign, and the ValueError message
+DESIGN_ERRORS = {
+    "design n": ((2, 1.0, 0.1, 0.5), "need n >= 3"),
+    "design r_c": ((4, math.inf, 0.1, 0.5), "r_c = inf is not finite"),
+    "design r_f": ((4, 1.0, 0.0, 0.5), "need positive r_f and d"),
+    "design d": ((4, 1.0, 0.1, -0.5), "need positive r_f and d"),
+    "design web": ((4, 1.0, 0.4, 0.6), "no web: need r_f + d < r_c"),
+}
+
 # each input check of the design formulas: the call and its ValueError message
 STAR_ERRORS = {
-    "design radii": (
-        lambda: BiStarDesign(n=4, r_c=1.0, r_f=0.1, d=0.5, omega=0.3, f=1.5),
-        "radii must satisfy r_c = r_f + d + omega",
-    ),
     "residual n": (lambda: neutral_residual(0, 1.0), "need n >= 1"),
-    "design n": (lambda: bistar_design(2, 1.0, 0.1, 0.5), "need n >= 3"),
-    "design r_f": (lambda: bistar_design(4, 1.0, 0.0, 0.5), "need positive r_f and d"),
-    "design d": (lambda: bistar_design(4, 1.0, 0.1, -0.5), "need positive r_f and d"),
+    **{name: (lambda a=args: bistar_design(*a), message) for name, (args, message) in DESIGN_ERRORS.items()},
     "interface": (
-        # f = 0.5 is too slow for the fast front to meet the slow one
-        lambda: bistar_interface(BiStarDesign(n=4, r_c=1.0, r_f=0.1, d=0.5, omega=0.4, f=0.5), 5),
-        "inconsistent design: fronts do not intersect at y = 0.4",
+        # a design this thin loses the cosine law's digits to rounding
+        lambda: bistar_interface(bistar_design(4, 2.0, 1.0, 1e-7), 5),
+        "fronts do not intersect at y = 0",
     ),
 }
 
@@ -176,5 +201,14 @@ def test_star_input_errors(name):
     build, message = STAR_ERRORS[name]
     with pytest.raises(ValueError) as exc:
         build()
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("name", sorted(DESIGN_ERRORS))
+def test_a_design_built_directly_checks_its_inputs(name):
+    args, message = DESIGN_ERRORS[name]
+    with pytest.raises(ValueError) as exc:
+        BiStarDesign(*args)
     assert type(exc.value) is ValueError
     assert str(exc.value) == message

@@ -10,6 +10,11 @@ One line per artifact, `<case> <artifact> <sha256>`:
 - `residuals`: the residual history CSV that the same `solve` writes;
 - `svg-no-field`: `emit_svg` of the mesh and port with no field.
 
+A run over all cases also prints two `design <artifact> <sha256>` lines
+for the README's bipropellant star (`--n 4 --rc 1 --rf 0.1 --d 0.5`):
+`bistar-design`, the text that `bistar design` prints, and
+`bistar-interface`, the CSV that `bistar interface` writes.
+
 Every artifact but the field-less SVG is written by `cli.main`, so the
 digests cover the command line path.  Two checkouts that print the
 same lines wrote the same bytes.  Run from the repository root, for all
@@ -39,9 +44,20 @@ COMMANDS = {
     "field": ["solve"],
 }
 
+DESIGN = ["--n", "4", "--rc", "1", "--rf", "0.1", "--d", "0.5"]
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _run(argv: list[str]) -> str:
+    """What `cli.main(argv)` prints; a non-zero exit stops the run."""
+    with contextlib.redirect_stdout(io.StringIO()) as printed:
+        code = cli_main(argv)
+    if code != 0:
+        sys.exit(f"{' '.join(argv)} exited {code}")
+    return printed.getvalue()
 
 
 def case_digests(name: str, workdir: Path) -> list[tuple[str, str]]:
@@ -52,10 +68,7 @@ def case_digests(name: str, workdir: Path) -> list[tuple[str, str]]:
         path = workdir / f"{name}.{artifact}"
         if artifact == "field":
             command = [*command, "--residuals", str(residuals)]
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = cli_main([*command, "--case", name, "--out", str(path)])
-        if code != 0:
-            sys.exit(f"{' '.join(command)} --case {name} exited {code}")
+        _run([*command, "--case", name, "--out", str(path)])
         out.append((artifact, _sha(path.read_bytes())))
     out.append(("residuals", _sha(residuals.read_bytes())))
     case = build_case(name)
@@ -64,12 +77,23 @@ def case_digests(name: str, workdir: Path) -> list[tuple[str, str]]:
     return out
 
 
+def design_digests(workdir: Path) -> list[tuple[str, str]]:
+    """(artifact, sha256) pairs of the two bipropellant design commands."""
+    printed = _run(["bistar", "design", *DESIGN])
+    path = workdir / "bistar-interface.csv"
+    _run(["bistar", "interface", *DESIGN, "--out", str(path)])
+    return [("bistar-design", _sha(printed.encode("utf-8"))), ("bistar-interface", _sha(path.read_bytes()))]
+
+
 def main(argv: list[str]) -> int:
     names = argv or sorted(CASE_BUILDERS)
     with tempfile.TemporaryDirectory() as tmp:
         for name in names:
             for artifact, digest in case_digests(name, Path(tmp)):
                 print(f"{name} {artifact} {digest}")
+        if not argv:
+            for artifact, digest in design_digests(Path(tmp)):
+                print(f"design {artifact} {digest}")
     return 0
 
 
