@@ -26,19 +26,19 @@ __all__ = ["Case", "CASE_BUILDERS", "build_case"]
 class Case:
     """A meshed grain plus everything a benchmark run needs.
 
-    rate is the positive recession rate, given in any form solve takes
-    (one value, one per node, or a callable(x, y) returning either) and
-    stored as as_rate_field's per-node array.  It holds at most two
-    propellants: propellant 1 burns at the slowest rate and propellant 2
-    at the other.  labels and rate_ratio, the split that burn_curves
-    weighs the equivalent area by, derive from it.  port, when given, is
-    the port outline that bounds the mesh.  exact, the arrival field
-    errors are measured against, defaults to the port's distance over a
-    uniform rate and is None without a closed form (scheme smoke cases);
-    depth, its maximum, normalizes relative errors.  config holds the
-    solver settings, the defaults unless a geometry needs others.  rate
-    and exact hold one finite value per mesh node and are kept as
-    read-only float64 copies.  Cases compare and hash by identity.
+    rate is the positive recession rate, given in either form solve
+    takes (one value, or one per node) and stored as as_rate_field's
+    per-node array.  It holds at most two propellants: propellant 1
+    burns at the slowest rate and propellant 2 at the other.  labels
+    and rate_ratio, the split that burn_curves weighs the equivalent
+    area by, derive from it.  port, when given, is the port outline that
+    bounds the mesh.  exact, the arrival field errors are measured
+    against, defaults to the port's distance over a uniform rate and is
+    None without a closed form (scheme smoke cases); depth, its maximum,
+    normalizes relative errors.  config holds the solver settings, the
+    defaults unless a geometry needs others.  rate and exact hold one
+    finite value per mesh node and are kept as read-only float64
+    copies.  Cases compare and hash by identity.
     """
 
     name: str

@@ -53,7 +53,7 @@ field, each kept only if it lowers r.  The iteration starts from graph
 distances: Dijkstra over the mesh edges weighted
 len * 2 / (rate_a + rate_b), from the held nodes at zero.
 solve stops once max |Hcal| over the nodes not held falls below
-_TOL, or after _MAX_STEPS = 1 000 000 iterations, rejected ones
+_TOL, or after _MAX_STEPS = 1 000 iterations, rejected ones
 included.  Hcal is dimensionless, so one tolerance fits every grain.
 
 A and D share one sparsity pattern, each node's one-ring plus the
@@ -101,7 +101,7 @@ _CHORD_STEPS = 2
 # max |Hcal| over the nodes not held below which a field is converged
 _TOL = 1e-6
 # iterations, rejected ones included, after which solve gives up
-_MAX_STEPS = 1_000_000
+_MAX_STEPS = 1_000
 
 
 class SolverError(RuntimeError):
@@ -134,11 +134,9 @@ class ArrivalField:
 
 
 def as_rate_field(mesh: Mesh, rate) -> np.ndarray:
-    """Per-node recession rate from a scalar, array, or callable(x, y)
-    returning either.  A wrong length or non-finite value raises
-    ValueError, a value that is not positive SolverError naming its node."""
-    if callable(rate):
-        rate = rate(mesh.nodes[:, 0], mesh.nodes[:, 1])
+    """Per-node recession rate from a number or one value per node.
+    A wrong length or non-finite value raises ValueError, a value that
+    is not positive SolverError naming its node."""
     if np.ndim(rate) == 0:
         rate = np.full(mesh.n_nodes, rate, dtype=np.float64)
     values = _per_node(mesh, rate, "rate")

@@ -2,12 +2,13 @@
 
 A star tip angle can be chosen so the perimeter lost at the tip cusps
 exactly cancels the growth of the regular arcs and valley corners; the
-residual of that balance and its root live here.  The bipropellant
-variant splits the sector into a slow propellant around the casing and
-a fast one in the valley slot; a BiStarDesign derives its web and the
-rate ratio f that brings both fronts to the casing at the same instant,
-leaving no sliver.  The propellant-propellant interface then follows
-from intersecting the two cylindrical fronts at equal pseudotime.
+residual of that balance and its root, bisected down to adjacent
+floats, live here.  The bipropellant variant splits the sector into a
+slow propellant around the casing and a fast one in the valley slot; a
+BiStarDesign derives its web and the rate ratio f that brings both
+fronts to the casing at the same instant, leaving no sliver.  The
+propellant-propellant interface then follows from intersecting the two
+cylindrical fronts at equal pseudotime.
 """
 
 from __future__ import annotations
@@ -93,29 +94,23 @@ def neutral_residual(n: int, theta: float) -> float:
 def neutral_tip_angle(n: int) -> float:
     """Tip semi-angle theta/2 making an n-tip star neutral.
 
-    The residual is monotone in theta, so the root is unique; it is
-    bisected on [1e-6, pi - 1e-12] down to a 1e-14 bracket and
-    Newton-polished to |residual| < 1e-12.  Stars with fewer than 4 tips
-    are rejected: their formal root lies where the construction
-    self-intersects.
+    The residual rises with theta, so the root is unique: theta is the
+    first float in [1e-6, pi - 1e-12], found by bisection, at which the
+    residual is not negative.  Stars with fewer than 4 tips are rejected,
+    as their formal root lies where the construction self-intersects,
+    and so is n above ~5e16, whose root lies within rounding of pi.
     """
     if n < 4:
         raise ValueError("neutral star needs n >= 4")
     lo, hi = 1e-6, math.pi - 1e-12
-    while hi - lo > 1e-14:
-        mid = 0.5 * (lo + hi)
+    if not neutral_residual(n, lo) < 0.0 <= neutral_residual(n, hi):
+        raise ValueError(f"no neutral tip angle for n = {n} in double precision")
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
         if neutral_residual(n, mid) < 0.0:
             lo = mid
         else:
             hi = mid
-    theta = 0.5 * (lo + hi)
-    for _ in range(3):
-        # dR/dtheta = cot(theta/2)^2 / 2, positive away from theta = pi
-        slope = 0.5 / math.tan(0.5 * theta) ** 2
-        theta -= neutral_residual(n, theta) / slope
-    if abs(neutral_residual(n, theta)) >= 1e-12:
-        raise ValueError(f"neutrality root did not polish for n = {n}")
-    return 0.5 * theta
+    return 0.5 * hi
 
 
 def bistar_design(n: int, r_c: float, r_f: float, d: float) -> BiStarDesign:

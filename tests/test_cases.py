@@ -319,10 +319,9 @@ def test_case_input_errors(name):
 
 
 def test_a_case_stores_the_per_node_rate_of_as_rate_field():
-    def rate(x, y):
-        return np.where(x < 0.75, 1.0, 2.0) + 0.0 * y
-
-    for given in (rate, 2.0, rate(*_TINY.nodes.T)):
+    x, y = _TINY.nodes.T
+    rate = np.where(x < 0.75, 1.0, 2.0) + 0.0 * y
+    for given in (2.0, rate, list(rate)):
         case = cases.Case("t", _TINY, given)
         np.testing.assert_array_equal(case.rate, as_rate_field(_TINY, given))
         assert case.rate.dtype == np.float64 and not case.rate.flags.writeable
@@ -338,7 +337,7 @@ def test_a_case_with_a_non_positive_rate_names_the_node():
         (np.inf, ValueError, "rate is not finite at node 4"),
     ):
         rate[4] = value
-        for given in (rate, lambda x, y: rate.copy()):
+        for given in (rate, list(rate)):
             with pytest.raises(error) as exc:
                 cases.Case("t", _TINY, given)
             assert type(exc.value) is error

@@ -125,6 +125,21 @@ def test_star_neutral_rejects_small_n(capsys):
     assert err.startswith("star.ValueError:")
 
 
+# star neutral --n values without a tip angle, and the one stderr line each prints
+NEUTRAL_ERRORS = {
+    "3": "star.ValueError: neutral star needs n >= 4",
+    "1" + "0" * 20: "star.ValueError: no neutral tip angle for n = 100000000000000000000 in double precision",
+}
+
+
+@pytest.mark.parametrize("n", sorted(NEUTRAL_ERRORS))
+def test_star_neutral_names_an_n_without_a_tip_angle(n, capsys):
+    assert main(["star", "neutral", "--n", n]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == NEUTRAL_ERRORS[n] + "\n"
+    assert captured.out == ""
+
+
 def test_bistar_design_prints_reference_ratio(capsys):
     argv = ["bistar", "design", "--n", "4", "--rc", "1.0", "--rf", "0.1", "--d", "0.5"]
     assert main(argv) == 0

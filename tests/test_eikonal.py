@@ -32,23 +32,16 @@ def quarter_annulus(nu=12, nv=18, r0=1.0, r1=2.0):
 
 
 def test_as_rate_field_scalar_array_callable():
+    # a number or one value per node; a callable is not a rate
     mesh = rect_left_ignition(4, 2)
     np.testing.assert_array_equal(as_rate_field(mesh, 2.0), np.full(mesh.n_nodes, 2.0))
     arr = np.linspace(1.0, 3.0, mesh.n_nodes)
     np.testing.assert_array_equal(as_rate_field(mesh, arr), arr)
-    field = as_rate_field(mesh, lambda x, y: 1.0 + x + 0.0 * y)
+    x, y = mesh.nodes.T
+    field = as_rate_field(mesh, 1.0 + x + 0.0 * y)
     np.testing.assert_allclose(field, 1.0 + mesh.nodes[:, 0])
-
-
-def test_a_callable_rate_may_return_a_scalar():
-    # a constant callable takes the scalar path, so nothing tells it
-    # from the plain number
-    mesh = rect_left_ignition(4, 2)
-    np.testing.assert_array_equal(as_rate_field(mesh, lambda x, y: 2.0), as_rate_field(mesh, 2.0))
-    mesh = quarter_annulus(8, 12)
-    by_callable, by_number = solve(mesh, lambda x, y: 2.0), solve(mesh, 2.0)
-    assert by_callable.converged
-    np.testing.assert_array_equal(by_callable.s, by_number.s)
+    with pytest.raises(TypeError):
+        as_rate_field(mesh, lambda x, y: 1.0 + x + 0.0 * y)
 
 
 def test_as_rate_field_rejects_bad_values():
@@ -283,7 +276,8 @@ def test_step_residual_matches_reference_formulas(monkeypatch):
     )
     assert set(np.bincount(mesh.triangles.ravel())) == {1, 2, 3, 6}
     mesh = with_ignition(mesh, [40, 41, 66])
-    rate = as_rate_field(mesh, lambda x, y: 1.0 + 0.5 * x + 0.25 * y * y)
+    x, y = mesh.nodes.T
+    rate = as_rate_field(mesh, 1.0 + 0.5 * x + 0.25 * y * y)
     monkeypatch.setattr(eikonal, "_MAX_STEPS", 2)
     partial = solve(mesh, rate)
     assert not partial.converged
@@ -299,7 +293,7 @@ def test_step_matrix_holds_each_nodes_own_pseudo_time_step():
     # rows and columns, IGNITION ones inside the mesh included, are sliced out
     mesh = with_ignition(quarter_annulus(), [60, 61, 140])  # radially graded triangle heights
     cache = geom_cache(mesh)
-    rate = as_rate_field(mesh, lambda x, y: 2.0 + x)
+    rate = as_rate_field(mesh, 2.0 + mesh.nodes[:, 0])
     held = mesh.node_markers == Marker.IGNITION
     system = _System(mesh, cache, rate, 0.25)
     state = system.evaluate(system.warm_start())
@@ -354,7 +348,7 @@ def test_jacobian_matches_central_differences(name, at):
 def test_step_field_stays_nonnegative_while_marching(monkeypatch):
     # a tenfold rate jump takes enough iterations to watch the field move
     mesh = quarter_annulus(8, 12)
-    rate = lambda x, y: np.where(x > 1.0, 10.0, 1.0)  # noqa: E731
+    rate = np.where(mesh.nodes[:, 0] > 1.0, 10.0, 1.0)
     for k in range(1, 30):
         monkeypatch.setattr(eikonal, "_MAX_STEPS", k)
         field = solve(mesh, rate)
@@ -440,10 +434,20 @@ def test_solve_two_layer_rate():
     # slope break: x for x <= 1, then 1 + (x - 1) / 2
     mesh = rect_left_ignition(60, 10, 2.0, 0.25)
     x = mesh.nodes[:, 0]
-    field = solve(mesh, lambda px, py: np.where(px <= 1.0, 1.0, 2.0))
+    field = solve(mesh, np.where(x <= 1.0, 1.0, 2.0))
     assert field.converged
     exact = np.where(x <= 1.0, x, 1.0 + 0.5 * (x - 1.0))
     assert np.abs(field.s - exact).max() < 0.02
+
+
+def test_a_solve_that_does_not_converge_stops_after_1000_iterations():
+    # a tenfold rate jump at x = 1.3 on the coarse quarter annulus does not
+    # converge; with _MAX_STEPS as shipped, the solve still returns
+    mesh = quarter_annulus(8, 12)
+    field = solve(mesh, np.where(mesh.nodes[:, 0] > 1.3, 10.0, 1.0))
+    assert field.converged is False
+    assert field.n_steps == 1000 == len(field.residual_history)
+    assert field.residual_history[-1] >= eikonal._TOL
 
 
 def test_solve_reports_nonconvergence(monkeypatch):
@@ -463,7 +467,7 @@ def test_rejected_steps_count_toward_max_steps(monkeypatch):
     # counts as an iteration
     monkeypatch.setattr(eikonal, "_HALVINGS", 0)
     mesh = quarter_annulus(8, 12)
-    rate = lambda x, y: np.where(x > 1.0, 10.0, 1.0)  # noqa: E731
+    rate = np.where(mesh.nodes[:, 0] > 1.0, 10.0, 1.0)
     monkeypatch.setattr(eikonal, "_MAX_STEPS", 4)
     field = solve(mesh, rate)
     assert not field.converged and field.n_steps == 4
@@ -504,7 +508,7 @@ def test_rate_jump_converges_through_a_shortened_step(monkeypatch):
     monkeypatch.setattr(eikonal, "splu", logged_factor)
     monkeypatch.setattr(_System, "evaluate", logged_evaluate)
     mesh = quarter_annulus(8, 12)
-    field = solve(mesh, lambda x, y: np.where(x > 1.0, 10.0, 1.0))
+    field = solve(mesh, np.where(mesh.nodes[:, 0] > 1.0, 10.0, 1.0))
     assert field.converged and field.n_steps <= 10
 
     starts = [k for k, e in enumerate(events) if e is None]

@@ -384,7 +384,7 @@ def test_emit_csv_field_and_residuals(planar, radial, monkeypatch):
     np.testing.assert_allclose(data[:, 4], err, rtol=1e-11)
 
     # the tenfold rate jump needs more than 3 iterations
-    jump = lambda x, y: np.where(x > 1.0, 10.0, 1.0)  # noqa: E731
+    jump = np.where(radial[0].nodes[:, 0] > 1.0, 10.0, 1.0)
     monkeypatch.setattr(eikonal, "_MAX_STEPS", 3)
     field = solve(radial[0], jump)
     assert not field.converged

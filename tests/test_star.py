@@ -40,14 +40,20 @@ def test_neutral_tip_angle_grows_with_n():
 
 
 def test_neutral_tip_angle_matches_brentq():
-    # the bisection lands where scipy's brentq root, polished by the same
-    # three Newton steps, does, to within the rounding of the residual
+    # the bisection lands where scipy's brentq root, polished by three
+    # Newton steps, does, to within the rounding of the residual
     brentq = pytest.importorskip("scipy.optimize").brentq
     for n in range(4, 40):
         theta = brentq(lambda t: neutral_residual(n, t), 1e-6, math.pi - 1e-12, xtol=1e-14)
         for _ in range(3):
             theta -= neutral_residual(n, theta) / (0.5 / math.tan(0.5 * theta) ** 2)
         assert abs(2.0 * neutral_tip_angle(n) - theta) <= 2.0 * math.ulp(theta), f"n = {n}"
+
+
+def test_neutral_tip_angle_is_the_first_float_with_a_non_negative_residual():
+    for n in range(4, 40):
+        theta = 2.0 * neutral_tip_angle(n)
+        assert neutral_residual(n, theta) >= 0.0 > neutral_residual(n, math.nextafter(theta, 0.0)), f"n = {n}"
 
 
 def test_neutral_tip_angle_rejects_small_n():
@@ -163,9 +169,9 @@ def test_bistar_interface_needs_two_samples():
 
 
 def test_neutral_tip_angle_bits_are_pinned():
-    # the Newton polish runs a fixed three steps; these are its results
+    # the bisection ends on adjacent floats; these are its results
     bits = {
-        4: "0x1.f848ba2edbcf6p-2",
+        4: "0x1.f848ba2edbcf7p-2",
         5: "0x1.162c76babf58dp-1",
         6: "0x1.2b9c900b8c9e8p-1",
         7: "0x1.3dbd1ee83ff68p-1",
@@ -187,6 +193,15 @@ DESIGN_ERRORS = {
 # each input check of the design formulas: the call and its ValueError message
 STAR_ERRORS = {
     "residual n": (lambda: neutral_residual(0, 1.0), "need n >= 1"),
+    # the root lies within rounding of pi, past the bracket
+    "neutral n 1e17": (
+        lambda: neutral_tip_angle(10**17),
+        "no neutral tip angle for n = 100000000000000000 in double precision",
+    ),
+    "neutral n 1e20": (
+        lambda: neutral_tip_angle(10**20),
+        "no neutral tip angle for n = 100000000000000000000 in double precision",
+    ),
     **{name: (lambda a=args: bistar_design(*a), message) for name, (args, message) in DESIGN_ERRORS.items()},
     "interface": (
         # a design this thin loses the cosine law's digits to rounding
