@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from burnback import (
-    bistar_design,
+    BiStarDesign,
     bistar_interface,
     build_case,
     burn_curves,
@@ -31,7 +31,7 @@ OUT = Path(__file__).parent / "out"
 
 def main() -> None:
     OUT.mkdir(exist_ok=True)
-    design = bistar_design(n=4, r_c=1.0, r_f=0.1, d=0.5)
+    design = BiStarDesign(n=4, r_c=1.0, r_f=0.1, d=0.5)
     print(f"4-slot grain, casing 1.0, fillet 0.1, slot depth 0.5")
     print(f"web omega = {design.omega:.4f}, rate ratio f = {design.f:.4f}")
 

@@ -17,7 +17,7 @@ import numpy as np
 from .contour import Arc, Contour, Line, make_circle, make_star
 from .eikonal import SolverConfig, as_rate_field
 from .mesh import Marker, Mesh, _grid_mesh, _loft, _per_node, gen_coons, gen_rect
-from .star import bistar_design, bistar_interface, neutral_tip_angle
+from .star import BiStarDesign, bistar_interface, neutral_tip_angle
 
 __all__ = ["Case", "CASE_BUILDERS", "build_case"]
 
@@ -188,7 +188,7 @@ def bistar_case() -> Case:
     curves.
     """
     n, casing_radius, fillet_radius, slot_depth = 4, 1.0, 0.1, 0.5
-    design = bistar_design(n, casing_radius, fillet_radius, slot_depth)
+    design = BiStarDesign(n, casing_radius, fillet_radius, slot_depth)
     alpha = np.pi / n
     seam = 2.0 * alpha / 3.0
     tip = np.array([slot_depth, 0.0])

@@ -4,9 +4,10 @@ Configuration is flags-only so every run can be reproduced by quoting
 its command line; --dump-spec on any subcommand prints the resolved
 options first for archival.  Each subcommand is an argparse subparser
 whose handler takes the options dict; every subcommand that reads a
-grain takes a registry --case or a --mesh file of rate 1.  Each one that
-solves takes --dissipation-scale, applied to the grain with solve --rate;
-the solver's tolerance and iteration bound are fixed.  Exit codes:
+grain takes a registry --case or a --mesh file, which carries its node
+rates.  Each one that solves takes --dissipation-scale, applied to the
+grain as it is read; the solver's tolerance and iteration bound are
+fixed.  Exit codes:
 0 success, 1 numeric failure (non-convergence or a verification
 threshold breach; also any module error, reported to stderr as
 module.ExceptionName), 2 usage (also an empty path and a level count
@@ -26,7 +27,7 @@ from .contour import ContourError
 from .eikonal import ArrivalField, SolverError, solve
 from .mesh import Marker, MeshError, geom_cache, load_mesh, save_mesh
 from .postproc import burn_curves, emit_csv, emit_svg, error_field
-from .star import bistar_design, bistar_interface, neutral_tip_angle
+from .star import BiStarDesign, bistar_interface, neutral_tip_angle
 
 __all__ = ["main"]
 
@@ -79,7 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     slv = sub.add_parser("solve", help="relax an arrival-time field")
     _add_grain(slv)
-    slv.add_argument("--rate", type=float, default=None, help="uniform recession rate")
     slv.add_argument("--out", required=True, type=_path, help="field CSV node,x,y,s")
     slv.add_argument("--residuals", type=_path, help="history CSV step,dt,max_residual")
     _add_solver_flags(slv)
@@ -149,25 +149,21 @@ def _solve_case(case: Case) -> ArrivalField:
 
 
 def _grain(opt: dict) -> Case:
-    """The --case registry case or the --mesh file at rate 1, re-rated to
-    solve --rate if given (checked first; a port re-derives the oracle)
-    and solved at --dissipation-scale if given (its config checks it)."""
-    rate, scale = opt.get("rate"), opt.get("dissipation_scale")
-    if rate is not None and not (math.isfinite(rate) and rate > 0.0):
-        raise ValueError(f"--rate value {rate} is not a positive finite rate")
+    """The --case registry case or the --mesh file at its own rates,
+    solved at --dissipation-scale if given (its config checks it)."""
     if opt["mesh"] is None:
         case = build_case(opt["case"])
     else:
-        case = Case(opt["mesh"], load_mesh(Path(opt["mesh"]).read_text(encoding="utf-8")), 1.0)
-    over = {} if rate is None else {"rate": rate, "exact": None}
-    if scale is not None:
-        over["config"] = replace(case.config, dissipation_scale=scale)
-    return replace(case, **over) if over else case
+        case = Case(opt["mesh"], *load_mesh(Path(opt["mesh"]).read_text(encoding="utf-8")))
+    scale = opt.get("dissipation_scale")
+    if scale is None:
+        return case
+    return replace(case, config=replace(case.config, dissipation_scale=scale))
 
 
 def _cmd_mesh_gen(opt: dict) -> int:
     case = build_case(opt["case"])
-    _write(opt["out"], save_mesh(case.mesh))
+    _write(opt["out"], save_mesh(case.mesh, case.rate))
     print(
         f"{opt['case']}: wrote {case.mesh.n_nodes} nodes, "
         f"{case.mesh.n_triangles} triangles to {opt['out']}"
@@ -271,7 +267,7 @@ def _cmd_star_neutral(opt: dict) -> int:
 
 
 def _cmd_bistar_design(opt: dict) -> int:
-    design = bistar_design(opt["n"], opt["rc"], opt["rf"], opt["d"])
+    design = BiStarDesign(opt["n"], opt["rc"], opt["rf"], opt["d"])
     rows = [
         ("n", f"{design.n}"),
         ("r_c", f"{design.r_c:.6g}"),
@@ -287,7 +283,7 @@ def _cmd_bistar_design(opt: dict) -> int:
 
 
 def _cmd_bistar_interface(opt: dict) -> int:
-    design = bistar_design(opt["n"], opt["rc"], opt["rf"], opt["d"])
+    design = BiStarDesign(opt["n"], opt["rc"], opt["rf"], opt["d"])
     face = bistar_interface(design, opt["samples"])
     _write(opt["out"], emit_csv(face))
     print(f"interface: {len(face.y)} samples, f = {design.f:.3f}, wrote {opt['out']}")

@@ -10,9 +10,9 @@ column by construction, so no mesh is welded after the fact.
 
 Text format, line oriented, '#' starts a comment:
 
-    ntri nnode     record counts, non-negative integers
-    x y marker     one line per node
-    i0 i1 i2       one line per triangle, 0-based node ids, CCW
+    ntri nnode       record counts, non-negative integers
+    x y marker rate  one line per node, rate its recession rate
+    i0 i1 i2         one line per triangle, 0-based node ids, CCW
 
 A SYMMETRY node's mirror line is not stored: it comes from the node's
 boundary edges to SYMMETRY neighbours (see Mesh).
@@ -240,11 +240,13 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def save_mesh(mesh: Mesh) -> str:
-    """Serialize to the canonical text format at full precision."""
+def save_mesh(mesh: Mesh, rate) -> str:
+    """Serialize a mesh and its node rates, one finite value per node, to
+    the canonical text format at full precision."""
+    rate = _per_node(mesh, rate, "rate")
     out = [f"{mesh.n_triangles} {mesh.n_nodes}"]
-    for (x, y), m in zip(mesh.nodes, mesh.node_markers):
-        out.append(f"{_fmt(x)} {_fmt(y)} {m}")
+    for (x, y), m, r in zip(mesh.nodes, mesh.node_markers, rate):
+        out.append(f"{_fmt(x)} {_fmt(y)} {m} {_fmt(r)}")
     for t in mesh.triangles:
         out.append(f"{t[0]} {t[1]} {t[2]}")
     return "\n".join(out) + "\n"
@@ -267,24 +269,27 @@ def _numbers(tokens: list, conv) -> np.ndarray:
 
 
 def _records(recs: list, line_no, convs, need: str, bad: str) -> list[np.ndarray]:
-    """The columns of a block of 3-token records, column k read by
-    convs[k]; raises MeshError naming the line of the earliest faulty
-    record, with need for a record of the wrong width and bad for a
-    token that does not read."""
-    end = next((n for n, rec in enumerate(recs) if len(rec) != 3), len(recs))
+    """The columns of a block of records of len(convs) tokens, column k
+    read by convs[k]; raises MeshError naming the line of the earliest
+    faulty record, with need for a record of the wrong width and bad for
+    a token that does not read."""
+    width = len(convs)
+    end = next((n for n, rec in enumerate(recs) if len(rec) != width), len(recs))
     flat = list(chain.from_iterable(recs[:end]))
     cols, n = [], end
     for k, conv in enumerate(convs):
         # each column is read up to the first bad token of the ones before it
-        cols.append(_numbers(flat[k : 3 * n : 3], conv))
+        cols.append(_numbers(flat[k : width * n : width], conv))
         n = len(cols[-1])
     if n < len(recs):
         raise MeshError(f"line {line_no[n]}: {bad if n < end else need}")
     return cols
 
 
-def load_mesh(text: str) -> Mesh:
-    """Parse and validate a mesh document; errors carry line numbers."""
+def load_mesh(text: str) -> tuple[Mesh, np.ndarray]:
+    """Parse and validate a mesh document into the mesh and its node
+    rates; errors carry line numbers.  The rates are read, not checked:
+    a Case or solve checks them, naming the node."""
     rows = text.splitlines()
     if "#" in text:
         rows = [raw.split("#", 1)[0] for raw in rows]
@@ -307,8 +312,12 @@ def load_mesh(text: str) -> Mesh:
 
     # a block that runs past the last record is reported after its records
     b, c = 1 + nnode, 1 + nnode + ntri
-    x, y, markers = _records(
-        recs[1:b], line_no[1:b], (float, float, int), "node record needs 'x y marker'", "bad number in node record"
+    x, y, markers, rate = _records(
+        recs[1:b],
+        line_no[1:b],
+        (float, float, int, float),
+        "node record needs 'x y marker rate'",
+        "bad number in node record",
     )
     ids = _records(
         recs[b:c], line_no[b:c], (int,) * 3, "triangle record needs 'i0 i1 i2'", "bad node id in triangle record"
@@ -318,7 +327,7 @@ def load_mesh(text: str) -> Mesh:
     if c < len(recs):
         raise MeshError(f"line {line_no[c]}: trailing records beyond declared counts")
 
-    return Mesh(np.column_stack([x, y]), np.column_stack(ids), markers)
+    return Mesh(np.column_stack([x, y]), np.column_stack(ids), markers), rate
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ __all__ = [
     "InterfacePolyline",
     "neutral_residual",
     "neutral_tip_angle",
-    "bistar_design",
     "bistar_interface",
 ]
 
@@ -111,11 +110,6 @@ def neutral_tip_angle(n: int) -> float:
         else:
             hi = mid
     return 0.5 * hi
-
-
-def bistar_design(n: int, r_c: float, r_f: float, d: float) -> BiStarDesign:
-    """The BiStarDesign of these inputs: its web omega and rate ratio f."""
-    return BiStarDesign(n, r_c, r_f, d)
 
 
 def bistar_interface(design: BiStarDesign, n_samples: int) -> InterfacePolyline:

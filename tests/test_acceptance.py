@@ -15,7 +15,7 @@ import numpy as np
 from burnback.eikonal import solve
 from burnback.mesh import Marker, Mesh, geom_cache
 from burnback.postproc import burn_curves, emit_svg, error_field
-from burnback.star import bistar_design, neutral_tip_angle
+from burnback.star import BiStarDesign, neutral_tip_angle
 
 NEUTRAL_TABLE = {4: 28.21, 5: 31.12, 6: 33.53, 7: 35.55, 8: 37.30}
 
@@ -46,8 +46,8 @@ def test_criterion_01_neutral_star_table(capsys):
 
 
 def test_criterion_02_bistar_rate_ratio(capsys):
-    f = bistar_design(4, 1.0, 0.1, 0.5).f
-    ms = 1e3 * best_time(lambda: bistar_design(4, 1.0, 0.1, 0.5))
+    f = BiStarDesign(4, 1.0, 0.1, 0.5).f
+    ms = 1e3 * best_time(lambda: BiStarDesign(4, 1.0, 0.1, 0.5))
     ok = abs(f - 1.592) <= 1e-3 and ms < 1.0
     report(capsys, ok, "2", f"f = {f:.6f} vs 1.592 (gate 1e-3), {ms:.3f} ms")
     assert ok
@@ -129,7 +129,7 @@ def test_criterion_07_circle_growth_laws(solved, capsys):
 
 def test_criterion_08_bistar_sliverless_equilibrium(solved, capsys):
     case, field, _ = solved("bistar")
-    design = bistar_design(4, 1.0, 0.1, 0.5)
+    design = BiStarDesign(4, 1.0, 0.1, 0.5)
     casing = case.mesh.node_markers == Marker.FREE
     arrivals = field.s[casing]
     spread = float((arrivals.max() - arrivals.min()) / design.omega)

@@ -13,7 +13,7 @@ from burnback.cases import CASE_BUILDERS, build_case
 from burnback.contour import Contour, Line
 from burnback.eikonal import SolverConfig, SolverError, as_rate_field
 from burnback.mesh import Marker, gen_rect
-from burnback.star import bistar_design
+from burnback.star import BiStarDesign
 
 
 @pytest.mark.parametrize("name", sorted(CASE_BUILDERS))
@@ -147,7 +147,7 @@ def test_star_case_mesh_budget_and_overrides():
 
 def test_bistar_case_rate_field():
     case = build_case("bistar")
-    design = bistar_design(4, 1.0, 0.1, 0.5)
+    design = BiStarDesign(4, 1.0, 0.1, 0.5)
     assert case.rate_ratio == pytest.approx(design.f)
     values = set(np.unique(case.rate))
     assert values == {1.0, design.f}
@@ -162,7 +162,7 @@ def test_bistar_oracle_continuous_at_interface():
     from burnback.star import bistar_interface
 
     case = build_case("bistar")
-    design = bistar_design(4, 1.0, 0.1, 0.5)
+    design = BiStarDesign(4, 1.0, 0.1, 0.5)
     face = bistar_interface(design, 1025)
     pts = np.column_stack([face.r1 * np.cos(face.theta1), face.r1 * np.sin(face.theta1)])
     slow = np.hypot(pts[:, 0], pts[:, 1]) - (design.r_f + design.d)

@@ -44,7 +44,7 @@ def test_parse_args_solve_defaults():
     assert opt["handler"] is cli._cmd_solve
     assert opt["case"] == "rect"
     assert opt["mesh"] is None
-    assert opt["rate"] is None
+    assert "rate" not in opt
     assert opt["out"] == "field.csv"
     assert opt["residuals"] is None
     assert opt["dissipation_scale"] is None
@@ -263,7 +263,7 @@ def test_solve_from_mesh_file_writes_field_and_residuals(tmp_path, capsys):
     hist = tmp_path / "hist.csv"
     assert main(["mesh", "gen", "--case", "rect", "--out", str(path)]) == 0
     argv = [
-        "solve", "--mesh", str(path), "--rate", "1.0",
+        "solve", "--mesh", str(path),
         "--out", str(field), "--residuals", str(hist),
     ]
     assert main(argv) == 0
@@ -276,13 +276,10 @@ def test_solve_from_mesh_file_writes_field_and_residuals(tmp_path, capsys):
     assert hist.read_text().splitlines()[0] == "step,dt,max_residual"
 
 
-SINGLE_RATE = [name for name in sorted(CASE_BUILDERS) if build_case(name).rate_ratio == 1.0]
-
-
 def _generated_mesh(name, tmp_path):
     """The `mesh gen` file of a case, and the solver flags of the case's
-    own settings: a mesh file reads as a case of rate 1 with default
-    solver settings, so star needs its --dissipation-scale 0.125."""
+    own settings: a mesh file reads as a case of the file's rates with
+    default solver settings, so star needs its --dissipation-scale 0.125."""
     path = tmp_path / "case.mesh"
     assert main(["mesh", "gen", "--case", name, "--out", str(path)]) == 0
     config = build_case(name).config
@@ -295,7 +292,7 @@ def _generated_mesh(name, tmp_path):
     return str(path), flags
 
 
-@pytest.mark.parametrize("name", SINGLE_RATE)
+@pytest.mark.parametrize("name", sorted(CASE_BUILDERS))
 def test_solve_from_a_generated_mesh_file_matches_the_case(name, tmp_path):
     path, flags = _generated_mesh(name, tmp_path)
     by_mesh, by_case = tmp_path / "m.csv", tmp_path / "c.csv"
@@ -304,7 +301,7 @@ def test_solve_from_a_generated_mesh_file_matches_the_case(name, tmp_path):
     assert by_mesh.read_bytes() == by_case.read_bytes()
 
 
-@pytest.mark.parametrize("name", SINGLE_RATE)
+@pytest.mark.parametrize("name", sorted(CASE_BUILDERS))
 def test_curves_from_a_generated_mesh_file_match_the_case(name, tmp_path):
     path, flags = _generated_mesh(name, tmp_path)
     by_mesh, by_case = tmp_path / "m.csv", tmp_path / "c.csv"
@@ -314,20 +311,21 @@ def test_curves_from_a_generated_mesh_file_match_the_case(name, tmp_path):
     assert by_mesh.read_bytes() == by_case.read_bytes()
 
 
-@pytest.mark.parametrize("name", SINGLE_RATE)
+@pytest.mark.parametrize("name", sorted(CASE_BUILDERS))
 def test_contours_from_a_generated_mesh_file_match_the_case_less_its_port(name, tmp_path):
-    # a mesh file has no port, so only the port outline is missing
+    # a mesh file has no port, so only the port outline, where the case
+    # has one, is missing
     path, flags = _generated_mesh(name, tmp_path)
     by_mesh, by_case = tmp_path / "m.svg", tmp_path / "c.svg"
     assert main(["contours", "--mesh", path, "--out", str(by_mesh), "--levels", "0.1,0.3", *flags]) == 0
     assert main(["contours", "--case", name, "--out", str(by_case), "--levels", "0.1,0.3"]) == 0
     lines = by_case.read_text().splitlines(keepends=True)
     port = [line for line in lines if line.startswith("<path") and 'stroke="#d62728"' in line]
-    assert len(port) == 1
+    assert len(port) == (build_case(name).port is not None)
     assert by_mesh.read_text() == "".join(line for line in lines if line not in port)
 
 
-@pytest.mark.parametrize("name", SINGLE_RATE)
+@pytest.mark.parametrize("name", sorted(CASE_BUILDERS))
 def test_curves_of_a_mesh_file_span_the_solved_field_by_default(name, solved, tmp_path):
     # a mesh file has no oracle, so its default range is 5-95% of the solved max
     case, field, _ = solved(name)
@@ -335,7 +333,7 @@ def test_curves_of_a_mesh_file_span_the_solved_field_by_default(name, solved, tm
     out = tmp_path / "m.csv"
     assert main(["curves", "--mesh", path, "--out", str(out), "--tau-count", "3", *flags]) == 0
     tau = np.linspace(0.05 * field.s.max(), 0.95 * field.s.max(), 3)
-    assert out.read_text() == emit_csv(burn_curves(case.mesh, field.s, case.labels, 1.0, tau))
+    assert out.read_text() == emit_csv(burn_curves(case.mesh, field.s, case.labels, case.rate_ratio, tau))
 
 
 def test_solve_nonconvergence_exits_1(tmp_path, capsys, monkeypatch):
@@ -464,16 +462,48 @@ def test_contours_rejects_nonfinite_level(tmp_path, capsys, monkeypatch):
         assert not out.exists()
 
 
-@pytest.mark.parametrize("value", ["nan", "0", "-1", "inf"])
+def _rect_file(tmp_path, edit):
+    """The `mesh gen` file of rect with edit applied to each of its lines."""
+    path = tmp_path / "rect.mesh"
+    assert main(["mesh", "gen", "--case", "rect", "--out", str(path)]) == 0
+    path.write_text("".join(edit(n, line) for n, line in enumerate(path.read_text().splitlines(True), 1)))
+    return str(path)
+
+
+# a file rate that is not positive and finite, and the error naming its node
+FILE_RATE_ERRORS = {
+    "nan": "mesh.ValueError: rate is not finite at node 5",
+    "inf": "mesh.ValueError: rate is not finite at node 5",
+    "0": "eikonal.SolverError: rate must be positive and finite (node 5)",
+    "-1": "eikonal.SolverError: rate must be positive and finite (node 5)",
+}
+
+
+@pytest.mark.parametrize("value", sorted(FILE_RATE_ERRORS))
 def test_solve_checks_rate_before_the_solve(tmp_path, capsys, monkeypatch, value):
+    # node 5 is on line 7 of the file, its rate the last token
     def no_solve(*args, **kwargs):
         raise AssertionError("the rate is checked before the solve")
 
+    path = _rect_file(tmp_path, lambda n, line: line.rsplit(" ", 1)[0] + f" {value}\n" if n == 7 else line)
     monkeypatch.setattr(cli, "solve", no_solve)
     out = tmp_path / "field.csv"
-    assert main(["solve", "--case", "rect", "--out", str(out), "--rate", value]) == 1
-    err = capsys.readouterr().err
-    assert err == f"cli.ValueError: --rate value {float(value)} is not a positive finite rate\n"
+    assert main(["solve", "--mesh", path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == FILE_RATE_ERRORS[value] + "\n"
+    assert not out.exists()
+
+
+def test_a_mesh_file_of_the_three_column_format_fails_at_its_first_node(tmp_path, capsys):
+    # a file written before node records carried a rate: each 4-token
+    # record loses its last token
+    path = _rect_file(tmp_path, lambda n, line: line.rsplit(" ", 1)[0] + "\n" if line.count(" ") == 3 else line)
+    assert main(["mesh", "info", "--mesh", path]) == 1
+    assert capsys.readouterr().err == "mesh.MeshError: line 2: node record needs 'x y marker rate'\n"
+
+
+def test_solve_rejects_the_rate_flag_as_a_usage_error(tmp_path):
+    out = tmp_path / "field.csv"
+    assert main(["solve", "--case", "rect", "--out", str(out), "--rate", "2.0"]) == 2
     assert not out.exists()
 
 
@@ -499,17 +529,18 @@ def test_dissipation_scale_overrides_the_case_setting(tmp_path, capsys, monkeypa
         assert not out.exists()
 
 
-def test_solve_rate_rebuilds_the_grain_at_that_rate():
-    # one uniform rate on the two-propellant case: its port gives the oracle
-    case = cli._grain({"case": "bistar", "mesh": None, "rate": 2.0})
-    np.testing.assert_array_equal(case.rate, np.full(case.mesh.n_nodes, 2.0))
-    assert case.rate_ratio == 1.0
-    np.testing.assert_array_equal(case.exact, case.port.distance(case.mesh.nodes) / 2.0)
+def test_a_mesh_file_reads_as_a_grain_of_its_own_rates(tmp_path):
+    # the two-propellant case keeps its split, but a file has no port or oracle
+    path, _ = _generated_mesh("bistar", tmp_path)
+    case, bistar = cli._grain({"case": None, "mesh": path}), build_case("bistar")
+    np.testing.assert_array_equal(case.rate, bistar.rate)
+    assert case.rate_ratio == bistar.rate_ratio > 1.0
+    assert case.name == path and case.port is None and case.exact is None
 
 
 def test_mesh_info_names_the_line_of_an_oversized_id(tmp_path, capsys):
     path = tmp_path / "big.mesh"
-    path.write_text("1 3\n0 0 1\n1 0 0\n0 1 0\n0 1 99999999999999999999999\n")
+    path.write_text("1 3\n0 0 1 1\n1 0 0 1\n0 1 0 1\n0 1 99999999999999999999999\n")
     assert main(["mesh", "info", "--mesh", str(path)]) == 1
     err = capsys.readouterr().err
     assert err == "mesh.MeshError: line 5: bad node id in triangle record\n"

@@ -170,18 +170,30 @@ def test_gen_rect_area_identity(nx, ny, width, height):
 
 @pytest.mark.parametrize("name", sorted(CASE_BUILDERS))
 def test_save_load_round_trip_is_exact(name):
-    mesh = build_case(name).mesh
-    text = save_mesh(mesh)
-    again = load_mesh(text)
+    case = build_case(name)
+    mesh = case.mesh
+    text = save_mesh(mesh, case.rate)
+    again, rate = load_mesh(text)
     np.testing.assert_array_equal(mesh.nodes, again.nodes)
     np.testing.assert_array_equal(mesh.triangles, again.triangles)
     np.testing.assert_array_equal(mesh.node_markers, again.node_markers)
     np.testing.assert_array_equal(mesh.mirror, again.mirror)
-    assert save_mesh(again) == text
+    np.testing.assert_array_equal(case.rate, rate)
+    assert save_mesh(again, rate) == text
+
+
+def test_save_mesh_takes_one_finite_rate_per_node():
+    mesh = gen_rect(2, 2, 1.0, 1.0)
+    assert save_mesh(mesh, np.full(9, 0.5)).splitlines()[1:3] == ["0 0 2 0.5", "0.5 0 2 0.5"]
+    for rate in (np.ones(3), 1.0):
+        with pytest.raises(ValueError, match=f"^rate has {np.size(rate)} values for 9 mesh nodes$"):
+            save_mesh(mesh, rate)
+    with pytest.raises(ValueError, match="^rate is not finite at node 4$"):
+        save_mesh(mesh, np.where(np.arange(9) == 4, np.nan, 1.0))
 
 
 def test_load_mesh_errors_carry_line_numbers():
-    text = save_mesh(gen_rect(2, 2, 1.0, 1.0))
+    text = save_mesh(gen_rect(2, 2, 1.0, 1.0), np.ones(9))
     lines = text.splitlines()
     lines[3] = "not a node record"
     with pytest.raises(MeshError, match="line 4"):
@@ -189,22 +201,22 @@ def test_load_mesh_errors_carry_line_numbers():
 
 
 def test_load_mesh_rejects_trailing_records():
-    text = save_mesh(gen_rect(2, 2, 1.0, 1.0))
+    text = save_mesh(gen_rect(2, 2, 1.0, 1.0), np.ones(9))
     with pytest.raises(MeshError):
         load_mesh(text + "0 1 2\n")
 
 
 # save_mesh of a 2x1 block with an ignition left side and a symmetry
-# bottom: header on line 1, nodes on lines 2-7 (nodes 1 and 2 SYMMETRY),
-# triangles on lines 8-11.
+# bottom, of rate 1 but 3 on its right side: header on line 1, nodes on
+# lines 2-7 (nodes 1 and 2 SYMMETRY), triangles on lines 8-11.
 DOC = [
     "4 6",
-    "0 0 1",
-    "0.5 0 3",
-    "1 0 3",
-    "0 1 1",
-    "0.5 1 2",
-    "1 1 2",
+    "0 0 1 1",
+    "0.5 0 3 1",
+    "1 0 3 3",
+    "0 1 1 1",
+    "0.5 1 2 1",
+    "1 1 2 3",
     "0 1 4",
     "0 4 3",
     "1 2 5",
@@ -230,40 +242,44 @@ LOAD_ERRORS = {
     "header-long": ({1: "4 6 1 0"}, "line {}: header must be 'ntri nnode'", 1),
     "header-word": ({1: "4 x"}, "line {}: header must hold two integers", 1),
     "header-float": ({1: "4 6.0"}, "line {}: header must hold two integers", 1),
-    "node-short": ({2: "0 0"}, "line {}: node record needs 'x y marker'", 2),
-    "node-long": ({2: "0 0 1 0 0"}, "line {}: node record needs 'x y marker'", 2),
-    "node-x": ({2: "x 0 1"}, "line {}: bad number in node record", 2),
-    "node-y": ({5: "0 y 1"}, "line {}: bad number in node record", 5),
-    "node-marker": ({2: "0 0 1.5"}, "line {}: bad number in node record", 2),
-    # a symline token of the older format is one field too many
-    "node-extra-symline": ({2: "0 0 1 0"}, "line {}: node record needs 'x y marker'", 2),
-    "node-bad-symline": ({3: "0.5 0 3 x"}, "line {}: node record needs 'x y marker'", 3),
+    "node-short": ({2: "0 0"}, "line {}: node record needs 'x y marker rate'", 2),
+    "node-long": ({2: "0 0 1 1 0 0"}, "line {}: node record needs 'x y marker rate'", 2),
+    "node-x": ({2: "x 0 1 1"}, "line {}: bad number in node record", 2),
+    "node-y": ({5: "0 y 1 1"}, "line {}: bad number in node record", 5),
+    "node-marker": ({2: "0 0 1.5 1"}, "line {}: bad number in node record", 2),
+    "node-rate": ({3: "0.5 0 3 x"}, "line {}: bad number in node record", 3),
+    # a record of the older 'x y marker' format has no rate
+    "node-no-rate": ({2: "0 0 1"}, "line {}: node record needs 'x y marker rate'", 2),
+    # a symline token of an older format is one field too many
+    "node-extra-symline": ({2: "0 0 1 1 0"}, "line {}: node record needs 'x y marker rate'", 2),
+    "node-bad-symline": ({3: "0.5 0 3 1 x"}, "line {}: node record needs 'x y marker rate'", 3),
     "tri-short": ({8: "0 1"}, "line {}: triangle record needs 'i0 i1 i2'", 8),
     "tri-long": ({11: "1 5 4 0"}, "line {}: triangle record needs 'i0 i1 i2'", 11),
     "tri-id": ({9: "0 4 x"}, "line {}: bad node id in triangle record", 9),
     "trailing": ({12: "0 1 2"}, "line {}: trailing records beyond declared counts", 12),
     # a wrong header count shifts the blocks, and the error names the
     # first record that no longer fits
-    "nnode-high": ({1: "4 7"}, "unexpected end of mesh document", None),
-    "nnode-low": ({1: "4 5"}, "line {}: trailing records beyond declared counts", 11),
+    "nnode-high": ({1: "4 7"}, "line {}: node record needs 'x y marker rate'", 8),
+    "nnode-low": ({1: "4 5"}, "line {}: triangle record needs 'i0 i1 i2'", 7),
     "ntri-high": ({1: "5 6"}, "unexpected end of mesh document", None),
     "ntri-low": ({1: "3 6"}, "line {}: trailing records beyond declared counts", 11),
     # the older format's header, 'ntri nnode nsym', fails at line 1
     "nsym-high": ({1: "4 6 2"}, "line {}: header must be 'ntri nnode'", 1),
     "nsym-low": ({1: "4 6 0"}, "line {}: header must be 'ntri nnode'", 1),
-    "nnode-into-tris": ({1: "4 7", 8: "0 1 4.5"}, "line {}: bad number in node record", 8),
+    "nnode-into-tris": ({1: "4 7", 8: "0 1 4.5 1"}, "line {}: bad number in node record", 8),
     # within a record: width, then numbers
-    "width-before-number": ({2: "0 0 x 0 0"}, "line {}: node record needs 'x y marker'", 2),
+    "width-before-number": ({2: "0 0 x 0 0"}, "line {}: node record needs 'x y marker rate'", 2),
     # across records: the earliest line, whatever the kind
-    "number-before-width": ({7: "1 1", 2: "x 0 1"}, "line {}: bad number in node record", 2),
-    "marker-before-y": ({5: "0 y 1", 3: "0.5 0 q"}, "line {}: bad number in node record", 3),
-    "node-before-tri": ({10: "1 2", 6: "0.5 1"}, "line {}: node record needs 'x y marker'", 6),
+    "number-before-width": ({7: "1 1", 2: "x 0 1 1"}, "line {}: bad number in node record", 2),
+    "marker-before-y": ({5: "0 y 1 1", 3: "0.5 0 q 1"}, "line {}: bad number in node record", 3),
+    "rate-before-marker": ({5: "0 1 q 1", 3: "0.5 0 3 r"}, "line {}: bad number in node record", 3),
+    "node-before-tri": ({10: "1 2", 6: "0.5 1"}, "line {}: node record needs 'x y marker rate'", 6),
     "tri-id-before-width": ({11: "1 5", 8: "0 1 x"}, "line {}: bad node id in triangle record", 8),
     "tri-width-before-id": ({9: "0 4", 11: "1 x 4"}, "line {}: triangle record needs 'i0 i1 i2'", 9),
     # well-formed records that break a mesh invariant
-    "marker-value": ({2: "0 0 7"}, "invalid marker value at node 0", None),
+    "marker-value": ({2: "0 0 7 1"}, "invalid marker value at node 0", None),
     "tri-range": ({8: "0 1 6"}, "triangle 0 references a node outside 0..5", None),
-    "lone-symmetry": ({4: "1 0 2"}, "SYMMETRY node 1 has no SYMMETRY boundary neighbour", None),
+    "lone-symmetry": ({4: "1 0 2 3"}, "SYMMETRY node 1 has no SYMMETRY boundary neighbour", None),
     "clockwise": (
         {8: "0 4 1"}, "non-positive triangle area (clockwise or degenerate): triangles [0]", None
     ),
@@ -274,7 +290,7 @@ LOAD_ERRORS = {
 @pytest.mark.parametrize("name", sorted(LOAD_ERRORS))
 def test_load_mesh_error_table(name, padded):
     edits, message, line = LOAD_ERRORS[name]
-    assert load_mesh(edited({}, padded)).n_nodes == 6
+    assert load_mesh(edited({}, padded))[1].tolist() == [1, 1, 3, 1, 1, 3]
     with pytest.raises(MeshError) as exc:
         load_mesh(edited(edits, padded))
     assert str(exc.value) == message.format(line + 2 * padded if line else None)
@@ -293,9 +309,9 @@ NEW_ERRORS = {
     "nnode-negative": ({1: "4 -6"}, "line 1: header counts must be non-negative"),
     "ntri-huge": ({1: "99999999999999999999 6"}, "unexpected end of mesh document"),
     "tri-id-huge": ({8: "0 1 99999999999999999999999"}, "line 8: bad node id in triangle record"),
-    "marker-huge": ({2: "0 0 99999999999999999999"}, "line 2: bad number in node record"),
-    "node-nan": ({2: "nan 0 1"}, "non-finite coordinate at node 0"),
-    "node-inf": ({6: "0.5 1e400 2"}, "non-finite coordinate at node 4"),
+    "marker-huge": ({2: "0 0 99999999999999999999 1"}, "line 2: bad number in node record"),
+    "node-nan": ({2: "nan 0 1 1"}, "non-finite coordinate at node 0"),
+    "node-inf": ({6: "0.5 1e400 2 1"}, "non-finite coordinate at node 4"),
 }
 
 
@@ -336,10 +352,11 @@ def test_load_mesh_raises_only_mesh_error(data):
     else:
         recs[r][data.draw(st.integers(0, len(recs[r]) - 1), label="token")] = drawn
     try:
-        mesh = load_mesh("\n".join(map(" ".join, recs)))
+        mesh, rate = load_mesh("\n".join(map(" ".join, recs)))
     except MeshError:
         return
     assert isinstance(mesh, Mesh)
+    assert rate.dtype == np.float64 and rate.shape == (mesh.n_nodes,)
 
 
 def _int64(token: str) -> int:
@@ -349,9 +366,10 @@ def _int64(token: str) -> int:
     return value
 
 
-def reference_load(text: str) -> Mesh | str:
-    """The mesh of a document, or the text of its MeshError, read one
-    record and then one token at a time: the first fault met wins."""
+def reference_load(text: str) -> tuple[Mesh, list] | str:
+    """The mesh and node rates of a document, or the text of its
+    MeshError, read one record and then one token at a time: the first
+    fault met wins."""
     recs = [(ln, raw.split("#")[0].split()) for ln, raw in enumerate(text.splitlines(), 1)]
     recs = [(ln, rec) for ln, rec in recs if rec]
     if not recs:
@@ -366,14 +384,19 @@ def reference_load(text: str) -> Mesh | str:
     if ntri < 0 or nnode < 0:
         return f"line {ln}: header counts must be non-negative"
     blocks = [
-        (body[:nnode], (float, float, _int64), "node record needs 'x y marker'", "bad number in node record"),
+        (
+            body[:nnode],
+            (float, float, _int64, float),
+            "node record needs 'x y marker rate'",
+            "bad number in node record",
+        ),
         (body[nnode : nnode + ntri], (_int64,) * 3, "triangle record needs 'i0 i1 i2'", "bad node id in triangle record"),
     ]
     rows = []
     for block, convs, need, bad in blocks:
         rows.append([])
         for ln, rec in block:
-            if len(rec) != 3:
+            if len(rec) != len(convs):
                 return f"line {ln}: {need}"
             try:
                 rows[-1].append([conv(tok) for conv, tok in zip(convs, rec)])
@@ -386,7 +409,7 @@ def reference_load(text: str) -> Mesh | str:
     nodes, tris = rows
     xy = np.reshape([rec[:2] for rec in nodes], (-1, 2))
     try:
-        return Mesh(xy, np.reshape(tris, (-1, 3)), [rec[2] for rec in nodes])
+        return Mesh(xy, np.reshape(tris, (-1, 3)), [rec[2] for rec in nodes]), [rec[3] for rec in nodes]
     except MeshError as exc:
         return str(exc)
 
@@ -419,13 +442,14 @@ def test_load_mesh_matches_a_record_by_record_reader(data):
         text = "# a mesh\n\n" + "\n".join(f"{ln}  # note" for ln in text.splitlines())
     expected = reference_load(text)
     try:
-        mesh = load_mesh(text)
+        mesh, rate = load_mesh(text)
     except MeshError as exc:
         assert str(exc) == expected
         return
-    assert isinstance(expected, Mesh)
+    assert not isinstance(expected, str), expected
     for name in ("nodes", "triangles", "node_markers"):
-        np.testing.assert_array_equal(getattr(mesh, name), getattr(expected, name))
+        np.testing.assert_array_equal(getattr(mesh, name), getattr(expected[0], name))
+    np.testing.assert_array_equal(rate, np.array(expected[1], dtype=np.float64))
 
 
 # two rows of cells, so that each SYMMETRY side has a SYMMETRY node
@@ -457,7 +481,7 @@ BUILDS = {
         "SYMMETRY node 6 has no SYMMETRY boundary neighbour",
     ),
     "load_mesh": (
-        lambda bad: load_mesh(edited({4: "1 0 2"} if bad else {}, False)),
+        lambda bad: load_mesh(edited({4: "1 0 2 3"} if bad else {}, False))[0],
         "SYMMETRY node 1 has no SYMMETRY boundary neighbour",
     ),
     "gen_rect": (
@@ -815,15 +839,14 @@ def test_mesh_names_symmetry_node_without_a_symmetry_neighbour():
 
 def test_load_mesh_line_numbers_count_comments_and_blank_lines():
     mesh = gen_rect(3, 2, 1.0, 1.0, markers={"bottom": Marker.SYMMETRY})
-    lines = save_mesh(mesh).splitlines()
+    lines = save_mesh(mesh, np.ones(mesh.n_nodes)).splitlines()
     doc = ["# a mesh", lines[0], "", *lines[1:4], "   # note", *lines[4:]]
-    again = load_mesh("\n".join(doc))
-    assert save_mesh(again) == "\n".join(lines) + "\n"
+    assert save_mesh(*load_mesh("\n".join(doc))) == "\n".join(lines) + "\n"
     doc[-1] = "0 1 x"
     with pytest.raises(MeshError, match=f"line {len(doc)}: bad node id"):
         load_mesh("\n".join(doc))
-    doc[5] = doc[5].split()[0] + " 0.0 3 0"
-    with pytest.raises(MeshError, match="line 6: node record needs 'x y marker'"):
+    doc[5] = doc[5].split()[0] + " 0.0 3 1 0"
+    with pytest.raises(MeshError, match="line 6: node record needs 'x y marker rate'"):
         load_mesh("\n".join(doc))
 
 

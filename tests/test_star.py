@@ -10,7 +10,6 @@ import pytest
 
 from burnback.star import (
     BiStarDesign,
-    bistar_design,
     bistar_interface,
     neutral_residual,
     neutral_tip_angle,
@@ -72,14 +71,14 @@ def test_neutral_residual_validates_theta():
 
 
 def test_bistar_design_reference_ratio():
-    design = bistar_design(4, 1.0, 0.1, 0.5)
+    design = BiStarDesign(4, 1.0, 0.1, 0.5)
     assert design.f == pytest.approx(1.592, abs=1e-3)
     assert design.omega == pytest.approx(0.4)
 
 
 def test_bistar_design_closed_form():
     for n, r_c, r_f, d in [(4, 1.0, 0.1, 0.5), (6, 2.0, 0.3, 0.8), (3, 1.0, 0.05, 0.6)]:
-        design = bistar_design(n, r_c, r_f, d)
+        design = BiStarDesign(n, r_c, r_f, d)
         omega = r_c - r_f - d
         expected = (math.sqrt(r_c**2 - 2.0 * r_c * d * math.cos(math.pi / n) + d**2) - r_f) / omega
         assert design.f == pytest.approx(expected, rel=1e-12)
@@ -88,7 +87,7 @@ def test_bistar_design_closed_form():
 
 def test_bistar_design_rejects_missing_web():
     with pytest.raises(ValueError, match="web"):
-        bistar_design(4, 1.0, 0.4, 0.6)
+        BiStarDesign(4, 1.0, 0.4, 0.6)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -97,14 +96,14 @@ def test_bistar_design_rejects_nonfinite_input(name, bad):
     args = dict(r_c=1.0, r_f=0.1, d=0.5)
     args[name] = bad
     with pytest.raises(ValueError, match=f"^{name} = {bad} is not finite"):
-        bistar_design(4, **args)
+        BiStarDesign(4, **args)
 
 
 def test_a_design_derives_its_web_and_rate_ratio():
-    # built directly or through bistar_design, a design holds the same
-    # bits in all six fields; omega and f are results, not arguments
+    # two designs of the same inputs hold the same bits in all six
+    # fields; omega and f are results, not arguments
     design = BiStarDesign(4, 1.0, 0.1, 0.5)
-    assert design == bistar_design(4, 1.0, 0.1, 0.5)
+    assert design == BiStarDesign(4, 1.0, 0.1, 0.5)
     assert design.f.hex() == "0x1.978f6c0f8ec37p+0"
     assert design.omega == 1.0 - 0.1 - 0.5
     for derived in ("omega", "f"):
@@ -113,15 +112,15 @@ def test_a_design_derives_its_web_and_rate_ratio():
 
 
 def test_replacing_an_input_derives_the_design_again():
-    design = replace(bistar_design(4, 1.0, 0.1, 0.5), d=0.4)
+    design = replace(BiStarDesign(4, 1.0, 0.1, 0.5), d=0.4)
     assert design.omega == 0.5
-    assert design.f == bistar_design(4, 1.0, 0.1, 0.4).f != bistar_design(4, 1.0, 0.1, 0.5).f
+    assert design.f == BiStarDesign(4, 1.0, 0.1, 0.4).f != BiStarDesign(4, 1.0, 0.1, 0.5).f
     with pytest.raises(ValueError, match=r"^no web: need r_f \+ d < r_c$"):
         replace(design, d=0.9)
 
 
 def test_bistar_interface_endpoints():
-    design = bistar_design(4, 1.0, 0.1, 0.5)
+    design = BiStarDesign(4, 1.0, 0.1, 0.5)
     face = bistar_interface(design, 512)
     # both fronts start on the fillet-tip circle at the slot axis and
     # end together at the casing corner of the sector
@@ -142,7 +141,7 @@ def test_bistar_interface_equal_arrival_against_distance_oracle():
     from burnback.contour import Arc as CArc
     from burnback.contour import Contour, Line
 
-    design = bistar_design(4, 1.0, 0.1, 0.5)
+    design = BiStarDesign(4, 1.0, 0.1, 0.5)
     face = bistar_interface(design, 257)
     alpha = math.pi / design.n
     wall0 = (design.r_f / math.tan(alpha), design.r_f)
@@ -163,7 +162,7 @@ def test_bistar_interface_equal_arrival_against_distance_oracle():
 
 
 def test_bistar_interface_needs_two_samples():
-    design = bistar_design(4, 1.0, 0.1, 0.5)
+    design = BiStarDesign(4, 1.0, 0.1, 0.5)
     with pytest.raises(ValueError):
         bistar_interface(design, 1)
 
@@ -181,7 +180,7 @@ def test_neutral_tip_angle_bits_are_pinned():
 
 
 # each input check of a bipropellant design: the arguments of
-# bistar_design, and so of BiStarDesign, and the ValueError message
+# BiStarDesign and the ValueError message
 DESIGN_ERRORS = {
     "design n": ((2, 1.0, 0.1, 0.5), "need n >= 3"),
     "design r_c": ((4, math.inf, 0.1, 0.5), "r_c = inf is not finite"),
@@ -202,10 +201,10 @@ STAR_ERRORS = {
         lambda: neutral_tip_angle(10**20),
         "no neutral tip angle for n = 100000000000000000000 in double precision",
     ),
-    **{name: (lambda a=args: bistar_design(*a), message) for name, (args, message) in DESIGN_ERRORS.items()},
+    **{name: (lambda a=args: BiStarDesign(*a), message) for name, (args, message) in DESIGN_ERRORS.items()},
     "interface": (
         # a design this thin loses the cosine law's digits to rounding
-        lambda: bistar_interface(bistar_design(4, 2.0, 1.0, 1e-7), 5),
+        lambda: bistar_interface(BiStarDesign(4, 2.0, 1.0, 1e-7), 5),
         "fronts do not intersect at y = 0",
     ),
 }

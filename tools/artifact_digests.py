@@ -2,7 +2,7 @@
 
 One line per artifact, `<case> <artifact> <sha256>`:
 
-- `mesh`: the `mesh gen` text;
+- `mesh`: the `mesh gen` text, one `x y marker rate` record per node;
 - `curves`: the `curves` CSV at its default 33 levels;
 - `svg`, `svg-no-mesh`: the `contours` SVG at its default 8 levels,
   with the mesh underlay and without it;
