@@ -347,8 +347,8 @@ def _grid_triangles(nx: int, ny: int) -> np.ndarray:
 
 
 def _side_rule(defaults: dict, markers, kind: str) -> dict:
-    """defaults updated by markers, each of whose keys must name a side
-    and each of whose values must be a Marker value."""
+    """defaults updated by markers, in defaults' key order: each key of
+    markers must name a side and each value must be a Marker value."""
     rule = dict(defaults)
     for key, value in (markers or {}).items():
         if key not in defaults:
@@ -360,9 +360,8 @@ def _side_rule(defaults: dict, markers, kind: str) -> dict:
     return rule
 
 
-# the sides of a lofted chain and their default markers: rows iv = 0 and
-# nv are the inner and outer curves
-_COONS_SIDES = (("inner", 1, False), ("outer", 1, True), ("side0", 0, False), ("side1", 0, True))
+# the sides of a lofted chain in _grid_mesh's order, and their default
+# markers: rows iv = 0 and nv are the inner and outer curves
 _COONS_RULE = {
     "inner": Marker.IGNITION,
     "outer": Marker.FREE,
@@ -371,7 +370,7 @@ _COONS_RULE = {
 }
 
 
-def _grid_mesh(patches, rule=_COONS_RULE, sides=_COONS_SIDES, closed=False) -> Mesh:
+def _grid_mesh(patches, rule=_COONS_RULE, closed=False) -> Mesh:
     """Validated mesh of a chain of structured patches.
 
     Each patch is (grid, tris): grid holds the coordinates of node
@@ -382,10 +381,10 @@ def _grid_mesh(patches, rule=_COONS_RULE, sides=_COONS_SIDES, closed=False) -> M
     with patch 0's first.  Node ids run patch by patch in row-major
     order, with the shared columns left out.
 
-    sides lists (name, axis, last): the chain's row iv = 0 (axis 1), or
-    nv when last, or its end column (axis 0), patch 0's first or the
-    last patch's last, which a closed chain does not have.  rule maps
-    each name to a Marker.  Markers are painted with corner priority, so
+    rule's values are the Markers of the chain's sides, in its key
+    order: row iv = 0, row nv, patch 0's first column and the last
+    patch's last column.  A closed chain has no end columns and paints
+    only the two rows.  Markers are painted with corner priority, so
     the seam columns stay INTERIOR but for their row ends.
     """
     ids, parts, n = [], [], 0
@@ -401,19 +400,13 @@ def _grid_mesh(patches, rule=_COONS_RULE, sides=_COONS_SIDES, closed=False) -> M
         n += len(parts[-1])
     if closed:
         ids[-1][:, -1] = ids[0][:, 0]
-        sides = [side for side in sides if side[1] == 1]
+    rows = [np.concatenate([idx[iv] for idx in ids]) for iv in (0, -1)]
+    sides = rows if closed else rows + [ids[0][:, 0], ids[-1][:, -1]]
     nodes = np.concatenate(parts)
     tris = np.concatenate([idx.ravel()[tri] for idx, (_, tri) in zip(ids, patches)])
 
-    ends = {
-        (0, False): ids[0][:, 0],
-        (0, True): ids[-1][:, -1],
-        (1, False): np.concatenate([idx[0] for idx in ids]),
-        (1, True): np.concatenate([idx[-1] for idx in ids]),
-    }
     markers = np.zeros(n, dtype=np.int64)
-    for name, axis, last in sides:
-        on, m = ends[axis, last], rule[name]
+    for on, m in zip(sides, rule.values()):
         markers[on[_MARKER_RANK[m] > _MARKER_RANK[markers[on]]]] = m
     return Mesh(nodes, tris, markers)
 
@@ -421,21 +414,20 @@ def _grid_mesh(patches, rule=_COONS_RULE, sides=_COONS_SIDES, closed=False) -> M
 def gen_rect(nx: int, ny: int, width: float, height: float, markers=None) -> Mesh:
     """Structured rectangle mesh, each cell split into two triangles.
 
-    markers maps side names left/right/bottom/top to Marker values;
+    markers maps side names bottom/top/left/right to Marker values;
     unnamed sides default to FREE.
     """
     if nx < 1 or ny < 1:
         raise MeshError("gen_rect needs nx, ny >= 1")
     if not (width > 0 and height > 0 and math.isfinite(width) and math.isfinite(height)):
         raise MeshError("gen_rect needs positive, finite width and height")
-    defaults = {"left": Marker.FREE, "right": Marker.FREE, "bottom": Marker.FREE, "top": Marker.FREE}
+    defaults = {"bottom": Marker.FREE, "top": Marker.FREE, "left": Marker.FREE, "right": Marker.FREE}
     rule = _side_rule(defaults, markers, "side")
 
     xs = np.linspace(0.0, width, nx + 1)
     ys = np.linspace(0.0, height, ny + 1)
     grid = np.stack(np.meshgrid(xs, ys), axis=-1)
-    sides = [("left", 0, False), ("right", 0, True), ("bottom", 1, False), ("top", 1, True)]
-    return _grid_mesh([(grid, _grid_triangles(nx, ny))], rule, sides)
+    return _grid_mesh([(grid, _grid_triangles(nx, ny))], rule)
 
 
 def _resample_polyline(poly: np.ndarray, n: int) -> np.ndarray:

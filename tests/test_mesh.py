@@ -15,6 +15,7 @@ from burnback.mesh import (
     Marker,
     Mesh,
     MeshError,
+    _MARKER_RANK,
     _grid_mesh,
     _grid_triangles,
     _loft,
@@ -59,18 +60,23 @@ def test_gen_rect_default_markers_free():
     assert np.all(mesh.node_markers[~on_boundary] == Marker.INTERIOR)
 
 
-def test_gen_rect_corner_takes_higher_priority_marker():
-    mesh = gen_rect(
-        4,
-        4,
-        1.0,
-        1.0,
-        markers={"left": Marker.IGNITION, "bottom": Marker.SYMMETRY},
-    )
-    origin = np.flatnonzero(
-        np.isclose(mesh.nodes[:, 0], 0.0) & np.isclose(mesh.nodes[:, 1], 0.0)
-    )
-    assert mesh.node_markers[origin[0]] == Marker.IGNITION
+@pytest.mark.parametrize(
+    "markers",
+    [
+        {"left": Marker.IGNITION, "bottom": Marker.SYMMETRY},
+        {"bottom": Marker.SYMMETRY, "left": Marker.IGNITION},
+        # four markers, one per side, so each corner ranks another pair
+        {"right": Marker.FREE, "top": Marker.INTERIOR, "left": Marker.IGNITION, "bottom": Marker.SYMMETRY},
+    ],
+    ids=["left-bottom", "bottom-left", "four-markers"],
+)
+def test_gen_rect_corner_takes_higher_priority_marker(markers):
+    mesh = gen_rect(4, 4, 1.0, 1.0, markers=markers)
+    sides = {"left": Marker.FREE, "right": Marker.FREE, "top": Marker.FREE, **markers}
+    corners = ((0, 0, "left", "bottom"), (1, 0, "right", "bottom"), (0, 1, "left", "top"), (1, 1, "right", "top"))
+    for x, y, a, b in corners:
+        corner = np.flatnonzero(np.isclose(mesh.nodes[:, 0], x) & np.isclose(mesh.nodes[:, 1], y))
+        assert mesh.node_markers[corner].tolist() == [max(sides[a], sides[b], key=_MARKER_RANK.__getitem__)]
     # the rest of the bottom edge keeps its symmetry tag and mirrors along x
     bottom = np.isclose(mesh.nodes[:, 1], 0.0) & (mesh.nodes[:, 0] > 1e-9)
     assert np.all(mesh.node_markers[bottom] == Marker.SYMMETRY)

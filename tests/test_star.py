@@ -189,7 +189,8 @@ DESIGN_ERRORS = {
     "design web": ((4, 1.0, 0.4, 0.6), "no web: need r_f + d < r_c"),
 }
 
-# each input check of the design formulas: the call and its ValueError message
+# each input check of the design formulas but BiStarDesign's own: the
+# call and its ValueError message
 STAR_ERRORS = {
     "residual n": (lambda: neutral_residual(0, 1.0), "need n >= 1"),
     # the root lies within rounding of pi, past the bracket
@@ -201,7 +202,6 @@ STAR_ERRORS = {
         lambda: neutral_tip_angle(10**20),
         "no neutral tip angle for n = 100000000000000000000 in double precision",
     ),
-    **{name: (lambda a=args: BiStarDesign(*a), message) for name, (args, message) in DESIGN_ERRORS.items()},
     "interface": (
         # a design this thin loses the cosine law's digits to rounding
         lambda: bistar_interface(BiStarDesign(4, 2.0, 1.0, 1e-7), 5),
