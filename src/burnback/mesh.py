@@ -417,8 +417,8 @@ def gen_rect(nx: int, ny: int, width: float, height: float, markers=None) -> Mes
     markers maps side names bottom/top/left/right to Marker values;
     unnamed sides default to FREE.
     """
-    if nx < 1 or ny < 1:
-        raise MeshError("gen_rect needs nx, ny >= 1")
+    if not all(isinstance(n, numbers.Integral) and n >= 1 for n in (nx, ny)):
+        raise MeshError("gen_rect needs integer nx, ny >= 1")
     if not (width > 0 and height > 0 and math.isfinite(width) and math.isfinite(height)):
         raise MeshError("gen_rect needs positive, finite width and height")
     defaults = {"bottom": Marker.FREE, "top": Marker.FREE, "left": Marker.FREE, "right": Marker.FREE}
@@ -486,8 +486,8 @@ def gen_coons(inner, outer, n_transverse: int, n_longitudinal: int, markers=None
     IGNITION inner curve needs n_transverse >= 2: with one cell, the
     side's outer corner has no SYMMETRY neighbour, and Mesh rejects it.
     """
-    if n_transverse < 1 or n_longitudinal < 1:
-        raise MeshError("gen_coons needs n_transverse, n_longitudinal >= 1")
+    if not all(isinstance(n, numbers.Integral) and n >= 1 for n in (n_transverse, n_longitudinal)):
+        raise MeshError("gen_coons needs integer n_transverse, n_longitudinal >= 1")
     rule = _side_rule(_COONS_RULE, markers, "boundary")
     if Marker.SYMMETRY in (rule["inner"], rule["outer"]):
         raise MeshError("SYMMETRY is only supported on the straight side chords")

@@ -295,12 +295,12 @@ def _svg_path_of_contour(contour: Contour) -> str:
 
 def emit_svg(
     mesh: Mesh,
-    s: np.ndarray | None = None,
+    s: np.ndarray,
     levels=(),
     contour: Contour | None = None,
     show_mesh: bool = True,
 ) -> str:
-    """SVG document with one group of isochrone polylines per level.
+    """SVG document with one group of isochrones of the field s per level.
 
     Coordinates are model units inside a declared viewBox; the y axis
     is flipped so the drawing matches the math orientation and the
@@ -313,15 +313,13 @@ def emit_svg(
     vb = (lo[0] - pad, -(hi[1] + pad), hi[0] - lo[0] + 2 * pad, hi[1] - lo[1] + 2 * pad)
     stroke = 0.15 * pad
 
+    s = _per_node(mesh, s, "field")
     levels = [float(tau) for tau in levels]
-    if levels and s is None:
-        raise ValueError("isochrone levels need a field")
-    s = None if s is None else _per_node(mesh, s, "field")
     bad = [tau for tau in levels if not math.isfinite(tau)]
     if bad:
         raise ValueError(f"isochrone level {bad[0]} is not finite")
     # one edge table for the underlay and every level
-    table = _unique_edges(mesh.triangles) if show_mesh or levels else None
+    table = _unique_edges(mesh.triangles)
 
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>\n',

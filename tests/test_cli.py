@@ -633,12 +633,14 @@ def test_artifact_digests_tool_hashes_what_the_cli_writes(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     digests = dict(line.split(" ")[1:] for line in proc.stdout.splitlines())
-    assert list(digests) == ["mesh", "curves", "svg", "svg-no-mesh", "field", "residuals", "svg-no-field"]
-    path = tmp_path / "curves.csv"
-    assert main(["curves", "--case", "rect", "--out", str(path)]) == 0
-    assert digests["curves"] == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert list(digests) == ["mesh", "curves", "svg", "svg-no-mesh", "field", "residuals"]
+    for artifact, command in [("curves", ["curves"]), ("svg", ["contours"])]:
+        path = tmp_path / artifact
+        assert main([*command, "--case", "rect", "--out", str(path)]) == 0
+        assert digests[artifact] == hashlib.sha256(path.read_bytes()).hexdigest()
     field, residuals = tmp_path / "field.csv", tmp_path / "residuals.csv"
     assert main(["solve", "--case", "rect", "--out", str(field), "--residuals", str(residuals)]) == 0
+    assert digests["field"] == hashlib.sha256(field.read_bytes()).hexdigest()
     assert digests["residuals"] == hashlib.sha256(residuals.read_bytes()).hexdigest()
 
 

@@ -571,8 +571,14 @@ MESH_ERRORS = {
     ),
     "coons counts": (
         lambda: gen_coons([[0.0, 0.0], [1.0, 0.0]], _TOP, 1, 0),
-        "gen_coons needs n_transverse, n_longitudinal >= 1",
+        "gen_coons needs integer n_transverse, n_longitudinal >= 1",
     ),
+    # a count that is not an integer is named, not left to numpy's TypeError
+    "coons float count": (
+        lambda: gen_coons([[0.0, 0.0], [1.0, 0.0]], _TOP, 2.5, 3),
+        "gen_coons needs integer n_transverse, n_longitudinal >= 1",
+    ),
+    "rect float count": (lambda: gen_rect(2.5, 3, 1.0, 1.0), "gen_rect needs integer nx, ny >= 1"),
     # a side's marker must be a Marker value, not one cast to it
     "rect marker 9": (lambda: gen_rect(2, 3, 1.0, 1.0, markers={"left": 9}), "side 'left' has marker 9, not a Marker value"),
     "rect marker 1.5": (

@@ -418,8 +418,8 @@ def test_emit_svg_isochrone_groups(planar):
 
 
 def test_emit_svg_contour_only(radial):
-    mesh, _ = radial
-    svg = emit_svg(mesh, contour=make_circle(1.0), show_mesh=False)
+    mesh, s = radial
+    svg = emit_svg(mesh, s, contour=make_circle(1.0), show_mesh=False)
     assert "viewBox" in svg and 'stroke="#d62728"' in svg
     assert "<polyline" not in svg and 'stroke="#cccccc"' not in svg
 

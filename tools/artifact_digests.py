@@ -7,18 +7,17 @@ One line per artifact, `<case> <artifact> <sha256>`:
 - `svg`, `svg-no-mesh`: the `contours` SVG at its default 8 levels,
   with the mesh underlay and without it;
 - `field`: the `solve` field CSV;
-- `residuals`: the residual history CSV that the same `solve` writes;
-- `svg-no-field`: `emit_svg` of the mesh and port with no field.
+- `residuals`: the residual history CSV that the same `solve` writes.
 
 A run over all cases also prints two `design <artifact> <sha256>` lines
 for the README's bipropellant star (`--n 4 --rc 1 --rf 0.1 --d 0.5`):
 `bistar-design`, the text that `bistar design` prints, and
 `bistar-interface`, the CSV that `bistar interface` writes.
 
-Every artifact but the field-less SVG is written by `cli.main`, so the
-digests cover the command line path.  Two checkouts that print the
-same lines wrote the same bytes.  Run from the repository root, for all
-cases or the ones named:
+Every artifact is written by `cli.main`, so the digests cover the
+command line path.  Two checkouts that print the same lines wrote the
+same bytes.  Run from the repository root, for all cases or the ones
+named:
 
     PYTHONPATH=src python tools/artifact_digests.py [CASE ...]
 
@@ -32,9 +31,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-from burnback.cases import CASE_BUILDERS, build_case
+from burnback.cases import CASE_BUILDERS
 from burnback.cli import main as cli_main
-from burnback.postproc import emit_svg
 
 COMMANDS = {
     "mesh": ["mesh", "gen"],
@@ -71,9 +69,6 @@ def case_digests(name: str, workdir: Path) -> list[tuple[str, str]]:
         _run([*command, "--case", name, "--out", str(path)])
         out.append((artifact, _sha(path.read_bytes())))
     out.append(("residuals", _sha(residuals.read_bytes())))
-    case = build_case(name)
-    svg = emit_svg(case.mesh, contour=case.port)
-    out.append(("svg-no-field", _sha(svg.encode("utf-8"))))
     return out
 
 
