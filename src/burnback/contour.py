@@ -11,6 +11,7 @@ constructor; offset contours for display are level sets of this field.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,8 +203,8 @@ def make_star(n: int, tip_angle: float, eps: float, valley_depth: float, casing_
     across the two rays, no point of the sector is nearer to another
     tip's or valley's copy of the outline.
     """
-    if n < 3:
-        raise ContourError("star needs n >= 3")
+    if not isinstance(n, numbers.Integral) or n < 3:
+        raise ContourError(f"star needs integer n >= 3, not n = {n!r}")
     if not 0.0 < tip_angle < math.pi:
         raise ContourError("tip_angle must be in (0, pi)")
     if not 0.0 < eps <= 1.0:

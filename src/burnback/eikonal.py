@@ -64,12 +64,12 @@ next one is made.  The arithmetic is the same on every run, so arrival
 fields stay bitwise deterministic, and doubling the rate doubles J and
 1/dt_i exactly while leaving Hcal unchanged, so s halves bitwise.
 
-Boundary handling: SYMMETRY and FREE nodes see half a fan, so
-geom_cache doubles their rows of D, and it projects the mean gradient
-rows of each SYMMETRY node onto the direction mesh.mirror of its mirror
-line, the line of the node's boundary edges to SYMMETRY neighbours (see
-mesh.Mesh).  solve holds exactly the IGNITION nodes, at s = 0, by
-leaving them out of the system.
+Boundary handling: geom_cache weighs each row of D up to a full turn by
+its fan's angle sum and projects the mean gradient rows of each SYMMETRY
+node onto the direction mesh.mirror of its mirror line, the line of the
+node's boundary edges to SYMMETRY neighbours (see mesh.Mesh).  solve
+holds exactly the IGNITION nodes, at s = 0, by leaving them out of the
+system.  FREE is never read, so FREE and INTERIOR nodes solve alike.
 """
 
 from __future__ import annotations

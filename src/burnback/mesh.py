@@ -515,16 +515,17 @@ class GeomCache:
                     triangle gradients weighted by corner angle over the
                     node's angle sum; the two rows of a SYMMETRY node are
                     projected onto its mirror direction (see Mesh)
-    edge_diss       (nn, nn) CSR: the dissipation D.  Off the diagonal,
-                    the tan(angle/2) / len fan weights of every edge at
-                    its row node, summed over the flanking triangles, with
-                    their negated row sum on the diagonal; from each row
-                    the fan's response to the linear field of the node's
-                    mean gradient is then subtracted, so D s vanishes
-                    wherever s is locally linear, one-sided boundary fans
-                    included (at SYMMETRY nodes: linear along the mirror
-                    line).  Rows of SYMMETRY and FREE nodes are doubled,
-                    restoring full-fan weight to their half fans
+    edge_diss       (nn, nn) CSR: the dissipation D.  Off the diagonal, the
+                    tan(angle/2) / len fan weights of every edge at its row
+                    node, summed over the flanking triangles, with their negated
+                    row sum on the diagonal; each row less its fan's response to
+                    the linear field of the node's mean gradient, so D s vanishes
+                    wherever s is locally linear, on one-sided boundary fans too
+                    (at SYMMETRY nodes: linear along the mirror line).  A row is
+                    weighed up to a full turn by its angle sum a, not its marker:
+                    by 1 for a > sqrt(2) pi = 254.6 deg (a 270 deg reflex corner
+                    weighs as an interior node), 2 for a > pi/sqrt(2) (a smooth
+                    side) and 4 for a > pi/(2 sqrt(2)) (a right-angle corner)
     node_min_height (nn,) smallest height of the triangles at each node,
                     the length scale of its pseudo-time step
 
@@ -584,10 +585,9 @@ def _fan_operators(mesh: Mesh, grad: csr_array, corner_angle, edge_len3):
     along = ax[j] * tx + ay[j] * ty
     ax[j], ay[j] = along * tx, along * ty
 
-    # a SYMMETRY or FREE node sees half its fan
+    # a fan of angle sum a is weighed up to a full turn by 2^round(log2(2 pi / a))
     k = np.arange(3)
-    half_fan = (mk == Marker.SYMMETRY) | (mk == Marker.FREE)
-    fan_w = np.tan(0.5 * corner_angle) * np.where(half_fan, 2.0, 1.0)[tris]
+    fan_w = np.tan(0.5 * corner_angle) * np.exp2(np.round(np.log2(2.0 * np.pi / angle_sum)))[tris]
     w = fan_w[:, :, None] / edge_len3[:, (3 - k[:, None] - k) % 3] * (k[:, None] != k)
     e = assemble(w)
     e[row == indices] = -np.bincount(row, weights=e, minlength=nn)

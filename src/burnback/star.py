@@ -14,6 +14,7 @@ cylindrical fronts at equal pseudotime.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,8 +48,8 @@ class BiStarDesign:
 
     def __post_init__(self):
         n, r_c, r_f, d = self.n, self.r_c, self.r_f, self.d
-        if n < 3:
-            raise ValueError("need n >= 3")
+        if not isinstance(n, numbers.Integral) or n < 3:
+            raise ValueError(f"need integer n >= 3, not n = {n!r}")
         for name, value in (("r_c", r_c), ("r_f", r_f), ("d", d)):
             if not math.isfinite(value):
                 raise ValueError(f"{name} = {value} is not finite")
@@ -82,8 +83,8 @@ def neutral_residual(n: int, theta: float) -> float:
     and the cusp loss cot(theta/2).  The full perimeter slope is
     2*n times this value, so a zero residual is a neutral star.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"need integer n >= 1, not n = {n!r}")
     if not 0.0 < theta < math.pi:
         raise ValueError("theta must be in (0, pi)")
     half = 0.5 * theta
@@ -99,8 +100,8 @@ def neutral_tip_angle(n: int) -> float:
     as their formal root lies where the construction self-intersects,
     and so is n above ~5e16, whose root lies within rounding of pi.
     """
-    if n < 4:
-        raise ValueError("neutral star needs n >= 4")
+    if not isinstance(n, numbers.Integral) or n < 4:
+        raise ValueError(f"neutral star needs integer n >= 4, not n = {n!r}")
     lo, hi = 1e-6, math.pi - 1e-12
     if not neutral_residual(n, lo) < 0.0 <= neutral_residual(n, hi):
         raise ValueError(f"no neutral tip angle for n = {n} in double precision")

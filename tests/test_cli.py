@@ -127,7 +127,7 @@ def test_star_neutral_rejects_small_n(capsys):
 
 # star neutral --n values without a tip angle, and the one stderr line each prints
 NEUTRAL_ERRORS = {
-    "3": "star.ValueError: neutral star needs n >= 4",
+    "3": "star.ValueError: neutral star needs integer n >= 4, not n = 3",
     "1" + "0" * 20: "star.ValueError: no neutral tip angle for n = 100000000000000000000 in double precision",
 }
 
@@ -339,8 +339,8 @@ def test_curves_of_a_mesh_file_span_the_solved_field_by_default(name, solved, tm
 def test_solve_nonconvergence_exits_1(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(eikonal, "_MAX_STEPS", 1)
     out = tmp_path / "field.csv"
-    assert main(["solve", "--case", "annulus", "--out", str(out)]) == 1
-    assert capsys.readouterr().err == "case annulus did not converge within 1 steps\n"
+    assert main(["solve", "--case", "circle", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "case circle did not converge within 1 steps\n"
     assert out.exists()  # partial field still written for inspection
 
 
@@ -561,8 +561,8 @@ def test_artifacts_are_byte_identical_across_reruns(tmp_path):
 # each handler check not reached above: the argv, less --out, and its stderr line
 CLI_ERRORS = {
     "unconverged solve": (
-        ["curves", "--case", "annulus"],
-        "cli.SolverError: case annulus did not converge within 1 steps",
+        ["curves", "--case", "circle"],
+        "cli.SolverError: case circle did not converge within 1 steps",
     ),
     "tau order": (
         ["curves", "--case", "rect", "--tau-min", "1.5", "--tau-max", "0.5"],

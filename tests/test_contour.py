@@ -175,6 +175,7 @@ CONTOUR_ERRORS = {
     "circle radius": (lambda: make_circle(0.0), "circle radius must be positive"),
     # named before the closure check warns on an infinite gap
     "circle radius inf": (lambda: make_circle(math.inf), "non-finite arc parameter"),
+    "star n 4.5": (lambda: make_star(4.5, 1.0, 0.5, 0.5, 1.0), "star needs integer n >= 3, not n = 4.5"),
     "tip angle zero": (lambda: make_star(5, 0.0, 0.5, 0.5, 1.0), "tip_angle must be in (0, pi)"),
     "tip angle pi": (lambda: make_star(5, math.pi, 0.5, 0.5, 1.0), "tip_angle must be in (0, pi)"),
 }

@@ -139,22 +139,47 @@ def sym_bottom_rect():
     return gen_rect(6, 4, 1.0, 1.0, markers={"bottom": Marker.SYMMETRY, "left": Marker.IGNITION})
 
 
-def test_half_fan_dissipation_rows_are_doubled():
-    # SYMMETRY and FREE nodes see half a fan; their rows carry twice the
-    # weight of the same mesh with every boundary marker but IGNITION cleared
-    mesh = sym_bottom_rect()
-    mk = mesh.node_markers
-    free, sym = mk == Marker.FREE, mk == Marker.SYMMETRY
-    assert free.any() and sym.any() and (~free & ~sym).any()
-    plain = Mesh(mesh.nodes, mesh.triangles, np.where(free | sym, Marker.INTERIOR, mk))
-    D, D0 = geom_cache(mesh).edge_diss, geom_cache(plain).edge_diss
-    np.testing.assert_array_equal(D.toarray()[free], 2.0 * D0.toarray()[free])
-    np.testing.assert_array_equal(D.toarray()[~free & ~sym], D0.toarray()[~free & ~sym])
-    # the mirror projection changes a SYMMETRY row's linear-field term,
-    # so compare on a field curved along the line, whose mean gradient
-    # already lies on it
-    s = mesh.nodes[:, 0] ** 2
-    np.testing.assert_allclose((D @ s)[sym], 2.0 * (D0 @ s)[sym], rtol=1e-12, atol=1e-12)
+def test_dissipation_rows_are_weighed_up_to_a_full_turn():
+    # an L of three unit squares, every node on the boundary: node 1 on
+    # a smooth side, node 0 at a right-angle corner and node 4 at the
+    # 270 degree reflex corner weigh their fans by 2, 4 and 1
+    nodes = [[0, 0], [1, 0], [2, 0], [0, 1], [1, 1], [2, 1], [0, 2], [1, 2]]
+    tris = [[0, 1, 4], [0, 4, 3], [1, 2, 5], [1, 5, 4], [3, 4, 7], [3, 7, 6]]
+    mesh = Mesh(nodes, tris, np.full(8, Marker.FREE))
+    x, y = mesh.nodes.T
+    s = x * x + 3.0 * y * y + x * y
+    _, _, diss, angles = reference_terms(mesh, s)
+    at = [1, 0, 4]
+    np.testing.assert_allclose(angles[at], [np.pi, 0.5 * np.pi, 1.5 * np.pi], rtol=1e-15)
+    assert np.all(np.abs(diss[at]) > 0.1)
+    np.testing.assert_allclose((geom_cache(mesh).edge_diss @ s)[at], [2.0, 4.0, 1.0] * diss[at], rtol=1e-12)
+
+
+def test_free_nodes_solve_as_interior_nodes(solved):
+    # the solver never reads FREE: relabelling every FREE node INTERIOR
+    # leaves the operators and the solved field bitwise unchanged
+    for name in ("annulus", "slot-coarse", "bistar", "circle"):
+        case, field, _ = solved(name)
+        mk = case.mesh.node_markers
+        assert (mk == Marker.FREE).any(), name
+        plain = Mesh(case.mesh.nodes, case.mesh.triangles, np.where(mk == Marker.FREE, Marker.INTERIOR, mk))
+        for op in ("mean_grad", "edge_diss"):
+            np.testing.assert_array_equal(getattr(geom_cache(plain), op).data, getattr(geom_cache(case.mesh), op).data)
+        np.testing.assert_array_equal(solve(plain, case.rate, config=case.config).s, field.s, err_msg=name)
+
+
+@pytest.mark.parametrize("name,n", [("star", 5), ("bistar", 4)])
+def test_a_sector_solves_as_its_unfolded_grain(name, n, solved, unfolded):
+    # mirrored across its tip ray the sector becomes a grain whose ray is
+    # interior; a corner of mirror line and casing then weighs its
+    # quarter fan as a full one, so both solves agree on the sector
+    case, field, _ = solved(name)
+    grain, rate = unfolded(case, np.pi / n)
+    assert grain.n_nodes == {"star": 19_521, "bistar": 8_265}[name]
+    whole = solve(grain, rate, config=case.config)
+    assert whole.converged and whole.n_steps == field.n_steps
+    gap = np.abs(whole.s[: case.mesh.n_nodes] - field.s).max()
+    assert gap <= 1e-14 * case.depth
 
 
 def system_for(mesh, rate=1.0, scale=0.25):
@@ -224,20 +249,20 @@ def test_step_exact_planar_field_is_a_fixed_point():
 # ---------------------------------------------------- residual and Jacobian
 
 
-def reference_residual(mesh, rate, s, scale):
-    """Hcal written node by node from the mesh geometry, without the
-    operators of GeomCache: the angle-weighted mean of the triangle
-    gradients (projected on a SYMMETRY node's boundary edges to SYMMETRY
-    neighbours), L_i as the largest incident gradient
-    floored at 1/max(rate), and the tan(angle/2) edge sum less its
-    response to the mean gradient's linear field, doubled on half fans."""
+def reference_terms(mesh, s):
+    """Node by node from the mesh geometry, without the operators of
+    GeomCache: the angle-weighted mean of the triangle gradients
+    (projected on a SYMMETRY node's boundary edges to SYMMETRY
+    neighbours), L_i as the largest incident gradient, the unweighed
+    tan(angle/2) edge sum less its response to the mean gradient's
+    linear field, and the fan's angle sum."""
     nodes, tris, mk = mesh.nodes, mesh.triangles, mesh.node_markers
     grads = [np.linalg.solve(nodes[t[1:]] - nodes[t[0]], s[t[1:]] - s[t[0]]) for t in tris]
-    hcal = np.empty(mesh.n_nodes)
-    for i in range(mesh.n_nodes):
+    nn = mesh.n_nodes
+    means, Ls, disses, sums = np.empty((nn, 2)), np.empty(nn), np.empty(nn), np.empty(nn)
+    for i in range(nn):
         mean, angles, L = np.zeros(2), 0.0, 0.0
         diss, bias, ring = 0.0, np.zeros(2), []
-        half = 2.0 if mk[i] in (Marker.SYMMETRY, Marker.FREE) else 1.0
         for t, k in zip(*np.nonzero(tris == i)):
             j1, j2 = tris[t, (k + 1) % 3], tris[t, (k + 2) % 3]
             ring += [j1, j2]
@@ -247,7 +272,7 @@ def reference_residual(mesh, rate, s, scale):
             angles += angle
             L = max(L, np.sqrt(grads[t] @ grads[t]))
             for j, e in ((j1, e1), (j2, e2)):
-                w = half * np.tan(0.5 * angle) / np.sqrt(e @ e)
+                w = np.tan(0.5 * angle) / np.sqrt(e @ e)
                 diss += w * (s[j] - s[i])
                 bias += w * e
         mean /= angles
@@ -258,9 +283,17 @@ def reference_residual(mesh, rate, s, scale):
             d = sum(e if e @ edges[0] >= 0.0 else -e for e in edges)
             d = d / np.sqrt(d @ d)
             mean = (mean @ d) * d
-        eps = scale * rate[i] ** 2 * max(L, 1.0 / rate.max()) / np.pi
-        hcal[i] = 1.0 - rate[i] * np.sqrt(mean @ mean) + eps * (diss - mean @ bias)
-    return hcal
+        means[i], Ls[i], disses[i], sums[i] = mean, L, diss - mean @ bias, angles
+    return means, Ls, disses, sums
+
+
+def reference_residual(mesh, rate, s, scale):
+    """Hcal from reference_terms, with L_i floored at 1/max(rate) and the
+    dissipation of a fan of angle sum a weighed by 2^round(log2(2 pi / a))."""
+    mean, L, diss, angles = reference_terms(mesh, s)
+    full_turn = 2.0 ** np.round(np.log2(2.0 * np.pi / angles))
+    eps = scale * rate**2 * np.maximum(L, 1.0 / rate.max()) / np.pi
+    return 1.0 - rate * np.hypot(mean[:, 0], mean[:, 1]) + eps * full_turn * diss
 
 
 def test_step_residual_matches_reference_formulas(monkeypatch):

@@ -182,7 +182,8 @@ def test_neutral_tip_angle_bits_are_pinned():
 # each input check of a bipropellant design: the arguments of
 # BiStarDesign and the ValueError message
 DESIGN_ERRORS = {
-    "design n": ((2, 1.0, 0.1, 0.5), "need n >= 3"),
+    "design n": ((2, 1.0, 0.1, 0.5), "need integer n >= 3, not n = 2"),
+    "design n 4.5": ((4.5, 1.0, 0.1, 0.5), "need integer n >= 3, not n = 4.5"),
     "design r_c": ((4, math.inf, 0.1, 0.5), "r_c = inf is not finite"),
     "design r_f": ((4, 1.0, 0.0, 0.5), "need positive r_f and d"),
     "design d": ((4, 1.0, 0.1, -0.5), "need positive r_f and d"),
@@ -192,7 +193,9 @@ DESIGN_ERRORS = {
 # each input check of the design formulas but BiStarDesign's own: the
 # call and its ValueError message
 STAR_ERRORS = {
-    "residual n": (lambda: neutral_residual(0, 1.0), "need n >= 1"),
+    "residual n": (lambda: neutral_residual(0, 1.0), "need integer n >= 1, not n = 0"),
+    "residual n 2.5": (lambda: neutral_residual(2.5, 1.0), "need integer n >= 1, not n = 2.5"),
+    "neutral n 5.5": (lambda: neutral_tip_angle(5.5), "neutral star needs integer n >= 4, not n = 5.5"),
     # the root lies within rounding of pi, past the bracket
     "neutral n 1e17": (
         lambda: neutral_tip_angle(10**17),
