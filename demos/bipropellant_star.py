@@ -17,6 +17,7 @@ import numpy as np
 
 from burnback import (
     BiStarDesign,
+    SolverError,
     bistar_interface,
     build_case,
     burn_curves,
@@ -36,12 +37,14 @@ def main() -> None:
     print(f"web omega = {design.omega:.4f}, rate ratio f = {design.f:.4f}")
 
     face = bistar_interface(design, 256)
+    case = build_case("bistar")
+    field = solve(case.mesh, case.rate, config=case.config)
+    if not field.converged:
+        raise SolverError(f"case {case.name} did not converge within {field.n_steps} steps")
     face_csv = OUT / "bistar_interface.csv"
     face_csv.write_text(emit_csv(face))
     print(f"interface polyline: {face_csv.name}")
 
-    case = build_case("bistar")
-    field = solve(case.mesh, case.rate, config=case.config)
     casing = case.mesh.node_markers == Marker.FREE
     arrive = field.s[casing]
     spread = (arrive.max() - arrive.min()) / design.omega

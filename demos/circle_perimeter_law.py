@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from burnback import build_case, burn_curves, emit_csv, solve
+from burnback import SolverError, build_case, burn_curves, emit_csv, solve
 
 OUT = Path(__file__).parent / "out"
 
@@ -22,6 +22,8 @@ def main() -> None:
     OUT.mkdir(exist_ok=True)
     case = build_case("circle")
     field = solve(case.mesh, case.rate, config=case.config)
+    if not field.converged:
+        raise SolverError(f"case {case.name} did not converge within {field.n_steps} steps")
     print(f"circle: {case.mesh.n_nodes} nodes, {field.n_steps} steps")
 
     tau = np.linspace(0.05, 0.85, 33)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from burnback import build_case, emit_svg, solve
+from burnback import SolverError, build_case, emit_svg, solve
 
 OUT = Path(__file__).parent / "out"
 
@@ -24,8 +24,9 @@ def main() -> None:
     for name in ("scheme-corner+5", "scheme-corner-15", "scheme-cusp-15"):
         case = build_case(name)
         field = solve(case.mesh, case.rate, config=case.config)
-        status = "converged" if field.converged else "DID NOT CONVERGE"
-        print(f"{name:<18} {case.mesh.n_nodes} nodes, {field.n_steps} steps, {status}")
+        if not field.converged:
+            raise SolverError(f"case {case.name} did not converge within {field.n_steps} steps")
+        print(f"{name:<18} {case.mesh.n_nodes} nodes, {field.n_steps} steps, converged")
 
         levels = list(np.linspace(0.08, 0.92, 11) * field.s.max())
         path = OUT / f"{name.replace('+', 'p')}.svg"

@@ -157,7 +157,7 @@ def star_case() -> Case:
     """
     n, eps, casing_radius = 5, 0.6, 1.0
     theta = 2.0 * neutral_tip_angle(n)
-    port = make_star(n, theta, eps, 0.5, casing_radius)
+    port = make_star(n, theta, eps, 0.5)
     flank, valley_arc = port.pieces
     alpha, beta = np.pi / n, (1.0 - eps) * (np.pi / n)
     seam = 0.5 * (alpha + beta)

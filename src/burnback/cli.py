@@ -8,10 +8,10 @@ grain takes a registry --case or a --mesh file, which carries its node
 rates.  Each one that solves takes --dissipation-scale, applied to the
 grain as it is read; the solver's tolerance and iteration bound are
 fixed.  Exit codes:
-0 success, 1 numeric failure (non-convergence or a verification
-threshold breach; also any module error, reported to stderr as
-module.ExceptionName), 2 usage (also an empty path and a level count
-below 1).
+0 success, 1 numeric failure (a verification threshold breach, or any
+module error, reported to stderr as module.ExceptionName; every command
+reports a solve that does not converge as cli.SolverError), 2 usage
+(also an empty path and a level count below 1).
 """
 
 import argparse
@@ -23,9 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .cases import CASE_BUILDERS, Case, build_case
-from .contour import ContourError
 from .eikonal import ArrivalField, SolverError, solve
-from .mesh import Marker, MeshError, geom_cache, load_mesh, save_mesh
+from .mesh import Marker, geom_cache, load_mesh, save_mesh
 from .postproc import burn_curves, emit_csv, emit_svg, error_field
 from .star import BiStarDesign, bistar_interface, neutral_tip_angle
 
@@ -198,8 +197,7 @@ def _cmd_solve(opt: dict) -> int:
         f"s in [{res.s.min():.6g}, {res.s.max():.6g}], wrote {opt['out']}"
     )
     if not res.converged:
-        print(f"case {case.name} did not converge within {res.n_steps} steps", file=sys.stderr)
-        return 1
+        raise SolverError(f"case {case.name} did not converge within {res.n_steps} steps")
     return 0
 
 
@@ -329,7 +327,7 @@ def main(argv=None) -> int:
         print(opt)
     try:
         return handler(opt)
-    except (MeshError, ContourError, SolverError, ValueError, ArithmeticError, OSError) as exc:
+    except (SolverError, ValueError, ArithmeticError, OSError) as exc:
         print(f"{_origin_module(exc)}.{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -93,6 +93,8 @@ class Arc:
     sweep: int
 
     def __post_init__(self):
+        if self.sweep not in (-1, 1):
+            raise ContourError("arc sweep must be +1 or -1")
         object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
         object.__setattr__(self, "radius", float(self.radius))
         object.__setattr__(self, "a0", float(self.a0))
@@ -100,8 +102,6 @@ class Arc:
         object.__setattr__(self, "sweep", int(self.sweep))
         if not self.radius > 0.0:
             raise ContourError("arc radius must be positive")
-        if self.sweep not in (-1, 1):
-            raise ContourError("arc sweep must be +1 or -1")
         if not all(map(math.isfinite, (*self.center, self.radius, self.a0, self.a1))):
             raise ContourError("non-finite arc parameter")
 
@@ -190,7 +190,7 @@ def make_circle(radius: float) -> Contour:
     return Contour((Arc((0.0, 0.0), radius, 0.0, -_TWO_PI, -1),), closed=True)
 
 
-def make_star(n: int, tip_angle: float, eps: float, valley_depth: float, casing_radius: float) -> Contour:
+def make_star(n: int, tip_angle: float, eps: float, valley_depth: float) -> Contour:
     """Half-sector outline of an n-point star port.
 
     The sector spans the tip ray (angle pi/n) to the valley ray (angle
@@ -209,8 +209,8 @@ def make_star(n: int, tip_angle: float, eps: float, valley_depth: float, casing_
         raise ContourError("tip_angle must be in (0, pi)")
     if not 0.0 < eps <= 1.0:
         raise ContourError("eps must be in (0, 1]")
-    if not 0.0 < valley_depth < casing_radius:
-        raise ContourError("need 0 < valley_depth < casing_radius")
+    if not valley_depth > 0.0:
+        raise ContourError("valley_depth must be positive")
     alpha = math.pi / n
     half = 0.5 * tip_angle
     if half <= eps * alpha:

@@ -59,6 +59,8 @@ class BurnCurves:
             if np.shape(column) != self.tau.shape:
                 raise ValueError(f"{name} has shape {np.shape(column)}, not {self.tau.shape}: one value per tau")
             column = np.array(column, dtype=np.float64)
+            if not np.all(np.isfinite(column)):
+                raise ValueError(f"{name} is not finite at tau index {int(np.argmin(np.isfinite(column)))}")
             column.flags.writeable = False
             object.__setattr__(self, name, column)
         if np.any(self.P_b < 0.0):

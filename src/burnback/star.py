@@ -121,8 +121,8 @@ def bistar_interface(design: BiStarDesign, n_samples: int) -> InterfacePolyline:
     their intersection gives theta1 by the cosine law and theta2 by
     closing the polar triangle.
     """
-    if n_samples < 2:
-        raise ValueError("need at least 2 interface samples")
+    if not isinstance(n_samples, numbers.Integral) or n_samples < 2:
+        raise ValueError(f"need integer n_samples >= 2, not n_samples = {n_samples!r}")
     y = np.linspace(0.0, design.omega, n_samples)
     r1 = design.r_f + design.d + y
     r2 = design.r_f + design.f * y

@@ -340,7 +340,7 @@ def test_solve_nonconvergence_exits_1(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(eikonal, "_MAX_STEPS", 1)
     out = tmp_path / "field.csv"
     assert main(["solve", "--case", "circle", "--out", str(out)]) == 1
-    assert capsys.readouterr().err == "case circle did not converge within 1 steps\n"
+    assert capsys.readouterr().err == "cli.SolverError: case circle did not converge within 1 steps\n"
     assert out.exists()  # partial field still written for inspection
 
 

@@ -113,7 +113,7 @@ def test_make_circle_distance_exact():
 
 def test_make_star_half_sector_geometry():
     n, theta, eps, d = 5, math.radians(60.0), 0.6, 0.5
-    half = make_star(n, theta, eps, d, 1.0)
+    half = make_star(n, theta, eps, d)
     alpha, beta = math.pi / n, (1.0 - eps) * math.pi / n
     apex_r = d * math.sin(0.5 * theta - eps * alpha) / math.sin(0.5 * theta)
     np.testing.assert_allclose(
@@ -133,23 +133,23 @@ def test_make_star_rejects_tip_crossing_symmetry_ray():
     # a neutral 5-point tip is narrower than the full sector, so eps = 1
     # (no valley arc) leaves no room for the flank
     with pytest.raises(ContourError, match="tip"):
-        make_star(5, 2.0 * neutral_tip_angle(5), 1.0, 0.5, 1.0)
+        make_star(5, 2.0 * neutral_tip_angle(5), 1.0, 0.5)
 
 
 def test_make_star_validates_ranges():
     with pytest.raises(ContourError):
-        make_star(2, 1.0, 0.5, 0.5, 1.0)
+        make_star(2, 1.0, 0.5, 0.5)
     with pytest.raises(ContourError):
-        make_star(5, 1.0, 0.0, 0.5, 1.0)
-    with pytest.raises(ContourError):
-        make_star(5, 1.0, 0.5, 1.5, 1.0)
+        make_star(5, 1.0, 0.0, 0.5)
+    with pytest.raises(ContourError, match="valley_depth must be positive"):
+        make_star(5, 1.0, 0.5, 0.0)
 
 
 def test_make_star_without_valley_arc_is_one_flank():
     # eps = 1: the flank runs from the apex on the tip ray straight to
     # the valley ray, which needs a tip wider than the sector
     n, theta, d = 5, math.radians(100.0), 0.5
-    half = make_star(n, theta, 1.0, d, 1.0)
+    half = make_star(n, theta, 1.0, d)
     (flank,) = half.pieces
     assert isinstance(flank, Line)
     alpha = math.pi / n
@@ -167,6 +167,7 @@ CONTOUR_ERRORS = {
     "single point": (lambda: _LINE.distance((0.5, 0.5)), "query points must be (n, 2)"),
     "arc radius": (lambda: Arc((0.0, 0.0), 0.0, 0.0, 1.0, 1), "arc radius must be positive"),
     "arc sweep": (lambda: Arc((0.0, 0.0), 1.0, 0.0, 1.0, 0), "arc sweep must be +1 or -1"),
+    "arc sweep 1.5": (lambda: Arc((0.0, 0.0), 1.0, 0.0, 1.0, 1.5), "arc sweep must be +1 or -1"),
     "arc center": (lambda: Arc((0.0, math.nan), 1.0, 0.0, 1.0, 1), "non-finite arc parameter"),
     "arc angle": (lambda: Arc((0.0, 0.0), 1.0, 0.0, math.inf, 1), "non-finite arc parameter"),
     "arc radius inf": (lambda: Arc((0.0, 0.0), math.inf, 0.0, 1.0, 1), "non-finite arc parameter"),
@@ -175,9 +176,9 @@ CONTOUR_ERRORS = {
     "circle radius": (lambda: make_circle(0.0), "circle radius must be positive"),
     # named before the closure check warns on an infinite gap
     "circle radius inf": (lambda: make_circle(math.inf), "non-finite arc parameter"),
-    "star n 4.5": (lambda: make_star(4.5, 1.0, 0.5, 0.5, 1.0), "star needs integer n >= 3, not n = 4.5"),
-    "tip angle zero": (lambda: make_star(5, 0.0, 0.5, 0.5, 1.0), "tip_angle must be in (0, pi)"),
-    "tip angle pi": (lambda: make_star(5, math.pi, 0.5, 0.5, 1.0), "tip_angle must be in (0, pi)"),
+    "star n 4.5": (lambda: make_star(4.5, 1.0, 0.5, 0.5), "star needs integer n >= 3, not n = 4.5"),
+    "tip angle zero": (lambda: make_star(5, 0.0, 0.5, 0.5), "tip_angle must be in (0, pi)"),
+    "tip angle pi": (lambda: make_star(5, math.pi, 0.5, 0.5), "tip_angle must be in (0, pi)"),
 }
 
 

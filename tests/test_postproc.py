@@ -254,6 +254,19 @@ POSTPROC_ERRORS = {
         ),
         "P_b has shape (1,), not (3,): one value per tau",
     ),
+    # a nan passes the sign and order checks, so each column is checked for it first
+    "nan perimeter": (lambda mesh, s: _curves([1.0, np.nan], [0.0, 1.0]), "P_b is not finite at tau index 1"),
+    "nan port area": (lambda mesh, s: _curves([0.1, 0.2], [np.nan, 1.0]), "A_p is not finite at tau index 0"),
+    "infinite equivalent perimeter": (
+        lambda mesh, s: postproc.BurnCurves(tau=[0.0, 1.0], P_b=[1.0, 1.0], A_p=[0.0, 1.0], A_eq=[1.0, np.inf]),
+        "A_eq is not finite at tau index 1",
+    ),
+    "infinite burning area": (
+        lambda mesh, s: postproc.BurnCurves(
+            tau=[0.0, 1.0], P_b=[1.0, 1.0], A_p=[0.0, 1.0], A_eq=[1.0, 1.0], A_b=[-np.inf, 1.0]
+        ),
+        "A_b is not finite at tau index 0",
+    ),
     "oracle length": (lambda mesh, s: error_field(mesh, s, s[:-1]), "oracle has 230 values for 231 mesh nodes"),
     "non-finite error": (
         lambda mesh, s: error_field(mesh, np.where(s > 1.0, np.nan, s), mesh.nodes[:, 0]),

@@ -205,6 +205,14 @@ STAR_ERRORS = {
         lambda: neutral_tip_angle(10**20),
         "no neutral tip angle for n = 100000000000000000000 in double precision",
     ),
+    "interface samples 1": (
+        lambda: bistar_interface(BiStarDesign(4, 1.0, 0.1, 0.5), 1),
+        "need integer n_samples >= 2, not n_samples = 1",
+    ),
+    "interface samples 2.5": (
+        lambda: bistar_interface(BiStarDesign(4, 1.0, 0.1, 0.5), 2.5),
+        "need integer n_samples >= 2, not n_samples = 2.5",
+    ),
     "interface": (
         # a design this thin loses the cosine law's digits to rounding
         lambda: bistar_interface(BiStarDesign(4, 2.0, 1.0, 1e-7), 5),
