@@ -305,14 +305,14 @@ def _cmd_verify_slot(opt: dict) -> int:
 
 
 def _origin_module(exc: BaseException) -> str:
-    """Innermost package module on the traceback, for error attribution."""
-    mod = type(exc).__module__
-    name = mod.rsplit(".", 1)[-1] if mod.startswith("burnback") else "cli"
+    """Innermost package module on the traceback, for error attribution,
+    by import name: under python -m, cli's __name__ is __main__."""
+    name = "cli"  # main's own frame is always on the traceback
     tb = exc.__traceback__
     while tb is not None:
-        g = tb.tb_frame.f_globals.get("__name__", "")
-        if g.startswith("burnback"):
-            name = g.rsplit(".", 1)[-1]
+        spec = tb.tb_frame.f_globals.get("__spec__")
+        if spec is not None and spec.name.startswith("burnback"):
+            name = spec.name.rsplit(".", 1)[-1]
         tb = tb.tb_next
     return name
 

@@ -245,10 +245,11 @@ def save_mesh(mesh: Mesh, rate) -> str:
     the canonical text format at full precision."""
     rate = _per_node(mesh, rate, "rate")
     out = [f"{mesh.n_triangles} {mesh.n_nodes}"]
-    for (x, y), m, r in zip(mesh.nodes, mesh.node_markers, rate):
+    xs, ys = mesh.nodes.T.tolist()
+    for x, y, m, r in zip(xs, ys, mesh.node_markers.tolist(), rate.tolist()):
         out.append(f"{_fmt(x)} {_fmt(y)} {m} {_fmt(r)}")
-    for t in mesh.triangles:
-        out.append(f"{t[0]} {t[1]} {t[2]}")
+    for a, b, c in mesh.triangles.tolist():
+        out.append(f"{a} {b} {c}")
     return "\n".join(out) + "\n"
 
 
@@ -453,7 +454,8 @@ def _loft(inner, outer, nv: int, nu: int) -> tuple[np.ndarray, np.ndarray]:
     """(grid, tris) patch of _grid_mesh ruled between two open polylines.
 
     Row iv = 0 is inner and row nv is outer, each resampled to nu cells
-    by arc length; the triangles are turned counter-clockwise.
+    by arc length.  The triangles are flipped when every one of them is
+    clockwise; a folded loft is left as it is, for Mesh to reject.
     """
     ci = _resample_polyline(inner, nu)
     co = _resample_polyline(outer, nu)
@@ -463,14 +465,8 @@ def _loft(inner, outer, nv: int, nu: int) -> tuple[np.ndarray, np.ndarray]:
 
     with np.errstate(over="ignore", invalid="ignore"):
         areas = _signed_areas(grid.reshape(-1, 2), tris)
-    if np.isfinite(areas).all():  # else Mesh names the overflowed triangles
-        if np.all(areas < 0.0):
-            tris = tris[:, [0, 2, 1]]  # inner/outer orientation flips the loft
-            areas = -areas
-        if np.any(areas <= 0.0):
-            cells = np.unique(np.flatnonzero(areas <= 0.0) // 2)
-            where = [(int(c % nu), int(c // nu)) for c in cells[:10]]
-            raise MeshError(f"degenerate Coons patch: non-positive cells (iu, iv) {where}")
+    if np.all(areas < 0.0):
+        tris = tris[:, [0, 2, 1]]  # inner/outer orientation flips the loft
     return grid, tris
 
 
@@ -482,15 +478,15 @@ def gen_coons(inner, outer, n_transverse: int, n_longitudinal: int, markers=None
     between the arc-length-resampled inner and outer curves: a one-patch
     chain of _grid_mesh.  markers maps inner/outer/side0/side1 to Marker
     values (defaults: inner IGNITION, outer FREE, sides SYMMETRY).
-    side0 joins inner[0] to outer[0].  A SYMMETRY side next to an
-    IGNITION inner curve needs n_transverse >= 2: with one cell, the
-    side's outer corner has no SYMMETRY neighbour, and Mesh rejects it.
+    side0 joins inner[0] to outer[0].  Any side may be SYMMETRY.  Mesh
+    judges the patch: a folded loft fails there naming its triangles,
+    and a SYMMETRY side next to an IGNITION inner curve needs
+    n_transverse >= 2, since with one cell the side's outer corner has
+    no SYMMETRY neighbour.
     """
     if not all(isinstance(n, numbers.Integral) and n >= 1 for n in (n_transverse, n_longitudinal)):
         raise MeshError("gen_coons needs integer n_transverse, n_longitudinal >= 1")
     rule = _side_rule(_COONS_RULE, markers, "boundary")
-    if Marker.SYMMETRY in (rule["inner"], rule["outer"]):
-        raise MeshError("SYMMETRY is only supported on the straight side chords")
     return _grid_mesh([_loft(inner, outer, n_transverse, n_longitudinal)], rule)
 
 

@@ -344,6 +344,28 @@ def test_solve_nonconvergence_exits_1(tmp_path, capsys, monkeypatch):
     assert out.exists()  # partial field still written for inspection
 
 
+def test_module_entry_point_names_errors_as_main_does(tmp_path):
+    # python -m burnback.cli runs cli.py as __main__, and its errors keep the
+    # name cli.  A fresh interpreter: once this file has imported
+    # burnback.cli, runpy warns that it is already loaded.
+    out = tmp_path / "field.csv"
+    snippet = (
+        "import runpy, sys; from burnback import eikonal; eikonal._MAX_STEPS = 1; "
+        f"sys.argv = ['burnback', 'solve', '--case', 'circle', '--out', {str(out)!r}]; "
+        "runpy.run_module('burnback.cli', run_name='__main__')"
+    )
+    src = str(Path(burnback.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", snippet],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "cli.SolverError: case circle did not converge within 1 steps\n"
+
+
 def test_curves_planar_perimeter_constant(tmp_path):
     out = tmp_path / "curves.csv"
     argv = ["curves", "--case", "rect", "--out", str(out), "--tau-count", "9"]

@@ -143,11 +143,18 @@ def test_gen_coons_side_chords_run_from_inner_to_outer_in_a_flipped_loft():
         np.testing.assert_allclose(np.abs(side @ ((b - a) / np.hypot(*(b - a)))), 1.0, rtol=0.0, atol=1e-15)
 
 
-def test_gen_coons_rejects_symmetry_on_longitudinal_boundaries():
-    inner = arc(1.0, 0.0, 0.5 * np.pi, 40)
-    outer = arc(2.0, 0.0, 0.5 * np.pi, 40)
-    with pytest.raises(MeshError):
-        gen_coons(inner, outer, 6, 12, markers={"inner": Marker.SYMMETRY})
+@pytest.mark.parametrize("nx, ny, width, height", [(60, 30, 2.0, 1.0), (5, 4, 3.0, 2.0)])
+def test_gen_coons_straight_patch_with_symmetry_rows_is_gen_rect(nx, ny, width, height):
+    # SYMMETRY may mark the inner and outer curves too, as it may any
+    # side of a rectangle or of a loaded mesh
+    sym, ign, free = Marker.SYMMETRY, Marker.IGNITION, Marker.FREE
+    inner, outer = [[0.0, 0.0], [width, 0.0]], [[0.0, height], [width, height]]
+    coons = gen_coons(inner, outer, ny, nx, markers={"inner": sym, "outer": sym, "side0": ign, "side1": free})
+    rect = gen_rect(nx, ny, width, height, {"bottom": sym, "top": sym, "left": ign, "right": free})
+    np.testing.assert_array_equal(coons.triangles, rect.triangles)
+    np.testing.assert_array_equal(coons.node_markers, rect.node_markers)
+    np.testing.assert_array_equal(coons.mirror, rect.mirror)
+    np.testing.assert_allclose(coons.nodes, rect.nodes, rtol=0.0, atol=4e-16)
 
 
 def test_gen_coons_degenerate_cells_are_reported():
@@ -155,7 +162,7 @@ def test_gen_coons_degenerate_cells_are_reported():
     inner = np.column_stack([np.linspace(0.0, 1.0, 30), np.zeros(30)])
     x = np.linspace(0.0, 1.0, 30)
     outer = np.column_stack([x, 1.0 - 2.4 * np.sin(np.pi * x)])
-    with pytest.raises(MeshError, match="cell"):
+    with pytest.raises(MeshError, match=r"non-positive triangle area \(clockwise or degenerate\): triangles \["):
         gen_coons(inner, outer, 8, 16)
 
 
