@@ -35,8 +35,9 @@ class Case:
     bounds the mesh.  exact, the arrival field errors are measured
     against, defaults to the port's distance over a uniform rate and is
     None without a closed form (scheme smoke cases); depth, its maximum,
-    normalizes relative errors.  config holds the solver settings, the
-    defaults unless a geometry needs others.  rate and exact hold one
+    normalizes relative errors.  config holds the solver settings: the
+    defaults in every registry case, replaced only by the CLI's
+    --dissipation-scale.  rate and exact hold one
     finite value per mesh node and are kept as read-only float64
     copies.  Cases compare and hash by identity.
     """
@@ -166,10 +167,7 @@ def star_case() -> Case:
     mesh = _grid_mesh(
         [_loft(flank.points(512), casing_a, 80, 70), _loft(valley_arc.points(512), casing_b, 80, 50)]
     )
-    # Half-strength dissipation: the tip-ray ridge smears with eps and
-    # the default setting leaves too much of it at this node budget.
-    config = SolverConfig(dissipation_scale=0.125)
-    return Case("star", mesh, 1.0, port=port, config=config)
+    return Case("star", mesh, 1.0, port=port)
 
 
 def bistar_case() -> Case:

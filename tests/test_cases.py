@@ -36,9 +36,8 @@ def test_case_builds_clean(name):
     np.testing.assert_array_equal(case.labels[case.labels != 1], 2)
     np.testing.assert_array_equal(rate[case.labels == 2], slow * case.rate_ratio)
     assert case.rate_ratio == rate.max() / slow
-    # every case carries its solver settings, the defaults where it needs no others
-    assert isinstance(case.config, SolverConfig)
-    assert case.config == SolverConfig() or name == "star"
+    # every case solves at the default solver settings
+    assert case.config == SolverConfig()
 
 
 def test_cases_are_fixed_configurations():
@@ -134,10 +133,9 @@ def test_slot_levels_hit_their_node_budgets():
     assert 9000 <= fine.mesh.n_nodes <= 11000
 
 
-def test_star_case_mesh_budget_and_overrides():
+def test_star_case_mesh_budget_and_junction_vertex():
     case = build_case("star")
     assert case.mesh.n_nodes <= 10_000
-    assert case.config.dissipation_scale == 0.125
     # the flank-valley junction must be a mesh vertex
     beta = 0.4 * np.pi / 5.0
     v = 0.5 * np.array([np.cos(beta), np.sin(beta)])

@@ -22,8 +22,8 @@ def rect_left_ignition(nx=20, ny=10, width=2.0, height=1.0):
     return gen_rect(nx, ny, width, height, markers={"left": Marker.IGNITION})
 
 
-def quarter_annulus(nu=12, nv=18, r0=1.0, r1=2.0):
-    t = np.linspace(0.0, 0.5 * np.pi, 64)
+def quarter_annulus(nu=12, nv=18, r0=1.0, r1=2.0, samples=64):
+    t = np.linspace(0.0, 0.5 * np.pi, samples)
     ring = np.column_stack([np.cos(t), np.sin(t)])
     return gen_coons(r0 * ring, r1 * ring, nu, nv)
 
@@ -182,7 +182,7 @@ def test_a_sector_solves_as_its_unfolded_grain(name, n, solved, unfolded):
     assert gap <= 1e-14 * case.depth
 
 
-def system_for(mesh, rate=1.0, scale=0.25):
+def system_for(mesh, rate=1.0, scale=SolverConfig().dissipation_scale):
     cache = geom_cache(mesh)
     return _System(mesh, cache, as_rate_field(mesh, rate), scale)
 
@@ -474,13 +474,37 @@ def test_solve_two_layer_rate():
 
 
 def test_a_solve_that_does_not_converge_stops_after_1000_iterations():
-    # a tenfold rate jump at x = 1.3 on the coarse quarter annulus does not
-    # converge; with _MAX_STEPS as shipped, the solve still returns
+    # a thirtyfold rate jump at x = 1.3 on the coarse quarter annulus does
+    # not converge; with _MAX_STEPS as shipped, the solve still returns
     mesh = quarter_annulus(8, 12)
-    field = solve(mesh, np.where(mesh.nodes[:, 0] > 1.3, 10.0, 1.0))
+    field = solve(mesh, np.where(mesh.nodes[:, 0] > 1.3, 30.0, 1.0))
     assert field.converged is False
     assert field.n_steps == 1000 == len(field.residual_history)
     assert field.residual_history[-1] >= eikonal._TOL
+
+
+def test_a_root_with_negative_arrival_times_is_not_converged():
+    # a hundredfold jump at x = 1.3: the residual falls below tolerance
+    # on a root that reaches below zero, about -1, so the field is not
+    # an arrival field
+    mesh = quarter_annulus(8, 12)
+    field = solve(mesh, np.where(mesh.nodes[:, 0] > 1.3, 100.0, 1.0))
+    assert field.residual_history[-1] < eikonal._TOL and field.n_steps < 1000
+    assert field.s.min() < -0.5
+    assert field.converged is False
+
+
+def test_a_runaway_root_is_not_converged():
+    # a thirtyfold jump at x = 1.0 on 257-point arcs: the residual falls
+    # below tolerance on a root hundreds of times the graph distance
+    mesh = quarter_annulus(8, 12, samples=257)
+    rate = np.where(mesh.nodes[:, 0] > 1.0, 30.0, 1.0)
+    field = solve(mesh, rate)
+    assert field.residual_history[-1] < eikonal._TOL and field.n_steps < 1000
+    d = system_for(mesh, rate).warm_start()
+    assert field.s.min() >= 0.0
+    assert np.max(field.s[d > 0.0] / d[d > 0.0]) > eikonal._RUNAWAY
+    assert field.converged is False
 
 
 def test_solve_reports_nonconvergence(monkeypatch):
@@ -515,9 +539,12 @@ def test_rejected_steps_count_toward_max_steps(monkeypatch):
 def test_registry_cases_converge_within_eight_iterations(solved, name):
     case, field, _ = solved(name)
     assert field.converged and field.n_steps <= 8
+    # each root lies well inside the bound a converged field meets: s at
+    # most twice the warm start's graph distance
+    system = system_for(case.mesh, case.rate, case.config.dissipation_scale)
+    assert np.all(field.s <= 2.0 * system.warm_start())
     if field.n_steps:
         # the history ends on the residual of the field returned
-        system = system_for(case.mesh, case.rate, case.config.dissipation_scale)
         assert field.residual_history[-1] == system.evaluate(field.s).max_residual
 
 
