@@ -38,7 +38,7 @@ def main() -> None:
 
     face = bistar_interface(design, 256)
     case = build_case("bistar")
-    field = solve(case.mesh, case.rate, config=case.config)
+    field = solve(case.mesh, case.rate)
     if not field.converged:
         raise SolverError(f"case {case.name} did not converge within {field.n_steps} steps")
     face_csv = OUT / "bistar_interface.csv"

@@ -21,7 +21,7 @@ OUT = Path(__file__).parent / "out"
 def main() -> None:
     OUT.mkdir(exist_ok=True)
     case = build_case("circle")
-    field = solve(case.mesh, case.rate, config=case.config)
+    field = solve(case.mesh, case.rate)
     if not field.converged:
         raise SolverError(f"case {case.name} did not converge within {field.n_steps} steps")
     print(f"circle: {case.mesh.n_nodes} nodes, {field.n_steps} steps")

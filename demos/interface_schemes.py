@@ -23,7 +23,7 @@ def main() -> None:
     OUT.mkdir(exist_ok=True)
     for name in ("scheme-corner+5", "scheme-corner-15", "scheme-cusp-15"):
         case = build_case(name)
-        field = solve(case.mesh, case.rate, config=case.config)
+        field = solve(case.mesh, case.rate)
         if not field.converged:
             raise SolverError(f"case {case.name} did not converge within {field.n_steps} steps")
         print(f"{name:<18} {case.mesh.n_nodes} nodes, {field.n_steps} steps, converged")

@@ -25,7 +25,7 @@ def main() -> None:
     for level in ("coarse", "fine"):
         case = build_case(f"slot-{level}")
         t0 = time.perf_counter()
-        field = solve(case.mesh, case.rate, config=case.config)
+        field = solve(case.mesh, case.rate)
         dt = time.perf_counter() - t0
         if not field.converged:
             raise SolverError(f"case {case.name} did not converge within {field.n_steps} steps")

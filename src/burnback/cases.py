@@ -35,10 +35,9 @@ class Case:
     bounds the mesh.  exact, the arrival field errors are measured
     against, defaults to the port's distance over a uniform rate and is
     None without a closed form (scheme smoke cases); depth, its maximum,
-    normalizes relative errors.  config holds the solver settings: the
-    defaults in every registry case, replaced only by the CLI's
-    --dissipation-scale.  rate and exact hold one
-    finite value per mesh node and are kept as read-only float64
+    normalizes relative errors.  config holds the solver settings, the
+    defaults in every case; nothing sets another.  rate and exact hold
+    one finite value per mesh node and are kept as read-only float64
     copies.  Cases compare and hash by identity.
     """
 

@@ -5,19 +5,18 @@ its command line; --dump-spec on any subcommand prints the resolved
 options first for archival.  Each subcommand is an argparse subparser
 whose handler takes the options dict; every subcommand that reads a
 grain takes a registry --case or a --mesh file, which carries its node
-rates.  Each one that solves takes --dissipation-scale, applied to the
-grain as it is read; the solver's tolerance and iteration bound are
-fixed.  Exit codes:
+rates.  Every solve runs at the solver's defaults (SolverConfig, with
+dissipation scale 1/8), so a grain has one answer and no solver flag
+exists.  Exit codes:
 0 success, 1 numeric failure (a verification threshold breach, or any
 module error, reported to stderr as module.ExceptionName; every command
-reports a solve that does not converge as cli.SolverError), 2 usage
-(also an empty path and a level count below 1).
+reports a solve that stops short of a valid root as cli.SolverError,
+naming its stop), 2 usage (also an empty path and a level count below 1).
 """
 
 import argparse
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -56,11 +55,6 @@ def _add_grain(p: argparse.ArgumentParser) -> None:
     g.add_argument("--case", choices=sorted(CASE_BUILDERS))
 
 
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    g = p.add_argument_group("solver overrides")
-    g.add_argument("--dissipation-scale", type=float, default=None)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="burnback", description="2D grain burnback analysis toolkit"
@@ -81,7 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_grain(slv)
     slv.add_argument("--out", required=True, type=_path, help="field CSV node,x,y,s")
     slv.add_argument("--residuals", type=_path, help="history CSV step,dt,max_residual")
-    _add_solver_flags(slv)
     _leaf(slv, _cmd_solve)
 
     crv = sub.add_parser("curves", help="perimeter/area burn curves of a grain")
@@ -91,7 +84,6 @@ def _build_parser() -> argparse.ArgumentParser:
     crv.add_argument("--tau-max", type=float, default=None)
     crv.add_argument("--tau-count", type=_positive_int, default=33)
     crv.add_argument("--grain-length", type=float, default=None)
-    _add_solver_flags(crv)
     _leaf(crv, _cmd_curves)
 
     ctr = sub.add_parser("contours", help="SVG isochrones of a grain")
@@ -100,7 +92,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ctr.add_argument("--levels", default=None, help="comma-separated tau values")
     ctr.add_argument("--nlevels", type=_positive_int, default=8)
     ctr.add_argument("--no-mesh", action="store_true", help="omit the mesh underlay")
-    _add_solver_flags(ctr)
     _leaf(ctr, _cmd_contours)
 
     st = sub.add_parser("star", help="star grain design formulas")
@@ -138,26 +129,25 @@ def _write(path: str, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-def _solve_case(case: Case) -> ArrivalField:
-    res = solve(case.mesh, case.rate, config=case.config)
+# how the error of each stop short of a valid root reads
+_STOPS = {"max steps": "did not converge within", "invalid root": "reached an invalid root after"}
+
+
+def _checked(case: Case, res: ArrivalField) -> ArrivalField:
     if not res.converged:
-        raise SolverError(
-            f"case {case.name} did not converge within {res.n_steps} steps"
-        )
+        raise SolverError(f"case {case.name} {_STOPS[res.stop]} {res.n_steps} steps")
     return res
 
 
+def _solve_case(case: Case) -> ArrivalField:
+    return _checked(case, solve(case.mesh, case.rate))
+
+
 def _grain(opt: dict) -> Case:
-    """The --case registry case or the --mesh file at its own rates,
-    solved at --dissipation-scale if given (its config checks it)."""
+    """The --case registry case or the --mesh file at its own rates."""
     if opt["mesh"] is None:
-        case = build_case(opt["case"])
-    else:
-        case = Case(opt["mesh"], *load_mesh(Path(opt["mesh"]).read_text(encoding="utf-8")))
-    scale = opt.get("dissipation_scale")
-    if scale is None:
-        return case
-    return replace(case, config=replace(case.config, dissipation_scale=scale))
+        return build_case(opt["case"])
+    return Case(opt["mesh"], *load_mesh(Path(opt["mesh"]).read_text(encoding="utf-8")))
 
 
 def _cmd_mesh_gen(opt: dict) -> int:
@@ -188,7 +178,7 @@ def _cmd_mesh_info(opt: dict) -> int:
 
 def _cmd_solve(opt: dict) -> int:
     case = _grain(opt)
-    res = solve(case.mesh, case.rate, config=case.config)
+    res = solve(case.mesh, case.rate)
     _write(opt["out"], emit_csv(res.s, mesh=case.mesh))
     if opt["residuals"] is not None:
         _write(opt["residuals"], emit_csv(res))
@@ -196,8 +186,7 @@ def _cmd_solve(opt: dict) -> int:
         f"solve: {res.n_steps} steps, converged={res.converged}, "
         f"s in [{res.s.min():.6g}, {res.s.max():.6g}], wrote {opt['out']}"
     )
-    if not res.converged:
-        raise SolverError(f"case {case.name} did not converge within {res.n_steps} steps")
+    _checked(case, res)
     return 0
 
 

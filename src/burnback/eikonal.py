@@ -119,7 +119,8 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Solver parameters; the CLI sets dissipation_scale by --dissipation-scale.
+    """Solver parameters, set only by a library caller: the CLI solves
+    every grain at the defaults.
 
     dissipation_scale sets eps_i and with it the discrete fixed point:
     its bias on a curved front is proportional to it.  The default 1/8
@@ -140,8 +141,12 @@ class ArrivalField:
     s: np.ndarray
     residual_history: np.ndarray  # max |Hcal| after each iteration
     dt_history: np.ndarray    # min(c * dt_i) of each iteration
-    converged: bool
+    stop: str                 # "converged", "max steps" or "invalid root"
     n_steps: int              # iterations, rejected ones included
+
+    @property
+    def converged(self) -> bool:
+        return self.stop == "converged"
 
 
 def as_rate_field(mesh: Mesh, rate) -> np.ndarray:
@@ -272,8 +277,9 @@ def solve(
     The IGNITION nodes are held at s = 0 and no other node is held.
     Converged means max |Hcal| < _TOL over the nodes not held and
     0 <= s <= _RUNAWAY * d on every node, d the warm start's graph
-    distances.  A root that fails that check, or the partial field once
-    _MAX_STEPS iterations are spent, is returned with converged=False.
+    distances.  A root that fails that check is returned with stop
+    "invalid root", the partial field once _MAX_STEPS iterations are
+    spent with stop "max steps".
     An iteration is one factorization and the trials along its
     direction, at most five; a rejected one counts.
     """
@@ -320,14 +326,12 @@ def solve(
             state = trial
         residuals[-1] = state.max_residual
 
+    valid = state.s.min() >= 0.0 and np.all(state.s <= _RUNAWAY * distance)
+    stop = "max steps" if state.max_residual >= _TOL else "converged" if valid else "invalid root"
     return ArrivalField(
         s=state.s,
         residual_history=np.asarray(residuals),
         dt_history=np.asarray(dts),
-        converged=bool(
-            state.max_residual < _TOL
-            and state.s.min() >= 0.0
-            and np.all(state.s <= _RUNAWAY * distance)
-        ),
+        stop=stop,
         n_steps=len(residuals),
     )

@@ -25,7 +25,7 @@ def solved():
     def _solved(name: str) -> tuple[Case, ArrivalField, float]:
         case = build_case(name)
         t0 = time.perf_counter()
-        field = solve(case.mesh, case.rate, config=case.config)
+        field = solve(case.mesh, case.rate)
         return case, field, time.perf_counter() - t0
 
     return _solved

@@ -21,7 +21,8 @@ import burnback
 from burnback import cli, eikonal
 from burnback.cases import CASE_BUILDERS, build_case
 from burnback.cli import _build_parser, main
-from burnback.eikonal import SolverConfig, solve
+from burnback.eikonal import SolverConfig
+from burnback.mesh import gen_coons, save_mesh
 from burnback.postproc import burn_curves, emit_csv, emit_svg
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -58,33 +59,25 @@ def test_parse_args_solve_defaults():
     assert "rate" not in opt
     assert opt["out"] == "field.csv"
     assert opt["residuals"] is None
-    assert opt["dissipation_scale"] is None
+    assert "dissipation_scale" not in opt
 
 
-@pytest.mark.parametrize("cmd", ["solve", "curves", "contours"])
-def test_every_solver_config_field_has_a_flag(cmd):
-    # a SolverConfig knob that no flag can set fails here
-    for f in dataclasses.fields(SolverConfig):
-        flag = "--" + f.name.replace("_", "-")
-        opt = vars(_build_parser().parse_args([cmd, "--case", "rect", "--out", "x", flag, str(f.default)]))
-        assert opt[f.name] == f.default
-        assert type(opt[f.name]) is type(f.default)
-
-
-@pytest.mark.parametrize("flag", ["--cfl-safety", "--quiet-steps", "--convergence-tol", "--max-steps"])
+@pytest.mark.parametrize(
+    "flag", ["--cfl-safety", "--quiet-steps", "--convergence-tol", "--max-steps", "--dissipation-scale"]
+)
 def test_fixed_solver_constants_have_no_flag(flag, capsys):
-    # none is a solver setting, so none has a flag
+    # every grain solves at the solver's defaults, so no setting has a flag
     assert main(["solve", "--case", "rect", "--out", "x", flag, "1"]) == 2
     assert flag in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cmd", ["solve", "curves", "contours"])
-def test_help_lists_dissipation_scale_as_the_only_solver_flag(cmd, capsys):
+def test_help_lists_no_solver_flag(cmd, capsys):
     assert main([cmd, "--help"]) == 0
     out = capsys.readouterr().out
-    assert [f.name for f in dataclasses.fields(SolverConfig)] == ["dissipation_scale"]
-    assert "--dissipation-scale" in out
-    assert "--convergence-tol" not in out and "--max-steps" not in out
+    for name in [f.name for f in dataclasses.fields(SolverConfig)] + ["convergence_tol", "max_steps"]:
+        assert "--" + name.replace("_", "-") not in out
+    assert "solver" not in out
 
 
 def test_usage_errors_exit_2():
@@ -532,39 +525,20 @@ def test_solve_rejects_the_rate_flag_as_a_usage_error(tmp_path):
     assert not out.exists()
 
 
-def test_dissipation_scale_overrides_the_case_setting(tmp_path, capsys, monkeypatch):
-    # a case's default setting gives way to the flag, above it or below
-    out = tmp_path / "field.csv"
-    for name, value in (("star", "0.25"), ("rect", "0.0625")):
-        case = build_case(name)
-        assert case.config == SolverConfig() != SolverConfig(float(value))
-        assert main(["solve", "--case", name, "--out", str(out), "--dissipation-scale", value]) == 0
-        field = solve(case.mesh, case.rate, config=SolverConfig(float(value)))
-        assert_same_text(out.read_text(), emit_csv(field.s, mesh=case.mesh))
-    out.unlink()
-    capsys.readouterr()
-
-    def no_solve(*args, **kwargs):
-        raise AssertionError("the dissipation scale is checked before the solve")
-
-    monkeypatch.setattr(cli, "solve", no_solve)
-    for value in ("0", "nan", "2"):
-        assert main(["solve", "--case", "rect", "--out", str(out), "--dissipation-scale", value]) == 1
-        err = capsys.readouterr().err
-        assert err == f"eikonal.ValueError: dissipation_scale = {float(value)} must be in (0, 1]\n"
-        assert not out.exists()
-
-
 def test_a_runaway_root_exits_1(tmp_path, capsys):
-    # at a quarter of the default dissipation the bistar solve settles,
-    # below tolerance, on a root thousands of times its depth: it is
-    # reported as a solve that did not converge
-    out = tmp_path / "field.csv"
-    assert main(["solve", "--case", "bistar", "--out", str(out), "--dissipation-scale", "0.03125"]) == 1
+    # a thirtyfold rate jump at x = 1.0 on a coarse quarter annulus with
+    # 257-point arcs: the solve settles, below tolerance, on a root that
+    # runs away from the front, and is reported as an invalid root
+    t = np.linspace(0.0, 0.5 * np.pi, 257)
+    ring = np.column_stack([np.cos(t), np.sin(t)])
+    mesh = gen_coons(ring, 2.0 * ring, 8, 12)
+    path, out = tmp_path / "jump.mesh", tmp_path / "field.csv"
+    path.write_text(save_mesh(mesh, np.where(mesh.nodes[:, 0] > 1.0, 30.0, 1.0)))
+    assert main(["solve", "--mesh", str(path), "--out", str(out)]) == 1
     s = np.loadtxt(out.read_text().splitlines()[1:], delimiter=",")[:, 3]
-    assert s.max() > 1000.0 * build_case("bistar").depth
+    assert s.max() > 10.0  # the grain is 1 deep
     err = capsys.readouterr().err
-    assert re.fullmatch(r"cli\.SolverError: case bistar did not converge within \d+ steps\n", err)
+    assert err == f"cli.SolverError: case {path} reached an invalid root after 91 steps\n"
 
 
 def test_a_mesh_file_reads_as_a_grain_of_its_own_rates(tmp_path):
@@ -614,15 +588,16 @@ CLI_ERRORS = {
         ["contours", "--case", "rect", "--levels", ""],
         "cli.ValueError: --levels must hold at least one tau value",
     ),
-    # the grain is read, and its dissipation scale set, before the flags
-    # that only curves or contours take are checked
-    "dissipation scale before tau order": (
-        ["curves", "--case", "rect", "--tau-min", "1.5", "--tau-max", "0.5", "--dissipation-scale", "0"],
-        "eikonal.ValueError: dissipation_scale = 0.0 must be in (0, 1]",
+    # the grain is read, and its rates checked, before the flags that
+    # only curves or contours take; ZERO_RATE is rect's file with a zero
+    # rate at node 5
+    "grain before tau order": (
+        ["curves", "--mesh", "ZERO_RATE", "--tau-min", "1.5", "--tau-max", "0.5"],
+        "eikonal.SolverError: rate must be positive and finite (node 5)",
     ),
-    "dissipation scale before levels": (
-        ["contours", "--case", "rect", "--levels", "nan", "--dissipation-scale", "nan"],
-        "eikonal.ValueError: dissipation_scale = nan must be in (0, 1]",
+    "grain before levels": (
+        ["contours", "--mesh", "ZERO_RATE", "--levels", "nan"],
+        "eikonal.SolverError: rate must be positive and finite (node 5)",
     ),
 }
 
@@ -633,6 +608,9 @@ def test_cli_input_errors_exit_1(name, tmp_path, capsys, monkeypatch):
     # before they solve
     monkeypatch.setattr(eikonal, "_MAX_STEPS", 1)
     argv, message = CLI_ERRORS[name]
+    if "ZERO_RATE" in argv:
+        path = _rect_file(tmp_path, lambda n, line: line.rsplit(" ", 1)[0] + " 0\n" if n == 7 else line)
+        argv = [path if arg == "ZERO_RATE" else arg for arg in argv]
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == 1
     assert capsys.readouterr().err == message + "\n"

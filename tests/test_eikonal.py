@@ -165,7 +165,7 @@ def test_free_nodes_solve_as_interior_nodes(solved):
         plain = Mesh(case.mesh.nodes, case.mesh.triangles, np.where(mk == Marker.FREE, Marker.INTERIOR, mk))
         for op in ("mean_grad", "edge_diss"):
             np.testing.assert_array_equal(getattr(geom_cache(plain), op).data, getattr(geom_cache(case.mesh), op).data)
-        np.testing.assert_array_equal(solve(plain, case.rate, config=case.config).s, field.s, err_msg=name)
+        np.testing.assert_array_equal(solve(plain, case.rate).s, field.s, err_msg=name)
 
 
 @pytest.mark.parametrize("name,n", [("star", 5), ("bistar", 4)])
@@ -176,7 +176,7 @@ def test_a_sector_solves_as_its_unfolded_grain(name, n, solved, unfolded):
     case, field, _ = solved(name)
     grain, rate = unfolded(case, np.pi / n)
     assert grain.n_nodes == {"star": 19_521, "bistar": 8_265}[name]
-    whole = solve(grain, rate, config=case.config)
+    whole = solve(grain, rate)
     assert whole.converged and whole.n_steps == field.n_steps
     gap = np.abs(whole.s[: case.mesh.n_nodes] - field.s).max()
     assert gap <= 1e-14 * case.depth
@@ -353,12 +353,12 @@ def test_jacobian_matches_central_differences(name, at):
     # the rows of slot-coarse have a tied L_i.
     case = build_case(name)
     mesh = case.mesh
-    system = system_for(mesh, case.rate, scale=case.config.dissipation_scale)
+    system = system_for(mesh, case.rate)
     assert (mesh.node_markers == Marker.SYMMETRY).any()
     held = np.flatnonzero(mesh.node_markers == Marker.IGNITION)
     s = system.warm_start()
     if at == "converged":
-        s = solve(mesh, case.rate, config=case.config, cache=system.cache).s
+        s = solve(mesh, case.rate, cache=system.cache).s
     state = system.evaluate(s)
     nn = mesh.n_nodes
     J = csr_array((system.jacobian(state), system.cache.edge_diss.indices, system.cache.edge_diss.indptr), shape=(nn, nn))
@@ -478,7 +478,7 @@ def test_a_solve_that_does_not_converge_stops_after_1000_iterations():
     # not converge; with _MAX_STEPS as shipped, the solve still returns
     mesh = quarter_annulus(8, 12)
     field = solve(mesh, np.where(mesh.nodes[:, 0] > 1.3, 30.0, 1.0))
-    assert field.converged is False
+    assert field.stop == "max steps" and field.converged is False
     assert field.n_steps == 1000 == len(field.residual_history)
     assert field.residual_history[-1] >= eikonal._TOL
 
@@ -491,7 +491,7 @@ def test_a_root_with_negative_arrival_times_is_not_converged():
     field = solve(mesh, np.where(mesh.nodes[:, 0] > 1.3, 100.0, 1.0))
     assert field.residual_history[-1] < eikonal._TOL and field.n_steps < 1000
     assert field.s.min() < -0.5
-    assert field.converged is False
+    assert field.stop == "invalid root" and field.converged is False
 
 
 def test_a_runaway_root_is_not_converged():
@@ -504,14 +504,16 @@ def test_a_runaway_root_is_not_converged():
     d = system_for(mesh, rate).warm_start()
     assert field.s.min() >= 0.0
     assert np.max(field.s[d > 0.0] / d[d > 0.0]) > eikonal._RUNAWAY
-    assert field.converged is False
+    assert field.stop == "invalid root" and field.converged is False
 
 
 def test_solve_reports_nonconvergence(monkeypatch):
     monkeypatch.setattr(eikonal, "_MAX_STEPS", 1)
     mesh = quarter_annulus(8, 12)
     field = solve(mesh, 1.0)
-    assert not field.converged
+    assert field.stop == "max steps" and not field.converged
+    with pytest.raises(AttributeError):
+        field.converged = True  # it follows stop
     assert field.n_steps == 1
     assert len(field.residual_history) == len(field.dt_history) == 1
     assert field.residual_history[-1] >= eikonal._TOL
@@ -538,10 +540,10 @@ def test_rejected_steps_count_toward_max_steps(monkeypatch):
 @pytest.mark.parametrize("name", sorted(CASE_BUILDERS))
 def test_registry_cases_converge_within_eight_iterations(solved, name):
     case, field, _ = solved(name)
-    assert field.converged and field.n_steps <= 8
+    assert field.stop == "converged" and field.converged and field.n_steps <= 8
     # each root lies well inside the bound a converged field meets: s at
     # most twice the warm start's graph distance
-    system = system_for(case.mesh, case.rate, case.config.dissipation_scale)
+    system = system_for(case.mesh, case.rate)
     assert np.all(field.s <= 2.0 * system.warm_start())
     if field.n_steps:
         # the history ends on the residual of the field returned
