@@ -17,7 +17,6 @@ import numpy as np
 
 from burnback import (
     BiStarDesign,
-    SolverError,
     bistar_interface,
     build_case,
     burn_curves,
@@ -38,9 +37,7 @@ def main() -> None:
 
     face = bistar_interface(design, 256)
     case = build_case("bistar")
-    field = solve(case.mesh, case.rate)
-    if not field.converged:
-        raise SolverError(f"case {case.name} did not converge within {field.n_steps} steps")
+    field = solve(case.mesh, case.rate).check(case.name)
     face_csv = OUT / "bistar_interface.csv"
     face_csv.write_text(emit_csv(face))
     print(f"interface polyline: {face_csv.name}")

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from burnback import SolverError, build_case, burn_curves, emit_csv, solve
+from burnback import build_case, burn_curves, emit_csv, solve
 
 OUT = Path(__file__).parent / "out"
 
@@ -21,9 +21,7 @@ OUT = Path(__file__).parent / "out"
 def main() -> None:
     OUT.mkdir(exist_ok=True)
     case = build_case("circle")
-    field = solve(case.mesh, case.rate)
-    if not field.converged:
-        raise SolverError(f"case {case.name} did not converge within {field.n_steps} steps")
+    field = solve(case.mesh, case.rate).check(case.name)
     print(f"circle: {case.mesh.n_nodes} nodes, {field.n_steps} steps")
 
     tau = np.linspace(0.05, 0.85, 33)

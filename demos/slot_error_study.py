@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from burnback import SolverError, build_case, emit_csv, emit_svg, error_field, solve
+from burnback import build_case, emit_csv, emit_svg, error_field, solve
 
 OUT = Path(__file__).parent / "out"
 
@@ -25,10 +25,8 @@ def main() -> None:
     for level in ("coarse", "fine"):
         case = build_case(f"slot-{level}")
         t0 = time.perf_counter()
-        field = solve(case.mesh, case.rate)
+        field = solve(case.mesh, case.rate).check(case.name)
         dt = time.perf_counter() - t0
-        if not field.converged:
-            raise SolverError(f"case {case.name} did not converge within {field.n_steps} steps")
         err = error_field(case.mesh, field.s, case.exact)
         print(
             f"{level:<7} {case.mesh.n_nodes:>6}  {field.n_steps:>6}  "

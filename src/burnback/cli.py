@@ -10,8 +10,9 @@ dissipation scale 1/8), so a grain has one answer and no solver flag
 exists.  Exit codes:
 0 success, 1 numeric failure (a verification threshold breach, or any
 module error, reported to stderr as module.ExceptionName; every command
-reports a solve that stops short of a valid root as cli.SolverError,
-naming its stop), 2 usage (also an empty path and a level count below 1).
+reports a solve that stops short of a valid root through
+ArrivalField.check, as eikonal.SolverError naming its stop), 2 usage
+(also an empty path and a level count below 1).
 """
 
 import argparse
@@ -129,18 +130,8 @@ def _write(path: str, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-# how the error of each stop short of a valid root reads
-_STOPS = {"max steps": "did not converge within", "invalid root": "reached an invalid root after"}
-
-
-def _checked(case: Case, res: ArrivalField) -> ArrivalField:
-    if not res.converged:
-        raise SolverError(f"case {case.name} {_STOPS[res.stop]} {res.n_steps} steps")
-    return res
-
-
 def _solve_case(case: Case) -> ArrivalField:
-    return _checked(case, solve(case.mesh, case.rate))
+    return solve(case.mesh, case.rate).check(case.name)
 
 
 def _grain(opt: dict) -> Case:
@@ -186,7 +177,7 @@ def _cmd_solve(opt: dict) -> int:
         f"solve: {res.n_steps} steps, converged={res.converged}, "
         f"s in [{res.s.min():.6g}, {res.s.max():.6g}], wrote {opt['out']}"
     )
-    _checked(case, res)
+    res.check(case.name)
     return 0
 
 

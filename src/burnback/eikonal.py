@@ -111,6 +111,8 @@ _TOL = 1e-6
 _MAX_STEPS = 1_000
 # largest s_i / d_i of a converged field, d the warm start's distances
 _RUNAWAY = 30.0
+# how the error of each stop short of a valid root reads
+_STOPS = {"max steps": "did not converge within", "invalid root": "reached an invalid root after"}
 
 
 class SolverError(RuntimeError):
@@ -147,6 +149,12 @@ class ArrivalField:
     @property
     def converged(self) -> bool:
         return self.stop == "converged"
+
+    def check(self, name: str) -> ArrivalField:
+        """This field if it converged, else SolverError naming case name and the stop."""
+        if not self.converged:
+            raise SolverError(f"case {name} {_STOPS[self.stop]} {self.n_steps} steps")
+        return self
 
 
 def as_rate_field(mesh: Mesh, rate) -> np.ndarray:

@@ -336,20 +336,17 @@ def test_solve_nonconvergence_exits_1(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(eikonal, "_MAX_STEPS", 1)
     out = tmp_path / "field.csv"
     assert main(["solve", "--case", "star", "--out", str(out)]) == 1
-    assert capsys.readouterr().err == "cli.SolverError: case star did not converge within 1 steps\n"
+    assert capsys.readouterr().err == "eikonal.SolverError: case star did not converge within 1 steps\n"
     assert out.exists()  # partial field still written for inspection
 
 
 def test_module_entry_point_names_errors_as_main_does(tmp_path):
-    # python -m burnback.cli runs cli.py as __main__, and its errors keep the
-    # name cli.  A fresh interpreter: once this file has imported
-    # burnback.cli, runpy warns that it is already loaded.
-    out = tmp_path / "field.csv"
-    snippet = (
-        "import runpy, sys; from burnback import eikonal; eikonal._MAX_STEPS = 1; "
-        f"sys.argv = ['burnback', 'solve', '--case', 'star', '--out', {str(out)!r}]; "
-        "runpy.run_module('burnback.cli', run_name='__main__')"
-    )
+    # python -m burnback.cli runs cli.py as __main__, and the errors that
+    # cli raises keep the name cli.  A fresh interpreter: once this file
+    # has imported burnback.cli, runpy warns that it is already loaded.
+    out = tmp_path / "curves.csv"
+    argv = ["burnback", "curves", "--case", "rect", "--out", str(out), "--tau-min", "0.5", "--tau-max", "0.25"]
+    snippet = f"import runpy, sys; sys.argv = {argv!r}; runpy.run_module('burnback.cli', run_name='__main__')"
     src = str(Path(burnback.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-c", snippet],
@@ -359,7 +356,8 @@ def test_module_entry_point_names_errors_as_main_does(tmp_path):
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 1
-    assert proc.stderr == "cli.SolverError: case star did not converge within 1 steps\n"
+    assert proc.stderr == "cli.ValueError: curves needs tau-min < tau-max\n"
+    assert not out.exists()
 
 
 def test_curves_planar_perimeter_constant(tmp_path):
@@ -538,7 +536,7 @@ def test_a_runaway_root_exits_1(tmp_path, capsys):
     s = np.loadtxt(out.read_text().splitlines()[1:], delimiter=",")[:, 3]
     assert s.max() > 10.0  # the grain is 1 deep
     err = capsys.readouterr().err
-    assert err == f"cli.SolverError: case {path} reached an invalid root after 91 steps\n"
+    assert err == f"eikonal.SolverError: case {path} reached an invalid root after 91 steps\n"
 
 
 def test_a_mesh_file_reads_as_a_grain_of_its_own_rates(tmp_path):
@@ -574,7 +572,7 @@ def test_artifacts_are_byte_identical_across_reruns(tmp_path):
 CLI_ERRORS = {
     "unconverged solve": (
         ["curves", "--case", "star"],
-        "cli.SolverError: case star did not converge within 1 steps",
+        "eikonal.SolverError: case star did not converge within 1 steps",
     ),
     "tau order": (
         ["curves", "--case", "rect", "--tau-min", "1.5", "--tau-max", "0.5"],

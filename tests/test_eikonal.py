@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.sparse import csr_array
@@ -481,6 +484,9 @@ def test_a_solve_that_does_not_converge_stops_after_1000_iterations():
     assert field.stop == "max steps" and field.converged is False
     assert field.n_steps == 1000 == len(field.residual_history)
     assert field.residual_history[-1] >= eikonal._TOL
+    with pytest.raises(SolverError) as info:
+        field.check("jump")
+    assert str(info.value) == "case jump did not converge within 1000 steps"
 
 
 def test_a_root_with_negative_arrival_times_is_not_converged():
@@ -492,6 +498,9 @@ def test_a_root_with_negative_arrival_times_is_not_converged():
     assert field.residual_history[-1] < eikonal._TOL and field.n_steps < 1000
     assert field.s.min() < -0.5
     assert field.stop == "invalid root" and field.converged is False
+    with pytest.raises(SolverError) as info:
+        field.check("jump")
+    assert str(info.value) == f"case jump reached an invalid root after {field.n_steps} steps"
 
 
 def test_a_runaway_root_is_not_converged():
@@ -505,6 +514,9 @@ def test_a_runaway_root_is_not_converged():
     assert field.s.min() >= 0.0
     assert np.max(field.s[d > 0.0] / d[d > 0.0]) > eikonal._RUNAWAY
     assert field.stop == "invalid root" and field.converged is False
+    with pytest.raises(SolverError) as info:
+        field.check("jump")
+    assert str(info.value) == f"case jump reached an invalid root after {field.n_steps} steps"
 
 
 def test_solve_reports_nonconvergence(monkeypatch):
@@ -517,6 +529,38 @@ def test_solve_reports_nonconvergence(monkeypatch):
     assert field.n_steps == 1
     assert len(field.residual_history) == len(field.dt_history) == 1
     assert field.residual_history[-1] >= eikonal._TOL
+
+
+# each demo that solves, and the case it solves first
+SOLVING_DEMOS = {
+    "bipropellant_star": "bistar",
+    "circle_perimeter_law": "circle",
+    "interface_schemes": "scheme-corner+5",
+    "slot_error_study": "slot-coarse",
+}
+
+
+@pytest.mark.parametrize("stop", ["max steps", "invalid root"])
+@pytest.mark.parametrize("demo", sorted(SOLVING_DEMOS))
+def test_a_demo_names_the_stop_of_its_solve_and_writes_nothing(demo, stop, solved, tmp_path, monkeypatch):
+    name = SOLVING_DEMOS[demo]
+    # how a root is judged does not change the iterations that reach it
+    steps = solved(name)[1].n_steps
+    path = Path(__file__).resolve().parents[1] / "demos" / f"{demo}.py"
+    spec = importlib.util.spec_from_file_location(demo, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(module, "OUT", tmp_path)
+    if stop == "max steps":
+        monkeypatch.setattr(eikonal, "_MAX_STEPS", 0)
+        message = f"case {name} did not converge within 0 steps"
+    else:
+        monkeypatch.setattr(eikonal, "_RUNAWAY", 0.0)
+        message = f"case {name} reached an invalid root after {steps} steps"
+    with pytest.raises(SolverError) as info:
+        module.main()
+    assert str(info.value) == message
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_rejected_steps_count_toward_max_steps(monkeypatch):
@@ -541,6 +585,7 @@ def test_rejected_steps_count_toward_max_steps(monkeypatch):
 def test_registry_cases_converge_within_eight_iterations(solved, name):
     case, field, _ = solved(name)
     assert field.stop == "converged" and field.converged and field.n_steps <= 8
+    assert field.check(name) is field
     # each root lies well inside the bound a converged field meets: s at
     # most twice the warm start's graph distance
     system = system_for(case.mesh, case.rate)
