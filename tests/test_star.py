@@ -161,6 +161,12 @@ def test_bistar_interface_equal_arrival_against_distance_oracle():
     np.testing.assert_allclose(fast_time, face.y, atol=1e-9)
 
 
+def test_bistar_interface_needs_two_samples():
+    design = BiStarDesign(4, 1.0, 0.1, 0.5)
+    with pytest.raises(ValueError):
+        bistar_interface(design, 1)
+
+
 def test_neutral_tip_angle_bits_are_pinned():
     # the bisection ends on adjacent floats; these are its results
     bits = {
