@@ -295,6 +295,27 @@ def _svg_path_of_contour(contour: Contour) -> str:
     return " ".join(cmds)
 
 
+def _trails(edges: np.ndarray) -> list[list[int]]:
+    """Node-id sequences that cover the edges (sorted pairs, as from
+    _unique_edges) once each: from the lowest node with an unused edge,
+    each trail takes its node's next unused edge to a higher id until it
+    reaches a node with none left.  So the node ids fix the trails."""
+    tail, head = edges.T
+    # edges are sorted by tail: node v's edges up are nxt[v] to end[v]
+    bounds = np.searchsorted(tail, np.arange(int(head.max()) + 2))
+    nxt, end, head = bounds[:-1].tolist(), bounds[1:].tolist(), head.tolist()
+    trails = []
+    for v in range(len(end)):
+        while nxt[v] < end[v]:
+            trail, u = [v], v
+            while nxt[u] < end[u]:
+                nxt[u] += 1
+                u = head[nxt[u] - 1]
+                trail.append(u)
+            trails.append(trail)
+    return trails
+
+
 def emit_svg(
     mesh: Mesh,
     s: np.ndarray,
@@ -306,8 +327,9 @@ def emit_svg(
 
     Coordinates are model units inside a declared viewBox; the y axis
     is flipped so the drawing matches the math orientation and the
-    viewBox frames the mesh.  The mesh edges go underneath as a single
-    path when requested; a contour, if given, is stroked on top.
+    viewBox frames the mesh.  The mesh edges go underneath when
+    requested, as one path of trails that draws each edge once; a
+    contour, if given, is stroked on top.
     """
     lo = mesh.nodes.min(axis=0)
     hi = mesh.nodes.max(axis=0)
@@ -328,9 +350,8 @@ def emit_svg(
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{_g(vb[0])} {_g(vb[1])} {_g(vb[2])} {_g(vb[3])}">\n',
     ]
     if show_mesh:
-        xs = [_g(x) for x in mesh.nodes[:, 0].tolist()]
-        ys = [_g(-y) for y in mesh.nodes[:, 1].tolist()]
-        path = " ".join([f"M {xs[a]} {ys[a]} L {xs[b]} {ys[b]}" for a, b in table[0].tolist()])
+        xy = [f"{_g(x)} {_g(-y)}" for x, y in mesh.nodes.tolist()]
+        path = " ".join(["M " + xy[t[0]] + " L " + " ".join([xy[v] for v in t[1:]]) for t in _trails(table[0])])
         # the path is the bulk of the document: joined in place, not copied
         out += ['<path d="', path, f'" fill="none" stroke="#cccccc" stroke-width="{_g(0.5 * stroke)}"/>\n']
     for tau in levels:

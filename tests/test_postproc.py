@@ -15,7 +15,7 @@ from burnback import eikonal, postproc
 from burnback.cases import CASE_BUILDERS
 from burnback.contour import make_circle
 from burnback.eikonal import solve
-from burnback.mesh import Marker, gen_coons, gen_rect
+from burnback.mesh import Marker, Mesh, gen_coons, gen_rect
 from burnback.postproc import (
     _g,
     burn_curves,
@@ -441,7 +441,42 @@ def test_emit_svg_mesh_toggle(planar):
     mesh, s = planar
     with_mesh = emit_svg(mesh, s, levels=(0.5,))
     without = emit_svg(mesh, s, levels=(0.5,), show_mesh=False)
-    assert len(without) < len(with_mesh)
+    underlay = [line for line in with_mesh.splitlines(keepends=True) if 'stroke="#cccccc"' in line]
+    assert len(underlay) == 1
+    assert without == with_mesh.replace(underlay[0], "")
+
+
+def _permuted_rect():
+    """A rect mesh whose node ids are shuffled, as a mesh file's may be."""
+    mesh = gen_rect(12, 7, 2.0, 1.0, markers={"left": Marker.IGNITION})
+    perm = np.random.default_rng(7).permutation(mesh.n_nodes)
+    new_id = np.argsort(perm)
+    return Mesh(mesh.nodes[perm], new_id[mesh.triangles], mesh.node_markers[perm])
+
+
+@pytest.mark.parametrize("name", [*CASE_BUILDERS, "permuted rect"])
+def test_emit_svg_underlay_draws_every_mesh_edge_once(name):
+    mesh = _permuted_rect() if name == "permuted rect" else CASE_BUILDERS[name]().mesh
+    svg = emit_svg(mesh, np.zeros(mesh.n_nodes))
+    (d,) = re.findall(r'<path d="([^"]*)" fill="none" stroke="#cccccc"', svg)
+    node_of = {f"{_g(x)} {_g(-y)}": k for k, (x, y) in enumerate(mesh.nodes.tolist())}
+    assert len(node_of) == mesh.n_nodes
+    trails = []
+    for chunk in d.split("M ")[1:]:
+        # "x0 y0 L x1 y1 x2 y2 ...": pair the numbers back up
+        nums = chunk.replace("L ", "").split()
+        assert len(nums) % 2 == 0
+        trails.append([node_of[f"{x} {y}"] for x, y in zip(nums[::2], nums[1::2])])
+    segments = [tuple(sorted(ab)) for trail in trails for ab in zip(trail, trail[1:])]
+    edges = postproc._unique_edges(mesh.triangles)[0]
+    assert len(set(segments)) == len(segments)
+    assert sorted(segments) == list(map(tuple, edges.tolist()))
+    assert sum(map(len, trails)) == len(edges) + len(trails)
+    # as few trails as climbing in node id allows: a node starts one for
+    # each edge up that no edge down can go on along
+    up = np.bincount(edges[:, 0], minlength=mesh.n_nodes)
+    down = np.bincount(edges[:, 1], minlength=mesh.n_nodes)
+    assert len(trails) == np.maximum(up - down, 0).sum()
 
 
 def test_emit_svg_levels_need_field(planar):
